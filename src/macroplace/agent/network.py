@@ -182,7 +182,7 @@ def forward_step(params: PolicyParams, ctx: DesignContext, obs: Observation):
     placed_frac = obs.step_index / max(ctx.num_macros, 1)
     d_in = np.concatenate([g, [fill, placed_frac]])
     qv = np.tanh(A["value_w1"] @ d_in + A["value_b1"])
-    value = float(A["value_w2"] @ qv + A["value_b2"])
+    value = float((A["value_w2"] @ qv + A["value_b2"])[0])
 
     cache = {"X": X, "hs": hs, "agg": agg, "g": g, "e": e, "t_in": t_in, "u": u,
              "Z": Z, "Q": Q, "d_in": d_in, "qv": qv, "macro_id": obs.macro_id}

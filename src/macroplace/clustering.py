@@ -63,13 +63,6 @@ class AdjacencyGraph:
     weights: np.ndarray
 
     @cached_property
-    def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.num_nodes, dtype=np.int64)
-        np.add.at(deg, self.edges_i, 1)
-        np.add.at(deg, self.edges_j, 1)
-        return deg
-
-    @cached_property
     def neighbor_csr(self):
         """(indptr, indices, weights) over both edge directions, plus the
         per-node total incident weight (0 for isolated nodes)."""

@@ -45,10 +45,6 @@ class EnvState:
     step_index: int
     placement: Placement  # placement-netlist coordinates, macros placed so far
 
-    @property
-    def done_steps(self) -> int:
-        return self.step_index
-
 
 @dataclass(frozen=True)
 class Observation:

@@ -1,7 +1,7 @@
 """JSON design interchange.
 
-The schema mirrors Netlist/Placement one-to-one; field names are documented
-in docs/design_schema.json. Node ids are implicit list positions.
+The schema mirrors Netlist/Placement one-to-one; `bundle_to_dict` is its
+reference. Node ids are implicit list positions.
 """
 
 from __future__ import annotations

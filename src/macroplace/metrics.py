@@ -5,6 +5,10 @@ Congestion uses RUDY-style net smearing: each net's demand is spread
 uniformly over its bounding box (clamped to at least one grid cell in each
 dimension and shifted to stay on canvas). Pin positions are node centers;
 the pin-offset approximation matches the rest of the proxy pipeline.
+
+Net bounding boxes are segment reductions over `Netlist.net_csr`; net boxes
+and node footprints go onto the grid through `raster.cover`, whose in-order
+accumulation equals a per-net (per-node) loop bit for bit.
 """
 
 from __future__ import annotations
@@ -16,11 +20,12 @@ import numpy as np
 
 from .errors import EvaluationError
 from .grid import Grid
-from .netlist import KIND_TERMINAL, Netlist, Placement
+from .netlist import Netlist, Placement
+from .raster import accumulate, cover, node_boxes
 
 # Routing capacity per cell, horizontal == vertical. Calibrated once as the
-# 95th percentile of nonzero per-cell single-net demand over the bundled
-# four-design synthetic suite on a 32x32 grid (see tools/calibrate_capacity.py).
+# 95th percentile of nonzero per-cell single-net demand over a four-design
+# synthetic suite on a 32x32 grid.
 DEFAULT_CAPACITY = 0.8
 
 
@@ -56,18 +61,6 @@ class Metrics:
         return -self.proxy_cost
 
 
-def _axis_overlap(lo: float, hi: float, cell: float, count: int):
-    """Overlap length of [lo, hi] with each grid cell along one axis.
-
-    Returns (first cell index, overlap-length vector)."""
-    first = max(int(math.floor(lo / cell)), 0)
-    last = min(int(math.ceil(hi / cell)) - 1, count - 1)
-    if last < first:
-        return 0, np.zeros(0)
-    idx = np.arange(first, last + 1)
-    return first, np.minimum(hi, (idx + 1) * cell) - np.maximum(lo, idx * cell)
-
-
 def congestion_map(
     netlist: Netlist,
     placement: Placement,
@@ -77,37 +70,33 @@ def congestion_map(
 ) -> CongestionMap:
     """RUDY demand maps. Horizontal demand of a net is w/h_box, vertical is
     w/w_box, each distributed over the box proportionally to overlap area."""
-    demand_h = np.zeros((grid.rows, grid.cols))
-    demand_v = np.zeros((grid.rows, grid.cols))
+    rows, cols = grid.rows, grid.cols
     W, H = grid.canvas_width, grid.canvas_height
+    csr = netlist.net_csr
+    unplaced = ~placement.placed[csr.node_ids]
+    if unplaced.any():
+        pin = int(np.argmax(unplaced))
+        net = netlist.nets[int(csr.net_ids[csr.pin_net[pin]])]
+        raise EvaluationError(
+            f"net '{net.name}' references unplaced node "
+            f"'{netlist.nodes[int(csr.node_ids[pin])].name}'"
+        )
+    pts = placement.positions[csr.node_ids]
+    lo = np.minimum.reduceat(pts, csr.starts)
+    hi = np.maximum.reduceat(pts, csr.starts)
+    x0, y0 = lo[:, 0], lo[:, 1]
+    x1, y1 = hi[:, 0], hi[:, 1]
+    # Clamp the box to at least one cell per axis, then shift on-canvas.
+    bw = np.minimum(np.maximum(x1 - x0, grid.cell_w), W)
+    bh = np.minimum(np.maximum(y1 - y0, grid.cell_h), H)
+    bx = np.minimum(np.maximum((x0 + x1) / 2 - bw / 2, 0.0), W - bw)
+    by = np.minimum(np.maximum((y0 + y1) / 2 - bh / 2, 0.0), H - bh)
 
-    for net in netlist.nets:
-        if not net.pins:
-            continue
-        ids = [p.node for p in net.pins]
-        for nid in ids:
-            if not placement.placed[nid]:
-                raise EvaluationError(
-                    f"net '{net.name}' references unplaced node "
-                    f"'{netlist.nodes[nid].name}'"
-                )
-        pts = placement.positions[ids]
-        x0, x1 = pts[:, 0].min(), pts[:, 0].max()
-        y0, y1 = pts[:, 1].min(), pts[:, 1].max()
-        # Clamp the box to at least one cell per axis, then shift on-canvas.
-        bw = min(max(x1 - x0, grid.cell_w), W)
-        bh = min(max(y1 - y0, grid.cell_h), H)
-        bx = min(max((x0 + x1) / 2 - bw / 2, 0.0), W - bw)
-        by = min(max((y0 + y1) / 2 - bh / 2, 0.0), H - bh)
-
-        c0, wx = _axis_overlap(bx, bx + bw, grid.cell_w, grid.cols)
-        r0, wy = _axis_overlap(by, by + bh, grid.cell_h, grid.rows)
-        if len(wx) == 0 or len(wy) == 0:
-            continue
-        frac = np.outer(wy, wx) / (bw * bh)  # overlap-area fractions, sums to 1
-        demand_h[r0:r0 + len(wy), c0:c0 + len(wx)] += net.weight / bh * frac
-        demand_v[r0:r0 + len(wy), c0:c0 + len(wx)] += net.weight / bw * frac
-
+    entries = cover(bx, bx + bw, by, by + bh, grid.cell_w, grid.cell_h, rows, cols)
+    box = entries.box
+    frac = entries.wy * entries.wx / (bw * bh)[box]  # overlap-area fractions, sum to 1
+    demand_h = accumulate(entries, (csr.weights / bh)[box] * frac, rows, cols)
+    demand_v = accumulate(entries, (csr.weights / bw)[box] * frac, rows, cols)
     return CongestionMap(demand_h=demand_h, demand_v=demand_v,
                          capacity_h=capacity_h, capacity_v=capacity_v)
 
@@ -137,19 +126,13 @@ def rasterize_area(netlist: Netlist, placement: Placement, rows: int, cols: int,
 
     Terminals are excluded; they carry no placeable area.
     """
-    area = np.zeros((rows, cols))
-    for node in netlist.nodes:
-        if node.kind == KIND_TERMINAL or not placement.placed[node.id]:
-            continue
-        if not include_fixed and not node.movable:
-            continue
-        x, y = placement.positions[node.id]
-        c0, wx = _axis_overlap(x - node.width / 2, x + node.width / 2, cell_w, cols)
-        r0, wy = _axis_overlap(y - node.height / 2, y + node.height / 2, cell_h, rows)
-        if len(wx) == 0 or len(wy) == 0:
-            continue
-        area[r0:r0 + len(wy), c0:c0 + len(wx)] += np.outer(wy, wx)
-    return area
+    arrays = netlist.node_arrays
+    keep = arrays.charge & placement.placed
+    if not include_fixed:
+        keep &= arrays.movable
+    x0, x1, y0, y1 = node_boxes(netlist, placement, np.flatnonzero(keep))
+    entries = cover(x0, x1, y0, y1, cell_w, cell_h, rows, cols)
+    return accumulate(entries, entries.wy * entries.wx, rows, cols)
 
 
 def density_overflow(netlist: Netlist, placement: Placement, grid: Grid,

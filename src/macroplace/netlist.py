@@ -10,6 +10,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,6 +51,25 @@ class Net:
     weight: float = 1.0
 
 
+class NetCSR(NamedTuple):
+    """Pins grouped by net; one row per net that has pins, in net order."""
+
+    starts: np.ndarray  # (M,) first pin of each row: the `reduceat` indices
+    pin_net: np.ndarray  # (P,) pin -> row
+    net_ids: np.ndarray  # (M,) row -> index into Netlist.nets
+    node_ids: np.ndarray  # (P,) pin -> node id
+    offsets: np.ndarray  # (P, 2) pin offsets from the node center
+    weights: np.ndarray  # (M,) net weights
+    counts: np.ndarray  # (M,) pins per row
+
+
+class NodeArrays(NamedTuple):
+    width: np.ndarray  # (N,)
+    height: np.ndarray
+    movable: np.ndarray  # (N,) bool
+    charge: np.ndarray  # (N,) bool: carries placeable area (not a terminal)
+
+
 @dataclass(eq=False)
 class Netlist:
     """A design: nodes, nets, and the canvas they live on.
@@ -86,22 +106,37 @@ class Netlist:
         return deg
 
     @cached_property
-    def _flat_pins(self):
-        """Flattened pin arrays for vectorized HPWL: (net starts, node ids, offsets, weights)."""
-        starts = [0]
-        node_ids: list[int] = []
-        offs: list[tuple[float, float]] = []
-        weights = []
-        for net in self.nets:
-            node_ids.extend(p.node for p in net.pins)
-            offs.extend((p.offset_x, p.offset_y) for p in net.pins)
-            starts.append(len(node_ids))
-            weights.append(net.weight)
-        return (
-            np.asarray(starts, dtype=np.int64),
-            np.asarray(node_ids, dtype=np.int64),
-            np.asarray(offs, dtype=np.float64).reshape(len(node_ids), 2),
-            np.asarray(weights, dtype=np.float64),
+    def net_csr(self) -> NetCSR:
+        """Pins of every net in net order, as flat arrays for segment
+        reductions (`np.*.reduceat` over `starts`).
+
+        Zero-pin nets are left out: a `reduceat` segment cannot be empty,
+        and such nets add nothing anywhere. One-pin nets stay, because RUDY
+        smears them over one cell; their extent (and smoothed extent) is 0.
+        """
+        net_ids = [k for k, net in enumerate(self.nets) if net.pins]
+        nets = [self.nets[k] for k in net_ids]
+        pins = [p for net in nets for p in net.pins]
+        counts = np.array([len(net.pins) for net in nets], dtype=np.int64)
+        return NetCSR(
+            starts=np.cumsum(counts) - counts,
+            pin_net=np.repeat(np.arange(len(nets)), counts),
+            net_ids=np.array(net_ids, dtype=np.int64),
+            node_ids=np.array([p.node for p in pins], dtype=np.int64),
+            offsets=np.array([(p.offset_x, p.offset_y) for p in pins],
+                             dtype=np.float64).reshape(len(pins), 2),
+            weights=np.array([net.weight for net in nets], dtype=np.float64),
+            counts=counts,
+        )
+
+    @cached_property
+    def node_arrays(self) -> NodeArrays:
+        """Per-node width, height, movable flag and charge flag as arrays."""
+        return NodeArrays(
+            width=np.array([n.width for n in self.nodes], dtype=np.float64),
+            height=np.array([n.height for n in self.nodes], dtype=np.float64),
+            movable=np.array([n.movable for n in self.nodes], dtype=bool),
+            charge=np.array([n.kind != KIND_TERMINAL for n in self.nodes], dtype=bool),
         )
 
     def macros(self) -> list[Node]:
@@ -186,25 +221,20 @@ def hpwl(netlist: Netlist, placement: Placement, use_pin_offsets: bool = False) 
     Raises EvaluationError (naming the node) if a net references an unplaced
     node.
     """
-    starts, node_ids, offsets, weights = netlist._flat_pins
-    if len(node_ids):
-        unplaced = ~placement.placed[node_ids]
-        if unplaced.any():
-            bad = netlist.nodes[int(node_ids[np.argmax(unplaced)])]
-            raise EvaluationError(f"net references unplaced node '{bad.name}' (id {bad.id})")
-    pts = placement.positions[node_ids]
+    csr = netlist.net_csr
+    unplaced = ~placement.placed[csr.node_ids]
+    if unplaced.any():
+        bad = netlist.nodes[int(csr.node_ids[np.argmax(unplaced)])]
+        raise EvaluationError(f"net references unplaced node '{bad.name}' (id {bad.id})")
+    if not len(csr.starts):
+        return 0.0
+    pts = placement.positions[csr.node_ids]
     if use_pin_offsets:
-        pts = pts + offsets
-    total = 0.0
-    for i in range(len(netlist.nets)):
-        lo, hi = starts[i], starts[i + 1]
-        if hi - lo < 2:
-            continue
-        seg = pts[lo:hi]
-        total += weights[i] * (
-            (seg[:, 0].max() - seg[:, 0].min()) + (seg[:, 1].max() - seg[:, 1].min())
-        )
-    return float(total)
+        pts = pts + csr.offsets
+    ext = np.maximum.reduceat(pts, csr.starts) - np.minimum.reduceat(pts, csr.starts)
+    per_net = csr.weights * (ext[:, 0] + ext[:, 1])
+    # Sequential sum in net order: the exact total a per-net loop gives.
+    return float(np.add.accumulate(per_net)[-1])
 
 
 def stats(netlist: Netlist) -> BenchmarkStats:

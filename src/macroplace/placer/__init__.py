@@ -39,7 +39,6 @@ class PlacerConfig:
     gamma: float | None = None  # microns; None -> 4x mean bin dimension
     gamma_anneal: float = 0.8
     gamma_floor_factor: float = 0.5  # floor = factor x mean bin dimension
-    lambda0_strategy: str = "grad_balance"
     lambda_growth: float = 2.0
     inner_iters: int = 20
     backtrack_limit: int = 8
@@ -91,16 +90,15 @@ def initial_positions(clustered: ClusteredNetlist, placement: Placement,
 
 
 def clamp_in_canvas(pnet, placement: Placement, movable: np.ndarray) -> Placement:
-    for node in pnet.nodes:
-        if not movable[node.id]:
-            continue
-        x, y = placement.positions[node.id]
-        lo_x, hi_x = node.width / 2, pnet.canvas_width - node.width / 2
-        lo_y, hi_y = node.height / 2, pnet.canvas_height - node.height / 2
-        placement.positions[node.id] = (
-            min(max(x, lo_x), max(lo_x, hi_x)),
-            min(max(y, lo_y), max(lo_y, hi_y)),
-        )
+    """Move each movable node's box inside the canvas, in place."""
+    arrays = pnet.node_arrays
+    for axis, size, extent in ((0, arrays.width, pnet.canvas_width),
+                               (1, arrays.height, pnet.canvas_height)):
+        lo = size[movable] / 2
+        hi = extent - size[movable] / 2
+        coord = placement.positions[movable, axis]
+        placement.positions[movable, axis] = np.minimum(np.maximum(coord, lo),
+                                                        np.maximum(lo, hi))
     return placement
 
 

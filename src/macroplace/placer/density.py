@@ -10,17 +10,22 @@ exactly (the DC mode carries no force), via the DCT-II eigenbasis of the
 mirrored-boundary Laplacian. Because overlap areas are piecewise linear in
 node positions and the solve is linear, the energy gradient below is the
 exact derivative of the energy away from bin-boundary kinks.
+
+Charge goes onto bins through `raster.cover`, the rasterizer the density
+metrics use. The gradient builds the same overlap entries for the nodes it
+differentiates, weights them with `raster.edge_slope`, and sums them per
+node with one `np.bincount` per axis.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import dctn, idctn
 
-from ..netlist import KIND_TERMINAL, Netlist, Placement
+from ..netlist import Netlist, Placement
+from ..raster import accumulate, cover, edge_slope, node_boxes
 
 
 @dataclass
@@ -43,22 +48,6 @@ class DensityField:
         return self.bin_w * self.bin_h
 
 
-def _axis_overlap(lo, hi, cell, count):
-    first = max(int(math.floor(lo / cell)), 0)
-    last = min(int(math.ceil(hi / cell)) - 1, count - 1)
-    if last < first:
-        return 0, np.zeros(0)
-    idx = np.arange(first, last + 1)
-    return first, np.minimum(hi, (idx + 1) * cell) - np.maximum(lo, idx * cell)
-
-
-def _charge_nodes(netlist: Netlist, placement: Placement):
-    return [
-        n for n in netlist.nodes
-        if n.kind != KIND_TERMINAL and placement.placed[n.id]
-    ]
-
-
 def solve_density_field(netlist: Netlist, placement: Placement,
                         bins: int = 64) -> DensityField:
     """Rasterize charge and solve for the potential and field.
@@ -73,16 +62,11 @@ def solve_density_field(netlist: Netlist, placement: Placement,
     bin_h = netlist.canvas_height / bins
     bin_area = bin_w * bin_h
 
-    area = np.zeros((bins, bins))
-    charge_area = 0.0
-    for node in _charge_nodes(netlist, placement):
-        x, y = placement.positions[node.id]
-        charge_area += node.area
-        c0, wx = _axis_overlap(x - node.width / 2, x + node.width / 2, bin_w, bins)
-        r0, wy = _axis_overlap(y - node.height / 2, y + node.height / 2, bin_h, bins)
-        if len(wx) == 0 or len(wy) == 0:
-            continue
-        area[r0:r0 + len(wy), c0:c0 + len(wx)] += np.outer(wy, wx)
+    arrays = netlist.node_arrays
+    ids = np.flatnonzero(arrays.charge & placement.placed)
+    charge_area = float((arrays.width[ids] * arrays.height[ids]).sum())
+    entries = cover(*node_boxes(netlist, placement, ids), bin_w, bin_h, bins, bins)
+    area = accumulate(entries, entries.wy * entries.wx, bins, bins)
 
     raster_total = area.sum()
     scale = charge_area / raster_total if raster_total > 0 else 1.0
@@ -127,33 +111,21 @@ def density_energy_and_grad(field: DensityField, netlist: Netlist,
     only the bins its left/right (bottom/top) edges cross contribute, with
     the orthogonal overlap as the weight. High potential pushes nodes out.
     """
-    bins = field.bins
-    psi = field.psi
-    energy = 0.5 * float((field.rho * psi).sum()) * field.bin_area
+    energy = 0.5 * float((field.rho * field.psi).sum()) * field.bin_area
     grad = np.zeros_like(placement.positions)
+    arrays = netlist.node_arrays
+    keep = arrays.charge & placement.placed
+    if movable_only:
+        keep &= arrays.movable
+    ids = np.flatnonzero(keep)
+    x0, x1, y0, y1 = node_boxes(netlist, placement, ids)
+    entries = cover(x0, x1, y0, y1, field.bin_w, field.bin_h, field.bins, field.bins)
+    box, wx, wy = entries.box, entries.wx, entries.wy
+    # d(overlap_x)/dx per column and d(overlap_y)/dy per row.
+    dwx = edge_slope(x0[box], x1[box], entries.col, field.bin_w)
+    dwy = edge_slope(y0[box], y1[box], entries.row, field.bin_h)
+    psi = field.psi[entries.row, entries.col]
     s = field.norm_scale
-
-    for node in _charge_nodes(netlist, placement):
-        if movable_only and not node.movable:
-            continue
-        x, y = placement.positions[node.id]
-        x0, x1 = x - node.width / 2, x + node.width / 2
-        y0, y1 = y - node.height / 2, y + node.height / 2
-        c0, wx = _axis_overlap(x0, x1, field.bin_w, bins)
-        r0, wy = _axis_overlap(y0, y1, field.bin_h, bins)
-        if len(wx) == 0 or len(wy) == 0:
-            continue
-        # d(overlap_x)/dx per column: +1 where the right edge lies strictly
-        # inside the column, -1 where the left edge does.
-        cols = np.arange(c0, c0 + len(wx))
-        rows = np.arange(r0, r0 + len(wy))
-        dwx = np.zeros(len(wx))
-        dwx += (x1 > cols * field.bin_w) & (x1 < (cols + 1) * field.bin_w)
-        dwx -= (x0 > cols * field.bin_w) & (x0 < (cols + 1) * field.bin_w)
-        dwy = np.zeros(len(wy))
-        dwy += (y1 > rows * field.bin_h) & (y1 < (rows + 1) * field.bin_h)
-        dwy -= (y0 > rows * field.bin_h) & (y0 < (rows + 1) * field.bin_h)
-        patch = psi[r0:r0 + len(wy), c0:c0 + len(wx)]
-        grad[node.id, 0] = s * float(wy @ patch @ dwx)
-        grad[node.id, 1] = s * float(dwy @ patch @ wx)
+    grad[ids, 0] = s * np.bincount(box, weights=wy * psi * dwx, minlength=len(ids))
+    grad[ids, 1] = s * np.bincount(box, weights=dwy * psi * wx, minlength=len(ids))
     return energy, grad

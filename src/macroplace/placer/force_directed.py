@@ -47,16 +47,18 @@ def _spread_once(pnet, placement, movable_ids, bins, spread_gain):
         return placement
     field = _blur(over, passes=2)
     gy, gx = np.gradient(field, cell_h, cell_w)
+    x = placement.positions[movable_ids, 0]
+    y = placement.positions[movable_ids, 1]
+    c = np.clip(np.trunc(x / cell_w), 0, cols - 1).astype(np.int64)
+    r = np.clip(np.trunc(y / cell_h), 0, rows - 1).astype(np.int64)
+    f, fx, fy = field[r, c], gx[r, c], gy[r, c]
+    push = f > 0
+    scale = spread_gain * np.minimum(f / max(pnet.target_density, 1e-9), 2.0)
     out = placement.copy()
-    for nid in movable_ids:
-        x, y = out.positions[nid]
-        c = min(max(int(x / cell_w), 0), cols - 1)
-        r = min(max(int(y / cell_h), 0), rows - 1)
-        if field[r, c] <= 0:
-            continue
-        scale = spread_gain * min(field[r, c] / max(pnet.target_density, 1e-9), 2.0)
-        out.positions[nid, 0] = x - gx[r, c] / (abs(gx[r, c]) + 1e-12) * scale * cell_w
-        out.positions[nid, 1] = y - gy[r, c] / (abs(gy[r, c]) + 1e-12) * scale * cell_h
+    out.positions[movable_ids, 0] = np.where(
+        push, x - fx / (np.abs(fx) + 1e-12) * scale * cell_w, x)
+    out.positions[movable_ids, 1] = np.where(
+        push, y - fy / (np.abs(fy) + 1e-12) * scale * cell_h, y)
     return out
 
 

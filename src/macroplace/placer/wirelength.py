@@ -8,6 +8,11 @@ Per net and axis the smoothed extremes are
 so the smoothed extent lies in [true extent - 2*gamma*log(p), true extent]
 and converges to the exact half-perimeter as gamma -> 0. Exponentials are
 max-shifted, so finite inputs can never produce non-finite output.
+
+All nets are evaluated at once as segment reductions (`np.*.reduceat`) over
+`Netlist.net_csr`. Pins are stored in net order, so the `np.bincount`
+scatter adds each node's gradient terms in the same order a per-net loop
+would.
 """
 
 from __future__ import annotations
@@ -17,44 +22,31 @@ import numpy as np
 from ..netlist import Netlist, Placement
 
 
-def _axis_extent_and_grad(coords: np.ndarray, gamma: float):
-    """Smoothed (max - min) over one axis plus d/dcoords."""
-    p = len(coords)
-    hi = coords.max()
-    lo = coords.min()
-    e_hi = np.exp((coords - hi) / gamma)
-    e_lo = np.exp(-(coords - lo) / gamma)
-    s_hi = e_hi.sum()
-    s_lo = e_lo.sum()
-    extent = (
-        (hi - lo)
-        + gamma * (np.log(s_hi) - np.log(p))
-        + gamma * (np.log(s_lo) - np.log(p))
-    )
-    grad = e_hi / s_hi - e_lo / s_lo
-    return extent, grad
-
-
 def smooth_wl_and_grad(netlist: Netlist, placement: Placement, gamma: float):
     """Smoothed total wirelength and gradient w.r.t. every node center.
 
     Pin positions are node centers plus pin offsets; offsets are constants,
     so pin gradients accumulate directly onto their nodes. Nets with fewer
-    than two pins are skipped.
+    than two pins contribute nothing.
     """
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    value = 0.0
+    csr = netlist.net_csr
+    pts = placement.positions[csr.node_ids] + csr.offsets  # (P, 2)
+    hi = np.maximum.reduceat(pts, csr.starts)  # (M, 2)
+    lo = np.minimum.reduceat(pts, csr.starts)
+    e_hi = np.exp((pts - hi[csr.pin_net]) / gamma)
+    e_lo = np.exp(-(pts - lo[csr.pin_net]) / gamma)
+    s_hi = np.add.reduceat(e_hi, csr.starts)
+    s_lo = np.add.reduceat(e_lo, csr.starts)
+    log_p = np.log(csr.counts)[:, None]
+    extent = (hi - lo) + gamma * (np.log(s_hi) - log_p) + gamma * (np.log(s_lo) - log_p)
+    value = float(csr.weights @ extent.sum(axis=1))
+
+    w = csr.weights[csr.pin_net, None]
+    g = w * (e_hi / s_hi[csr.pin_net] - e_lo / s_lo[csr.pin_net])
     grad = np.zeros_like(placement.positions)
-    for net in netlist.nets:
-        if len(net.pins) < 2:
-            continue
-        ids = np.fromiter((p.node for p in net.pins), dtype=np.int64,
-                          count=len(net.pins))
-        offs = np.array([(p.offset_x, p.offset_y) for p in net.pins])
-        pts = placement.positions[ids] + offs
-        for axis in (0, 1):
-            extent, g = _axis_extent_and_grad(pts[:, axis], gamma)
-            value += net.weight * extent
-            np.add.at(grad[:, axis], ids, net.weight * g)
-    return float(value), grad
+    n = len(grad)
+    grad[:, 0] = np.bincount(csr.node_ids, weights=g[:, 0], minlength=n)
+    grad[:, 1] = np.bincount(csr.node_ids, weights=g[:, 1], minlength=n)
+    return value, grad

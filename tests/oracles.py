@@ -6,6 +6,8 @@ loops, deliberately avoiding the production code paths it checks.
 
 import math
 
+import numpy as np
+
 
 def hpwl_bruteforce(netlist, placement, use_pin_offsets=False):
     total = 0.0
@@ -174,3 +176,141 @@ def laplacian_5pt(psi, dx, dy):
             rt = psi[i][j + 1] if j < cols - 1 else psi[i][j]
             out[i][j] = (lf + rt - 2 * psi[i][j]) / dx**2 + (up + dn - 2 * psi[i][j]) / dy**2
     return out
+
+
+# --- Loop references -------------------------------------------------------
+# The per-net and per-node loops that the CSR net kernel and the shared
+# rasterizer replaced, kept verbatim. The rasterizer accumulates in the same
+# order, so its outputs must equal these bit for bit; the smooth-WL and
+# density-gradient kernels reassociate float sums, so they match to rounding.
+
+
+def _axis_overlap(lo: float, hi: float, cell: float, count: int):
+    """Overlap length of [lo, hi] with each grid cell along one axis.
+
+    Returns (first cell index, overlap-length vector)."""
+    first = max(int(math.floor(lo / cell)), 0)
+    last = min(int(math.ceil(hi / cell)) - 1, count - 1)
+    if last < first:
+        return 0, np.zeros(0)
+    idx = np.arange(first, last + 1)
+    return first, np.minimum(hi, (idx + 1) * cell) - np.maximum(lo, idx * cell)
+
+
+def _axis_extent_and_grad(coords, gamma):
+    """Smoothed (max - min) over one axis plus d/dcoords."""
+    p = len(coords)
+    hi = coords.max()
+    lo = coords.min()
+    e_hi = np.exp((coords - hi) / gamma)
+    e_lo = np.exp(-(coords - lo) / gamma)
+    s_hi = e_hi.sum()
+    s_lo = e_lo.sum()
+    extent = (
+        (hi - lo)
+        + gamma * (np.log(s_hi) - np.log(p))
+        + gamma * (np.log(s_lo) - np.log(p))
+    )
+    grad = e_hi / s_hi - e_lo / s_lo
+    return extent, grad
+
+
+def smooth_wl_loop(netlist, placement, gamma):
+    """Per-net log-sum-exp wirelength and gradient."""
+    value = 0.0
+    grad = np.zeros_like(placement.positions)
+    for net in netlist.nets:
+        if len(net.pins) < 2:
+            continue
+        ids = np.fromiter((p.node for p in net.pins), dtype=np.int64,
+                          count=len(net.pins))
+        offs = np.array([(p.offset_x, p.offset_y) for p in net.pins])
+        pts = placement.positions[ids] + offs
+        for axis in (0, 1):
+            extent, g = _axis_extent_and_grad(pts[:, axis], gamma)
+            value += net.weight * extent
+            np.add.at(grad[:, axis], ids, net.weight * g)
+    return float(value), grad
+
+
+def rasterize_area_loop(netlist, placement, rows, cols, cell_w, cell_h,
+                        include_fixed=True):
+    """Per-node area raster (terminals excluded)."""
+    area = np.zeros((rows, cols))
+    for node in netlist.nodes:
+        if node.kind == "terminal" or not placement.placed[node.id]:
+            continue
+        if not include_fixed and not node.movable:
+            continue
+        x, y = placement.positions[node.id]
+        c0, wx = _axis_overlap(x - node.width / 2, x + node.width / 2, cell_w, cols)
+        r0, wy = _axis_overlap(y - node.height / 2, y + node.height / 2, cell_h, rows)
+        if len(wx) == 0 or len(wy) == 0:
+            continue
+        area[r0:r0 + len(wy), c0:c0 + len(wx)] += np.outer(wy, wx)
+    return area
+
+
+def congestion_map_loop(netlist, placement, grid):
+    """Per-net RUDY demand maps (demand_h, demand_v)."""
+    demand_h = np.zeros((grid.rows, grid.cols))
+    demand_v = np.zeros((grid.rows, grid.cols))
+    W, H = grid.canvas_width, grid.canvas_height
+
+    for net in netlist.nets:
+        if not net.pins:
+            continue
+        ids = [p.node for p in net.pins]
+        pts = placement.positions[ids]
+        x0, x1 = pts[:, 0].min(), pts[:, 0].max()
+        y0, y1 = pts[:, 1].min(), pts[:, 1].max()
+        # Clamp the box to at least one cell per axis, then shift on-canvas.
+        bw = min(max(x1 - x0, grid.cell_w), W)
+        bh = min(max(y1 - y0, grid.cell_h), H)
+        bx = min(max((x0 + x1) / 2 - bw / 2, 0.0), W - bw)
+        by = min(max((y0 + y1) / 2 - bh / 2, 0.0), H - bh)
+
+        c0, wx = _axis_overlap(bx, bx + bw, grid.cell_w, grid.cols)
+        r0, wy = _axis_overlap(by, by + bh, grid.cell_h, grid.rows)
+        if len(wx) == 0 or len(wy) == 0:
+            continue
+        frac = np.outer(wy, wx) / (bw * bh)  # overlap-area fractions, sums to 1
+        demand_h[r0:r0 + len(wy), c0:c0 + len(wx)] += net.weight / bh * frac
+        demand_v[r0:r0 + len(wy), c0:c0 + len(wx)] += net.weight / bw * frac
+    return demand_h, demand_v
+
+
+def density_energy_and_grad_loop(field, netlist, placement, movable_only=True):
+    """Per-node electrostatic energy gradient over the exact overlap derivative."""
+    bins = field.bins
+    psi = field.psi
+    energy = 0.5 * float((field.rho * psi).sum()) * field.bin_area
+    grad = np.zeros_like(placement.positions)
+    s = field.norm_scale
+
+    charge_nodes = [n for n in netlist.nodes
+                    if n.kind != "terminal" and placement.placed[n.id]]
+    for node in charge_nodes:
+        if movable_only and not node.movable:
+            continue
+        x, y = placement.positions[node.id]
+        x0, x1 = x - node.width / 2, x + node.width / 2
+        y0, y1 = y - node.height / 2, y + node.height / 2
+        c0, wx = _axis_overlap(x0, x1, field.bin_w, bins)
+        r0, wy = _axis_overlap(y0, y1, field.bin_h, bins)
+        if len(wx) == 0 or len(wy) == 0:
+            continue
+        # d(overlap_x)/dx per column: +1 where the right edge lies strictly
+        # inside the column, -1 where the left edge does.
+        cols = np.arange(c0, c0 + len(wx))
+        rows = np.arange(r0, r0 + len(wy))
+        dwx = np.zeros(len(wx))
+        dwx += (x1 > cols * field.bin_w) & (x1 < (cols + 1) * field.bin_w)
+        dwx -= (x0 > cols * field.bin_w) & (x0 < (cols + 1) * field.bin_w)
+        dwy = np.zeros(len(wy))
+        dwy += (y1 > rows * field.bin_h) & (y1 < (rows + 1) * field.bin_h)
+        dwy -= (y0 > rows * field.bin_h) & (y0 < (rows + 1) * field.bin_h)
+        patch = psi[r0:r0 + len(wy), c0:c0 + len(wx)]
+        grad[node.id, 0] = s * float(wy @ patch @ dwx)
+        grad[node.id, 1] = s * float(dwy @ patch @ wx)
+    return energy, grad

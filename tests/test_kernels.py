@@ -1,0 +1,196 @@
+"""The CSR net kernel and the shared box rasterizer against the loops they
+replaced (tests/oracles.py).
+
+The rasterizer accumulates in the loops' order, so raster outputs must be
+bit-equal. The smooth-WL and density-gradient kernels reassociate float
+sums, so they are held to 1e-12 of the reference's scale.
+"""
+
+import re
+
+import numpy as np
+import pytest
+
+from macroplace.errors import EvaluationError
+from macroplace.grid import Grid
+from macroplace.metrics import congestion_map, rasterize_area
+from macroplace.netlist import (
+    KIND_MACRO,
+    KIND_STD,
+    KIND_TERMINAL,
+    Net,
+    Netlist,
+    Node,
+    Pin,
+    Placement,
+    hpwl,
+)
+from macroplace.placer.density import density_energy_and_grad, solve_density_field
+from macroplace.placer.wirelength import smooth_wl_and_grad
+
+from oracles import (
+    congestion_map_loop,
+    density_energy_and_grad_loop,
+    hpwl_bruteforce,
+    rasterize_area_loop,
+    smooth_wl_loop,
+)
+
+REL = 1e-12
+CANVAS = (64.0, 48.0)
+
+
+def assert_close_to_scale(actual, expected, rel=REL):
+    """|actual - expected| <= rel * max|expected|, elementwise."""
+    actual = np.asarray(actual, dtype=float)
+    expected = np.asarray(expected, dtype=float)
+    scale = max(float(np.abs(expected).max(initial=0.0)), 1e-300)
+    assert np.abs(actual - expected).max(initial=0.0) <= rel * scale
+
+
+def edge_case_design(rng, n_nodes=30, n_nets=25):
+    """Random design with every case the kernels must handle: fixed macros,
+    terminals, unplaced nodes, boxes partly or wholly off canvas, box edges
+    exactly on bin boundaries (for 8-wide bins), 0- and 1-pin nets and a net
+    that lists one node twice."""
+    W, H = CANVAS
+    nodes = []
+    for i in range(n_nodes):
+        u = rng.random()
+        if u < 0.15:
+            nodes.append(Node(i, f"m{i}", float(rng.uniform(6, 20)),
+                              float(rng.uniform(6, 20)), KIND_MACRO, bool(rng.random() < 0.5)))
+        elif u < 0.25:
+            nodes.append(Node(i, f"t{i}", 1.0, 1.0, KIND_TERMINAL, False))
+        else:
+            nodes.append(Node(i, f"c{i}", float(rng.uniform(0.5, 9)),
+                              float(rng.uniform(0.5, 9)), KIND_STD, True))
+    # Two nodes whose edges sit exactly on multiples of 8, two off canvas.
+    nodes[0] = Node(0, "on_grid_a", 16.0, 8.0, KIND_MACRO, True)
+    nodes[1] = Node(1, "on_grid_b", 8.0, 24.0, KIND_STD, True)
+    nodes[2] = Node(2, "off_a", 7.0, 5.0, KIND_STD, True)
+    nodes[3] = Node(3, "off_b", 4.0, 4.0, KIND_MACRO, False)
+
+    pl = Placement.empty(n_nodes)
+    for node in nodes:
+        pl.positions[node.id] = (rng.uniform(0, W), rng.uniform(0, H))
+        pl.placed[node.id] = True
+    pl.positions[0] = (24.0, 36.0)  # box [16, 32] x [32, 40]
+    pl.positions[1] = (8.0, 12.0)  # box [4, 12] x [0, 24]
+    pl.positions[2] = (-2.0, H + 1.5)  # partly off the lower-left/top
+    pl.positions[3] = (W + 30.0, -30.0)  # wholly off canvas
+
+    nets = []
+    for i in range(n_nets):
+        members = rng.choice(n_nodes, size=int(rng.integers(2, 7)), replace=False)
+        pins = tuple(Pin(int(m), float(rng.uniform(-0.2, 0.2)),
+                         float(rng.uniform(-0.2, 0.2))) for m in members)
+        nets.append(Net(len(nets), f"net{i}", pins, float(rng.uniform(0.5, 2.0))))
+    nets.insert(3, Net(3, "empty", (), 1.0))
+    nets.insert(7, Net(7, "single", (Pin(5, 0.1, -0.1),), 1.5))
+    nets.insert(9, Net(9, "twice", (Pin(6), Pin(8, 0.3, 0.0), Pin(6, -0.2, 0.1)), 0.7))
+    nets = [Net(k, net.name, net.pins, net.weight) for k, net in enumerate(nets)]
+    return Netlist(nodes, nets, W, H, target_density=0.8), pl
+
+
+GRIDS = [(6, 8), (5, 7), (1, 1), (16, 16)]  # (6, 8) has 8x8 bins
+
+
+class TestRasterizer:
+    @pytest.mark.parametrize("rows,cols", GRIDS)
+    def test_rasterize_area_bit_equal(self, rng, rows, cols):
+        for _ in range(5):
+            nl, pl = edge_case_design(rng)
+            pl.placed[[4, 9]] = False
+            cell_w, cell_h = CANVAS[0] / cols, CANVAS[1] / rows
+            for include_fixed in (True, False):
+                np.testing.assert_array_equal(
+                    rasterize_area(nl, pl, rows, cols, cell_w, cell_h, include_fixed),
+                    rasterize_area_loop(nl, pl, rows, cols, cell_w, cell_h, include_fixed))
+
+    @pytest.mark.parametrize("rows,cols", GRIDS)
+    def test_congestion_map_bit_equal(self, rng, rows, cols):
+        for _ in range(5):
+            nl, pl = edge_case_design(rng)
+            grid = Grid.empty(rows, cols, *CANVAS)
+            cmap = congestion_map(nl, pl, grid)
+            ref_h, ref_v = congestion_map_loop(nl, pl, grid)
+            np.testing.assert_array_equal(cmap.demand_h, ref_h)
+            np.testing.assert_array_equal(cmap.demand_v, ref_v)
+
+    def test_density_charge_bit_equal(self, rng):
+        for bins in (4, 8, 32):
+            nl, pl = edge_case_design(rng)
+            pl.placed[9] = False
+            field = solve_density_field(nl, pl, bins=bins)
+            area = rasterize_area_loop(nl, pl, bins, bins, field.bin_w, field.bin_h)
+            np.testing.assert_array_equal(field.rho, area * (field.norm_scale / field.bin_area))
+
+    def test_congestion_unplaced_names_net_and_node(self, rng):
+        nl, pl = edge_case_design(rng)
+        pl.placed[8] = False  # a pin of net "twice", among others
+        first = next(net for net in nl.nets if any(p.node == 8 for p in net.pins))
+        message = f"net '{first.name}' references unplaced node '{nl.nodes[8].name}'"
+        with pytest.raises(EvaluationError, match=re.escape(message)):
+            congestion_map(nl, pl, Grid.empty(4, 4, *CANVAS))
+
+    def test_no_nets_no_nodes(self):
+        nl = Netlist([], [], *CANVAS)
+        pl = Placement.empty(0)
+        grid = Grid.empty(3, 4, *CANVAS)
+        cmap = congestion_map(nl, pl, grid)
+        assert cmap.demand_h.dtype == np.float64
+        np.testing.assert_array_equal(cmap.demand_h, np.zeros((3, 4)))
+        area = rasterize_area(nl, pl, 3, 4, 16.0, 16.0)
+        assert area.dtype == np.float64 and not area.any()
+        assert hpwl(nl, pl) == 0.0
+        value, grad = smooth_wl_and_grad(nl, pl, 1.0)
+        assert value == 0.0 and grad.shape == (0, 2)
+
+
+class TestNetKernel:
+    def test_hpwl_bit_equal(self, rng):
+        for _ in range(5):
+            nl, pl = edge_case_design(rng)
+            for offsets in (False, True):
+                assert hpwl(nl, pl, offsets) == hpwl_bruteforce(nl, pl, offsets)
+
+    def test_smooth_wl_matches_loop(self, rng):
+        for _ in range(5):
+            nl, pl = edge_case_design(rng)
+            for gamma in (0.05, 1.0, 40.0):
+                value, grad = smooth_wl_and_grad(nl, pl, gamma)
+                ref_value, ref_grad = smooth_wl_loop(nl, pl, gamma)
+                assert value == pytest.approx(ref_value, rel=REL, abs=0.0)
+                assert_close_to_scale(grad, ref_grad)
+
+    def test_one_pin_nets_contribute_nothing(self):
+        nodes = [Node(0, "a", 1.0, 1.0, KIND_STD, True),
+                 Node(1, "b", 1.0, 1.0, KIND_STD, True)]
+        pl = Placement.empty(2)
+        pl.positions[:] = [(3.0, 4.0), (10.0, 1.0)]
+        pl.placed[:] = True
+        pair = Net(0, "pair", (Pin(0), Pin(1)), 1.0)
+        lone = Net(1, "lone", (Pin(1, 0.3, 0.2),), 2.0)
+        bare = Netlist(nodes, [pair], 20.0, 20.0)
+        extra = Netlist(nodes, [pair, lone, Net(2, "none", (), 1.0)], 20.0, 20.0)
+        assert hpwl(extra, pl) == hpwl(bare, pl)
+        v0, g0 = smooth_wl_and_grad(bare, pl, 0.7)
+        v1, g1 = smooth_wl_and_grad(extra, pl, 0.7)
+        assert v1 == v0
+        np.testing.assert_array_equal(g1, g0)
+
+
+class TestDensityGradient:
+    @pytest.mark.parametrize("movable_only", [True, False])
+    def test_matches_loop(self, rng, movable_only):
+        for bins in (4, 8, 32):
+            nl, pl = edge_case_design(rng)
+            pl.placed[9] = False
+            field = solve_density_field(nl, pl, bins=bins)
+            energy, grad = density_energy_and_grad(field, nl, pl, movable_only)
+            ref_energy, ref_grad = density_energy_and_grad_loop(field, nl, pl, movable_only)
+            assert energy == ref_energy
+            assert_close_to_scale(grad, ref_grad)
+            if movable_only:
+                assert not grad[~nl.node_arrays.movable].any()

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..env import MacroPlacementEnv, Trajectory, rollout, uniform_random_policy
+from ..env import MacroPlacementEnv, rollout, uniform_random_policy
 from ..errors import BudgetError
 from ..grid import Grid, feasibility_mask, place_on_grid
 from ..metrics import evaluate

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from ..clustering import AdjacencyGraph, expand_to_graph
+from ..clustering import AdjacencyGraph
 from ..env import MacroPlacementEnv, Observation
 from .features import FEATURE_VERSION, NUM_FEATURES, fill_dynamic, static_features
 
@@ -127,7 +127,7 @@ class DesignContext:
     def __init__(self, env: MacroPlacementEnv, graph: AdjacencyGraph | None = None):
         self.env = env
         self.pnet = env.pnet
-        graph = graph or expand_to_graph(env.clustered, env.config.graph_model)
+        graph = graph or env.clustered.graph
         self.graph = graph
         indptr, indices, weights, strength = graph.neighbor_csr
         norm = np.where(strength > 0, strength, 1.0)

@@ -13,11 +13,11 @@ is what the finite-difference checks differentiate). Updates use Adam.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..env import MacroPlacementEnv, Trajectory, rollout
+from ..env import MacroPlacementEnv, rollout
 from ..errors import TrainingError
 from .network import (
     DesignContext,

@@ -43,6 +43,11 @@ class ClusteredNetlist:
     def num_clusters(self) -> int:
         return len(self.clusters)
 
+    @cached_property
+    def graph(self) -> AdjacencyGraph:
+        """Clique-model graph of the placement netlist, built once per design."""
+        return expand_to_graph(self)
+
     def to_dict(self) -> dict:
         return {
             "clusters": [

@@ -5,12 +5,16 @@ configured engine places the standard-cell clusters and the episode ends
 with reward = -proxy_cost. Dead ends (an all-false mask before the last
 macro) terminate immediately with a fixed penalty. States are values:
 `step` returns a new EnvState and never mutates its input, so concurrent
-rollouts can share one environment object.
+rollouts can share one environment object. A state carries the feasibility
+mask of the macro it places next, computed once when `reset` or `step` makes
+it: `step` checks legality against it and `observation` hands it out. The
+`use_mask=False` ablation exposes the in-canvas-only mask instead and
+detects dead ends on that.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,7 +23,7 @@ from .design import DesignBundle
 from .errors import DesignError, PlacementError
 from .grid import Grid, Mask, feasibility_mask, place_on_grid
 from .metrics import DEFAULT_CAPACITY, Metrics, RewardWeights, evaluate
-from .netlist import KIND_MACRO, Placement
+from .netlist import Placement
 from .placer import PlacerConfig, place_clusters
 
 
@@ -35,7 +39,6 @@ class EnvConfig:
     dead_end_penalty: float = 2.0
     macro_order: str = "area_desc"  # or "id"
     use_mask: bool = True
-    graph_model: str = "clique"
     seed: int = 0
 
 
@@ -44,6 +47,7 @@ class EnvState:
     grid: Grid
     step_index: int
     placement: Placement  # placement-netlist coordinates, macros placed so far
+    mask: Mask | None  # next macro's true feasibility; None once all are placed
 
 
 @dataclass(frozen=True)
@@ -58,9 +62,7 @@ class Observation:
 
 @dataclass(frozen=True)
 class Transition:
-    observation: Observation
     action: int
-    mask: Mask
     reward: float
     done: bool
     metrics: Metrics | None = None
@@ -130,22 +132,25 @@ class MacroPlacementEnv:
     def current_macro(self, state: EnvState) -> int:
         return self.macro_order[state.step_index]
 
-    def _mask_for(self, grid: Grid, macro_pid: int) -> Mask:
-        macro = self.pnet.nodes[macro_pid]
-        mask = feasibility_mask(grid, macro)
-        if not self.config.use_mask:
-            # ablation: only the in-canvas constraint is exposed to the agent
-            empty = Grid.empty(grid.rows, grid.cols, grid.canvas_width,
-                               grid.canvas_height)
-            mask = feasibility_mask(empty, macro)
-        return mask
+    def _state(self, grid: Grid, step_index: int, placement: Placement) -> EnvState:
+        mask = None
+        if step_index < self.num_macros:
+            mask = feasibility_mask(grid, self.pnet.nodes[self.macro_order[step_index]])
+        return EnvState(grid=grid, step_index=step_index, placement=placement, mask=mask)
+
+    def _exposed_mask(self, state: EnvState) -> Mask:
+        if self.config.use_mask:
+            return state.mask
+        # ablation: only the in-canvas constraint is exposed to the agent
+        empty = Grid.empty(state.grid.rows, state.grid.cols,
+                           state.grid.canvas_width, state.grid.canvas_height)
+        return feasibility_mask(empty, self.pnet.nodes[self.current_macro(state)])
 
     def observation(self, state: EnvState) -> Observation:
-        pid = self.current_macro(state)
         return Observation(
             occupancy=state.grid.occupancy.copy(),
-            macro_id=pid,
-            mask=self._mask_for(state.grid, pid),
+            macro_id=self.current_macro(state),
+            mask=self._exposed_mask(state),
             positions=state.placement.positions.copy(),
             placed=state.placement.placed.copy(),
             step_index=state.step_index,
@@ -154,36 +159,31 @@ class MacroPlacementEnv:
     def reset(self) -> tuple[EnvState, Observation]:
         grid = Grid.empty(self.config.grid_rows, self.config.grid_cols,
                           self.pnet.canvas_width, self.pnet.canvas_height)
-        state = EnvState(grid=grid, step_index=0,
-                         placement=self._base_placement.copy())
+        state = self._state(grid, 0, self._base_placement.copy())
         return state, self.observation(state)
 
     def step(self, state: EnvState, action: int) -> tuple[Transition, EnvState]:
         if state.step_index >= self.num_macros:
             raise PlacementError("episode is already done")
-        obs = self.observation(state)
         row, col = divmod(int(action), self.config.grid_cols)
-        macro = self.pnet.nodes[obs.macro_id]
-        true_mask = feasibility_mask(state.grid, macro)
-        if not true_mask.feasible[row, col]:
+        macro = self.pnet.nodes[self.current_macro(state)]
+        if not state.mask.feasible[row, col]:
             if self.config.use_mask:
                 raise PlacementError(
                     f"action {action} is infeasible for macro '{macro.name}'"
                 )
             # maskless ablation: collision ends the episode with the penalty
-            transition = Transition(observation=obs, action=int(action),
-                                    mask=obs.mask,
+            transition = Transition(action=int(action),
                                     reward=-self.config.dead_end_penalty,
                                     done=True, dead_end=True)
             return transition, state
 
         grid, (x, y) = place_on_grid(state.grid, macro, row, col)
-        placement = state.placement.updated(macro.id, x, y)
-        next_state = EnvState(grid=grid, step_index=state.step_index + 1,
-                              placement=placement)
+        next_state = self._state(grid, state.step_index + 1,
+                                 state.placement.updated(macro.id, x, y))
 
-        if next_state.step_index == self.num_macros:
-            final_placement, _ = place_clusters(self.clustered, placement,
+        if next_state.mask is None:
+            final_placement, _ = place_clusters(self.clustered, next_state.placement,
                                                 self.config.placer)
             metrics = evaluate(
                 self.pnet, final_placement, self._eval_grid,
@@ -191,22 +191,17 @@ class MacroPlacementEnv:
                 capacity_h=self.config.capacity_h,
                 capacity_v=self.config.capacity_v,
             )
-            transition = Transition(observation=obs, action=int(action),
-                                    mask=obs.mask, reward=metrics.reward,
+            transition = Transition(action=int(action), reward=metrics.reward,
                                     done=True, metrics=metrics,
                                     final_placement=final_placement)
             return transition, next_state
 
-        next_mask = self._mask_for(next_state.grid,
-                                   self.current_macro(next_state))
-        if not next_mask.any:
-            transition = Transition(observation=obs, action=int(action),
-                                    mask=obs.mask,
+        if not self._exposed_mask(next_state).any:
+            transition = Transition(action=int(action),
                                     reward=-self.config.dead_end_penalty,
                                     done=True, dead_end=True)
             return transition, next_state
-        transition = Transition(observation=obs, action=int(action),
-                                mask=obs.mask, reward=0.0, done=False)
+        transition = Transition(action=int(action), reward=0.0, done=False)
         return transition, next_state
 
 

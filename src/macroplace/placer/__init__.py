@@ -14,11 +14,11 @@ floor no placement can undercut. Proxy evaluation keeps the design target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..clustering import ClusteredNetlist, base_placement
+from ..clustering import ClusteredNetlist
 from ..errors import PlacementError
 from ..netlist import Placement
 
@@ -44,7 +44,6 @@ class PlacerConfig:
     backtrack_limit: int = 8
     fallback_step_frac: float = 1e-2  # of the canvas diagonal
     # force-directed engine
-    graph_model: str = "clique"
     anchor_gain: float = 1.0
     spread_gain: float = 1.0
     seed: int = 0
@@ -56,6 +55,8 @@ class PlacerConfig:
             raise PlacementError(f"unknown placer engine '{self.engine}'") from None
 
     def __post_init__(self):
+        if self.max_outer_iters < 1:
+            raise ValueError(f"max_outer_iters must be >= 1, got {self.max_outer_iters}")
         if not (0 < self.overflow_stop < 1):
             raise ValueError(f"overflow_stop must be in (0,1), got {self.overflow_stop}")
         if self.gamma is not None and self.gamma <= 0:
@@ -64,9 +65,14 @@ class PlacerConfig:
 
 @dataclass(frozen=True)
 class TraceRow:
+    """One outer iteration of either engine, taken after its update.
+
+    iteration: 0-based outer iteration. wl: exact HPWL of the placement.
+    overflow: pure-overlap density overflow (target 1.0), the stop measure.
+    lam: the analytical engine's density penalty weight; None for FD.
+    """
     iteration: int
     wl: float
-    energy: float | None
     overflow: float
     lam: float | None
 

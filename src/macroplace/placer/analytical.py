@@ -19,13 +19,14 @@ from .density import density_energy_and_grad, solve_density_field
 from .wirelength import smooth_wl_and_grad
 
 
-def _objective(pnet, placement, movable, gamma, lam, bins):
-    wl, gwl = smooth_wl_and_grad(pnet, placement, gamma)
+def _gradient(pnet, placement, movable, gamma, lam, bins):
+    """Gradient of smooth_wl + lam * energy, zero on fixed nodes."""
+    _, gwl = smooth_wl_and_grad(pnet, placement, gamma)
     field = solve_density_field(pnet, placement, bins)
-    energy, genergy = density_energy_and_grad(field, pnet, placement)
+    _, genergy = density_energy_and_grad(field, pnet, placement)
     grad = gwl + lam * genergy
     grad[~movable] = 0.0
-    return wl + lam * energy, grad, wl, energy
+    return grad
 
 
 def run_analytical(clustered: ClusteredNetlist, start: Placement,
@@ -56,6 +57,15 @@ def run_analytical(clustered: ClusteredNetlist, start: Placement,
     def project(pl):
         return clamp_in_canvas(pnet, pl, movable)
 
+    def nesterov_step(step):
+        """One accelerated step of length `step` from the current (u, v, a,
+        g_v); returns (u', v', a', gradient at v')."""
+        u_new = project(Placement(v.positions - step * g_v, v.placed.copy()))
+        a_new = (1.0 + np.sqrt(4.0 * a * a + 1.0)) / 2.0
+        momentum = (a - 1.0) / a_new * (u_new.positions - u.positions)
+        v_new = project(Placement(u_new.positions + momentum, u_new.placed.copy()))
+        return u_new, v_new, a_new, _gradient(pnet, v_new, movable, gamma, lam, bins)
+
     trace = []
     step = None
     for outer in range(config.max_outer_iters):
@@ -63,48 +73,25 @@ def run_analytical(clustered: ClusteredNetlist, start: Placement,
         u = placement.copy()
         v = placement.copy()
         a = 1.0
-        f_v, g_v, _, _ = _objective(pnet, v, movable, gamma, lam, bins)
+        g_v = _gradient(pnet, v, movable, gamma, lam, bins)
         if step is None:
             gmax = np.abs(g_v).max()
             step = config.fallback_step_frac * diag / gmax if gmax > 0 else 1.0
         for _ in range(config.inner_iters):
-            accepted = False
             for _try in range(config.backtrack_limit):
-                u_new = project(
-                    Placement(v.positions - step * g_v, v.placed.copy())
-                )
-                a_new = (1.0 + np.sqrt(4.0 * a * a + 1.0)) / 2.0
-                coef = (a - 1.0) / a_new
-                v_new = project(
-                    Placement(
-                        u_new.positions + coef * (u_new.positions - u.positions),
-                        u_new.placed.copy(),
-                    )
-                )
-                f_new, g_new, _, _ = _objective(pnet, v_new, movable, gamma, lam, bins)
+                u_new, v_new, a_new, g_new = nesterov_step(step)
                 dv = v_new.positions - v.positions
                 dg = g_new - g_v
                 denom = float(np.linalg.norm(dg))
                 lipschitz_step = float(np.linalg.norm(dv)) / denom if denom > 0 else step
                 if step <= lipschitz_step * 1.02 or lipschitz_step == 0.0:
-                    accepted = True
                     break
                 step = lipschitz_step
-            if not accepted:
+            else:
                 gmax = np.abs(g_v).max()
                 step = config.fallback_step_frac * diag / gmax if gmax > 0 else step
-                u_new = project(Placement(v.positions - step * g_v, v.placed.copy()))
-                a_new = (1.0 + np.sqrt(4.0 * a * a + 1.0)) / 2.0
-                v_new = project(
-                    Placement(
-                        u_new.positions
-                        + (a - 1.0) / a_new * (u_new.positions - u.positions),
-                        u_new.placed.copy(),
-                    )
-                )
-                f_new, g_new, _, _ = _objective(pnet, v_new, movable, gamma, lam, bins)
-            u, v, a = u_new, v_new, a_new
-            f_v, g_v = f_new, g_new
+                u_new, v_new, a_new, g_new = nesterov_step(step)
+            u, v, a, g_v = u_new, v_new, a_new, g_new
             # Allow the step to grow back; cheap re-estimate next round.
             step *= 1.2
         placement = project(u)
@@ -114,16 +101,9 @@ def run_analytical(clustered: ClusteredNetlist, start: Placement,
         # unreachable floor here; overlap removal is the actual stop goal.
         overflow = density_overflow(pnet, placement, eval_grid, target_density=1.0)
         trace.append(TraceRow(iteration=outer, wl=hpwl(pnet, placement),
-                              energy=None, overflow=overflow, lam=lam))
+                              overflow=overflow, lam=lam))
         if overflow < config.overflow_stop:
             break
         lam *= config.lambda_growth
         gamma = max(gamma * config.gamma_anneal, gamma_floor)
-
-    # Record the terminal energy for the trace's last row.
-    field = solve_density_field(pnet, placement, bins)
-    energy, _ = density_energy_and_grad(field, pnet, placement)
-    if trace:
-        last = trace[-1]
-        trace[-1] = TraceRow(last.iteration, last.wl, energy, last.overflow, last.lam)
     return placement, trace

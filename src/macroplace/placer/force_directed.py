@@ -1,10 +1,15 @@
 """Force-directed (quadratic) placement engine.
 
-Alternates (a) an exact quadratic-wirelength solve over the clique/star
-graph with fixed nodes as anchors and (b) a diffusion-style spreading pass
-that pushes clusters out of overfull bins. Spread positions feed back into
-the next solve as pseudo-anchors whose weight ramps up over the iterations,
-the classic fixed-point trick that keeps spreading from being undone.
+Alternates (a) an exact quadratic-wirelength solve over the design's clique
+graph (`ClusteredNetlist.graph`) with fixed nodes as anchors and (b) a
+diffusion-style spreading pass that pushes clusters out of overfull bins.
+Spread positions feed back into the next solve as pseudo-anchors whose
+weight ramps up over the iterations, the classic fixed-point trick that
+keeps spreading from being undone.
+
+The linear system is assembled once per placement, with array operations
+over the graph's edges (`_fd_system`); each iteration rewrites only the
+diagonal of its CSR matrix, where the anchor weights enter.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import spsolve
 
-from ..clustering import ClusteredNetlist, expand_to_graph
+from ..clustering import ClusteredNetlist
 from ..grid import Grid
 from ..metrics import density_overflow, rasterize_area
 from ..netlist import Placement, hpwl
@@ -62,6 +67,43 @@ def _spread_once(pnet, placement, movable_ids, bins, spread_gain):
     return out
 
 
+def _fd_system(graph, movable_ids: np.ndarray, positions: np.ndarray):
+    """Linear system of the quadratic solve over the movable nodes.
+
+    Returns (A, diag_pos, diag, fixed_rhs): the movable-block Laplacian as
+    canonical CSR with the node degrees on its diagonal, the positions of
+    that diagonal in `A.data`, the degrees, and the (m, 2) pull of the fixed
+    neighbours. Degrees and pulls sum in graph-edge order; edges between two
+    fixed nodes contribute nothing.
+    """
+    m = len(movable_ids)
+    k = np.arange(m)
+    local = np.full(graph.num_nodes, -1, dtype=np.int64)
+    local[movable_ids] = k
+    li, lj, w = local[graph.edges_i], local[graph.edges_j], graph.weights
+
+    # Interleaved (i, j) ends, so each node's degree sums its edges in order.
+    ends = np.stack([li, lj], axis=1).ravel()
+    on_movable = ends >= 0
+    diag = np.bincount(ends[on_movable], weights=np.repeat(w, 2)[on_movable],
+                       minlength=m)
+
+    mixed = (li >= 0) != (lj >= 0)
+    to = np.where(li >= 0, li, lj)[mixed]
+    fixed = np.where(li >= 0, graph.edges_j, graph.edges_i)[mixed]
+    pull = w[mixed, None] * positions[fixed]
+    fixed_rhs = np.stack([np.bincount(to, weights=pull[:, axis], minlength=m)
+                          for axis in (0, 1)], axis=1)
+
+    both = (li >= 0) & (lj >= 0)
+    a, b, off = li[both], lj[both], -w[both]
+    A = csr_matrix((np.concatenate([off, off, diag]),
+                    (np.concatenate([a, b, k]), np.concatenate([b, a, k]))),
+                   shape=(m, m))
+    diag_pos = np.flatnonzero(A.indices == np.repeat(k, np.diff(A.indptr)))
+    return A, diag_pos, diag, fixed_rhs
+
+
 def run_force_directed(clustered: ClusteredNetlist, start: Placement,
                        movable: np.ndarray, config):
     from . import TraceRow, clamp_in_canvas, initial_positions
@@ -73,30 +115,9 @@ def run_force_directed(clustered: ClusteredNetlist, start: Placement,
     if len(movable_ids) == 0:
         return placement, []
 
-    graph = expand_to_graph(clustered, config.graph_model)
-    n = pnet.num_nodes
-    idx_of = {int(nid): k for k, nid in enumerate(movable_ids)}
     m = len(movable_ids)
-
-    # Assemble the movable-block Laplacian and fixed-anchor contributions.
-    diag = np.zeros(m)
-    off_entries = {}
-    fixed_w = [[] for _ in range(m)]  # (weight, fixed node id)
-    for i, j, w in zip(graph.edges_i, graph.edges_j, graph.weights):
-        i, j, w = int(i), int(j), float(w)
-        mi, mj = idx_of.get(i), idx_of.get(j)
-        if mi is not None and mj is not None:
-            diag[mi] += w
-            diag[mj] += w
-            key = (mi, mj) if mi < mj else (mj, mi)
-            off_entries[key] = off_entries.get(key, 0.0) - w
-        elif mi is not None:
-            diag[mi] += w
-            fixed_w[mi].append((w, j))
-        elif mj is not None:
-            diag[mj] += w
-            fixed_w[mj].append((w, i))
-
+    A, diag_pos, diag, fixed_rhs = _fd_system(clustered.graph, movable_ids,
+                                              placement.positions)
     isolated = diag == 0.0
     if isolated.any():
         names = [pnet.nodes[int(movable_ids[k])].name for k in np.flatnonzero(isolated)]
@@ -108,34 +129,17 @@ def run_force_directed(clustered: ClusteredNetlist, start: Placement,
     center = np.array([pnet.canvas_width / 2, pnet.canvas_height / 2])
     base_strength = np.where(diag > 0, diag, 1.0)  # per-node anchor scale
 
-    fixed_rhs = np.zeros((m, 2))
-    for k in range(m):
-        for w, j in fixed_w[k]:
-            fixed_rhs[k] += w * placement.positions[j]
-
-    off_rows = []
-    off_cols = []
-    off_vals = []
-    for (a, b), w in off_entries.items():
-        off_rows += [a, b]
-        off_cols += [b, a]
-        off_vals += [w, w]
-
     eval_grid = Grid.empty(config.bins, config.bins,
                            pnet.canvas_width, pnet.canvas_height)
     trace = []
     anchors = np.tile(center, (m, 1))
-    T = max(config.max_outer_iters, 1)
+    T = config.max_outer_iters
     for it in range(T):
         ramp = config.anchor_gain * it / T
         anchor_w = base_strength * ramp
         anchor_w = np.where(isolated, np.maximum(anchor_w, 1.0), anchor_w)
         rhs = fixed_rhs + anchor_w[:, None] * anchors
-        A = csr_matrix(
-            (off_vals + list(diag + anchor_w),
-             (off_rows + list(range(m)), off_cols + list(range(m)))),
-            shape=(m, m),
-        )
+        A.data[diag_pos] = diag + anchor_w
         sol = spsolve(A, rhs)
         sol = np.atleast_2d(sol)
         placement = placement.copy()
@@ -149,6 +153,6 @@ def run_force_directed(clustered: ClusteredNetlist, start: Placement,
         anchors = placement.positions[movable_ids].copy()
 
         overflow = density_overflow(pnet, placement, eval_grid, target_density=1.0)
-        trace.append(TraceRow(iteration=it, wl=hpwl(pnet, placement), energy=None,
+        trace.append(TraceRow(iteration=it, wl=hpwl(pnet, placement),
                               overflow=overflow, lam=None))
     return placement, trace

@@ -314,3 +314,53 @@ def density_energy_and_grad_loop(field, netlist, placement, movable_only=True):
         grad[node.id, 0] = s * float(wy @ patch @ dwx)
         grad[node.id, 1] = s * float(dwy @ patch @ wx)
     return energy, grad
+
+
+def fd_system_loop(graph, movable_ids, positions, anchor_w):
+    """Force-directed linear system assembled per edge through dicts and
+    lists: the movable-block Laplacian plus `anchor_w` on its diagonal, as
+    the CSR matrix `csr_matrix` builds from COO lists, and the fixed-anchor
+    right-hand side."""
+    from scipy.sparse import csr_matrix
+
+    idx_of = {int(nid): k for k, nid in enumerate(movable_ids)}
+    m = len(movable_ids)
+
+    # Assemble the movable-block Laplacian and fixed-anchor contributions.
+    diag = np.zeros(m)
+    off_entries = {}
+    fixed_w = [[] for _ in range(m)]  # (weight, fixed node id)
+    for i, j, w in zip(graph.edges_i, graph.edges_j, graph.weights):
+        i, j, w = int(i), int(j), float(w)
+        mi, mj = idx_of.get(i), idx_of.get(j)
+        if mi is not None and mj is not None:
+            diag[mi] += w
+            diag[mj] += w
+            key = (mi, mj) if mi < mj else (mj, mi)
+            off_entries[key] = off_entries.get(key, 0.0) - w
+        elif mi is not None:
+            diag[mi] += w
+            fixed_w[mi].append((w, j))
+        elif mj is not None:
+            diag[mj] += w
+            fixed_w[mj].append((w, i))
+
+    fixed_rhs = np.zeros((m, 2))
+    for k in range(m):
+        for w, j in fixed_w[k]:
+            fixed_rhs[k] += w * positions[j]
+
+    off_rows = []
+    off_cols = []
+    off_vals = []
+    for (a, b), w in off_entries.items():
+        off_rows += [a, b]
+        off_cols += [b, a]
+        off_vals += [w, w]
+
+    A = csr_matrix(
+        (off_vals + list(diag + anchor_w),
+         (off_rows + list(range(m)), off_cols + list(range(m)))),
+        shape=(m, m),
+    )
+    return A, fixed_rhs

@@ -93,7 +93,8 @@ class TestStep:
         assert transition.metrics is not None
         assert state2.step_index == 1
 
-    def test_blocking_fixture_pays_dead_end_penalty(self):
+    @staticmethod
+    def blocking_env(use_mask=True):
         # 3x3 grid on a 30x30 canvas: the 28x28 macro only fits dead center
         # and covers every cell, leaving nothing for the second macro.
         nodes = [
@@ -104,10 +105,13 @@ class TestStep:
         ]
         nets = [Net(0, "n0", (Pin(0), Pin(1), Pin(2), Pin(3)), 1.0)]
         bundle = bundle_from(nodes, nets, 30.0)
-        config = EnvConfig(grid_rows=3, grid_cols=3, clusters_k=1,
+        config = EnvConfig(grid_rows=3, grid_cols=3, clusters_k=1, use_mask=use_mask,
                            placer=PlacerConfig(engine="fd", max_outer_iters=3,
                                                bins=16, seed=0))
-        env = MacroPlacementEnv(bundle, config)
+        return MacroPlacementEnv(bundle, config)
+
+    def test_blocking_fixture_pays_dead_end_penalty(self):
+        env = self.blocking_env()
         state, obs = env.reset()
         feasible = np.flatnonzero(obs.mask.flat())
         assert list(feasible) == [4]  # the center cell only
@@ -118,6 +122,19 @@ class TestStep:
         # confirm by enumeration that the second macro truly has no cell
         brute = mask_bruteforce(state2.grid, env.pnet.nodes[env.macro_order[1]])
         assert not any(brute.values())
+
+    def test_maskless_ablation_exposes_canvas_and_ends_on_collision(self):
+        env = self.blocking_env(use_mask=False)
+        state, obs = env.reset()
+        transition, state = env.step(state, 4)
+        # the grid is full, but the exposed in-canvas mask is not: no dead end
+        assert not transition.done
+        obs = env.observation(state)
+        assert obs.mask.flat().all() and obs.mask.flat().size == 9
+        transition, after = env.step(state, 0)
+        assert transition.done and transition.dead_end
+        assert transition.reward == -2.0
+        assert after is state
 
     def test_infeasible_action_is_contract_violation(self):
         env = small_env(macros=[(14.0, 14.0), (6.0, 6.0)])
@@ -214,6 +231,25 @@ class TestRolloutBookkeeping:
             assert np.isfinite(step.log_prob)
         assert traj.metrics is not None
         assert traj.final_placement.placed.all()
+
+    def test_one_mask_per_macro(self, training_bundle, monkeypatch):
+        import macroplace.env as menv
+
+        config = EnvConfig(grid_rows=8, grid_cols=8, clusters_k=6,
+                           placer=PlacerConfig(engine="fd", max_outer_iters=2,
+                                               bins=16, seed=0))
+        env = MacroPlacementEnv(training_bundle, config)
+        masked = []
+        real = menv.feasibility_mask
+
+        def counting(grid, macro):
+            masked.append(macro.id)
+            return real(grid, macro)
+
+        monkeypatch.setattr(menv, "feasibility_mask", counting)
+        traj = rollout(env, uniform_random_policy, seed=1)
+        assert not traj.dead_end
+        assert masked == env.macro_order
 
     def test_no_overlap_over_random_rollouts(self, training_bundle):
         config = EnvConfig(grid_rows=10, grid_cols=10, clusters_k=6,

@@ -1,5 +1,5 @@
-"""The CSR net kernel and the shared box rasterizer against the loops they
-replaced (tests/oracles.py).
+"""The CSR net kernel, the shared box rasterizer and the force-directed
+linear system against the loops they replaced (tests/oracles.py).
 
 The rasterizer accumulates in the loops' order, so raster outputs must be
 bit-equal. The smooth-WL and density-gradient kernels reassociate float
@@ -11,6 +11,7 @@ import re
 import numpy as np
 import pytest
 
+from macroplace.clustering import cluster_std_cells
 from macroplace.errors import EvaluationError
 from macroplace.grid import Grid
 from macroplace.metrics import congestion_map, rasterize_area
@@ -25,12 +26,15 @@ from macroplace.netlist import (
     Placement,
     hpwl,
 )
+from macroplace.placer import movable_cluster_mask
 from macroplace.placer.density import density_energy_and_grad, solve_density_field
+from macroplace.placer.force_directed import _fd_system
 from macroplace.placer.wirelength import smooth_wl_and_grad
 
 from oracles import (
     congestion_map_loop,
     density_energy_and_grad_loop,
+    fd_system_loop,
     hpwl_bruteforce,
     rasterize_area_loop,
     smooth_wl_loop,
@@ -194,3 +198,52 @@ class TestDensityGradient:
             assert_close_to_scale(grad, ref_grad)
             if movable_only:
                 assert not grad[~nl.node_arrays.movable].any()
+
+
+def fd_design():
+    """Two macros, a terminal and six std cells, the last on no net: with
+    one cluster per cell its graph has macro-macro, macro-terminal,
+    cluster-macro, cluster-terminal and cluster-cluster edges and one
+    isolated cluster."""
+    nodes = [Node(0, "m0", 8.0, 8.0, KIND_MACRO, True),
+             Node(1, "m1", 6.0, 6.0, KIND_MACRO, True),
+             Node(2, "p0", 1.0, 1.0, KIND_TERMINAL, False)]
+    nodes += [Node(3 + i, f"c{i}", 1.0, 1.0, KIND_STD, True) for i in range(6)]
+    members = [(0, 1), (0, 2), (3, 4, 0), (4, 5), (5, 6, 2), (6, 7), (3, 7, 1, 2), (4, 5)]
+    nets = [Net(k, f"n{k}", tuple(Pin(i) for i in ids), 1.0 + 0.25 * k)
+            for k, ids in enumerate(members)]
+    return Netlist(nodes, nets, *CANVAS)
+
+
+class TestForceDirectedSystem:
+    def check_against_loop(self, clustered, rng):
+        """CSR arrays and right-hand side equal the per-edge dict assembly,
+        with the diagonal rewritten for two anchor weightings."""
+        graph = clustered.graph
+        movable_ids = np.flatnonzero(movable_cluster_mask(clustered))
+        positions = rng.uniform(0.0, 50.0, size=(graph.num_nodes, 2))
+        A, diag_pos, diag, fixed_rhs = _fd_system(graph, movable_ids, positions)
+        m = len(movable_ids)
+        for anchor_w in (np.zeros(m), rng.uniform(0.0, 3.0, m)):
+            A.data[diag_pos] = diag + anchor_w
+            ref, ref_rhs = fd_system_loop(graph, movable_ids, positions, anchor_w)
+            np.testing.assert_array_equal(A.indptr, ref.indptr)
+            np.testing.assert_array_equal(A.indices, ref.indices)
+            np.testing.assert_array_equal(A.data, ref.data)
+            np.testing.assert_array_equal(fixed_rhs, ref_rhs)
+        return diag
+
+    def test_hand_design_bit_equal(self, rng):
+        clustered = cluster_std_cells(fd_design(), k=6)
+        movable = movable_cluster_mask(clustered)
+        graph = clustered.graph
+        ends = set(zip(movable[graph.edges_i], movable[graph.edges_j]))
+        assert ends == {(False, False), (False, True), (True, True)}
+        diag = self.check_against_loop(clustered, rng)
+        assert (diag == 0.0).sum() == 1  # the isolated cluster
+
+    @pytest.mark.parametrize("k", [3, 8, 40])
+    def test_random_designs_bit_equal(self, rng, k):
+        for _ in range(5):
+            nl, _ = edge_case_design(rng)
+            self.check_against_loop(cluster_std_cells(nl, k=k), rng)

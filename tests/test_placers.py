@@ -57,6 +57,13 @@ def clustered_synthetic(seed=5, macros=2, cells=80, nets=100, k=8):
     return clustered, base_placement(clustered, placement)
 
 
+class TestConfig:
+    @pytest.mark.parametrize("iters", [0, -1])
+    def test_outer_iterations_below_one_rejected(self, iters):
+        with pytest.raises(ValueError, match="max_outer_iters"):
+            PlacerConfig(max_outer_iters=iters)
+
+
 class TestForceDirected:
     def test_spring_balance(self):
         clustered, fixed = spring_fixture()

@@ -10,12 +10,13 @@ import numpy as np
 from ..env import MacroPlacementEnv, rollout, uniform_random_policy
 from ..errors import BudgetError
 from ..grid import Grid, feasibility_mask, place_on_grid
-from ..metrics import evaluate
 from ..netlist import Placement
-from ..placer import place_clusters
 
 ORACLE_MAX_MACROS = 3
 ORACLE_MAX_CELLS = 16 * 16
+# Annealing temperature at move m: SA_T0 * SA_ALPHA**m, in proxy-cost units.
+SA_T0 = 0.05
+SA_ALPHA = 0.97
 
 
 @dataclass
@@ -34,16 +35,12 @@ def _evaluate_cells(env: MacroPlacementEnv, cells: list[int]):
     """Reward for macros at the given grid cells (macro-order aligned)."""
     grid = Grid.empty(env.config.grid_rows, env.config.grid_cols,
                       env.pnet.canvas_width, env.pnet.canvas_height)
-    placement = env._base_placement.copy()
+    placement = env.start_placement()
     for pid, cell in zip(env.macro_order, cells):
         row, col = divmod(int(cell), env.config.grid_cols)
         grid, (x, y) = place_on_grid(grid, env.pnet.nodes[pid], row, col)
         placement = placement.updated(pid, x, y)
-    final, _ = place_clusters(env.clustered, placement, env.config.placer)
-    metrics = evaluate(env.pnet, final, env._eval_grid,
-                       weights=env.config.weights,
-                       capacity_h=env.config.capacity_h,
-                       capacity_v=env.config.capacity_v)
+    final, metrics = env.finish(placement)
     return metrics.reward, final
 
 
@@ -67,10 +64,14 @@ def baseline_random(env: MacroPlacementEnv, episodes: int,
     )
 
 
-def baseline_sim_anneal(env: MacroPlacementEnv, moves: int, seed: int = 0,
-                        t0: float = 0.05, alpha: float = 0.97) -> BaselineResult:
-    """Relocate one macro at a time under Metropolis acceptance with a
-    geometric temperature schedule (t0 = 0 degenerates to greedy)."""
+def baseline_sim_anneal(env: MacroPlacementEnv, moves: int, seed: int = 0) -> BaselineResult:
+    """Relocate one macro at a time under Metropolis acceptance.
+
+    Starts from one uniform masked rollout. Each move draws a macro and a
+    feasible cell for it, and accepts a worse cost with probability
+    exp(-increase / t) at the geometric temperature t = SA_T0 * SA_ALPHA**move.
+    Once t underflows to 0 (after ~24k moves) only improvements are accepted.
+    """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 991]))
     start = rollout(env, uniform_random_policy, np.random.SeedSequence([seed, 0]))
     if start.dead_end:
@@ -99,7 +100,7 @@ def baseline_sim_anneal(env: MacroPlacementEnv, moves: int, seed: int = 0,
         reward, placement = _evaluate_cells(env, proposal)
         rewards.append(reward)
         new_cost = -reward
-        t = t0 * alpha**move
+        t = SA_T0 * SA_ALPHA**move
         accept = new_cost < cost or (
             t > 0 and rng.random() < np.exp(-(new_cost - cost) / t)
         )

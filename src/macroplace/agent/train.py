@@ -2,12 +2,13 @@
 
 The loss over a batch of trajectories is
 
-    sum_t [ -A_t * log pi(a_t | s_t) ] + c_v * sum_t (R - V(s_t))^2
-    - beta * sum_t entropy(pi(. | s_t))
+    sum_t [ -A_t * log pi(a_t | s_t) ] + VALUE_COEF * sum_t (R - V(s_t))^2
+    - ENTROPY_BETA * sum_t entropy(pi(. | s_t))
 
 with the advantage A_t = R - V_collect(s_t) frozen at collection time, so
 the loss is a pure function of the parameters given the stored batch (that
-is what the finite-difference checks differentiate). Updates use Adam.
+is what the finite-difference checks differentiate). Updates use Adam with
+step LEARNING_RATE and moment decays ADAM_BETA1 / ADAM_BETA2.
 """
 
 from __future__ import annotations
@@ -29,21 +30,21 @@ from .network import (
     policy_from_params,
 )
 
+VALUE_COEF = 0.5  # weight of the squared value error in the loss
+ENTROPY_BETA = 0.01  # weight of the entropy bonus, which keeps exploring
+LEARNING_RATE = 0.02
+ADAM_BETA1 = 0.9  # decay of the gradient mean
+ADAM_BETA2 = 0.999  # decay of the squared-gradient mean
+ADAM_EPS = 1e-8  # keeps the Adam step finite where the second moment is 0
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     updates: int = 60
     episodes_per_update: int = 8
-    learning_rate: float = 0.02
-    entropy_beta: float = 0.01
-    value_coef: float = 0.5
     rounds: int = 2
     embed_dim: int = 16
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
-    freeze_policy: bool = False
 
 
 @dataclass
@@ -57,11 +58,7 @@ class CurvePoint:
     entropy: float
 
 
-_VALUE_KEYS = ("value_w1", "value_b1", "value_w2", "value_b2")
-
-
-def loss_and_grads(params: PolicyParams, batch, value_coef: float,
-                   entropy_beta: float):
+def loss_and_grads(params: PolicyParams, batch):
     """Scalar loss and parameter gradients over [(ctx, trajectory), ...]."""
     grads = {k: np.zeros_like(v) for k, v in params.arrays.items()}
     loss = policy_loss = value_loss = entropy_total = 0.0
@@ -80,15 +77,15 @@ def loss_and_grads(params: PolicyParams, batch, value_coef: float,
             policy_loss += -adv * lp
             value_loss += resid * resid
             entropy_total += ent
-            loss += -adv * lp + value_coef * resid * resid - entropy_beta * ent
+            loss += -adv * lp + VALUE_COEF * resid * resid - ENTROPY_BETA * ent
 
             dlogits = np.zeros_like(logits)
             # d(-adv*logpi)/dz
             dlogits[feasible] += adv * probs[feasible]
             dlogits[step.action] -= adv
             # d(-beta*entropy)/dz
-            dlogits[feasible] += entropy_beta * probs[feasible] * (log_probs_f + ent)
-            dvalue = 2.0 * value_coef * resid
+            dlogits[feasible] += ENTROPY_BETA * probs[feasible] * (log_probs_f + ent)
+            dvalue = 2.0 * VALUE_COEF * resid
             backward_step(params, ctx, cache, dlogits, dvalue, grads)
     aux = {"policy_loss": policy_loss, "value_loss": value_loss,
            "entropy": entropy_total}
@@ -101,20 +98,16 @@ class AdamState:
         self.v = {k: np.zeros_like(v) for k, v in params.arrays.items()}
         self.t = 0
 
-    def update(self, params: PolicyParams, grads: dict, cfg: TrainConfig) -> None:
+    def update(self, params: PolicyParams, grads: dict) -> None:
         self.t += 1
-        b1, b2 = cfg.adam_beta1, cfg.adam_beta2
-        keys = params.arrays.keys()
-        if cfg.freeze_policy:
-            keys = [k for k in keys if k in _VALUE_KEYS]
-        for k in keys:
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
+        for k in params.arrays:
             g = grads[k]
             self.m[k] = b1 * self.m[k] + (1 - b1) * g
             self.v[k] = b2 * self.v[k] + (1 - b2) * g * g
             mhat = self.m[k] / (1 - b1**self.t)
             vhat = self.v[k] / (1 - b2**self.t)
-            params.arrays[k] -= cfg.learning_rate * mhat / (np.sqrt(vhat)
-                                                            + cfg.adam_eps)
+            params.arrays[k] -= LEARNING_RATE * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 def _episode_seed(seed: int, update: int, episode: int):
@@ -153,16 +146,14 @@ def train(envs, train_config: TrainConfig = TrainConfig(),
                            _episode_seed(train_config.seed, update, episode))
             batch.append((ctxs[idx], traj))
             rewards.append(traj.reward)
-        loss, grads, aux = loss_and_grads(params, batch,
-                                          train_config.value_coef,
-                                          train_config.entropy_beta)
+        loss, grads, aux = loss_and_grads(params, batch)
         if not np.isfinite(loss):
             if dump_path is not None:
                 _dump_batch(batch, loss, dump_path)
                 raise TrainingError(
                     f"non-finite loss at update {update}; batch dumped to {dump_path}")
             raise TrainingError(f"non-finite loss at update {update}")
-        adam.update(params, grads, train_config)
+        adam.update(params, grads)
         curve.append(CurvePoint(
             update=update,
             mean_reward=float(np.mean(rewards)),

@@ -48,15 +48,6 @@ class ClusteredNetlist:
         """Clique-model graph of the placement netlist, built once per design."""
         return expand_to_graph(self)
 
-    def to_dict(self) -> dict:
-        return {
-            "clusters": [
-                {"members": list(c.members), "area": c.area, "side": c.side}
-                for c in self.clusters
-            ],
-            "cluster_of": self.cluster_of.tolist(),
-        }
-
 
 @dataclass(eq=False)
 class AdjacencyGraph:
@@ -104,17 +95,14 @@ def _pair_weights_between_std(netlist: Netlist) -> dict:
     return weights
 
 
-def cluster_std_cells(netlist: Netlist, k: int, seed: int = 0) -> ClusteredNetlist:
+def cluster_std_cells(netlist: Netlist, k: int) -> ClusteredNetlist:
     """Coarsen std cells into at most k clusters.
 
     Deterministic: scores are pure functions of the netlist, and ties are
-    broken toward the lexicographically smallest group-id pair. `seed` is
-    accepted for interface stability but the coarsening itself never draws
-    random numbers.
+    broken toward the lexicographically smallest group-id pair.
     """
     if k <= 0:
         raise ValueError(f"cluster count k must be >= 1, got {k}")
-    del seed
 
     std_ids = [n.id for n in netlist.nodes if n.kind == KIND_STD]
     group_members: dict[int, list[int]] = {i: [i] for i in std_ids}

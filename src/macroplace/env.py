@@ -3,7 +3,8 @@
 One macro is placed per step on the masked grid; after the last macro the
 configured engine places the standard-cell clusters and the episode ends
 with reward = -proxy_cost. Dead ends (an all-false mask before the last
-macro) terminate immediately with a fixed penalty. States are values:
+macro) terminate immediately with reward -DEAD_END_PENALTY. Macros go in
+descending area order, ties by id (Mirhoseini et al.). States are values:
 `step` returns a new EnvState and never mutates its input, so concurrent
 rollouts can share one environment object. A state carries the feasibility
 mask of the macro it places next, computed once when `reset` or `step` makes
@@ -26,6 +27,8 @@ from .metrics import DEFAULT_CAPACITY, Metrics, RewardWeights, evaluate
 from .netlist import Placement
 from .placer import PlacerConfig, place_clusters
 
+DEAD_END_PENALTY = 2.0  # reward of an episode that ends in a dead end, negated
+
 
 @dataclass(frozen=True)
 class EnvConfig:
@@ -36,10 +39,7 @@ class EnvConfig:
     weights: RewardWeights = field(default_factory=RewardWeights)
     capacity_h: float = DEFAULT_CAPACITY
     capacity_v: float = DEFAULT_CAPACITY
-    dead_end_penalty: float = 2.0
-    macro_order: str = "area_desc"  # or "id"
     use_mask: bool = True
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -100,17 +100,14 @@ class MacroPlacementEnv:
             raise DesignError("design has no macros to place")
         self.bundle = bundle
         self.config = config
-        k = config.clusters_k or default_cluster_count(len(macros))
+        k = config.clusters_k
+        if k is None:
+            k = default_cluster_count(len(macros))
         # Clustering is computed once per design and shared across episodes.
-        self.clustered = cluster_std_cells(netlist, k=k, seed=config.seed)
+        self.clustered = cluster_std_cells(netlist, k=k)
         self.pnet = self.clustered.placement_netlist
 
-        if config.macro_order == "area_desc":
-            ordered = sorted(macros, key=lambda n: (-n.area, n.id))
-        elif config.macro_order == "id":
-            ordered = sorted(macros, key=lambda n: n.id)
-        else:
-            raise DesignError(f"unknown macro_order '{config.macro_order}'")
+        ordered = sorted(macros, key=lambda n: (-n.area, n.id))
         self.macro_order = [
             int(self.clustered.orig_to_placement[n.id]) for n in ordered
         ]
@@ -128,6 +125,22 @@ class MacroPlacementEnv:
     @property
     def num_cells(self) -> int:
         return self.config.grid_rows * self.config.grid_cols
+
+    def start_placement(self) -> Placement:
+        """A fresh copy of the episode's start: terminals placed, macros and
+        clusters not."""
+        return self._base_placement.copy()
+
+    def finish(self, placement: Placement) -> tuple[Placement, Metrics]:
+        """Place the clusters around the macros of `placement` with the
+        configured engine and score the result; returns (final placement,
+        metrics). `placement` must place every macro."""
+        final, _ = place_clusters(self.clustered, placement, self.config.placer)
+        metrics = evaluate(self.pnet, final, self._eval_grid,
+                           weights=self.config.weights,
+                           capacity_h=self.config.capacity_h,
+                           capacity_v=self.config.capacity_v)
+        return final, metrics
 
     def current_macro(self, state: EnvState) -> int:
         return self.macro_order[state.step_index]
@@ -159,7 +172,7 @@ class MacroPlacementEnv:
     def reset(self) -> tuple[EnvState, Observation]:
         grid = Grid.empty(self.config.grid_rows, self.config.grid_cols,
                           self.pnet.canvas_width, self.pnet.canvas_height)
-        state = self._state(grid, 0, self._base_placement.copy())
+        state = self._state(grid, 0, self.start_placement())
         return state, self.observation(state)
 
     def step(self, state: EnvState, action: int) -> tuple[Transition, EnvState]:
@@ -173,8 +186,7 @@ class MacroPlacementEnv:
                     f"action {action} is infeasible for macro '{macro.name}'"
                 )
             # maskless ablation: collision ends the episode with the penalty
-            transition = Transition(action=int(action),
-                                    reward=-self.config.dead_end_penalty,
+            transition = Transition(action=int(action), reward=-DEAD_END_PENALTY,
                                     done=True, dead_end=True)
             return transition, state
 
@@ -183,22 +195,14 @@ class MacroPlacementEnv:
                                  state.placement.updated(macro.id, x, y))
 
         if next_state.mask is None:
-            final_placement, _ = place_clusters(self.clustered, next_state.placement,
-                                                self.config.placer)
-            metrics = evaluate(
-                self.pnet, final_placement, self._eval_grid,
-                weights=self.config.weights,
-                capacity_h=self.config.capacity_h,
-                capacity_v=self.config.capacity_v,
-            )
+            final_placement, metrics = self.finish(next_state.placement)
             transition = Transition(action=int(action), reward=metrics.reward,
                                     done=True, metrics=metrics,
                                     final_placement=final_placement)
             return transition, next_state
 
         if not self._exposed_mask(next_state).any:
-            transition = Transition(action=int(action),
-                                    reward=-self.config.dead_end_penalty,
+            transition = Transition(action=int(action), reward=-DEAD_END_PENALTY,
                                     done=True, dead_end=True)
             return transition, next_state
         transition = Transition(action=int(action), reward=0.0, done=False)

@@ -61,16 +61,6 @@ class Grid:
         return Grid(self.rows, self.cols, self.cell_w, self.cell_h,
                     self.occupancy.copy(), list(self.placed_macros))
 
-    def to_dict(self) -> dict:
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "cell_w": self.cell_w,
-            "cell_h": self.cell_h,
-            "occupancy": self.occupancy.astype(int).tolist(),
-            "placed_macros": [list(entry) for entry in self.placed_macros],
-        }
-
 
 @dataclass(frozen=True)
 class Mask:
@@ -83,39 +73,12 @@ class Mask:
     def flat(self) -> np.ndarray:
         return self.feasible.ravel()
 
-    def to_dict(self) -> dict:
-        return {"feasible": self.feasible.astype(int).tolist()}
-
-
-def _cover_range(lo: float, hi: float, cell: float, count: int, tol: float):
-    """Indices of cells over [0, count*cell) overlapped by [lo, hi] with
-    positive length; boundary touch within `tol` is not coverage."""
-    first = math.floor((lo + tol) / cell)
-    last = math.ceil((hi - tol) / cell) - 1
-    if last < first:  # degenerate interval: keep the cell containing its midpoint
-        first = last = math.floor((lo + hi) / 2 / cell)
-    return max(first, 0), min(last, count - 1), first, last
-
-
-def footprint(grid: Grid, macro: Node, row: int, col: int) -> frozenset:
-    """Cells intersected by the macro's bounding box centered on cell (row, col).
-
-    Only in-range cells are returned; feasibility_mask is responsible for
-    rejecting positions whose box leaves the canvas.
-    """
-    cx, cy = grid.cell_center(row, col)
-    tol_x = _REL_TOL * grid.cell_w
-    tol_y = _REL_TOL * grid.cell_h
-    c0, c1, _, _ = _cover_range(cx - macro.width / 2, cx + macro.width / 2,
-                                grid.cell_w, grid.cols, tol_x)
-    r0, r1, _, _ = _cover_range(cy - macro.height / 2, cy + macro.height / 2,
-                                grid.cell_h, grid.rows, tol_y)
-    return frozenset((r, c) for r in range(r0, r1 + 1) for c in range(c0, c1 + 1))
-
 
 def _footprint_offsets(grid: Grid, macro: Node):
     """Footprint as constant offsets around the action cell: placing at
-    (r, c) covers rows r+dr0..r+dr1 and cols c+dc0..c+dc1."""
+    (r, c) covers rows r+dr0..r+dr1 and cols c+dc0..c+dc1. The footprint,
+    the feasibility mask and place_on_grid all derive from these offsets.
+    A box thinner than the boundary tolerance keeps the action cell."""
     tol_x = _REL_TOL * grid.cell_w
     tol_y = _REL_TOL * grid.cell_h
     wl = 0.5 - macro.width / (2 * grid.cell_w)
@@ -127,6 +90,25 @@ def _footprint_offsets(grid: Grid, macro: Node):
     dr0 = math.floor(hl + tol_y / grid.cell_h)
     dr1 = math.ceil(hr - tol_y / grid.cell_h) - 1
     return min(dr0, 0), max(dr1, 0), min(dc0, 0), max(dc1, 0)
+
+
+def _footprint_window(grid: Grid, macro: Node, row: int, col: int):
+    """(row slice, column slice) of the footprint at (row, col), clipped to
+    the grid."""
+    dr0, dr1, dc0, dc1 = _footprint_offsets(grid, macro)
+    return (slice(max(row + dr0, 0), min(row + dr1 + 1, grid.rows)),
+            slice(max(col + dc0, 0), min(col + dc1 + 1, grid.cols)))
+
+
+def footprint(grid: Grid, macro: Node, row: int, col: int) -> frozenset:
+    """Cells intersected by the macro's bounding box centered on cell (row, col).
+
+    Only in-range cells are returned; feasibility_mask is responsible for
+    rejecting positions whose box leaves the canvas.
+    """
+    rows, cols = _footprint_window(grid, macro, row, col)
+    return frozenset((r, c) for r in range(rows.start, rows.stop)
+                     for c in range(cols.start, cols.stop))
 
 
 def feasibility_mask(grid: Grid, macro: Node) -> Mask:
@@ -181,15 +163,13 @@ def place_on_grid(grid: Grid, macro: Node, row: int, col: int):
         raise PlacementError(
             f"macro '{macro.name}' at ({row}, {col}) leaves the canvas"
         )
-    cells = footprint(grid, macro, row, col)
-    rows_idx = np.array([rc[0] for rc in cells])
-    cols_idx = np.array([rc[1] for rc in cells])
-    if grid.occupancy[rows_idx, cols_idx].any():
+    window = _footprint_window(grid, macro, row, col)
+    if grid.occupancy[window].any():
         raise PlacementError(
             f"macro '{macro.name}' at ({row}, {col}) overlaps occupied cells"
         )
     out = grid.copy()
-    out.occupancy[rows_idx, cols_idx] = True
+    out.occupancy[window] = True
     out.placed_macros.append((macro.id, row, col))
     # Clamp is a no-op for feasible cells; kept as a safety net.
     x = min(max(cx, macro.width / 2), grid.canvas_width - macro.width / 2)

@@ -169,15 +169,14 @@ def proxy_cost(hpwl_value: float, cong_h: float, cong_v: float, dens: float,
 def evaluate(netlist: Netlist, placement: Placement, grid: Grid,
              weights: RewardWeights = RewardWeights(),
              capacity_h: float = DEFAULT_CAPACITY,
-             capacity_v: float = DEFAULT_CAPACITY,
-             use_pin_offsets: bool = False,
-             top_fraction: float = 0.1) -> Metrics:
-    """One-stop proxy metrics for a fully placed design."""
+             capacity_v: float = DEFAULT_CAPACITY) -> Metrics:
+    """One-stop proxy metrics for a fully placed design: HPWL at node
+    centers, and congestion over the top 10 % of cells."""
     from .netlist import hpwl as hpwl_fn
 
-    wl = hpwl_fn(netlist, placement, use_pin_offsets=use_pin_offsets)
+    wl = hpwl_fn(netlist, placement)
     cmap = congestion_map(netlist, placement, grid, capacity_h, capacity_v)
-    ch, cv = congestion_scores(cmap, top_fraction)
+    ch, cv = congestion_scores(cmap)
     dens = density_overflow(netlist, placement, grid)
     cost = proxy_cost(wl, ch, cv, dens, len(netlist.nets),
                       netlist.canvas_width, netlist.canvas_height, weights)

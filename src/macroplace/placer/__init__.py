@@ -6,6 +6,12 @@ growing electrostatic density penalty. Both consume the same inputs and
 produce an in-canvas Placement, so the environment swaps engines by config
 alone.
 
+`PlacerConfig` is the contract both engines share: which engine runs, its
+outer-iteration budget, the overflow below which the analytical engine
+stops (force-directed always runs the full budget), the bin count of the
+density grid, and the seed of the start jitter. Each engine's step-size and
+schedule constants live in its own module.
+
 The stop/trace overflow both engines report is the pure-overlap measure
 (density target 1.0): clusters are solid blocks much wider than a bin, so
 their interiors pin bin density at 1 and the design's own target would be a
@@ -35,17 +41,6 @@ class PlacerConfig:
     max_outer_iters: int = 30
     overflow_stop: float = 0.10
     bins: int = 64
-    # analytical engine
-    gamma: float | None = None  # microns; None -> 4x mean bin dimension
-    gamma_anneal: float = 0.8
-    gamma_floor_factor: float = 0.5  # floor = factor x mean bin dimension
-    lambda_growth: float = 2.0
-    inner_iters: int = 20
-    backtrack_limit: int = 8
-    fallback_step_frac: float = 1e-2  # of the canvas diagonal
-    # force-directed engine
-    anchor_gain: float = 1.0
-    spread_gain: float = 1.0
     seed: int = 0
 
     def canonical_engine(self) -> str:
@@ -55,12 +50,11 @@ class PlacerConfig:
             raise PlacementError(f"unknown placer engine '{self.engine}'") from None
 
     def __post_init__(self):
+        self.canonical_engine()
         if self.max_outer_iters < 1:
             raise ValueError(f"max_outer_iters must be >= 1, got {self.max_outer_iters}")
         if not (0 < self.overflow_stop < 1):
             raise ValueError(f"overflow_stop must be in (0,1), got {self.overflow_stop}")
-        if self.gamma is not None and self.gamma <= 0:
-            raise ValueError("gamma must be positive")
 
 
 @dataclass(frozen=True)

@@ -18,12 +18,23 @@ from ..netlist import Placement, hpwl
 from .density import density_energy_and_grad, solve_density_field
 from .wirelength import smooth_wl_and_grad
 
+# Wirelength smoothing: gamma starts at GAMMA_BINS mean bin dimensions,
+# shrinks by GAMMA_ANNEAL per outer iteration, and stops at GAMMA_FLOOR_BINS.
+GAMMA_BINS = 4.0
+GAMMA_ANNEAL = 0.8
+GAMMA_FLOOR_BINS = 0.5
+LAMBDA_GROWTH = 2.0  # density-penalty multiplier per outer iteration
+INNER_ITERS = 20  # Nesterov steps per outer iteration
+BACKTRACK_LIMIT = 8  # step-length tries per Nesterov step before the fallback
+# Fallback step: moves the largest-gradient node this share of the canvas
+# diagonal. Also the first step of a placement.
+FALLBACK_STEP_FRAC = 1e-2
+
 
 def _gradient(pnet, placement, movable, gamma, lam, bins):
     """Gradient of smooth_wl + lam * energy, zero on fixed nodes."""
     _, gwl = smooth_wl_and_grad(pnet, placement, gamma)
-    field = solve_density_field(pnet, placement, bins)
-    _, genergy = density_energy_and_grad(field, pnet, placement)
+    _, genergy = density_energy_and_grad(solve_density_field(pnet, placement, bins), pnet)
     grad = gwl + lam * genergy
     grad[~movable] = 0.0
     return grad
@@ -41,15 +52,14 @@ def run_analytical(clustered: ClusteredNetlist, start: Placement,
 
     bins = config.bins
     bin_dim = 0.5 * (pnet.canvas_width + pnet.canvas_height) / bins
-    gamma = config.gamma if config.gamma is not None else 4.0 * bin_dim
-    gamma_floor = config.gamma_floor_factor * bin_dim
+    gamma = GAMMA_BINS * bin_dim
+    gamma_floor = GAMMA_FLOOR_BINS * bin_dim
     eval_grid = Grid.empty(bins, bins, pnet.canvas_width, pnet.canvas_height)
     diag = float(np.hypot(pnet.canvas_width, pnet.canvas_height))
 
     # lambda_0: balance the L1 norms of the two gradient terms.
     _, gwl = smooth_wl_and_grad(pnet, placement, gamma)
-    field = solve_density_field(pnet, placement, bins)
-    _, genergy = density_energy_and_grad(field, pnet, placement)
+    _, genergy = density_energy_and_grad(solve_density_field(pnet, placement, bins), pnet)
     gwl_norm = np.abs(gwl[movable]).sum()
     gen_norm = np.abs(genergy[movable]).sum()
     lam = gwl_norm / gen_norm if gen_norm > 0 and gwl_norm > 0 else 1.0
@@ -76,9 +86,9 @@ def run_analytical(clustered: ClusteredNetlist, start: Placement,
         g_v = _gradient(pnet, v, movable, gamma, lam, bins)
         if step is None:
             gmax = np.abs(g_v).max()
-            step = config.fallback_step_frac * diag / gmax if gmax > 0 else 1.0
-        for _ in range(config.inner_iters):
-            for _try in range(config.backtrack_limit):
+            step = FALLBACK_STEP_FRAC * diag / gmax if gmax > 0 else 1.0
+        for _ in range(INNER_ITERS):
+            for _try in range(BACKTRACK_LIMIT):
                 u_new, v_new, a_new, g_new = nesterov_step(step)
                 dv = v_new.positions - v.positions
                 dg = g_new - g_v
@@ -89,7 +99,7 @@ def run_analytical(clustered: ClusteredNetlist, start: Placement,
                 step = lipschitz_step
             else:
                 gmax = np.abs(g_v).max()
-                step = config.fallback_step_frac * diag / gmax if gmax > 0 else step
+                step = FALLBACK_STEP_FRAC * diag / gmax if gmax > 0 else step
                 u_new, v_new, a_new, g_new = nesterov_step(step)
             u, v, a, g_v = u_new, v_new, a_new, g_new
             # Allow the step to grow back; cheap re-estimate next round.
@@ -104,6 +114,6 @@ def run_analytical(clustered: ClusteredNetlist, start: Placement,
                               overflow=overflow, lam=lam))
         if overflow < config.overflow_stop:
             break
-        lam *= config.lambda_growth
-        gamma = max(gamma * config.gamma_anneal, gamma_floor)
+        lam *= LAMBDA_GROWTH
+        gamma = max(gamma * GAMMA_ANNEAL, gamma_floor)
     return placement, trace

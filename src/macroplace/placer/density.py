@@ -12,9 +12,10 @@ node positions and the solve is linear, the energy gradient below is the
 exact derivative of the energy away from bin-boundary kinks.
 
 Charge goes onto bins through `raster.cover`, the rasterizer the density
-metrics use. The gradient builds the same overlap entries for the nodes it
-differentiates, weights them with `raster.edge_slope`, and sums them per
-node with one `np.bincount` per axis.
+metrics use, once per field: `DensityField` keeps the nodes, boxes and
+overlap entries of that raster. The gradient selects the entries of the
+nodes it differentiates, weights them with `raster.edge_slope`, and sums
+them per node with one `np.bincount` per axis.
 """
 
 from __future__ import annotations
@@ -25,19 +26,20 @@ import numpy as np
 from scipy.fft import dctn, idctn
 
 from ..netlist import Netlist, Placement
-from ..raster import accumulate, cover, edge_slope, node_boxes
+from ..raster import Cover, accumulate, cover, edge_slope, node_boxes
 
 
 @dataclass
 class DensityField:
     rho: np.ndarray  # (bins, bins) charge density, sum(rho)*bin_area = charge area
     psi: np.ndarray  # potential
-    ex: np.ndarray  # field components, E = -grad(psi)
-    ey: np.ndarray
     bin_w: float
     bin_h: float
     charge_area: float
     norm_scale: float  # rho rescale factor applied after rasterization
+    ids: np.ndarray  # charge-carrying placed nodes, the raster's boxes in order
+    boxes: tuple  # their (x0, x1, y0, y1) footprints
+    entries: Cover  # raster.cover of `boxes`
 
     @property
     def bins(self) -> int:
@@ -50,7 +52,7 @@ class DensityField:
 
 def solve_density_field(netlist: Netlist, placement: Placement,
                         bins: int = 64) -> DensityField:
-    """Rasterize charge and solve for the potential and field.
+    """Rasterize charge and solve for the potential.
 
     The density is normalized so that sum(rho) * bin_area equals the total
     charge-carrying (movable-kind) area; its mean then matches the design's
@@ -65,17 +67,26 @@ def solve_density_field(netlist: Netlist, placement: Placement,
     arrays = netlist.node_arrays
     ids = np.flatnonzero(arrays.charge & placement.placed)
     charge_area = float((arrays.width[ids] * arrays.height[ids]).sum())
-    entries = cover(*node_boxes(netlist, placement, ids), bin_w, bin_h, bins, bins)
+    boxes = node_boxes(netlist, placement, ids)
+    entries = cover(*boxes, bin_w, bin_h, bins, bins)
     area = accumulate(entries, entries.wy * entries.wx, bins, bins)
 
     raster_total = area.sum()
     scale = charge_area / raster_total if raster_total > 0 else 1.0
     rho = area * (scale / bin_area)
+    return DensityField(rho=rho, psi=solve_poisson(rho, bin_w, bin_h), bin_w=bin_w,
+                        bin_h=bin_h, charge_area=charge_area, norm_scale=scale,
+                        ids=ids, boxes=boxes, entries=entries)
 
-    # Spectral solve of lap(psi) = -(rho - mean) in the DCT-II basis; the
-    # cosine modes are exact eigenvectors of the mirrored 5-point Laplacian.
-    src = rho - rho.mean()
-    src_hat = dctn(src, type=2, norm="ortho")
+
+def solve_poisson(rho: np.ndarray, bin_w: float, bin_h: float) -> np.ndarray:
+    """Potential psi of lap(psi) = -(rho - mean(rho)) on a bins x bins grid.
+
+    Spectral solve in the DCT-II basis: the cosine modes are exact
+    eigenvectors of the mirrored 5-point Laplacian. The DC mode is zero.
+    """
+    bins = rho.shape[0]
+    src_hat = dctn(rho - rho.mean(), type=2, norm="ortho")
     k = np.arange(bins)
     lam_x = (2.0 * np.cos(np.pi * k / bins) - 2.0) / bin_w**2
     lam_y = (2.0 * np.cos(np.pi * k / bins) - 2.0) / bin_h**2
@@ -83,11 +94,7 @@ def solve_density_field(netlist: Netlist, placement: Placement,
     denom[0, 0] = 1.0  # DC mode excluded below
     psi_hat = -src_hat / denom
     psi_hat[0, 0] = 0.0
-    psi = idctn(psi_hat, type=2, norm="ortho")
-
-    gy, gx = np.gradient(psi, bin_h, bin_w)
-    return DensityField(rho=rho, psi=psi, ex=-gx, ey=-gy, bin_w=bin_w,
-                        bin_h=bin_h, charge_area=charge_area, norm_scale=scale)
+    return idctn(psi_hat, type=2, norm="ortho")
 
 
 def poisson_residual(field: DensityField) -> float:
@@ -103,8 +110,9 @@ def poisson_residual(field: DensityField) -> float:
 
 
 def density_energy_and_grad(field: DensityField, netlist: Netlist,
-                            placement: Placement, movable_only: bool = True):
-    """Potential energy 0.5 * sum(rho * psi) * bin_area and its gradient.
+                            movable_only: bool = True):
+    """Potential energy 0.5 * sum(rho * psi) * bin_area and its gradient, at
+    the placement the field was solved for.
 
     The gradient of node i is -q_i times the field integrated over the
     node's footprint, evaluated through the exact overlap-area derivative:
@@ -112,20 +120,21 @@ def density_energy_and_grad(field: DensityField, netlist: Netlist,
     the orthogonal overlap as the weight. High potential pushes nodes out.
     """
     energy = 0.5 * float((field.rho * field.psi).sum()) * field.bin_area
-    grad = np.zeros_like(placement.positions)
-    arrays = netlist.node_arrays
-    keep = arrays.charge & placement.placed
+    grad = np.zeros((netlist.num_nodes, 2))
+    ids, entries = field.ids, field.entries
+    keep = np.ones(len(ids), dtype=bool)
     if movable_only:
-        keep &= arrays.movable
-    ids = np.flatnonzero(keep)
-    x0, x1, y0, y1 = node_boxes(netlist, placement, ids)
-    entries = cover(x0, x1, y0, y1, field.bin_w, field.bin_h, field.bins, field.bins)
+        keep = netlist.node_arrays.movable[ids]
+        entries = Cover(*(a[keep[entries.box]] for a in entries))
+    x0, x1, y0, y1 = field.boxes
     box, wx, wy = entries.box, entries.wx, entries.wy
     # d(overlap_x)/dx per column and d(overlap_y)/dy per row.
     dwx = edge_slope(x0[box], x1[box], entries.col, field.bin_w)
     dwy = edge_slope(y0[box], y1[box], entries.row, field.bin_h)
     psi = field.psi[entries.row, entries.col]
     s = field.norm_scale
-    grad[ids, 0] = s * np.bincount(box, weights=wy * psi * dwx, minlength=len(ids))
-    grad[ids, 1] = s * np.bincount(box, weights=dwy * psi * wx, minlength=len(ids))
+    gx = np.bincount(box, weights=wy * psi * dwx, minlength=len(ids))
+    gy = np.bincount(box, weights=dwy * psi * wx, minlength=len(ids))
+    grad[ids[keep], 0] = s * gx[keep]
+    grad[ids[keep], 1] = s * gy[keep]
     return energy, grad

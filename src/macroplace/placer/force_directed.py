@@ -38,7 +38,7 @@ def _blur(a: np.ndarray, passes: int = 2) -> np.ndarray:
     return out
 
 
-def _spread_once(pnet, placement, movable_ids, bins, spread_gain):
+def _spread_once(pnet, placement, movable_ids, bins):
     """Displace movables down the blurred overflow gradient."""
     rows = cols = bins
     cell_w = pnet.canvas_width / cols
@@ -58,7 +58,7 @@ def _spread_once(pnet, placement, movable_ids, bins, spread_gain):
     r = np.clip(np.trunc(y / cell_h), 0, rows - 1).astype(np.int64)
     f, fx, fy = field[r, c], gx[r, c], gy[r, c]
     push = f > 0
-    scale = spread_gain * np.minimum(f / max(pnet.target_density, 1e-9), 2.0)
+    scale = np.minimum(f / max(pnet.target_density, 1e-9), 2.0)
     out = placement.copy()
     out.positions[movable_ids, 0] = np.where(
         push, x - fx / (np.abs(fx) + 1e-12) * scale * cell_w, x)
@@ -135,8 +135,7 @@ def run_force_directed(clustered: ClusteredNetlist, start: Placement,
     anchors = np.tile(center, (m, 1))
     T = config.max_outer_iters
     for it in range(T):
-        ramp = config.anchor_gain * it / T
-        anchor_w = base_strength * ramp
+        anchor_w = base_strength * (it / T)
         anchor_w = np.where(isolated, np.maximum(anchor_w, 1.0), anchor_w)
         rhs = fixed_rhs + anchor_w[:, None] * anchors
         A.data[diag_pos] = diag + anchor_w
@@ -147,8 +146,7 @@ def run_force_directed(clustered: ClusteredNetlist, start: Placement,
         placement.placed[movable_ids] = True
         placement = clamp_in_canvas(pnet, placement, movable)
 
-        placement = _spread_once(pnet, placement, movable_ids, config.bins,
-                                 config.spread_gain)
+        placement = _spread_once(pnet, placement, movable_ids, config.bins)
         placement = clamp_in_canvas(pnet, placement, movable)
         anchors = placement.positions[movable_ids].copy()
 

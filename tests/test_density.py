@@ -7,19 +7,11 @@ from macroplace.placer.density import (
     density_energy_and_grad,
     poisson_residual,
     solve_density_field,
+    solve_poisson,
 )
 
 from conftest import random_design
 from oracles import laplacian_5pt
-
-
-def uniform_field(rho, canvas=64.0):
-    """DensityField stub around a given rho for solver-only checks."""
-    bins = rho.shape[0]
-    nl = Netlist([], [], canvas, canvas)
-    pl = Placement.empty(0)
-    field = solve_density_field(nl, pl, bins=bins)
-    return nl, pl, field
 
 
 class TestPoissonSolve:
@@ -38,8 +30,6 @@ class TestPoissonSolve:
         field = solve_density_field(nl, pl, bins=16)
         np.testing.assert_allclose(field.rho, 1.0, atol=1e-12)
         np.testing.assert_allclose(field.psi, 0.0, atol=1e-9)
-        np.testing.assert_allclose(field.ex, 0.0, atol=1e-9)
-        np.testing.assert_allclose(field.ey, 0.0, atol=1e-9)
 
     def test_cosine_eigenfunction(self):
         """rho = cos(pi x / W): an exact eigenvector of the discrete
@@ -50,24 +40,14 @@ class TestPoissonSolve:
         bin_w = W / bins
         x = (np.arange(bins) + 0.5) * bin_w
         rho = np.tile(np.cos(np.pi * x / W), (bins, 1))
-        field = DensityField(rho=rho, psi=None, ex=None, ey=None, bin_w=bin_w,
-                             bin_h=bin_w, charge_area=0.0, norm_scale=1.0)
-        # run the solver path by hand-injecting rho through a tiny netlist
-        from scipy.fft import dctn, idctn
-
-        src = rho - rho.mean()
-        src_hat = dctn(src, type=2, norm="ortho")
-        k = np.arange(bins)
-        lam = (2.0 * np.cos(np.pi * k / bins) - 2.0) / bin_w**2
-        denom = lam[:, None] + lam[None, :]
-        denom[0, 0] = 1.0
-        psi_hat = -src_hat / denom
-        psi_hat[0, 0] = 0.0
-        psi = idctn(psi_hat, type=2, norm="ortho")
-        field.psi = psi
+        psi = solve_poisson(rho, bin_w, bin_w)
+        field = DensityField(rho=rho, psi=psi, bin_w=bin_w, bin_h=bin_w,
+                             charge_area=0.0, norm_scale=1.0,
+                             ids=None, boxes=None, entries=None)
 
         # discrete eigenvalue: psi = rho / |lam_1|
-        expected_discrete = rho / abs(lam[1])
+        lam_1 = (2.0 * np.cos(np.pi / bins) - 2.0) / bin_w**2
+        expected_discrete = rho / abs(lam_1)
         np.testing.assert_allclose(psi, expected_discrete, atol=1e-9)
         # continuous amplitude (W/pi)^2 matched to O((pi/bins)^2 / 12)
         expected_continuous = (W / np.pi) ** 2 * rho
@@ -105,7 +85,7 @@ class TestEnergyGradient:
         pl.positions[1] = (64.0 - 30.3, 32.3)
         pl.placed[:] = True
         field = solve_density_field(nl, pl, bins=32)
-        _, grad = density_energy_and_grad(field, nl, pl)
+        _, grad = density_energy_and_grad(field, nl)
         assert grad[0, 0] == pytest.approx(-grad[1, 0], rel=1e-6)
         assert grad[0, 0] > 0 > grad[1, 0]  # pushed apart
 
@@ -130,10 +110,10 @@ class TestEnergyGradient:
 
             def energy_at(p):
                 f = solve_density_field(nl, p, bins=bins)
-                return density_energy_and_grad(f, nl, p)[0]
+                return density_energy_and_grad(f, nl)[0]
 
             field = solve_density_field(nl, pl, bins=bins)
-            energy, grad = density_energy_and_grad(field, nl, pl)
+            energy, grad = density_energy_and_grad(field, nl)
             h = 1e-5 * canvas
             for nid in range(n):
                 for axis in range(2):
@@ -156,7 +136,7 @@ class TestEnergyGradient:
         dist_to_center = []
         for _ in range(10):
             field = solve_density_field(nl, pl, bins=32)
-            energy, grad = density_energy_and_grad(field, nl, pl)
+            energy, grad = density_energy_and_grad(field, nl)
             energies.append(energy)
             dist_to_center.append(np.hypot(*(pl.positions[0] - 32.0)))
             pl = pl.copy()

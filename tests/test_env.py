@@ -52,7 +52,7 @@ def small_env(grid=4, macros=None, cells=3, canvas=40.0, target=1.0):
     config = EnvConfig(grid_rows=grid, grid_cols=grid,
                        placer=PlacerConfig(engine="fd", max_outer_iters=5, bins=16,
                                            seed=0),
-                       clusters_k=2, seed=0)
+                       clusters_k=2)
     return MacroPlacementEnv(bundle, config)
 
 
@@ -80,6 +80,10 @@ class TestReset:
         bundle = bundle_from(nodes, [], 10.0)
         with pytest.raises(DesignError, match="no macros"):
             MacroPlacementEnv(bundle, EnvConfig())
+
+    def test_zero_clusters_rejected(self):
+        with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+            MacroPlacementEnv(small_env().bundle, EnvConfig(clusters_k=0))
 
 
 class TestStep:

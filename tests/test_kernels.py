@@ -192,7 +192,7 @@ class TestDensityGradient:
             nl, pl = edge_case_design(rng)
             pl.placed[9] = False
             field = solve_density_field(nl, pl, bins=bins)
-            energy, grad = density_energy_and_grad(field, nl, pl, movable_only)
+            energy, grad = density_energy_and_grad(field, nl, movable_only)
             ref_energy, ref_grad = density_energy_and_grad_loop(field, nl, pl, movable_only)
             assert energy == ref_energy
             assert_close_to_scale(grad, ref_grad)

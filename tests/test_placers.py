@@ -63,6 +63,10 @@ class TestConfig:
         with pytest.raises(ValueError, match="max_outer_iters"):
             PlacerConfig(max_outer_iters=iters)
 
+    def test_unknown_engine_rejected(self):
+        with pytest.raises(PlacementError, match="unknown placer engine 'quantum'"):
+            PlacerConfig(engine="quantum")
+
 
 class TestForceDirected:
     def test_spring_balance(self):

@@ -31,19 +31,6 @@ class BaselineResult:
         return len(self.rewards)
 
 
-def _evaluate_cells(env: MacroPlacementEnv, cells: list[int]):
-    """Reward for macros at the given grid cells (macro-order aligned)."""
-    grid = Grid.empty(env.config.grid_rows, env.config.grid_cols,
-                      env.pnet.canvas_width, env.pnet.canvas_height)
-    placement = env.start_placement()
-    for pid, cell in zip(env.macro_order, cells):
-        row, col = divmod(int(cell), env.config.grid_cols)
-        grid, (x, y) = place_on_grid(grid, env.pnet.nodes[pid], row, col)
-        placement = placement.updated(pid, x, y)
-    final, metrics = env.finish(placement)
-    return metrics.reward, final
-
-
 def baseline_random(env: MacroPlacementEnv, episodes: int,
                     seed: int = 0) -> BaselineResult:
     """Best of N uniform masked rollouts. Episode i draws from a seed
@@ -84,22 +71,29 @@ def baseline_sim_anneal(env: MacroPlacementEnv, moves: int, seed: int = 0) -> Ba
     rows, cols = env.config.grid_rows, env.config.grid_cols
     for move in range(moves):
         k = int(rng.integers(len(cells)))
-        # rebuild occupancy without macro k
+        # Occupancy and positions of every macro but k. place_on_grid snaps
+        # to the cell center whatever else is placed, so the order is free.
         grid = Grid.empty(rows, cols, env.pnet.canvas_width, env.pnet.canvas_height)
+        placement = env.start_placement()
         for j, cell in enumerate(cells):
             if j == k:
                 continue
-            r, c = divmod(cell, cols)
-            grid, _ = place_on_grid(grid, env.pnet.nodes[env.macro_order[j]], r, c)
-        mask = feasibility_mask(grid, env.pnet.nodes[env.macro_order[k]])
-        choices = np.flatnonzero(mask.flat())
+            pid = env.macro_order[j]
+            grid, (x, y) = place_on_grid(grid, env.pnet.nodes[pid], *divmod(cell, cols))
+            placement.positions[pid] = (x, y)
+            placement.placed[pid] = True
+        macro = env.pnet.nodes[env.macro_order[k]]
+        choices = np.flatnonzero(feasibility_mask(grid, macro).flat())
         if len(choices) == 0:
             continue
         proposal = list(cells)
         proposal[k] = int(rng.choice(choices))
-        reward, placement = _evaluate_cells(env, proposal)
-        rewards.append(reward)
-        new_cost = -reward
+        _, (x, y) = place_on_grid(grid, macro, *divmod(proposal[k], cols))
+        placement.positions[macro.id] = (x, y)
+        placement.placed[macro.id] = True
+        placement, metrics = env.finish(placement)
+        rewards.append(metrics.reward)
+        new_cost = -metrics.reward
         t = SA_T0 * SA_ALPHA**move
         accept = new_cost < cost or (
             t > 0 and rng.random() < np.exp(-(new_cost - cost) / t)

@@ -9,24 +9,37 @@ alone.
 `PlacerConfig` is the contract both engines share: which engine runs, its
 outer-iteration budget, the overflow below which the analytical engine
 stops (force-directed always runs the full budget), the bin count of the
-density grid, and the seed of the start jitter. Each engine's step-size and
-schedule constants live in its own module.
+density grid (a power of two >= 2, checked at construction), and the seed
+of the start jitter. Each engine's step-size and schedule constants live in
+its own module.
 
 The stop/trace overflow both engines report is the pure-overlap measure
 (density target 1.0): clusters are solid blocks much wider than a bin, so
 their interiors pin bin density at 1 and the design's own target would be a
 floor no placement can undercut. Proxy evaluation keeps the design target.
+
+An engine iteration computes only what the next iteration needs. Its trace
+row keeps a copy of the placement and computes HPWL and overflow when first
+read, so an unread trace costs one copy per iteration; the analytical
+engine reads the overflow for its stop rule. What the movable nodes cannot
+change (their in-canvas bounds, and the analytical engine's fixed charge)
+is computed once per placement.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from ..clustering import ClusteredNetlist
 from ..errors import PlacementError
-from ..netlist import Placement
+from ..grid import Grid
+from ..metrics import density_overflow
+from ..netlist import Netlist, Placement, hpwl
+from .density import check_bins
 
 ENGINE_ALIASES = {
     "fd": "force_directed",
@@ -55,50 +68,75 @@ class PlacerConfig:
             raise ValueError(f"max_outer_iters must be >= 1, got {self.max_outer_iters}")
         if not (0 < self.overflow_stop < 1):
             raise ValueError(f"overflow_stop must be in (0,1), got {self.overflow_stop}")
+        check_bins(self.bins)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TraceRow:
     """One outer iteration of either engine, taken after its update.
 
-    iteration: 0-based outer iteration. wl: exact HPWL of the placement.
-    overflow: pure-overlap density overflow (target 1.0), the stop measure.
-    lam: the analytical engine's density penalty weight; None for FD.
+    iteration: 0-based outer iteration. lam: the analytical engine's density
+    penalty weight; None for FD. The row keeps its own copy of the
+    placement, so mutating the placement an engine returns changes no row.
+    `wl` (exact HPWL) and `overflow` (pure-overlap density overflow on
+    `grid`, target 1.0, the stop measure) are computed when first read and
+    then kept.
     """
     iteration: int
-    wl: float
-    overflow: float
     lam: float | None
+    netlist: Netlist = field(repr=False)
+    placement: Placement = field(repr=False)
+    grid: Grid = field(repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "placement", self.placement.copy())
+
+    @cached_property
+    def wl(self) -> float:
+        return hpwl(self.netlist, self.placement)
+
+    @cached_property
+    def overflow(self) -> float:
+        return density_overflow(self.netlist, self.placement, self.grid,
+                                target_density=1.0)
+
+
+class CanvasBounds(NamedTuple):
+    """The movable nodes and the center range that keeps each box in the
+    canvas; a box larger than the canvas is held at its lower bound."""
+    ids: np.ndarray  # (m,) movable node ids, ascending
+    lo: np.ndarray  # (m, 2) lowest center per axis
+    hi: np.ndarray  # (m, 2) highest center per axis
+
+
+def canvas_bounds(pnet: Netlist, movable: np.ndarray) -> CanvasBounds:
+    arrays = pnet.node_arrays
+    ids = np.flatnonzero(movable)
+    lo = np.stack([arrays.width[ids], arrays.height[ids]], axis=1) / 2
+    hi = np.array([pnet.canvas_width, pnet.canvas_height]) - lo
+    return CanvasBounds(ids, lo, np.maximum(lo, hi))
 
 
 def initial_positions(clustered: ClusteredNetlist, placement: Placement,
-                      movable: np.ndarray, rng: np.random.Generator) -> Placement:
+                      bounds: CanvasBounds, rng: np.random.Generator) -> Placement:
     """Movable nodes without a position start at canvas center + small jitter."""
     pnet = clustered.placement_netlist
     out = placement.copy()
     jitter = 0.01 * min(pnet.canvas_width, pnet.canvas_height)
-    for node in pnet.nodes:
-        if not movable[node.id]:
-            continue
-        if not out.placed[node.id]:
-            out.positions[node.id] = (
+    for nid in bounds.ids:
+        if not out.placed[nid]:
+            out.positions[nid] = (
                 pnet.canvas_width / 2 + rng.uniform(-jitter, jitter),
                 pnet.canvas_height / 2 + rng.uniform(-jitter, jitter),
             )
-            out.placed[node.id] = True
-    return clamp_in_canvas(pnet, out, movable)
+            out.placed[nid] = True
+    return clamp_in_canvas(out, bounds)
 
 
-def clamp_in_canvas(pnet, placement: Placement, movable: np.ndarray) -> Placement:
+def clamp_in_canvas(placement: Placement, bounds: CanvasBounds) -> Placement:
     """Move each movable node's box inside the canvas, in place."""
-    arrays = pnet.node_arrays
-    for axis, size, extent in ((0, arrays.width, pnet.canvas_width),
-                               (1, arrays.height, pnet.canvas_height)):
-        lo = size[movable] / 2
-        hi = extent - size[movable] / 2
-        coord = placement.positions[movable, axis]
-        placement.positions[movable, axis] = np.minimum(np.maximum(coord, lo),
-                                                        np.maximum(lo, hi))
+    pos = placement.positions
+    pos[bounds.ids] = np.minimum(np.maximum(pos[bounds.ids], bounds.lo), bounds.hi)
     return placement
 
 
@@ -156,6 +194,8 @@ __all__ = [
     "TraceRow",
     "place_clusters",
     "spread_movable",
+    "CanvasBounds",
+    "canvas_bounds",
     "initial_positions",
     "clamp_in_canvas",
     "movable_cluster_mask",

@@ -4,7 +4,10 @@ Minimizes smooth_wl(x) + lambda * energy(x) over movable-node centers with
 positions projected in-canvas. The penalty weight starts where the L1 norms
 of both gradient terms balance and doubles every outer iteration; the
 wirelength smoothing gamma anneals toward a floor. Stops when the density
-overflow drops below the configured threshold.
+overflow of an outer iteration's trace row drops below the configured
+threshold. One `DensityGrid` per placement holds the fixed nodes' charge and
+the Poisson eigenvalues, so each gradient rasterizes and differentiates the
+movable nodes only.
 """
 
 from __future__ import annotations
@@ -13,9 +16,8 @@ import numpy as np
 
 from ..clustering import ClusteredNetlist
 from ..grid import Grid
-from ..metrics import density_overflow
-from ..netlist import Placement, hpwl
-from .density import density_energy_and_grad, solve_density_field
+from ..netlist import Placement
+from .density import density_energy_and_grad, density_grid, solve_density_field
 from .wirelength import smooth_wl_and_grad
 
 # Wirelength smoothing: gamma starts at GAMMA_BINS mean bin dimensions,
@@ -31,10 +33,10 @@ BACKTRACK_LIMIT = 8  # step-length tries per Nesterov step before the fallback
 FALLBACK_STEP_FRAC = 1e-2
 
 
-def _gradient(pnet, placement, movable, gamma, lam, bins):
+def _gradient(pnet, placement, movable, gamma, lam, dgrid):
     """Gradient of smooth_wl + lam * energy, zero on fixed nodes."""
     _, gwl = smooth_wl_and_grad(pnet, placement, gamma)
-    _, genergy = density_energy_and_grad(solve_density_field(pnet, placement, bins), pnet)
+    _, genergy = density_energy_and_grad(solve_density_field(pnet, placement, dgrid), pnet)
     grad = gwl + lam * genergy
     grad[~movable] = 0.0
     return grad
@@ -42,15 +44,17 @@ def _gradient(pnet, placement, movable, gamma, lam, bins):
 
 def run_analytical(clustered: ClusteredNetlist, start: Placement,
                    movable: np.ndarray, config):
-    from . import TraceRow, clamp_in_canvas, initial_positions
+    from . import TraceRow, canvas_bounds, clamp_in_canvas, initial_positions
 
     pnet = clustered.placement_netlist
     rng = np.random.default_rng(config.seed)
-    placement = initial_positions(clustered, start, movable, rng)
+    bounds = canvas_bounds(pnet, movable)
+    placement = initial_positions(clustered, start, bounds, rng)
     if not movable.any():
         return placement, []
 
     bins = config.bins
+    dgrid = density_grid(pnet, placement, movable, bins)
     bin_dim = 0.5 * (pnet.canvas_width + pnet.canvas_height) / bins
     gamma = GAMMA_BINS * bin_dim
     gamma_floor = GAMMA_FLOOR_BINS * bin_dim
@@ -59,13 +63,13 @@ def run_analytical(clustered: ClusteredNetlist, start: Placement,
 
     # lambda_0: balance the L1 norms of the two gradient terms.
     _, gwl = smooth_wl_and_grad(pnet, placement, gamma)
-    _, genergy = density_energy_and_grad(solve_density_field(pnet, placement, bins), pnet)
+    _, genergy = density_energy_and_grad(solve_density_field(pnet, placement, dgrid), pnet)
     gwl_norm = np.abs(gwl[movable]).sum()
     gen_norm = np.abs(genergy[movable]).sum()
     lam = gwl_norm / gen_norm if gen_norm > 0 and gwl_norm > 0 else 1.0
 
     def project(pl):
-        return clamp_in_canvas(pnet, pl, movable)
+        return clamp_in_canvas(pl, bounds)
 
     def nesterov_step(step):
         """One accelerated step of length `step` from the current (u, v, a,
@@ -74,7 +78,7 @@ def run_analytical(clustered: ClusteredNetlist, start: Placement,
         a_new = (1.0 + np.sqrt(4.0 * a * a + 1.0)) / 2.0
         momentum = (a - 1.0) / a_new * (u_new.positions - u.positions)
         v_new = project(Placement(u_new.positions + momentum, u_new.placed.copy()))
-        return u_new, v_new, a_new, _gradient(pnet, v_new, movable, gamma, lam, bins)
+        return u_new, v_new, a_new, _gradient(pnet, v_new, movable, gamma, lam, dgrid)
 
     trace = []
     step = None
@@ -83,7 +87,7 @@ def run_analytical(clustered: ClusteredNetlist, start: Placement,
         u = placement.copy()
         v = placement.copy()
         a = 1.0
-        g_v = _gradient(pnet, v, movable, gamma, lam, bins)
+        g_v = _gradient(pnet, v, movable, gamma, lam, dgrid)
         if step is None:
             gmax = np.abs(g_v).max()
             step = FALLBACK_STEP_FRAC * diag / gmax if gmax > 0 else 1.0
@@ -109,10 +113,10 @@ def run_analytical(clustered: ClusteredNetlist, start: Placement,
         # Pure-overlap overflow (target 1.0): solid clusters keep their
         # interior bins at density 1, so the design target would be an
         # unreachable floor here; overlap removal is the actual stop goal.
-        overflow = density_overflow(pnet, placement, eval_grid, target_density=1.0)
-        trace.append(TraceRow(iteration=outer, wl=hpwl(pnet, placement),
-                              overflow=overflow, lam=lam))
-        if overflow < config.overflow_stop:
+        row = TraceRow(iteration=outer, lam=lam, netlist=pnet,
+                       placement=placement, grid=eval_grid)
+        trace.append(row)
+        if row.overflow < config.overflow_stop:
             break
         lam *= LAMBDA_GROWTH
         gamma = max(gamma * GAMMA_ANNEAL, gamma_floor)

@@ -11,11 +11,21 @@ mirrored-boundary Laplacian. Because overlap areas are piecewise linear in
 node positions and the solve is linear, the energy gradient below is the
 exact derivative of the energy away from bin-boundary kinks.
 
-Charge goes onto bins through `raster.cover`, the rasterizer the density
-metrics use, once per field: `DensityField` keeps the nodes, boxes and
-overlap entries of that raster. The gradient selects the entries of the
-nodes it differentiates, weights them with `raster.edge_slope`, and sums
-them per node with one `np.bincount` per axis.
+What the movable nodes cannot change is computed once per placement, in a
+`DensityGrid`: the bin geometry, the raster of the charge-carrying nodes
+that stay fixed, the total charge area and the Poisson eigenvalue
+denominators. Each solve rasterizes only the grid's movable ids through
+`raster.cover`, the rasterizer the density metrics use, and adds their
+entries onto a copy of the fixed raster in entry order. That equals one
+in-order pass over all charge-carrying nodes bit for bit when every fixed
+id precedes every movable id, which `cluster_std_cells` guarantees for
+cluster placement (macros and terminals first, then the clusters). A grid
+built with everything movable has nothing fixed, and its raster is the
+one-pass raster.
+
+`DensityField` keeps the boxes and overlap entries of its raster; the
+gradient weights them with `raster.edge_slope` and sums them per node with
+one `np.bincount` per axis.
 """
 
 from __future__ import annotations
@@ -29,15 +39,55 @@ from ..netlist import Netlist, Placement
 from ..raster import Cover, accumulate, cover, edge_slope, node_boxes
 
 
+def check_bins(bins: int) -> None:
+    """The spectral solve needs a power-of-two bin count of at least 2."""
+    if bins < 2 or bins & (bins - 1):
+        raise ValueError(f"bins must be a power of two >= 2, got {bins}")
+
+
+@dataclass(frozen=True)
+class DensityGrid:
+    """A placement's density invariants: what every solve of it shares."""
+    bins: int
+    bin_w: float
+    bin_h: float
+    ids: np.ndarray  # movable charge-carrying placed nodes, rasterized per solve
+    fixed_area: np.ndarray  # (bins, bins) raster of the other charge-carrying placed nodes
+    charge_area: float  # total area of all charge-carrying placed nodes
+    denom: np.ndarray  # Poisson eigenvalue denominators (`poisson_denominators`)
+
+
+def density_grid(netlist: Netlist, placement: Placement, movable: np.ndarray,
+                 bins: int) -> DensityGrid:
+    """Density invariants of `placement` while only `movable` nodes move.
+
+    The placed flags are read here once; every later solve must keep them.
+    """
+    check_bins(bins)
+    bin_w = netlist.canvas_width / bins
+    bin_h = netlist.canvas_height / bins
+    arrays = netlist.node_arrays
+    charged = arrays.charge & placement.placed
+    all_ids = np.flatnonzero(charged)
+    fixed_ids = np.flatnonzero(charged & ~movable)
+    entries = cover(*node_boxes(netlist, placement, fixed_ids), bin_w, bin_h, bins, bins)
+    return DensityGrid(
+        bins=bins, bin_w=bin_w, bin_h=bin_h,
+        ids=np.flatnonzero(charged & movable),
+        fixed_area=accumulate(entries, entries.wy * entries.wx, bins, bins),
+        charge_area=float((arrays.width[all_ids] * arrays.height[all_ids]).sum()),
+        denom=poisson_denominators(bins, bin_w, bin_h),
+    )
+
+
 @dataclass
 class DensityField:
     rho: np.ndarray  # (bins, bins) charge density, sum(rho)*bin_area = charge area
     psi: np.ndarray  # potential
     bin_w: float
     bin_h: float
-    charge_area: float
     norm_scale: float  # rho rescale factor applied after rasterization
-    ids: np.ndarray  # charge-carrying placed nodes, the raster's boxes in order
+    ids: np.ndarray  # the nodes rasterized for this field, the raster's boxes in order
     boxes: tuple  # their (x0, x1, y0, y1) footprints
     entries: Cover  # raster.cover of `boxes`
 
@@ -51,47 +101,49 @@ class DensityField:
 
 
 def solve_density_field(netlist: Netlist, placement: Placement,
-                        bins: int = 64) -> DensityField:
+                        grid: DensityGrid) -> DensityField:
     """Rasterize charge and solve for the potential.
 
-    The density is normalized so that sum(rho) * bin_area equals the total
+    `placement` must keep the fixed nodes and placed flags `grid` was built
+    from; only the grid's movable ids are read from it. The density is
+    normalized so that sum(rho) * bin_area equals the total
     charge-carrying (movable-kind) area; its mean then matches the design's
     utilization, which the benchmark edit rounds up into target_density.
     """
-    if bins < 2 or bins & (bins - 1):
-        raise ValueError(f"bins must be a power of two >= 2, got {bins}")
-    bin_w = netlist.canvas_width / bins
-    bin_h = netlist.canvas_height / bins
-    bin_area = bin_w * bin_h
-
-    arrays = netlist.node_arrays
-    ids = np.flatnonzero(arrays.charge & placement.placed)
-    charge_area = float((arrays.width[ids] * arrays.height[ids]).sum())
-    boxes = node_boxes(netlist, placement, ids)
-    entries = cover(*boxes, bin_w, bin_h, bins, bins)
-    area = accumulate(entries, entries.wy * entries.wx, bins, bins)
+    bins = grid.bins
+    boxes = node_boxes(netlist, placement, grid.ids)
+    entries = cover(*boxes, grid.bin_w, grid.bin_h, bins, bins)
+    area = grid.fixed_area.copy()
+    # In entry order onto the fixed raster (np.add.at is unbuffered).
+    np.add.at(area.reshape(-1), entries.row * bins + entries.col, entries.wy * entries.wx)
 
     raster_total = area.sum()
-    scale = charge_area / raster_total if raster_total > 0 else 1.0
-    rho = area * (scale / bin_area)
-    return DensityField(rho=rho, psi=solve_poisson(rho, bin_w, bin_h), bin_w=bin_w,
-                        bin_h=bin_h, charge_area=charge_area, norm_scale=scale,
-                        ids=ids, boxes=boxes, entries=entries)
+    scale = grid.charge_area / raster_total if raster_total > 0 else 1.0
+    rho = area * (scale / (grid.bin_w * grid.bin_h))
+    return DensityField(rho=rho, psi=solve_poisson(rho, grid.denom), bin_w=grid.bin_w,
+                        bin_h=grid.bin_h, norm_scale=scale,
+                        ids=grid.ids, boxes=boxes, entries=entries)
 
 
-def solve_poisson(rho: np.ndarray, bin_w: float, bin_h: float) -> np.ndarray:
-    """Potential psi of lap(psi) = -(rho - mean(rho)) on a bins x bins grid.
-
-    Spectral solve in the DCT-II basis: the cosine modes are exact
-    eigenvectors of the mirrored 5-point Laplacian. The DC mode is zero.
-    """
-    bins = rho.shape[0]
-    src_hat = dctn(rho - rho.mean(), type=2, norm="ortho")
+def poisson_denominators(bins: int, bin_w: float, bin_h: float) -> np.ndarray:
+    """Eigenvalues of the mirrored 5-point Laplacian on a bins x bins grid,
+    one per DCT-II mode; the DC entry is 1 (its mode is dropped)."""
     k = np.arange(bins)
     lam_x = (2.0 * np.cos(np.pi * k / bins) - 2.0) / bin_w**2
     lam_y = (2.0 * np.cos(np.pi * k / bins) - 2.0) / bin_h**2
     denom = lam_y[:, None] + lam_x[None, :]
-    denom[0, 0] = 1.0  # DC mode excluded below
+    denom[0, 0] = 1.0  # DC mode excluded in solve_poisson
+    return denom
+
+
+def solve_poisson(rho: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """Potential psi of lap(psi) = -(rho - mean(rho)), with `denom` from
+    `poisson_denominators` for rho's grid.
+
+    Spectral solve in the DCT-II basis: the cosine modes are exact
+    eigenvectors of the mirrored 5-point Laplacian. The DC mode is zero.
+    """
+    src_hat = dctn(rho - rho.mean(), type=2, norm="ortho")
     psi_hat = -src_hat / denom
     psi_hat[0, 0] = 0.0
     return idctn(psi_hat, type=2, norm="ortho")
@@ -109,23 +161,20 @@ def poisson_residual(field: DensityField) -> float:
     return float(np.abs(lap + src).max())
 
 
-def density_energy_and_grad(field: DensityField, netlist: Netlist,
-                            movable_only: bool = True):
+def density_energy_and_grad(field: DensityField, netlist: Netlist):
     """Potential energy 0.5 * sum(rho * psi) * bin_area and its gradient, at
     the placement the field was solved for.
 
-    The gradient of node i is -q_i times the field integrated over the
-    node's footprint, evaluated through the exact overlap-area derivative:
-    only the bins its left/right (bottom/top) edges cross contribute, with
-    the orthogonal overlap as the weight. High potential pushes nodes out.
+    Only the field's rasterized nodes (its grid's movable ids) get a
+    gradient; every other row is zero. The gradient of node i is -q_i times
+    the field integrated over the node's footprint, evaluated through the
+    exact overlap-area derivative: only the bins its left/right
+    (bottom/top) edges cross contribute, with the orthogonal overlap as the
+    weight. High potential pushes nodes out.
     """
     energy = 0.5 * float((field.rho * field.psi).sum()) * field.bin_area
     grad = np.zeros((netlist.num_nodes, 2))
     ids, entries = field.ids, field.entries
-    keep = np.ones(len(ids), dtype=bool)
-    if movable_only:
-        keep = netlist.node_arrays.movable[ids]
-        entries = Cover(*(a[keep[entries.box]] for a in entries))
     x0, x1, y0, y1 = field.boxes
     box, wx, wy = entries.box, entries.wx, entries.wy
     # d(overlap_x)/dx per column and d(overlap_y)/dy per row.
@@ -133,8 +182,6 @@ def density_energy_and_grad(field: DensityField, netlist: Netlist,
     dwy = edge_slope(y0[box], y1[box], entries.row, field.bin_h)
     psi = field.psi[entries.row, entries.col]
     s = field.norm_scale
-    gx = np.bincount(box, weights=wy * psi * dwx, minlength=len(ids))
-    gy = np.bincount(box, weights=dwy * psi * wx, minlength=len(ids))
-    grad[ids[keep], 0] = s * gx[keep]
-    grad[ids[keep], 1] = s * gy[keep]
+    grad[ids, 0] = s * np.bincount(box, weights=wy * psi * dwx, minlength=len(ids))
+    grad[ids, 1] = s * np.bincount(box, weights=dwy * psi * wx, minlength=len(ids))
     return energy, grad

@@ -9,7 +9,9 @@ keeps spreading from being undone.
 
 The linear system is assembled once per placement, with array operations
 over the graph's edges (`_fd_system`); each iteration rewrites only the
-diagonal of its CSR matrix, where the anchor weights enter.
+diagonal of its CSR matrix, where the anchor weights enter. The trace rows
+it appends are never read here: their HPWL and overflow cost nothing
+unless a caller reads them.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from scipy.sparse.linalg import spsolve
 
 from ..clustering import ClusteredNetlist
 from ..grid import Grid
-from ..metrics import density_overflow, rasterize_area
-from ..netlist import Placement, hpwl
+from ..metrics import rasterize_area
+from ..netlist import Placement
 
 
 def _blur(a: np.ndarray, passes: int = 2) -> np.ndarray:
@@ -106,12 +108,13 @@ def _fd_system(graph, movable_ids: np.ndarray, positions: np.ndarray):
 
 def run_force_directed(clustered: ClusteredNetlist, start: Placement,
                        movable: np.ndarray, config):
-    from . import TraceRow, clamp_in_canvas, initial_positions
+    from . import TraceRow, canvas_bounds, clamp_in_canvas, initial_positions
 
     pnet = clustered.placement_netlist
     rng = np.random.default_rng(config.seed)
-    placement = initial_positions(clustered, start, movable, rng)
-    movable_ids = np.flatnonzero(movable)
+    bounds = canvas_bounds(pnet, movable)
+    placement = initial_positions(clustered, start, bounds, rng)
+    movable_ids = bounds.ids
     if len(movable_ids) == 0:
         return placement, []
 
@@ -140,17 +143,13 @@ def run_force_directed(clustered: ClusteredNetlist, start: Placement,
         rhs = fixed_rhs + anchor_w[:, None] * anchors
         A.data[diag_pos] = diag + anchor_w
         sol = spsolve(A, rhs)
-        sol = np.atleast_2d(sol)
-        placement = placement.copy()
-        placement.positions[movable_ids] = sol
-        placement.placed[movable_ids] = True
-        placement = clamp_in_canvas(pnet, placement, movable)
+        # In place: the rows of `trace` hold their own copies.
+        placement.positions[movable_ids] = np.atleast_2d(sol)
+        placement = clamp_in_canvas(placement, bounds)
 
         placement = _spread_once(pnet, placement, movable_ids, config.bins)
-        placement = clamp_in_canvas(pnet, placement, movable)
+        placement = clamp_in_canvas(placement, bounds)
         anchors = placement.positions[movable_ids].copy()
-
-        overflow = density_overflow(pnet, placement, eval_grid, target_density=1.0)
-        trace.append(TraceRow(iteration=it, wl=hpwl(pnet, placement),
-                              overflow=overflow, lam=None))
+        trace.append(TraceRow(iteration=it, lam=None, netlist=pnet,
+                              placement=placement, grid=eval_grid))
     return placement, trace

@@ -1,8 +1,10 @@
 """Policy network and training loop on a tiny synthetic design."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from macroplace.agent.network import (
     DesignContext,
@@ -14,6 +16,7 @@ from macroplace.agent.network import (
 )
 from macroplace.agent.train import TrainConfig, loss_and_grads, train
 from macroplace.env import EnvConfig, MacroPlacementEnv, rollout
+from macroplace.errors import TrainingError
 from macroplace.placer import PlacerConfig
 
 
@@ -77,3 +80,31 @@ def test_checkpoint_round_trip(tmp_path):
     assert replace(loaded, arrays={}) == replace(params, arrays={})
     assert {k: v.shape for k, v in loaded.arrays.items()} == {
         k: v.shape for k, v in params.arrays.items()}
+
+
+def test_train_deterministic_per_seed(training_bundle):
+    env = tiny_env(training_bundle)
+    config = TrainConfig(updates=2, episodes_per_update=2, rounds=1, embed_dim=4, seed=5)
+    params_a, curve_a = train(env, config)
+    params_b, curve_b = train(env, config)
+    assert curve_a == curve_b
+    np.testing.assert_array_equal(params_a.to_vector(), params_b.to_vector())
+
+
+def test_non_finite_loss_dumps_batch(training_bundle, monkeypatch, tmp_path):
+    import macroplace.agent.train as train_module
+
+    def nan_loss(params, batch):
+        _, grads, aux = loss_and_grads(params, batch)
+        return float("nan"), grads, aux
+
+    monkeypatch.setattr(train_module, "loss_and_grads", nan_loss)
+    env = tiny_env(training_bundle)
+    config = TrainConfig(updates=1, episodes_per_update=3, rounds=1, embed_dim=4, seed=0)
+    dump = tmp_path / "batch.json"
+    with pytest.raises(TrainingError, match="non-finite loss at update 0"):
+        train(env, config, dump_path=dump)
+    payload = json.loads(dump.read_text())
+    assert payload["loss"] == "nan"
+    assert len(payload["episodes"]) == 3
+    assert all(len(e["steps"]) == env.num_macros for e in payload["episodes"])

@@ -5,6 +5,8 @@ from macroplace.netlist import KIND_STD, Netlist, Node, Placement
 from macroplace.placer.density import (
     DensityField,
     density_energy_and_grad,
+    density_grid,
+    poisson_denominators,
     poisson_residual,
     solve_density_field,
     solve_poisson,
@@ -14,11 +16,19 @@ from conftest import random_design
 from oracles import laplacian_5pt
 
 
+def solve(nl, pl, bins):
+    """The field with every node movable: nothing is fixed, so its raster
+    is one pass over all charge-carrying nodes and every node gets a
+    gradient."""
+    everything = np.ones(nl.num_nodes, dtype=bool)
+    return solve_density_field(nl, pl, density_grid(nl, pl, everything, bins))
+
+
 class TestPoissonSolve:
     def test_bins_must_be_power_of_two(self, rng):
         nl, pl = random_design(rng, n_nodes=4, n_nets=0)
         with pytest.raises(ValueError):
-            solve_density_field(nl, pl, bins=48)
+            density_grid(nl, pl, np.ones(nl.num_nodes, dtype=bool), bins=48)
 
     def test_uniform_density_gives_constant_potential(self):
         # one node exactly filling the canvas -> rho uniform
@@ -27,7 +37,7 @@ class TestPoissonSolve:
         pl = Placement.empty(1)
         pl.positions[0] = (32.0, 32.0)
         pl.placed[0] = True
-        field = solve_density_field(nl, pl, bins=16)
+        field = solve(nl, pl, 16)
         np.testing.assert_allclose(field.rho, 1.0, atol=1e-12)
         np.testing.assert_allclose(field.psi, 0.0, atol=1e-9)
 
@@ -40,10 +50,9 @@ class TestPoissonSolve:
         bin_w = W / bins
         x = (np.arange(bins) + 0.5) * bin_w
         rho = np.tile(np.cos(np.pi * x / W), (bins, 1))
-        psi = solve_poisson(rho, bin_w, bin_w)
+        psi = solve_poisson(rho, poisson_denominators(bins, bin_w, bin_w))
         field = DensityField(rho=rho, psi=psi, bin_w=bin_w, bin_h=bin_w,
-                             charge_area=0.0, norm_scale=1.0,
-                             ids=None, boxes=None, entries=None)
+                             norm_scale=1.0, ids=None, boxes=None, entries=None)
 
         # discrete eigenvalue: psi = rho / |lam_1|
         lam_1 = (2.0 * np.cos(np.pi / bins) - 2.0) / bin_w**2
@@ -59,7 +68,7 @@ class TestPoissonSolve:
     def test_random_density_stencil_residual(self, rng):
         for _ in range(5):
             nl, pl = random_design(rng, n_nodes=25, n_nets=0, canvas=(80.0, 60.0))
-            field = solve_density_field(nl, pl, bins=32)
+            field = solve(nl, pl, 32)
             assert poisson_residual(field) < 1e-6
             # cross-check the residual helper against the plain-python stencil
             lap = np.array(laplacian_5pt(field.psi.tolist(), field.bin_w, field.bin_h))
@@ -68,7 +77,7 @@ class TestPoissonSolve:
 
     def test_charge_conservation(self, rng):
         nl, pl = random_design(rng, n_nodes=30, n_nets=0)
-        field = solve_density_field(nl, pl, bins=32)
+        field = solve(nl, pl, 32)
         total = sum(n.area for n in nl.nodes if n.kind != "terminal"
                     and pl.placed[n.id])
         assert field.rho.sum() * field.bin_area == pytest.approx(total, rel=1e-9)
@@ -84,7 +93,7 @@ class TestEnergyGradient:
         pl.positions[0] = (30.3, 32.3)
         pl.positions[1] = (64.0 - 30.3, 32.3)
         pl.placed[:] = True
-        field = solve_density_field(nl, pl, bins=32)
+        field = solve(nl, pl, 32)
         _, grad = density_energy_and_grad(field, nl)
         assert grad[0, 0] == pytest.approx(-grad[1, 0], rel=1e-6)
         assert grad[0, 0] > 0 > grad[1, 0]  # pushed apart
@@ -109,10 +118,10 @@ class TestEnergyGradient:
                 pl.placed[i] = True
 
             def energy_at(p):
-                f = solve_density_field(nl, p, bins=bins)
+                f = solve(nl, p, bins)
                 return density_energy_and_grad(f, nl)[0]
 
-            field = solve_density_field(nl, pl, bins=bins)
+            field = solve(nl, pl, bins)
             energy, grad = density_energy_and_grad(field, nl)
             h = 1e-5 * canvas
             for nid in range(n):
@@ -135,7 +144,7 @@ class TestEnergyGradient:
         energies = []
         dist_to_center = []
         for _ in range(10):
-            field = solve_density_field(nl, pl, bins=32)
+            field = solve(nl, pl, 32)
             energy, grad = density_energy_and_grad(field, nl)
             energies.append(energy)
             dist_to_center.append(np.hypot(*(pl.positions[0] - 32.0)))

@@ -11,7 +11,7 @@ import re
 import numpy as np
 import pytest
 
-from macroplace.clustering import cluster_std_cells
+from macroplace.clustering import base_placement, cluster_std_cells
 from macroplace.errors import EvaluationError
 from macroplace.grid import Grid
 from macroplace.metrics import congestion_map, rasterize_area
@@ -27,7 +27,11 @@ from macroplace.netlist import (
     hpwl,
 )
 from macroplace.placer import movable_cluster_mask
-from macroplace.placer.density import density_energy_and_grad, solve_density_field
+from macroplace.placer.density import (
+    density_energy_and_grad,
+    density_grid,
+    solve_density_field,
+)
 from macroplace.placer.force_directed import _fd_system
 from macroplace.placer.wirelength import smooth_wl_and_grad
 
@@ -126,9 +130,41 @@ class TestRasterizer:
         for bins in (4, 8, 32):
             nl, pl = edge_case_design(rng)
             pl.placed[9] = False
-            field = solve_density_field(nl, pl, bins=bins)
+            everything = np.ones(nl.num_nodes, dtype=bool)
+            field = solve_density_field(nl, pl, density_grid(nl, pl, everything, bins))
             area = rasterize_area_loop(nl, pl, bins, bins, field.bin_w, field.bin_h)
             np.testing.assert_array_equal(field.rho, area * (field.norm_scale / field.bin_area))
+
+    def test_density_charge_fixed_raster_bit_equal(self, rng):
+        """A cluster placement's grid rasterizes the macros once and adds
+        the clusters onto that raster per solve: the field equals the
+        one-pass field (nothing fixed) bit for bit. The designs are large
+        enough that adding the two rasters' sums instead differs."""
+        for bins in (4, 4, 8, 8, 32, 32):
+            nl, pl = edge_case_design(rng, n_nodes=80, n_nets=60)
+            clustered = cluster_std_cells(nl, k=30)
+            pnet = clustered.placement_netlist
+            ppl = base_placement(clustered, pl)
+            movable = movable_cluster_mask(clustered)
+            ppl.positions[movable] = rng.uniform(-5.0, 70.0, size=(movable.sum(), 2))
+            ppl.placed[movable] = True
+            # The order the fixed raster relies on: fixed charge first.
+            fixed = np.flatnonzero(pnet.node_arrays.charge & ppl.placed & ~movable)
+            assert len(fixed) and fixed.max() < np.flatnonzero(movable).min()
+
+            seeded = solve_density_field(pnet, ppl, density_grid(pnet, ppl, movable, bins))
+            everything = np.ones(pnet.num_nodes, dtype=bool)
+            one_pass = solve_density_field(pnet, ppl,
+                                           density_grid(pnet, ppl, everything, bins))
+            np.testing.assert_array_equal(seeded.rho, one_pass.rho)
+            np.testing.assert_array_equal(seeded.psi, one_pass.psi)
+            area = rasterize_area_loop(pnet, ppl, bins, bins, seeded.bin_w, seeded.bin_h)
+            np.testing.assert_array_equal(seeded.rho,
+                                          area * (seeded.norm_scale / seeded.bin_area))
+            _, grad = density_energy_and_grad(seeded, pnet)
+            _, ref = density_energy_and_grad(one_pass, pnet)
+            np.testing.assert_array_equal(grad[movable], ref[movable])
+            assert not grad[~movable].any()
 
     def test_congestion_unplaced_names_net_and_node(self, rng):
         nl, pl = edge_case_design(rng)
@@ -191,8 +227,9 @@ class TestDensityGradient:
         for bins in (4, 8, 32):
             nl, pl = edge_case_design(rng)
             pl.placed[9] = False
-            field = solve_density_field(nl, pl, bins=bins)
-            energy, grad = density_energy_and_grad(field, nl, movable_only)
+            movable = nl.node_arrays.movable if movable_only else np.ones(nl.num_nodes, bool)
+            field = solve_density_field(nl, pl, density_grid(nl, pl, movable, bins))
+            energy, grad = density_energy_and_grad(field, nl)
             ref_energy, ref_grad = density_energy_and_grad_loop(field, nl, pl, movable_only)
             assert energy == ref_energy
             assert_close_to_scale(grad, ref_grad)

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from macroplace.netlist import (
     Node,
     Pin,
     Placement,
+    hpwl,
 )
 from macroplace.placer import PlacerConfig, place_clusters, spread_movable
 
@@ -57,6 +60,23 @@ def clustered_synthetic(seed=5, macros=2, cells=80, nets=100, k=8):
     return clustered, base_placement(clustered, placement)
 
 
+def count_calls(monkeypatch, fn):
+    """Route every `macroplace` module binding of `fn` through a counter;
+    returns the list that grows by one per call."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "macroplace" or name.startswith("macroplace."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
 class TestConfig:
     @pytest.mark.parametrize("iters", [0, -1])
     def test_outer_iterations_below_one_rejected(self, iters):
@@ -66,6 +86,12 @@ class TestConfig:
     def test_unknown_engine_rejected(self):
         with pytest.raises(PlacementError, match="unknown placer engine 'quantum'"):
             PlacerConfig(engine="quantum")
+
+    @pytest.mark.parametrize("engine", ["fd", "analytical"])
+    @pytest.mark.parametrize("bins", [48, 0])
+    def test_bins_not_power_of_two_rejected(self, engine, bins):
+        with pytest.raises(ValueError, match=f"power of two >= 2, got {bins}"):
+            PlacerConfig(engine=engine, bins=bins)
 
 
 class TestForceDirected:
@@ -147,6 +173,43 @@ class TestAnalytical:
             assert np.isfinite(row.wl)
             assert np.isfinite(row.overflow)
             assert row.lam is not None and row.lam > 0
+
+
+class TestTrace:
+    @pytest.mark.parametrize("engine", ["fd", "analytical"])
+    def test_rows_keep_values_when_placement_mutates(self, engine):
+        clustered, fixed = clustered_synthetic(seed=3)
+        pnet = clustered.placement_netlist
+        config = PlacerConfig(engine=engine, max_outer_iters=4, seed=0)
+        placement, trace = place_clusters(clustered, fixed, config)
+        before = placement.copy()
+        placement.positions *= 0.5
+        grid = Grid.empty(config.bins, config.bins, pnet.canvas_width, pnet.canvas_height)
+        assert trace[-1].wl == hpwl(pnet, before) != hpwl(pnet, placement)
+        assert trace[-1].overflow == density_overflow(pnet, before, grid, target_density=1.0)
+
+    def test_force_directed_computes_trace_metrics_on_read(self, monkeypatch):
+        clustered, fixed = clustered_synthetic(seed=3)
+        wl_calls = count_calls(monkeypatch, hpwl)
+        overflow_calls = count_calls(monkeypatch, density_overflow)
+        config = PlacerConfig(engine="fd", max_outer_iters=30, seed=0)
+        _, trace = place_clusters(clustered, fixed, config)
+        assert len(trace) == 30
+        assert (len(wl_calls), len(overflow_calls)) == (0, 0)
+        first = trace[-1].overflow
+        assert trace[-1].overflow == first  # kept, not recomputed
+        assert (len(wl_calls), len(overflow_calls)) == (0, 1)
+
+    def test_analytical_reads_one_overflow_per_outer_iteration(self, monkeypatch):
+        clustered, fixed = clustered_synthetic(seed=3)
+        wl_calls = count_calls(monkeypatch, hpwl)
+        overflow_calls = count_calls(monkeypatch, density_overflow)
+        config = PlacerConfig(engine="analytical", max_outer_iters=5, seed=0)
+        _, trace = place_clusters(clustered, fixed, config)
+        assert len(overflow_calls) == len(trace) > 0
+        assert len(wl_calls) == 0
+        [row.overflow for row in trace]
+        assert len(overflow_calls) == len(trace)
 
 
 class TestEngineContract:

@@ -29,10 +29,6 @@ class DesignError(MacroplaceError):
     """Design-level editing or generation failure (e.g. infeasible areas)."""
 
 
-class ConfigError(MacroplaceError):
-    """Bad run configuration: unknown key, missing path, invalid value."""
-
-
 class BudgetError(MacroplaceError):
     """An exhaustive computation would exceed its budget guard."""
 

@@ -22,8 +22,9 @@ An engine iteration computes only what the next iteration needs. Its trace
 row keeps a copy of the placement and computes HPWL and overflow when first
 read, so an unread trace costs one copy per iteration; the analytical
 engine reads the overflow for its stop rule. What the movable nodes cannot
-change (their in-canvas bounds, and the analytical engine's fixed charge)
-is computed once per placement.
+change (their in-canvas bounds, the fixed charge both engines rasterize
+onto, and the force-directed engine's eigendecomposition) is computed once
+per placement.
 """
 
 from __future__ import annotations

@@ -16,7 +16,8 @@ What the movable nodes cannot change is computed once per placement, in a
 that stay fixed, the total charge area and the Poisson eigenvalue
 denominators. Each solve rasterizes only the grid's movable ids through
 `raster.cover`, the rasterizer the density metrics use, and adds their
-entries onto a copy of the fixed raster in entry order. That equals one
+entries onto a copy of the fixed raster in entry order (`charge_raster`,
+which the force-directed engine's spreading pass shares). That equals one
 in-order pass over all charge-carrying nodes bit for bit when every fixed
 id precedes every movable id, which `cluster_std_cells` guarantees for
 cluster placement (macros and terminals first, then the clusters). A grid
@@ -100,6 +101,22 @@ class DensityField:
         return self.bin_w * self.bin_h
 
 
+def charge_raster(netlist: Netlist, placement: Placement, grid: DensityGrid):
+    """(area, boxes, entries): the placed charge-carrying area per bin, with
+    the footprints and overlap entries of the grid's movable ids.
+
+    The movable ids' entries are added onto a copy of the grid's fixed
+    raster in entry order; only those ids are read from `placement`.
+    """
+    bins = grid.bins
+    boxes = node_boxes(netlist, placement, grid.ids)
+    entries = cover(*boxes, grid.bin_w, grid.bin_h, bins, bins)
+    area = grid.fixed_area.copy()
+    # In entry order onto the fixed raster (np.add.at is unbuffered).
+    np.add.at(area.reshape(-1), entries.row * bins + entries.col, entries.wy * entries.wx)
+    return area, boxes, entries
+
+
 def solve_density_field(netlist: Netlist, placement: Placement,
                         grid: DensityGrid) -> DensityField:
     """Rasterize charge and solve for the potential.
@@ -110,13 +127,7 @@ def solve_density_field(netlist: Netlist, placement: Placement,
     charge-carrying (movable-kind) area; its mean then matches the design's
     utilization, which the benchmark edit rounds up into target_density.
     """
-    bins = grid.bins
-    boxes = node_boxes(netlist, placement, grid.ids)
-    entries = cover(*boxes, grid.bin_w, grid.bin_h, bins, bins)
-    area = grid.fixed_area.copy()
-    # In entry order onto the fixed raster (np.add.at is unbuffered).
-    np.add.at(area.reshape(-1), entries.row * bins + entries.col, entries.wy * entries.wx)
-
+    area, boxes, entries = charge_raster(netlist, placement, grid)
     raster_total = area.sum()
     scale = grid.charge_area / raster_total if raster_total > 0 else 1.0
     rho = area * (scale / (grid.bin_w * grid.bin_h))
@@ -147,18 +158,6 @@ def solve_poisson(rho: np.ndarray, denom: np.ndarray) -> np.ndarray:
     psi_hat = -src_hat / denom
     psi_hat[0, 0] = 0.0
     return idctn(psi_hat, type=2, norm="ortho")
-
-
-def poisson_residual(field: DensityField) -> float:
-    """Max-norm residual of the discrete Poisson relation the solver targets."""
-    psi = field.psi
-    up = np.vstack([psi[:1], psi[:-1]])
-    dn = np.vstack([psi[1:], psi[-1:]])
-    lf = np.hstack([psi[:, :1], psi[:, :-1]])
-    rt = np.hstack([psi[:, 1:], psi[:, -1:]])
-    lap = (lf + rt - 2 * psi) / field.bin_w**2 + (up + dn - 2 * psi) / field.bin_h**2
-    src = field.rho - field.rho.mean()
-    return float(np.abs(lap + src).max())
 
 
 def density_energy_and_grad(field: DensityField, netlist: Netlist):

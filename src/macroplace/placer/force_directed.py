@@ -7,32 +7,57 @@ Spread positions feed back into the next solve as pseudo-anchors whose
 weight ramps up over the iterations, the classic fixed-point trick that
 keeps spreading from being undone.
 
-The linear system is assembled once per placement, with array operations
-over the graph's edges (`_fd_system`); each iteration rewrites only the
-diagonal of its CSR matrix, where the anchor weights enter. The trace rows
-it appends are never read here: their HPWL and overflow cost nothing
-unless a caller reads them.
+Solve. The movable-block Laplacian A (node degrees D on its diagonal,
+edges to fixed nodes included) is assembled once per placement, with array
+operations over the graph's edges (`_fd_system`). Iteration `it` of T adds
+the anchor weights D * t, t = it / T, so its matrix is D^1/2 (M + t I)
+D^1/2 with M = D^-1/2 A D^-1/2 fixed. `_spectrum` eigendecomposes M once,
+M = Q diag(lam) Q^T, and every iteration's solve (`spsolve`) is exact:
+
+    x = D^-1/2 Q ((Q^T D^-1/2 rhs) / (lam + t))
+
+A group of clusters with no path to a fixed node (a lone cluster on no net
+is the smallest) has a zero eigenvalue, so its system is singular at t = 0.
+Such a group is anchored with a weight that does not ramp: D * max(t, 1),
+where an isolated cluster's D counts as 1. It is diagonalised on its own,
+so that its shift never mixes with the anchored clusters' modes.
+
+Spreading. One `DensityGrid` per placement holds the raster of the fixed
+macros; each iteration adds only the clusters onto it through
+`density.charge_raster`, the helper the electrostatic engine's solve uses,
+which gives `rasterize_area`'s raster bit for bit. The blurred overflow's
+gradient is read only at the clusters' bins. The trace rows the engine
+appends are never read here: their HPWL and overflow cost nothing unless a
+caller reads them.
 """
 
 from __future__ import annotations
 
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import spsolve
 
 from ..clustering import ClusteredNetlist
 from ..grid import Grid
-from ..metrics import rasterize_area
 from ..netlist import Placement
+from .density import DensityGrid, charge_raster, density_grid
 
 
 def _blur(a: np.ndarray, passes: int = 2) -> np.ndarray:
-    """Cheap separable 3x3 box blur with edge replication."""
+    """Mean of each bin and its four neighbours, `passes` times, with the
+    edge replicated."""
+    rows, cols = a.shape
+    padded = np.empty((rows + 2, cols + 2))
     out = a
     for _ in range(passes):
-        padded = np.pad(out, 1, mode="edge")
+        # Edge rows and columns replicated; the stencil reads no corner.
+        padded[1:-1, 1:-1] = out
+        padded[0, 1:-1] = out[0]
+        padded[-1, 1:-1] = out[-1]
+        padded[1:-1, 0] = out[:, 0]
+        padded[1:-1, -1] = out[:, -1]
         out = (
             padded[:-2, 1:-1] + padded[2:, 1:-1] + padded[1:-1, :-2]
             + padded[1:-1, 2:] + padded[1:-1, 1:-1]
@@ -40,12 +65,24 @@ def _blur(a: np.ndarray, passes: int = 2) -> np.ndarray:
     return out
 
 
-def _spread_once(pnet, placement, movable_ids, bins):
-    """Displace movables down the blurred overflow gradient."""
-    rows = cols = bins
-    cell_w = pnet.canvas_width / cols
-    cell_h = pnet.canvas_height / rows
-    area = rasterize_area(pnet, placement, rows, cols, cell_w, cell_h)
+def _gradient_at(field: np.ndarray, r: np.ndarray, c: np.ndarray,
+                 cell_h: float, cell_w: float):
+    """`np.gradient(field, cell_h, cell_w)` read at bins (r, c): central
+    differences inside, one-sided ones on the edges."""
+    rows, cols = field.shape
+    r0, r1 = np.maximum(r - 1, 0), np.minimum(r + 1, rows - 1)
+    c0, c1 = np.maximum(c - 1, 0), np.minimum(c + 1, cols - 1)
+    gy = (field[r1, c] - field[r0, c]) / np.where(r1 - r0 == 2, 2.0 * cell_h, cell_h)
+    gx = (field[r, c1] - field[r, c0]) / np.where(c1 - c0 == 2, 2.0 * cell_w, cell_w)
+    return gy, gx
+
+
+def _spread_once(pnet, placement, grid: DensityGrid):
+    """Displace the grid's movable ids down the blurred overflow gradient,
+    in place."""
+    rows = cols = grid.bins
+    cell_w, cell_h = grid.bin_w, grid.bin_h
+    area, _, _ = charge_raster(pnet, placement, grid)
     cell_area = cell_w * cell_h
     # Overlap pressure only (density above 1.0): the design target is not
     # reachable per-bin for solid clusters wider than a bin.
@@ -53,30 +90,30 @@ def _spread_once(pnet, placement, movable_ids, bins):
     if over.max() <= 0:
         return placement
     field = _blur(over, passes=2)
-    gy, gx = np.gradient(field, cell_h, cell_w)
-    x = placement.positions[movable_ids, 0]
-    y = placement.positions[movable_ids, 1]
+    ids = grid.ids
+    x = placement.positions[ids, 0]
+    y = placement.positions[ids, 1]
     c = np.clip(np.trunc(x / cell_w), 0, cols - 1).astype(np.int64)
     r = np.clip(np.trunc(y / cell_h), 0, rows - 1).astype(np.int64)
-    f, fx, fy = field[r, c], gx[r, c], gy[r, c]
+    f = field[r, c]
+    fy, fx = _gradient_at(field, r, c, cell_h, cell_w)
     push = f > 0
     scale = np.minimum(f / max(pnet.target_density, 1e-9), 2.0)
-    out = placement.copy()
-    out.positions[movable_ids, 0] = np.where(
+    placement.positions[ids, 0] = np.where(
         push, x - fx / (np.abs(fx) + 1e-12) * scale * cell_w, x)
-    out.positions[movable_ids, 1] = np.where(
+    placement.positions[ids, 1] = np.where(
         push, y - fy / (np.abs(fy) + 1e-12) * scale * cell_h, y)
-    return out
+    return placement
 
 
 def _fd_system(graph, movable_ids: np.ndarray, positions: np.ndarray):
     """Linear system of the quadratic solve over the movable nodes.
 
-    Returns (A, diag_pos, diag, fixed_rhs): the movable-block Laplacian as
-    canonical CSR with the node degrees on its diagonal, the positions of
-    that diagonal in `A.data`, the degrees, and the (m, 2) pull of the fixed
-    neighbours. Degrees and pulls sum in graph-edge order; edges between two
-    fixed nodes contribute nothing.
+    Returns (A, diag, fixed_rhs, pinned): the movable-block Laplacian as
+    canonical CSR with the node degrees on its diagonal, the degrees, the
+    (m, 2) pull of the fixed neighbours, and which movable nodes have a
+    fixed neighbour. Degrees and pulls sum in graph-edge order; edges
+    between two fixed nodes contribute nothing.
     """
     m = len(movable_ids)
     k = np.arange(m)
@@ -102,8 +139,56 @@ def _fd_system(graph, movable_ids: np.ndarray, positions: np.ndarray):
     A = csr_matrix((np.concatenate([off, off, diag]),
                     (np.concatenate([a, b, k]), np.concatenate([b, a, k]))),
                    shape=(m, m))
-    diag_pos = np.flatnonzero(A.indices == np.repeat(k, np.diff(A.indptr)))
-    return A, diag_pos, diag, fixed_rhs
+    pinned = np.bincount(to, minlength=m) > 0
+    return A, diag, fixed_rhs, pinned
+
+
+class Spectrum(NamedTuple):
+    """The FD system of one placement, diagonalised: at t it is A plus
+    `anchor_weights(t)` on the diagonal, and it equals
+    B^1/2 Q diag(vals + max(t, floor)) Q^T B^1/2 with B = `base`. Q is
+    orthogonal and block-diagonal over the anchored and the other
+    clusters; column k holds a mode of node k's block."""
+    base: np.ndarray  # (m,) anchor-weight scale: the degree, 1 where it is 0
+    floor: np.ndarray  # (m,) 1 on clusters with no path to a fixed node, else 0
+    left: np.ndarray  # (m, m) B^-1/2 Q
+    right: np.ndarray  # (m, m) Q^T B^-1/2
+    vals: np.ndarray  # (m,) eigenvalues of B^-1/2 A B^-1/2, one per column of Q
+
+    def anchor_weights(self, t: float) -> np.ndarray:
+        return self.base * np.maximum(t, self.floor)
+
+
+def _spectrum(A: csr_matrix, diag: np.ndarray, pinned: np.ndarray) -> Spectrum:
+    """Eigendecompose B^-1/2 A B^-1/2 (B = `Spectrum.base`) once, in one
+    block for the clusters a fixed node anchors and one for the rest."""
+    dense = A.toarray()
+    linked = dense != 0.0
+    anchored = pinned
+    while True:  # grow the anchored set by one edge until it stops growing
+        grown = anchored | linked[:, anchored].any(axis=1)
+        if (grown == anchored).all():
+            break
+        anchored = grown
+    floor = np.where(anchored, 0.0, 1.0)
+    base = np.where(diag > 0, diag, 1.0)
+    scale = 1.0 / np.sqrt(base)
+    normalised = scale[:, None] * dense * scale[None, :]
+    left = np.zeros_like(normalised)
+    vals = np.empty(len(base))
+    for nodes in (np.flatnonzero(anchored), np.flatnonzero(~anchored)):
+        block = np.ix_(nodes, nodes)
+        vals[nodes], vecs = np.linalg.eigh(normalised[block])
+        left[block] = scale[nodes, None] * vecs
+    return Spectrum(base, floor, left, np.ascontiguousarray(left.T), vals)
+
+
+def spsolve(spectrum: Spectrum, rhs: np.ndarray, t: float) -> np.ndarray:
+    """Solution x of (A + diag(spectrum.anchor_weights(t))) x = rhs, for an
+    (m, 2) right-hand side. The name is the solve's span in the benchmark's
+    per-layer trace (`placer.force_directed.spsolve`)."""
+    shifted = spectrum.vals + np.maximum(t, spectrum.floor)
+    return spectrum.left @ ((spectrum.right @ rhs) / shifted[:, None])
 
 
 def run_force_directed(clustered: ClusteredNetlist, start: Placement,
@@ -119,35 +204,32 @@ def run_force_directed(clustered: ClusteredNetlist, start: Placement,
         return placement, []
 
     m = len(movable_ids)
-    A, diag_pos, diag, fixed_rhs = _fd_system(clustered.graph, movable_ids,
-                                              placement.positions)
-    isolated = diag == 0.0
-    if isolated.any():
-        names = [pnet.nodes[int(movable_ids[k])].name for k in np.flatnonzero(isolated)]
+    A, diag, fixed_rhs, pinned = _fd_system(clustered.graph, movable_ids,
+                                            placement.positions)
+    spectrum = _spectrum(A, diag, pinned)
+    floating = spectrum.floor > 0
+    if floating.any():
+        names = [pnet.nodes[int(movable_ids[k])].name for k in np.flatnonzero(floating)]
         warnings.warn(
-            f"clusters with no connectivity anchored at canvas center: {names}",
+            f"clusters with no connectivity to a fixed node anchored at canvas center: {names}",
             stacklevel=2,
         )
 
     center = np.array([pnet.canvas_width / 2, pnet.canvas_height / 2])
-    base_strength = np.where(diag > 0, diag, 1.0)  # per-node anchor scale
-
+    grid = density_grid(pnet, placement, movable, config.bins)
     eval_grid = Grid.empty(config.bins, config.bins,
                            pnet.canvas_width, pnet.canvas_height)
     trace = []
     anchors = np.tile(center, (m, 1))
     T = config.max_outer_iters
     for it in range(T):
-        anchor_w = base_strength * (it / T)
-        anchor_w = np.where(isolated, np.maximum(anchor_w, 1.0), anchor_w)
-        rhs = fixed_rhs + anchor_w[:, None] * anchors
-        A.data[diag_pos] = diag + anchor_w
-        sol = spsolve(A, rhs)
+        t = it / T
+        rhs = fixed_rhs + spectrum.anchor_weights(t)[:, None] * anchors
         # In place: the rows of `trace` hold their own copies.
-        placement.positions[movable_ids] = np.atleast_2d(sol)
+        placement.positions[movable_ids] = spsolve(spectrum, rhs, t)
         placement = clamp_in_canvas(placement, bounds)
 
-        placement = _spread_once(pnet, placement, movable_ids, config.bins)
+        placement = _spread_once(pnet, placement, grid)
         placement = clamp_in_canvas(placement, bounds)
         anchors = placement.positions[movable_ids].copy()
         trace.append(TraceRow(iteration=it, lam=None, netlist=pnet,

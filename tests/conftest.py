@@ -63,6 +63,16 @@ def tiny_netlist():
     return Netlist(nodes, nets, 20.0, 20.0, target_density=0.5)
 
 
+def floating_netlist():
+    """A fixed macro on a net with c0, and c1 and c2 on a net of their own:
+    with one cluster per cell, c1 and c2 form a group no fixed node
+    reaches."""
+    nodes = [Node(0, "m0", 1.0, 1.0, KIND_MACRO, False)]
+    nodes += [Node(1 + i, f"c{i}", 1.0, 1.0, KIND_STD, True) for i in range(3)]
+    nets = [Net(0, "n0", (Pin(0), Pin(1)), 1.0), Net(1, "n1", (Pin(2), Pin(3)), 1.0)]
+    return Netlist(nodes, nets, 20.0, 20.0, target_density=1.0)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)

@@ -178,6 +178,18 @@ def laplacian_5pt(psi, dx, dy):
     return out
 
 
+def poisson_residual(field):
+    """Max-norm residual of the discrete Poisson relation the solver targets."""
+    psi = field.psi
+    up = np.vstack([psi[:1], psi[:-1]])
+    dn = np.vstack([psi[1:], psi[-1:]])
+    lf = np.hstack([psi[:, :1], psi[:, :-1]])
+    rt = np.hstack([psi[:, 1:], psi[:, -1:]])
+    lap = (lf + rt - 2 * psi) / field.bin_w**2 + (up + dn - 2 * psi) / field.bin_h**2
+    src = field.rho - field.rho.mean()
+    return float(np.abs(lap + src).max())
+
+
 # --- Loop references -------------------------------------------------------
 # The per-net and per-node loops that the CSR net kernel and the shared
 # rasterizer replaced, kept verbatim. The rasterizer accumulates in the same
@@ -364,3 +376,72 @@ def fd_system_loop(graph, movable_ids, positions, anchor_w):
         shape=(m, m),
     )
     return A, fixed_rhs
+
+
+def fd_anchor_weights_loop(graph, movable_ids, t):
+    """Per-node anchor weights of a force-directed iteration at t: degree * t
+    on clusters a fixed node reaches through the graph; degree (1 if the
+    degree is 0) on the others, whose weight does not ramp."""
+    idx_of = {int(nid): k for k, nid in enumerate(movable_ids)}
+    m = len(movable_ids)
+    degree = [0.0] * m
+    neighbours = [[] for _ in range(m)]
+    reached = [False] * m
+    for i, j, w in zip(graph.edges_i, graph.edges_j, graph.weights):
+        mi, mj = idx_of.get(int(i)), idx_of.get(int(j))
+        for a, b in ((mi, mj), (mj, mi)):
+            if a is None:
+                continue
+            degree[a] += float(w)
+            if b is None:
+                reached[a] = True
+            else:
+                neighbours[a].append(b)
+    stack = [k for k in range(m) if reached[k]]
+    while stack:
+        for b in neighbours[stack.pop()]:
+            if not reached[b]:
+                reached[b] = True
+                stack.append(b)
+    return np.array([degree[k] * t if reached[k] else (degree[k] or 1.0)
+                     for k in range(m)])
+
+
+def blur_reference(a, passes=2):
+    """3x3 cross blur (mean of a bin and its four neighbours) with the edge
+    replicated by `np.pad`."""
+    out = a
+    for _ in range(passes):
+        padded = np.pad(out, 1, mode="edge")
+        out = (
+            padded[:-2, 1:-1] + padded[2:, 1:-1] + padded[1:-1, :-2]
+            + padded[1:-1, 2:] + padded[1:-1, 1:-1]
+        ) / 5.0
+    return out
+
+
+def spread_once_reference(pnet, placement, movable_ids, bins):
+    """The force-directed spreading pass as one full raster, an `np.pad`
+    blur and two full `np.gradient` maps, on a copy of `placement`."""
+    rows = cols = bins
+    cell_w = pnet.canvas_width / cols
+    cell_h = pnet.canvas_height / rows
+    area = rasterize_area_loop(pnet, placement, rows, cols, cell_w, cell_h)
+    over = np.maximum(0.0, area / (cell_w * cell_h) - 1.0)
+    out = placement.copy()
+    if over.max() <= 0:
+        return out
+    field = blur_reference(over, passes=2)
+    gy, gx = np.gradient(field, cell_h, cell_w)
+    x = placement.positions[movable_ids, 0]
+    y = placement.positions[movable_ids, 1]
+    c = np.clip(np.trunc(x / cell_w), 0, cols - 1).astype(np.int64)
+    r = np.clip(np.trunc(y / cell_h), 0, rows - 1).astype(np.int64)
+    f, fx, fy = field[r, c], gx[r, c], gy[r, c]
+    push = f > 0
+    scale = np.minimum(f / max(pnet.target_density, 1e-9), 2.0)
+    out.positions[movable_ids, 0] = np.where(
+        push, x - fx / (np.abs(fx) + 1e-12) * scale * cell_w, x)
+    out.positions[movable_ids, 1] = np.where(
+        push, y - fy / (np.abs(fy) + 1e-12) * scale * cell_h, y)
+    return out

@@ -7,13 +7,12 @@ from macroplace.placer.density import (
     density_energy_and_grad,
     density_grid,
     poisson_denominators,
-    poisson_residual,
     solve_density_field,
     solve_poisson,
 )
 
 from conftest import random_design
-from oracles import laplacian_5pt
+from oracles import laplacian_5pt, poisson_residual
 
 
 def solve(nl, pl, bins):

@@ -1,15 +1,18 @@
 """The CSR net kernel, the shared box rasterizer and the force-directed
-linear system against the loops they replaced (tests/oracles.py).
+linear system, solve and spreading pass against the loops and routines they
+replaced (tests/oracles.py).
 
-The rasterizer accumulates in the loops' order, so raster outputs must be
-bit-equal. The smooth-WL and density-gradient kernels reassociate float
-sums, so they are held to 1e-12 of the reference's scale.
+The rasterizer and the spreading pass compute in the references' order, so
+their outputs must be bit-equal. The smooth-WL and density-gradient kernels
+reassociate float sums, and the spectral solve replaces a sparse LU solve,
+so they are held to 1e-12 of the reference's scale.
 """
 
 import re
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import spsolve as superlu_solve
 
 from macroplace.clustering import base_placement, cluster_std_cells
 from macroplace.errors import EvaluationError
@@ -32,16 +35,27 @@ from macroplace.placer.density import (
     density_grid,
     solve_density_field,
 )
-from macroplace.placer.force_directed import _fd_system
+from macroplace.placer.force_directed import (
+    _blur,
+    _fd_system,
+    _gradient_at,
+    _spectrum,
+    _spread_once,
+    spsolve,
+)
 from macroplace.placer.wirelength import smooth_wl_and_grad
 
+from conftest import floating_netlist
 from oracles import (
+    blur_reference,
     congestion_map_loop,
     density_energy_and_grad_loop,
+    fd_anchor_weights_loop,
     fd_system_loop,
     hpwl_bruteforce,
     rasterize_area_loop,
     smooth_wl_loop,
+    spread_once_reference,
 )
 
 REL = 1e-12
@@ -101,6 +115,22 @@ def edge_case_design(rng, n_nodes=30, n_nets=25):
     return Netlist(nodes, nets, W, H, target_density=0.8), pl
 
 
+def random_cluster_placement(rng, n_nodes=80, n_nets=60, k=30):
+    """A clustered `edge_case_design` with its clusters placed at random,
+    partly off canvas. Asserts the order the fixed raster relies on: fixed
+    charge first."""
+    nl, pl = edge_case_design(rng, n_nodes=n_nodes, n_nets=n_nets)
+    clustered = cluster_std_cells(nl, k=k)
+    pnet = clustered.placement_netlist
+    ppl = base_placement(clustered, pl)
+    movable = movable_cluster_mask(clustered)
+    ppl.positions[movable] = rng.uniform(-5.0, 70.0, size=(movable.sum(), 2))
+    ppl.placed[movable] = True
+    fixed = np.flatnonzero(pnet.node_arrays.charge & ppl.placed & ~movable)
+    assert len(fixed) and fixed.max() < np.flatnonzero(movable).min()
+    return clustered, ppl, movable
+
+
 GRIDS = [(6, 8), (5, 7), (1, 1), (16, 16)]  # (6, 8) has 8x8 bins
 
 
@@ -141,17 +171,8 @@ class TestRasterizer:
         one-pass field (nothing fixed) bit for bit. The designs are large
         enough that adding the two rasters' sums instead differs."""
         for bins in (4, 4, 8, 8, 32, 32):
-            nl, pl = edge_case_design(rng, n_nodes=80, n_nets=60)
-            clustered = cluster_std_cells(nl, k=30)
+            clustered, ppl, movable = random_cluster_placement(rng)
             pnet = clustered.placement_netlist
-            ppl = base_placement(clustered, pl)
-            movable = movable_cluster_mask(clustered)
-            ppl.positions[movable] = rng.uniform(-5.0, 70.0, size=(movable.sum(), 2))
-            ppl.placed[movable] = True
-            # The order the fixed raster relies on: fixed charge first.
-            fixed = np.flatnonzero(pnet.node_arrays.charge & ppl.placed & ~movable)
-            assert len(fixed) and fixed.max() < np.flatnonzero(movable).min()
-
             seeded = solve_density_field(pnet, ppl, density_grid(pnet, ppl, movable, bins))
             everything = np.ones(pnet.num_nodes, dtype=bool)
             one_pass = solve_density_field(pnet, ppl,
@@ -254,20 +275,18 @@ def fd_design():
 
 class TestForceDirectedSystem:
     def check_against_loop(self, clustered, rng):
-        """CSR arrays and right-hand side equal the per-edge dict assembly,
-        with the diagonal rewritten for two anchor weightings."""
+        """CSR arrays and right-hand side equal the per-edge dict assembly
+        with no anchor weights."""
         graph = clustered.graph
         movable_ids = np.flatnonzero(movable_cluster_mask(clustered))
         positions = rng.uniform(0.0, 50.0, size=(graph.num_nodes, 2))
-        A, diag_pos, diag, fixed_rhs = _fd_system(graph, movable_ids, positions)
-        m = len(movable_ids)
-        for anchor_w in (np.zeros(m), rng.uniform(0.0, 3.0, m)):
-            A.data[diag_pos] = diag + anchor_w
-            ref, ref_rhs = fd_system_loop(graph, movable_ids, positions, anchor_w)
-            np.testing.assert_array_equal(A.indptr, ref.indptr)
-            np.testing.assert_array_equal(A.indices, ref.indices)
-            np.testing.assert_array_equal(A.data, ref.data)
-            np.testing.assert_array_equal(fixed_rhs, ref_rhs)
+        A, diag, fixed_rhs, _ = _fd_system(graph, movable_ids, positions)
+        ref, ref_rhs = fd_system_loop(graph, movable_ids, positions,
+                                      np.zeros(len(movable_ids)))
+        np.testing.assert_array_equal(A.indptr, ref.indptr)
+        np.testing.assert_array_equal(A.indices, ref.indices)
+        np.testing.assert_array_equal(A.data, ref.data)
+        np.testing.assert_array_equal(fixed_rhs, ref_rhs)
         return diag
 
     def test_hand_design_bit_equal(self, rng):
@@ -284,3 +303,82 @@ class TestForceDirectedSystem:
         for _ in range(5):
             nl, _ = edge_case_design(rng)
             self.check_against_loop(cluster_std_cells(nl, k=k), rng)
+
+
+class TestForceDirectedSolve:
+    T = 30
+
+    def check_against_superlu(self, clustered, rng):
+        """At every iteration's t, the spectral solve equals SuperLU on the
+        per-edge assembly with the reference anchor weights on its
+        diagonal; returns the clusters with no path to a fixed node."""
+        graph = clustered.graph
+        movable_ids = np.flatnonzero(movable_cluster_mask(clustered))
+        positions = rng.uniform(0.0, 50.0, size=(graph.num_nodes, 2))
+        A, diag, _, pinned = _fd_system(graph, movable_ids, positions)
+        spectrum = _spectrum(A, diag, pinned)
+        anchors = rng.uniform(0.0, 50.0, size=(len(movable_ids), 2))
+        for it in range(self.T):
+            t = it / self.T
+            anchor_w = fd_anchor_weights_loop(graph, movable_ids, t)
+            np.testing.assert_array_equal(spectrum.anchor_weights(t), anchor_w)
+            ref, ref_rhs = fd_system_loop(graph, movable_ids, positions, anchor_w)
+            rhs = ref_rhs + anchor_w[:, None] * anchors
+            expected = superlu_solve(ref.tocsc(), rhs).reshape(rhs.shape)
+            x = spsolve(spectrum, rhs, t)
+            assert np.isfinite(x).all()
+            assert_close_to_scale(x, expected)
+        return np.flatnonzero(fd_anchor_weights_loop(graph, movable_ids, 0.0) > 0)
+
+    def test_hand_design_matches_superlu(self, rng):
+        clustered = cluster_std_cells(fd_design(), k=6)
+        assert len(self.check_against_superlu(clustered, rng)) == 1  # the isolated cluster
+
+    def test_floating_group_matches_superlu(self, rng):
+        """The group's system is singular at t = 0 without its own anchor."""
+        clustered = cluster_std_cells(floating_netlist(), k=3)
+        floating = self.check_against_superlu(clustered, rng)
+        names = [clustered.clusters[k].members for k in floating]
+        assert sorted(names) == [(2,), (3,)]
+
+    @pytest.mark.parametrize("k", [3, 8, 40])
+    def test_random_designs_match_superlu(self, rng, k):
+        for _ in range(5):
+            nl, _ = edge_case_design(rng)
+            self.check_against_superlu(cluster_std_cells(nl, k=k), rng)
+
+
+class TestSpreading:
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 5), (7, 3), (64, 64)])
+    def test_blur_bit_equal_to_pad(self, rng, shape):
+        for _ in range(3):
+            a = rng.uniform(0.0, 3.0, size=shape) * (rng.random(shape) < 0.6)
+            for passes in (1, 2):
+                np.testing.assert_array_equal(_blur(a, passes), blur_reference(a, passes))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 5), (7, 3), (64, 64)])
+    def test_gradient_at_every_bin_bit_equal(self, rng, shape):
+        field = rng.uniform(0.0, 3.0, size=shape)
+        cell_h, cell_w = rng.uniform(0.3, 5.0, size=2)
+        r, c = (a.ravel() for a in np.indices(shape))
+        gy, gx = _gradient_at(field, r, c, cell_h, cell_w)
+        ref_y, ref_x = np.gradient(field, cell_h, cell_w)
+        np.testing.assert_array_equal(gy, ref_y.ravel())
+        np.testing.assert_array_equal(gx, ref_x.ravel())
+
+    @pytest.mark.parametrize("bins", [4, 8, 32, 64])
+    def test_spread_once_bit_equal(self, rng, bins):
+        """On the fixed raster, with the gradient read at the clusters'
+        bins, the pass moves every cluster as the full-raster pass does."""
+        moved = 0
+        for _ in range(4):
+            clustered, ppl, movable = random_cluster_placement(rng)
+            pnet = clustered.placement_netlist
+            ref = spread_once_reference(pnet, ppl, np.flatnonzero(movable), bins)
+            grid = density_grid(pnet, ppl, movable, bins)
+            out = _spread_once(pnet, ppl.copy(), grid)
+            np.testing.assert_array_equal(out.positions, ref.positions)
+            moved += int((out.positions != ppl.positions).any())
+        assert moved  # the push branch ran
+
+

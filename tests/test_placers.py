@@ -1,4 +1,5 @@
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from macroplace.netlist import (
     hpwl,
 )
 from macroplace.placer import PlacerConfig, place_clusters, spread_movable
+
+from conftest import floating_netlist
 
 
 def spring_fixture():
@@ -124,6 +127,27 @@ class TestForceDirected:
                enumerate(clustered.clusters) if c.members == (2,)]
         np.testing.assert_allclose(placement.positions[iso[0]], (10.0, 10.0),
                                    atol=1e-6)
+
+    def test_group_without_fixed_neighbour_anchored_with_warning(self):
+        """c1 and c2 share a net and reach no fixed node: the first solve
+        used to be singular and the placement non-finite."""
+        clustered = cluster_std_cells(floating_netlist(), k=3)
+        fixed = Placement.empty(clustered.placement_netlist.num_nodes)
+        fixed.positions[0] = (2.0, 2.0)
+        fixed.placed[0] = True
+        config = PlacerConfig(engine="fd", max_outer_iters=5, seed=0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            placement, trace = place_clusters(
+                clustered, base_placement(clustered, fixed), config)
+        pnet = clustered.placement_netlist
+        group = [pnet.nodes[clustered.cluster_to_placement[ci]].name
+                 for ci, c in enumerate(clustered.clusters) if c.members in ((2,), (3,))]
+        messages = [str(w.message) for w in caught if "no connectivity" in str(w.message)]
+        assert len(messages) == 1
+        assert messages[0].endswith(f"{group}")
+        assert np.isfinite(placement.positions).all()
+        assert all(np.isfinite(row.wl) and np.isfinite(row.overflow) for row in trace)
 
     def test_deterministic(self):
         clustered, fixed = clustered_synthetic()

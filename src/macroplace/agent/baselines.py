@@ -35,6 +35,8 @@ def baseline_random(env: MacroPlacementEnv, episodes: int,
                     seed: int = 0) -> BaselineResult:
     """Best of N uniform masked rollouts. Episode i draws from a seed
     derived from (seed, i), so prefixes are nested across budgets."""
+    if episodes < 1:
+        raise ValueError(f"episodes must be >= 1, got {episodes}")
     best = None
     rewards = []
     for i in range(episodes):

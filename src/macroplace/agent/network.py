@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from ..clustering import AdjacencyGraph
 from ..env import MacroPlacementEnv, Observation
 from .features import FEATURE_VERSION, NUM_FEATURES, fill_dynamic, static_features
 
@@ -34,17 +33,11 @@ class PolicyParams:
     arrays: dict
     rounds: int
     embed_dim: int
-    scorer_hidden: int
-    value_hidden: int
-    grid_rows: int
-    grid_cols: int
     feature_version: int = FEATURE_VERSION
 
     def copy(self) -> "PolicyParams":
         return PolicyParams({k: v.copy() for k, v in self.arrays.items()},
-                            self.rounds, self.embed_dim, self.scorer_hidden,
-                            self.value_hidden, self.grid_rows, self.grid_cols,
-                            self.feature_version)
+                            self.rounds, self.embed_dim, self.feature_version)
 
     def to_vector(self) -> np.ndarray:
         return np.concatenate([self.arrays[k].ravel() for k in sorted(self.arrays)])
@@ -59,12 +52,10 @@ class PolicyParams:
         return out
 
 
-def init_params(rng: np.random.Generator, grid_rows: int, grid_cols: int,
-                rounds: int = 2, embed_dim: int = 16,
-                scorer_hidden: int | None = None,
-                value_hidden: int | None = None) -> PolicyParams:
-    scorer_hidden = scorer_hidden or embed_dim
-    value_hidden = value_hidden or embed_dim
+def init_params(rng: np.random.Generator, rounds: int = 2,
+                embed_dim: int = 16) -> PolicyParams:
+    """Xavier-uniform weights and zero biases; the scorer and value hidden
+    layers are `embed_dim` wide. The per-cell scorer fits any grid size."""
 
     def xavier(out_dim, in_dim):
         limit = np.sqrt(6.0 / (in_dim + out_dim))
@@ -78,17 +69,15 @@ def init_params(rng: np.random.Generator, grid_rows: int, grid_cols: int,
         arrays[f"emb_bias_{r}"] = np.zeros(embed_dim)
     arrays["trunk_w"] = xavier(embed_dim, 2 * embed_dim)
     arrays["trunk_b"] = np.zeros(embed_dim)
-    arrays["score_w1"] = xavier(scorer_hidden, embed_dim + CELL_EXTRA)
-    arrays["score_b1"] = np.zeros(scorer_hidden)
-    arrays["score_w2"] = xavier(1, scorer_hidden)
+    arrays["score_w1"] = xavier(embed_dim, embed_dim + CELL_EXTRA)
+    arrays["score_b1"] = np.zeros(embed_dim)
+    arrays["score_w2"] = xavier(1, embed_dim)
     arrays["score_b2"] = np.zeros(1)
-    arrays["value_w1"] = xavier(value_hidden, embed_dim + 2)
-    arrays["value_b1"] = np.zeros(value_hidden)
-    arrays["value_w2"] = xavier(1, value_hidden)
+    arrays["value_w1"] = xavier(embed_dim, embed_dim + 2)
+    arrays["value_b1"] = np.zeros(embed_dim)
+    arrays["value_w2"] = xavier(1, embed_dim)
     arrays["value_b2"] = np.zeros(1)
-    return PolicyParams(arrays=arrays, rounds=rounds, embed_dim=embed_dim,
-                        scorer_hidden=scorer_hidden, value_hidden=value_hidden,
-                        grid_rows=grid_rows, grid_cols=grid_cols)
+    return PolicyParams(arrays=arrays, rounds=rounds, embed_dim=embed_dim)
 
 
 def save_params(params: PolicyParams, path) -> None:
@@ -96,10 +85,6 @@ def save_params(params: PolicyParams, path) -> None:
         "format": CHECKPOINT_FORMAT,
         "rounds": params.rounds,
         "embed_dim": params.embed_dim,
-        "scorer_hidden": params.scorer_hidden,
-        "value_hidden": params.value_hidden,
-        "grid_rows": params.grid_rows,
-        "grid_cols": params.grid_cols,
         "feature_version": params.feature_version,
     }
     np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
@@ -111,12 +96,12 @@ def load_params(path) -> PolicyParams:
     meta = json.loads(bytes(data["__meta__"]).decode())
     if meta.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a policy checkpoint: {path}")
+    if meta.get("feature_version") != FEATURE_VERSION:
+        raise ValueError(f"checkpoint {path} has feature version "
+                         f"{meta.get('feature_version')}, this build reads {FEATURE_VERSION}")
     arrays = {k: data[k] for k in data.files if k != "__meta__"}
     return PolicyParams(arrays=arrays, rounds=meta["rounds"],
                         embed_dim=meta["embed_dim"],
-                        scorer_hidden=meta["scorer_hidden"],
-                        value_hidden=meta["value_hidden"],
-                        grid_rows=meta["grid_rows"], grid_cols=meta["grid_cols"],
                         feature_version=meta["feature_version"])
 
 
@@ -124,11 +109,9 @@ class DesignContext:
     """Per-design precomputation shared by every episode: graph propagation
     matrix, static features, and cell coordinate channels."""
 
-    def __init__(self, env: MacroPlacementEnv, graph: AdjacencyGraph | None = None):
-        self.env = env
+    def __init__(self, env: MacroPlacementEnv):
         self.pnet = env.pnet
-        graph = graph or env.clustered.graph
-        self.graph = graph
+        graph = env.clustered.graph
         indptr, indices, weights, strength = graph.neighbor_csr
         norm = np.where(strength > 0, strength, 1.0)
         # row-normalized adjacency: (P h)_i = weighted mean of neighbors of i

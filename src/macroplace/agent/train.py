@@ -46,6 +46,11 @@ class TrainConfig:
     embed_dim: int = 16
     seed: int = 0
 
+    def __post_init__(self):
+        if self.episodes_per_update < 1:
+            raise ValueError(
+                f"episodes_per_update must be >= 1, got {self.episodes_per_update}")
+
 
 @dataclass
 class CurvePoint:
@@ -126,12 +131,10 @@ def train(envs, train_config: TrainConfig = TrainConfig(),
         envs = [envs]
     if not envs:
         raise ValueError("need at least one environment")
-    cfg0 = envs[0].config
     ctxs = [DesignContext(env) for env in envs]
     rng = np.random.default_rng(train_config.seed)
     if params is None:
-        params = init_params(rng, cfg0.grid_rows, cfg0.grid_cols,
-                             rounds=train_config.rounds,
+        params = init_params(rng, rounds=train_config.rounds,
                              embed_dim=train_config.embed_dim)
     adam = AdamState(params)
     curve: list[CurvePoint] = []

@@ -196,12 +196,12 @@ def infer_row_height(nodes):
     return Counter(heights).most_common(1)[0][0]
 
 
-def parse_bookshelf(path, macro_threshold: float = DEFAULT_MACRO_THRESHOLD) -> DesignBundle:
+def parse_bookshelf(path) -> DesignBundle:
     """Parse a Bookshelf file set into a DesignBundle.
 
     `path` may be a directory containing one design, an .aux file, or any
     of the member files. Node kinds: ``terminal`` tag wins; otherwise a node
-    is a macro when min(width, height) >= macro_threshold * row height.
+    is a macro when min(width, height) >= DEFAULT_MACRO_THRESHOLD * row height.
     """
     files = _resolve_paths(path)
     for key in ("nodes", "nets", "pl"):
@@ -246,7 +246,7 @@ def parse_bookshelf(path, macro_threshold: float = DEFAULT_MACRO_THRESHOLD) -> D
                 heights = [sizes[n][1] for n in order if not terminal_tag[n]]
                 rh = Counter(round(v, 9) for v in heights).most_common(1)[0][0]
                 row_height = rh
-            kind = KIND_MACRO if min(w, h) >= macro_threshold * rh else KIND_STD
+            kind = KIND_MACRO if min(w, h) >= DEFAULT_MACRO_THRESHOLD * rh else KIND_STD
             movable = not (i in pl and pl[i][2])
         nodes.append(Node(id=i, name=name, width=w, height=h, kind=kind, movable=movable))
 

@@ -5,6 +5,10 @@ heavy-edge coarsening: repeatedly merge the pair of groups with the largest
 connectivity-per-combined-area score. Macros and terminals pass through
 unchanged; nets are rewired with one zero-offset pin per touched cluster,
 and nets falling entirely inside one cluster are dropped.
+
+The rewired nets expand into one clique-model graph per design
+(`ClusteredNetlist.graph`), which the force-directed engine solves over and
+the policy network propagates along.
 """
 
 from __future__ import annotations
@@ -239,39 +243,24 @@ def base_placement(clustered: ClusteredNetlist, placement: Placement) -> Placeme
     return out
 
 
-def expand_to_graph(clustered: ClusteredNetlist, model: str = "clique") -> AdjacencyGraph:
-    """Expand rewired hyperedges into a weighted graph.
-
-    clique: w/(p-1) between every pin pair of a p-pin net. star: every pin
-    node connects to the net's highest-degree pin node with weight w (no
-    extra node is introduced). Parallel edges merge by weight summation.
-    """
+def expand_to_graph(clustered: ClusteredNetlist) -> AdjacencyGraph:
+    """Expand rewired hyperedges into a weighted clique-model graph: w/(p-1)
+    between every pin pair of a p-pin net. Parallel edges merge by weight
+    summation."""
     netlist = clustered.placement_netlist
-    if model not in ("clique", "star"):
-        raise ValueError(f"unknown graph model '{model}'")
     acc: dict[tuple[int, int], float] = {}
-
-    def add(a: int, b: int, w: float) -> None:
-        if a == b:
-            return
-        key = (a, b) if a < b else (b, a)
-        acc[key] = acc.get(key, 0.0) + w
-
-    degrees = netlist.node_degrees
     for net in netlist.nets:
         p = len(net.pins)
         if p < 2:
             continue
-        if model == "clique":
-            w = net.weight / (p - 1)
-            for i in range(p):
-                for j in range(i + 1, p):
-                    add(net.pins[i].node, net.pins[j].node, w)
-        else:
-            nodes = [pin.node for pin in net.pins]
-            hub = max(nodes, key=lambda nid: (degrees[nid], -nid))
-            for nid in nodes:
-                add(hub, nid, net.weight)
+        w = net.weight / (p - 1)
+        for i in range(p):
+            for j in range(i + 1, p):
+                a, b = net.pins[i].node, net.pins[j].node
+                if a == b:
+                    continue
+                key = (a, b) if a < b else (b, a)
+                acc[key] = acc.get(key, 0.0) + w
 
     if acc:
         keys = sorted(acc)

@@ -24,6 +24,7 @@ from .netlist import (
 SYNTHETIC_FILL = 0.5
 MACRO_AREA_RANGE = (10.0, 100.0)
 MEAN_MACRO_AREA_FACTOR = 0.5 * (MACRO_AREA_RANGE[0] + MACRO_AREA_RANGE[1])
+DENSITY_STEP = 0.05  # target densities are rounded up to multiples of this
 
 
 @dataclass
@@ -47,24 +48,20 @@ class SyntheticSpec:
     canvas_height: float = 100.0
 
 
-def round_up_density(ratio: float, step: float = 0.05) -> float:
-    """Round a utilization ratio up to the next multiple of `step`, capped at 1."""
+def round_up_density(ratio: float) -> float:
+    """Round a utilization ratio up to the next multiple of DENSITY_STEP,
+    capped at 1."""
     if ratio <= 0:
-        return step
-    return min(1.0, math.ceil(ratio / step - 1e-12) * step)
+        return DENSITY_STEP
+    return min(1.0, math.ceil(ratio / DENSITY_STEP - 1e-12) * DENSITY_STEP)
 
 
-def edit_for_movable_macros(bundle: DesignBundle, fix_orientation: bool = True) -> DesignBundle:
+def edit_for_movable_macros(bundle: DesignBundle) -> DesignBundle:
     """Make every macro movable and recompute the target density.
 
     Blockage and region constraints are not carried by the Bookshelf subset,
-    so dropping them is a no-op here. Orientations are always kept fixed;
-    passing fix_orientation=False is rejected because orientation
-    optimization is unsupported.
+    so dropping them is a no-op here. Orientations are kept fixed.
     """
-    if not fix_orientation:
-        raise DesignError("macro orientation optimization is not supported; "
-                          "orientations are always fixed")
     netlist = bundle.netlist
     for node in netlist.nodes:
         if node.kind == KIND_MACRO and (

@@ -8,9 +8,9 @@ descending area order, ties by id (Mirhoseini et al.). States are values:
 `step` returns a new EnvState and never mutates its input, so concurrent
 rollouts can share one environment object. A state carries the feasibility
 mask of the macro it places next, computed once when `reset` or `step` makes
-it: `step` checks legality against it and `observation` hands it out. The
-`use_mask=False` ablation exposes the in-canvas-only mask instead and
-detects dead ends on that.
+it: `step` checks legality against it and `observation` hands it out. As in
+Mirhoseini et al., the mask is always applied: an action outside it is a
+contract violation, not a move.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ class EnvConfig:
     weights: RewardWeights = field(default_factory=RewardWeights)
     capacity_h: float = DEFAULT_CAPACITY
     capacity_v: float = DEFAULT_CAPACITY
-    use_mask: bool = True
 
 
 @dataclass(frozen=True)
@@ -151,19 +150,11 @@ class MacroPlacementEnv:
             mask = feasibility_mask(grid, self.pnet.nodes[self.macro_order[step_index]])
         return EnvState(grid=grid, step_index=step_index, placement=placement, mask=mask)
 
-    def _exposed_mask(self, state: EnvState) -> Mask:
-        if self.config.use_mask:
-            return state.mask
-        # ablation: only the in-canvas constraint is exposed to the agent
-        empty = Grid.empty(state.grid.rows, state.grid.cols,
-                           state.grid.canvas_width, state.grid.canvas_height)
-        return feasibility_mask(empty, self.pnet.nodes[self.current_macro(state)])
-
     def observation(self, state: EnvState) -> Observation:
         return Observation(
             occupancy=state.grid.occupancy.copy(),
             macro_id=self.current_macro(state),
-            mask=self._exposed_mask(state),
+            mask=state.mask,
             positions=state.placement.positions.copy(),
             placed=state.placement.placed.copy(),
             step_index=state.step_index,
@@ -178,17 +169,15 @@ class MacroPlacementEnv:
     def step(self, state: EnvState, action: int) -> tuple[Transition, EnvState]:
         if state.step_index >= self.num_macros:
             raise PlacementError("episode is already done")
-        row, col = divmod(int(action), self.config.grid_cols)
+        action = int(action)
         macro = self.pnet.nodes[self.current_macro(state)]
+        if not 0 <= action < self.num_cells:
+            raise PlacementError(
+                f"action {action} is outside the grid's {self.num_cells} cells")
+        row, col = divmod(action, self.config.grid_cols)
         if not state.mask.feasible[row, col]:
-            if self.config.use_mask:
-                raise PlacementError(
-                    f"action {action} is infeasible for macro '{macro.name}'"
-                )
-            # maskless ablation: collision ends the episode with the penalty
-            transition = Transition(action=int(action), reward=-DEAD_END_PENALTY,
-                                    done=True, dead_end=True)
-            return transition, state
+            raise PlacementError(
+                f"action {action} is infeasible for macro '{macro.name}'")
 
         grid, (x, y) = place_on_grid(state.grid, macro, row, col)
         next_state = self._state(grid, state.step_index + 1,
@@ -196,16 +185,16 @@ class MacroPlacementEnv:
 
         if next_state.mask is None:
             final_placement, metrics = self.finish(next_state.placement)
-            transition = Transition(action=int(action), reward=metrics.reward,
+            transition = Transition(action=action, reward=metrics.reward,
                                     done=True, metrics=metrics,
                                     final_placement=final_placement)
             return transition, next_state
 
-        if not self._exposed_mask(next_state).any:
-            transition = Transition(action=int(action), reward=-DEAD_END_PENALTY,
+        if not next_state.mask.any:
+            transition = Transition(action=action, reward=-DEAD_END_PENALTY,
                                     done=True, dead_end=True)
             return transition, next_state
-        transition = Transition(action=int(action), reward=0.0, done=False)
+        transition = Transition(action=action, reward=0.0, done=False)
         return transition, next_state
 
 

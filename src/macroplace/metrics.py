@@ -121,15 +121,12 @@ def congestion_scores(cmap: CongestionMap, top_fraction: float = 0.1):
 
 
 def rasterize_area(netlist: Netlist, placement: Placement, rows: int, cols: int,
-                   cell_w: float, cell_h: float, include_fixed: bool = True) -> np.ndarray:
+                   cell_w: float, cell_h: float) -> np.ndarray:
     """Area of placed nodes in each cell, split proportionally by overlap.
 
     Terminals are excluded; they carry no placeable area.
     """
-    arrays = netlist.node_arrays
-    keep = arrays.charge & placement.placed
-    if not include_fixed:
-        keep &= arrays.movable
+    keep = netlist.node_arrays.charge & placement.placed
     x0, x1, y0, y1 = node_boxes(netlist, placement, np.flatnonzero(keep))
     entries = cover(x0, x1, y0, y1, cell_w, cell_h, rows, cols)
     return accumulate(entries, entries.wy * entries.wx, rows, cols)

@@ -213,11 +213,11 @@ class ValidationReport:
         return not self.violations
 
 
-def hpwl(netlist: Netlist, placement: Placement, use_pin_offsets: bool = False) -> float:
+def hpwl(netlist: Netlist, placement: Placement) -> float:
     """Total weighted half-perimeter wirelength over all nets.
 
-    Pin position is the owning node's center, plus the pin offset when
-    `use_pin_offsets` is set. Nets with fewer than two pins contribute zero.
+    Pin position is the owning node's center; pin offsets are ignored, as in
+    the rest of the proxy cost. Nets with fewer than two pins contribute zero.
     Raises EvaluationError (naming the node) if a net references an unplaced
     node.
     """
@@ -229,8 +229,6 @@ def hpwl(netlist: Netlist, placement: Placement, use_pin_offsets: bool = False) 
     if not len(csr.starts):
         return 0.0
     pts = placement.positions[csr.node_ids]
-    if use_pin_offsets:
-        pts = pts + csr.offsets
     ext = np.maximum.reduceat(pts, csr.starts) - np.minimum.reduceat(pts, csr.starts)
     per_net = csr.weights * (ext[:, 0] + ext[:, 1])
     # Sequential sum in net order: the exact total a per-net loop gives.

@@ -4,7 +4,8 @@
 spreading; `analytical` runs Nesterov descent on smoothed wirelength plus a
 growing electrostatic density penalty. Both consume the same inputs and
 produce an in-canvas Placement, so the environment swaps engines by config
-alone.
+alone. `spread_movable` is the one run with macros moving too: the
+analytical engine over every node the design marks movable.
 
 `PlacerConfig` is the contract both engines share: which engine runs, its
 outer-iteration budget, the overflow below which the analytical engine
@@ -23,8 +24,8 @@ row keeps a copy of the placement and computes HPWL and overflow when first
 read, so an unread trace costs one copy per iteration; the analytical
 engine reads the overflow for its stop rule. What the movable nodes cannot
 change (their in-canvas bounds, the fixed charge both engines rasterize
-onto, and the force-directed engine's eigendecomposition) is computed once
-per placement.
+onto, and the force-directed engine's dense system and its
+eigendecomposition) is computed once per placement.
 """
 
 from __future__ import annotations
@@ -172,18 +173,17 @@ def place_clusters(clustered: ClusteredNetlist, fixed_placement: Placement,
 
 
 def spread_movable(clustered: ClusteredNetlist, fixed_placement: Placement,
-                   config: PlacerConfig, movable: np.ndarray | None = None):
-    """Analytical run with macros movable too: macro-spreading mode used as
-    the second comparison method (no grid snapping, no masks).
+                   config: PlacerConfig):
+    """Analytical run with every movable node moving, macros included:
+    macro-spreading mode used as the second comparison method (no grid
+    snapping, no masks).
 
     `fixed_placement` must place the terminals; macro and cluster positions
     are ignored and re-seeded at canvas center.
     """
     from .analytical import run_analytical
 
-    pnet = clustered.placement_netlist
-    if movable is None:
-        movable = np.array([n.movable for n in pnet.nodes])
+    movable = clustered.placement_netlist.node_arrays.movable
     cfg = replace(config, engine="analytical")
     start = fixed_placement.copy()
     start.placed[movable] = False

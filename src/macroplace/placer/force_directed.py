@@ -8,11 +8,12 @@ weight ramps up over the iterations, the classic fixed-point trick that
 keeps spreading from being undone.
 
 Solve. The movable-block Laplacian A (node degrees D on its diagonal,
-edges to fixed nodes included) is assembled once per placement, with array
-operations over the graph's edges (`_fd_system`). Iteration `it` of T adds
-the anchor weights D * t, t = it / T, so its matrix is D^1/2 (M + t I)
-D^1/2 with M = D^-1/2 A D^-1/2 fixed. `_spectrum` eigendecomposes M once,
-M = Q diag(lam) Q^T, and every iteration's solve (`spsolve`) is exact:
+edges to fixed nodes included) is filled once per placement as a dense
+matrix, with array operations over the graph's edges (`_fd_system`).
+Iteration `it` of T adds the anchor weights D * t, t = it / T, so its
+matrix is D^1/2 (M + t I) D^1/2 with M = D^-1/2 A D^-1/2 fixed.
+`_spectrum` eigendecomposes M once, M = Q diag(lam) Q^T, and every
+iteration's solve (`spsolve`) is exact:
 
     x = D^-1/2 Q ((Q^T D^-1/2 rhs) / (lam + t))
 
@@ -37,7 +38,6 @@ import warnings
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from ..clustering import ClusteredNetlist
 from ..grid import Grid
@@ -109,11 +109,13 @@ def _spread_once(pnet, placement, grid: DensityGrid):
 def _fd_system(graph, movable_ids: np.ndarray, positions: np.ndarray):
     """Linear system of the quadratic solve over the movable nodes.
 
-    Returns (A, diag, fixed_rhs, pinned): the movable-block Laplacian as
-    canonical CSR with the node degrees on its diagonal, the degrees, the
+    Returns (A, diag, fixed_rhs, pinned): the dense (m, m) movable-block
+    Laplacian with the node degrees on its diagonal, the degrees, the
     (m, 2) pull of the fixed neighbours, and which movable nodes have a
     fixed neighbour. Degrees and pulls sum in graph-edge order; edges
-    between two fixed nodes contribute nothing.
+    between two fixed nodes contribute nothing. The graph has no parallel
+    edges or self-loops, so every off-diagonal entry is one edge's weight,
+    negated.
     """
     m = len(movable_ids)
     k = np.arange(m)
@@ -135,10 +137,10 @@ def _fd_system(graph, movable_ids: np.ndarray, positions: np.ndarray):
                           for axis in (0, 1)], axis=1)
 
     both = (li >= 0) & (lj >= 0)
-    a, b, off = li[both], lj[both], -w[both]
-    A = csr_matrix((np.concatenate([off, off, diag]),
-                    (np.concatenate([a, b, k]), np.concatenate([b, a, k]))),
-                   shape=(m, m))
+    a, b = li[both], lj[both]
+    A = np.zeros((m, m))
+    A[a, b] = A[b, a] = -w[both]
+    A[k, k] = diag
     pinned = np.bincount(to, minlength=m) > 0
     return A, diag, fixed_rhs, pinned
 
@@ -159,11 +161,10 @@ class Spectrum(NamedTuple):
         return self.base * np.maximum(t, self.floor)
 
 
-def _spectrum(A: csr_matrix, diag: np.ndarray, pinned: np.ndarray) -> Spectrum:
+def _spectrum(A: np.ndarray, diag: np.ndarray, pinned: np.ndarray) -> Spectrum:
     """Eigendecompose B^-1/2 A B^-1/2 (B = `Spectrum.base`) once, in one
     block for the clusters a fixed node anchors and one for the rest."""
-    dense = A.toarray()
-    linked = dense != 0.0
+    linked = A != 0.0
     anchored = pinned
     while True:  # grow the anchored set by one edge until it stops growing
         grown = anchored | linked[:, anchored].any(axis=1)
@@ -173,7 +174,7 @@ def _spectrum(A: csr_matrix, diag: np.ndarray, pinned: np.ndarray) -> Spectrum:
     floor = np.where(anchored, 0.0, 1.0)
     base = np.where(diag > 0, diag, 1.0)
     scale = 1.0 / np.sqrt(base)
-    normalised = scale[:, None] * dense * scale[None, :]
+    normalised = scale[:, None] * A * scale[None, :]
     left = np.zeros_like(normalised)
     vals = np.empty(len(base))
     for nodes in (np.flatnonzero(anchored), np.flatnonzero(~anchored)):

@@ -6,9 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from macroplace.agent.features import FEATURE_VERSION
 from macroplace.agent.network import (
     DesignContext,
     forward_step,
+    greedy_policy_from_params,
     init_params,
     load_params,
     policy_from_params,
@@ -17,6 +19,7 @@ from macroplace.agent.network import (
 from macroplace.agent.train import TrainConfig, loss_and_grads, train
 from macroplace.env import EnvConfig, MacroPlacementEnv, rollout
 from macroplace.errors import TrainingError
+from macroplace.grid import Mask
 from macroplace.placer import PlacerConfig
 
 
@@ -27,7 +30,7 @@ def tiny_env(bundle):
 
 def test_forward_step_value_is_float(training_bundle):
     env = tiny_env(training_bundle)
-    params = init_params(np.random.default_rng(0), 6, 6, rounds=1, embed_dim=8)
+    params = init_params(np.random.default_rng(0), rounds=1, embed_dim=8)
     _, obs = env.reset()
     _, logits, value = forward_step(params, DesignContext(env), obs)
     assert type(value) is float and np.isfinite(value)
@@ -36,7 +39,7 @@ def test_forward_step_value_is_float(training_bundle):
 
 def test_one_train_update_completes(training_bundle):
     env = tiny_env(training_bundle)
-    start = init_params(np.random.default_rng(1), 6, 6, rounds=1, embed_dim=8)
+    start = init_params(np.random.default_rng(1), rounds=1, embed_dim=8)
     config = TrainConfig(updates=1, episodes_per_update=2, rounds=1, embed_dim=8, seed=3)
     params, curve = train(env, config, params=start.copy())
     assert len(curve) == 1
@@ -49,7 +52,7 @@ def test_loss_gradients_match_central_differences(training_bundle):
     backward_step) against central differences of the loss."""
     env = tiny_env(training_bundle)
     ctx = DesignContext(env)
-    params = init_params(np.random.default_rng(2), 6, 6, rounds=2, embed_dim=4)
+    params = init_params(np.random.default_rng(2), rounds=2, embed_dim=4)
     policy = policy_from_params(params, ctx)
     batch = [(ctx, rollout(env, policy, seed)) for seed in (0, 1)]
     assert not any(traj.dead_end for _ctx, traj in batch)
@@ -71,8 +74,7 @@ def test_loss_gradients_match_central_differences(training_bundle):
 
 
 def test_checkpoint_round_trip(tmp_path):
-    params = init_params(np.random.default_rng(4), 5, 7, rounds=2, embed_dim=4,
-                         scorer_hidden=3, value_hidden=6)
+    params = init_params(np.random.default_rng(4), rounds=2, embed_dim=4)
     path = tmp_path / "policy.npz"
     save_params(params, path)
     loaded = load_params(path)
@@ -80,6 +82,45 @@ def test_checkpoint_round_trip(tmp_path):
     assert replace(loaded, arrays={}) == replace(params, arrays={})
     assert {k: v.shape for k, v in loaded.arrays.items()} == {
         k: v.shape for k, v in params.arrays.items()}
+
+    # A checkpoint of another feature layout is refused, not misread.
+    stale = tmp_path / "stale.npz"
+    save_params(replace(params, feature_version=FEATURE_VERSION + 1), stale)
+    with pytest.raises(ValueError, match=f"feature version {FEATURE_VERSION + 1}"):
+        load_params(stale)
+
+
+@pytest.mark.parametrize("episodes", [0, -2])
+def test_train_config_rejects_an_empty_batch(episodes):
+    with pytest.raises(ValueError, match=f"episodes_per_update must be >= 1, got {episodes}"):
+        TrainConfig(episodes_per_update=episodes)
+
+
+def test_greedy_policy_is_the_masked_argmax(training_bundle):
+    env = tiny_env(training_bundle)
+    ctx = DesignContext(env)
+    params = init_params(np.random.default_rng(6), rounds=1, embed_dim=8)
+    _, obs = env.reset()
+    _, logits, _ = forward_step(params, ctx, obs)
+    # Close the cell of the largest logit and every other cell in its row.
+    top = int(np.argmax(logits))
+    feasible = np.ones(env.num_cells, dtype=bool)
+    feasible[top - top % 6:top - top % 6 + 6] = False
+    obs = replace(obs, mask=Mask(feasible.reshape(6, 6)))
+
+    probs, value = greedy_policy_from_params(params, ctx)(obs)
+    expected = np.zeros(env.num_cells)
+    expected[np.argmax(np.where(feasible, logits, -np.inf))] = 1.0
+    np.testing.assert_array_equal(probs, expected)
+    assert not probs[~feasible].any()
+    assert value == policy_from_params(params, ctx)(obs)[1]
+
+    # Equal logits everywhere: the lowest feasible index wins.
+    params.arrays["score_w2"][:] = 0.0
+    probs, _ = greedy_policy_from_params(params, ctx)(obs)
+    expected = np.zeros(env.num_cells)
+    expected[np.flatnonzero(feasible)[0]] = 1.0
+    np.testing.assert_array_equal(probs, expected)
 
 
 def test_train_deterministic_per_seed(training_bundle):

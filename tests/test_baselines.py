@@ -58,6 +58,12 @@ def test_random_never_beats_oracle(oracle_env, oracle):
     assert result.best_reward <= oracle.best_reward
 
 
+@pytest.mark.parametrize("episodes", [0, -1])
+def test_random_rejects_an_empty_budget(oracle_env, episodes):
+    with pytest.raises(ValueError, match=f"episodes must be >= 1, got {episodes}"):
+        baseline_random(oracle_env, episodes)
+
+
 def test_sim_anneal_never_beats_oracle_and_replays(oracle_env, oracle):
     result = baseline_sim_anneal(oracle_env, moves=6, seed=0)
     assert result.evaluations > 1

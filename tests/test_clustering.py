@@ -119,7 +119,7 @@ class TestExpandToGraph:
     def test_two_pin_clique(self):
         nl = chain_netlist(2)
         clustered = cluster_std_cells(nl, k=2)
-        g = expand_to_graph(clustered, "clique")
+        g = expand_to_graph(clustered)
         assert len(g.weights) == 1
         assert g.weights[0] == pytest.approx(1.0)
 
@@ -128,14 +128,14 @@ class TestExpandToGraph:
         nets = [Net(0, "n", (Pin(0), Pin(1), Pin(2)), 1.0)]
         nl = Netlist(nodes, nets, 50.0, 50.0)
         clustered = cluster_std_cells(nl, k=3)
-        g = expand_to_graph(clustered, "clique")
+        g = expand_to_graph(clustered)
         assert len(g.weights) == 3
         np.testing.assert_allclose(g.weights, 0.5)
 
     def test_clique_total_weight_closed_form(self, rng):
         nl, _ = random_design(rng, n_nodes=30, n_nets=40)
         clustered = cluster_std_cells(nl, k=nl.num_nodes)  # identity: keep all pins
-        g = expand_to_graph(clustered, "clique")
+        g = expand_to_graph(clustered)
         expected = sum(
             net.weight * len(net.pins) / 2
             for net in clustered.placement_netlist.nets
@@ -143,24 +143,10 @@ class TestExpandToGraph:
         )
         assert g.weights.sum() == pytest.approx(expected, rel=1e-12)
 
-    def test_star_connects_to_highest_degree_pin(self):
-        nodes = [Node(i, f"c{i}", 2.0, 2.0, KIND_STD, True) for i in range(4)]
-        nets = [
-            Net(0, "n0", (Pin(0), Pin(1), Pin(2)), 1.0),
-            Net(1, "n1", (Pin(0), Pin(3)), 2.0),
-        ]
-        nl = Netlist(nodes, nets, 50.0, 50.0)
-        clustered = cluster_std_cells(nl, k=4)
-        g = expand_to_graph(clustered, "star")
-        # node 0 has degree 2 -> hub of both nets
-        edges = {(int(i), int(j)): w for i, j, w in zip(g.edges_i, g.edges_j, g.weights)}
-        assert edges == {(0, 1): 1.0, (0, 2): 1.0, (0, 3): 2.0}
-
     def test_no_self_loops_positive_weights(self, rng):
         nl, _ = random_design(rng, n_nodes=50, n_nets=70)
         clustered = cluster_std_cells(nl, k=6)
-        for model in ("clique", "star"):
-            g = expand_to_graph(clustered, model)
-            assert (g.edges_i != g.edges_j).all()
-            assert (g.weights > 0).all()
-            assert (g.edges_i < g.edges_j).all()
+        g = expand_to_graph(clustered)
+        assert (g.edges_i != g.edges_j).all()
+        assert (g.weights > 0).all()
+        assert (g.edges_i < g.edges_j).all()

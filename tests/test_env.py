@@ -98,7 +98,7 @@ class TestStep:
         assert state2.step_index == 1
 
     @staticmethod
-    def blocking_env(use_mask=True):
+    def blocking_env():
         # 3x3 grid on a 30x30 canvas: the 28x28 macro only fits dead center
         # and covers every cell, leaving nothing for the second macro.
         nodes = [
@@ -109,7 +109,7 @@ class TestStep:
         ]
         nets = [Net(0, "n0", (Pin(0), Pin(1), Pin(2), Pin(3)), 1.0)]
         bundle = bundle_from(nodes, nets, 30.0)
-        config = EnvConfig(grid_rows=3, grid_cols=3, clusters_k=1, use_mask=use_mask,
+        config = EnvConfig(grid_rows=3, grid_cols=3, clusters_k=1,
                            placer=PlacerConfig(engine="fd", max_outer_iters=3,
                                                bins=16, seed=0))
         return MacroPlacementEnv(bundle, config)
@@ -127,19 +127,6 @@ class TestStep:
         brute = mask_bruteforce(state2.grid, env.pnet.nodes[env.macro_order[1]])
         assert not any(brute.values())
 
-    def test_maskless_ablation_exposes_canvas_and_ends_on_collision(self):
-        env = self.blocking_env(use_mask=False)
-        state, obs = env.reset()
-        transition, state = env.step(state, 4)
-        # the grid is full, but the exposed in-canvas mask is not: no dead end
-        assert not transition.done
-        obs = env.observation(state)
-        assert obs.mask.flat().all() and obs.mask.flat().size == 9
-        transition, after = env.step(state, 0)
-        assert transition.done and transition.dead_end
-        assert transition.reward == -2.0
-        assert after is state
-
     def test_infeasible_action_is_contract_violation(self):
         env = small_env(macros=[(14.0, 14.0), (6.0, 6.0)])
         state, obs = env.reset()
@@ -147,6 +134,13 @@ class TestStep:
         assert len(infeasible) > 0
         with pytest.raises(PlacementError, match="infeasible"):
             env.step(state, int(infeasible[0]))
+
+    @pytest.mark.parametrize("action", [-1, 36, 37])
+    def test_out_of_range_action_is_contract_violation(self, action):
+        env = small_env(grid=6)
+        state, _obs = env.reset()
+        with pytest.raises(PlacementError, match=f"action {action} is outside"):
+            env.step(state, action)
 
     def test_reward_zero_until_done(self):
         env = small_env()

@@ -141,10 +141,9 @@ class TestRasterizer:
             nl, pl = edge_case_design(rng)
             pl.placed[[4, 9]] = False
             cell_w, cell_h = CANVAS[0] / cols, CANVAS[1] / rows
-            for include_fixed in (True, False):
-                np.testing.assert_array_equal(
-                    rasterize_area(nl, pl, rows, cols, cell_w, cell_h, include_fixed),
-                    rasterize_area_loop(nl, pl, rows, cols, cell_w, cell_h, include_fixed))
+            np.testing.assert_array_equal(
+                rasterize_area(nl, pl, rows, cols, cell_w, cell_h),
+                rasterize_area_loop(nl, pl, rows, cols, cell_w, cell_h))
 
     @pytest.mark.parametrize("rows,cols", GRIDS)
     def test_congestion_map_bit_equal(self, rng, rows, cols):
@@ -213,8 +212,7 @@ class TestNetKernel:
     def test_hpwl_bit_equal(self, rng):
         for _ in range(5):
             nl, pl = edge_case_design(rng)
-            for offsets in (False, True):
-                assert hpwl(nl, pl, offsets) == hpwl_bruteforce(nl, pl, offsets)
+            assert hpwl(nl, pl) == hpwl_bruteforce(nl, pl)
 
     def test_smooth_wl_matches_loop(self, rng):
         for _ in range(5):
@@ -275,17 +273,15 @@ def fd_design():
 
 class TestForceDirectedSystem:
     def check_against_loop(self, clustered, rng):
-        """CSR arrays and right-hand side equal the per-edge dict assembly
-        with no anchor weights."""
+        """The dense matrix and right-hand side equal the per-edge dict
+        assembly with no anchor weights."""
         graph = clustered.graph
         movable_ids = np.flatnonzero(movable_cluster_mask(clustered))
         positions = rng.uniform(0.0, 50.0, size=(graph.num_nodes, 2))
         A, diag, fixed_rhs, _ = _fd_system(graph, movable_ids, positions)
         ref, ref_rhs = fd_system_loop(graph, movable_ids, positions,
                                       np.zeros(len(movable_ids)))
-        np.testing.assert_array_equal(A.indptr, ref.indptr)
-        np.testing.assert_array_equal(A.indices, ref.indices)
-        np.testing.assert_array_equal(A.data, ref.data)
+        np.testing.assert_array_equal(A, ref.toarray())
         np.testing.assert_array_equal(fixed_rhs, ref_rhs)
         return diag
 

@@ -48,10 +48,7 @@ class TestHpwl:
     def test_matches_bruteforce(self, rng):
         for _ in range(20):
             nl, pl = random_design(rng, n_nodes=20, n_nets=15, with_offsets=True)
-            for offsets in (False, True):
-                assert hpwl(nl, pl, use_pin_offsets=offsets) == pytest.approx(
-                    hpwl_bruteforce(nl, pl, use_pin_offsets=offsets), rel=1e-12
-                )
+            assert hpwl(nl, pl) == pytest.approx(hpwl_bruteforce(nl, pl), rel=1e-12)
 
     def test_unplaced_node_named_in_error(self):
         nl = tiny_netlist()
@@ -76,9 +73,7 @@ class TestHpwl:
         ]
         nl_zero = Netlist(nl.nodes, zeroed_nets, nl.canvas_width, nl.canvas_height,
                           nl.target_density)
-        assert hpwl(nl, pl, use_pin_offsets=False) == hpwl(
-            nl_zero, pl, use_pin_offsets=True
-        )
+        assert hpwl(nl, pl) == hpwl(nl_zero, pl)
 
     def test_translation_invariance(self, rng):
         nl, pl = random_design(rng, canvas=(1000.0, 1000.0))

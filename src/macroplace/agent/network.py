@@ -30,14 +30,21 @@ CELL_EXTRA = PATCH + 2  # patch + normalized (row, col)
 
 @dataclass
 class PolicyParams:
+    """Network weights by name; the round count and layer width are read
+    from their keys and shapes."""
+
     arrays: dict
-    rounds: int
-    embed_dim: int
-    feature_version: int = FEATURE_VERSION
+
+    @property
+    def rounds(self) -> int:
+        return sum(1 for k in self.arrays if k.startswith("emb_self_"))
+
+    @property
+    def embed_dim(self) -> int:
+        return len(self.arrays["trunk_b"])
 
     def copy(self) -> "PolicyParams":
-        return PolicyParams({k: v.copy() for k, v in self.arrays.items()},
-                            self.rounds, self.embed_dim, self.feature_version)
+        return PolicyParams({k: v.copy() for k, v in self.arrays.items()})
 
     def to_vector(self) -> np.ndarray:
         return np.concatenate([self.arrays[k].ravel() for k in sorted(self.arrays)])
@@ -77,16 +84,11 @@ def init_params(rng: np.random.Generator, rounds: int = 2,
     arrays["value_b1"] = np.zeros(embed_dim)
     arrays["value_w2"] = xavier(1, embed_dim)
     arrays["value_b2"] = np.zeros(1)
-    return PolicyParams(arrays=arrays, rounds=rounds, embed_dim=embed_dim)
+    return PolicyParams(arrays)
 
 
 def save_params(params: PolicyParams, path) -> None:
-    meta = {
-        "format": CHECKPOINT_FORMAT,
-        "rounds": params.rounds,
-        "embed_dim": params.embed_dim,
-        "feature_version": params.feature_version,
-    }
+    meta = {"format": CHECKPOINT_FORMAT, "feature_version": FEATURE_VERSION}
     np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
              **params.arrays)
 
@@ -99,10 +101,7 @@ def load_params(path) -> PolicyParams:
     if meta.get("feature_version") != FEATURE_VERSION:
         raise ValueError(f"checkpoint {path} has feature version "
                          f"{meta.get('feature_version')}, this build reads {FEATURE_VERSION}")
-    arrays = {k: data[k] for k in data.files if k != "__meta__"}
-    return PolicyParams(arrays=arrays, rounds=meta["rounds"],
-                        embed_dim=meta["embed_dim"],
-                        feature_version=meta["feature_version"])
+    return PolicyParams({k: data[k] for k in data.files if k != "__meta__"})
 
 
 class DesignContext:

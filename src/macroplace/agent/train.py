@@ -47,9 +47,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.episodes_per_update < 1:
-            raise ValueError(
-                f"episodes_per_update must be >= 1, got {self.episodes_per_update}")
+        for name in ("episodes_per_update", "rounds", "embed_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass

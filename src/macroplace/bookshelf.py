@@ -5,6 +5,11 @@ tag in .nodes, net degrees with pin offsets measured from the node center
 in .nets, lower-left node corners plus ``/FIXED`` flags in .pl, and core
 rows in .scl. Coordinates are shifted on read so the canvas origin is
 (0, 0); the shift is recorded in the bundle metadata and undone on write.
+
+NumNodes, NumNets, NumPins and each NetDegree must match the lines that
+follow; a malformed file raises ParseError with its path and line. Without
+.scl rows the row height is `infer_row_height`, as on write. The target
+density is `round_up_density` of the movable area (1.0 if none).
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 
-from .design import DesignBundle
+from .design import DesignBundle, round_up_density
 from .errors import ParseError
 from .netlist import (
     KIND_MACRO,
@@ -36,6 +41,24 @@ def _content_lines(path):
             if not line or line.startswith("#") or line.startswith("UCLA"):
                 continue
             yield lineno, line
+
+
+def _count(text, what, path, lineno):
+    """A nonnegative integer field, or ParseError naming `what`."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise ParseError(f"bad {what}: '{text.strip()}'", path=path, line=lineno)
+    return value
+
+
+def _check_declared(declared, parsed, path):
+    """ParseError where a declared total (NumNodes, ...) differs from the parsed one."""
+    for key, count in parsed.items():
+        if declared.get(key, count) != count:
+            raise ParseError(f"{key} {declared[key]} != {count} parsed", path=path)
 
 
 def _resolve_paths(path):
@@ -73,9 +96,9 @@ def _parse_nodes(path):
     sizes = {}
     terminal = {}
     for lineno, line in _content_lines(path):
-        if line.startswith("NumNodes") or line.startswith("NumTerminals"):
+        if line.startswith(("NumNodes", "NumTerminals")):
             key, _, val = line.partition(":")
-            declared[key.strip()] = int(val)
+            declared[key.strip()] = _count(val, key.strip(), path, lineno)
             continue
         parts = line.split()
         if len(parts) < 3:
@@ -90,45 +113,45 @@ def _parse_nodes(path):
         sizes[name] = (w, h)
         terminal[name] = len(parts) > 3 and parts[3].lower().startswith("terminal")
         order.append(name)
-    if "NumNodes" in declared and declared["NumNodes"] != len(order):
-        raise ParseError(
-            f"NumNodes {declared['NumNodes']} != {len(order)} node lines parsed", path=path
-        )
+    _check_declared(declared, {"NumNodes": len(order)}, path)
     return order, sizes, terminal
 
 
 def _parse_nets(path, name_to_id):
-    nets = []
-    current = None  # [name, remaining_degree, pins]
+    declared = {}
+    nets = []  # (name, declared degree, NetDegree line, pins)
     for lineno, line in _content_lines(path):
-        if line.startswith("NumNets") or line.startswith("NumPins"):
+        if line.startswith(("NumNets", "NumPins")):
+            key, _, val = line.partition(":")
+            declared[key.strip()] = _count(val, key.strip(), path, lineno)
             continue
         if line.startswith("NetDegree"):
-            if current is not None and current[1] > 0:
-                raise ParseError(
-                    f"net '{current[0]}' missing {current[1]} pin lines", path=path, line=lineno
-                )
-            head, _, rest = line.partition(":")
-            parts = rest.split()
+            parts = line.partition(":")[2].split()
             if not parts:
                 raise ParseError("NetDegree without a degree", path=path, line=lineno)
-            degree = int(parts[0])
             name = parts[1] if len(parts) > 1 else f"net{len(nets)}"
-            current = [name, degree, []]
-            nets.append(current)
+            nets.append((name, _count(parts[0], "net degree", path, lineno), lineno, []))
             continue
-        if current is None:
+        if not nets:
             raise ParseError(f"pin line outside a net: '{line}'", path=path, line=lineno)
         parts = line.replace(":", " ").split()
         node_name = parts[0]
         if node_name not in name_to_id:
-            raise ParseError(f"unknown node name '{node_name}' in net '{current[0]}'",
+            raise ParseError(f"unknown node name '{node_name}' in net '{nets[-1][0]}'",
                              path=path, line=lineno)
-        ox = float(parts[2]) if len(parts) > 2 else 0.0
-        oy = float(parts[3]) if len(parts) > 3 else 0.0
-        current[2].append(Pin(node=name_to_id[node_name], offset_x=ox, offset_y=oy))
-        current[1] -= 1
-    return [(name, pins) for name, _remaining, pins in nets]
+        try:
+            ox = float(parts[2]) if len(parts) > 2 else 0.0
+            oy = float(parts[3]) if len(parts) > 3 else 0.0
+        except ValueError:
+            raise ParseError(f"bad pin offset: '{line}'", path=path, line=lineno) from None
+        nets[-1][3].append(Pin(node=name_to_id[node_name], offset_x=ox, offset_y=oy))
+    for name, degree, lineno, pins in nets:
+        if len(pins) != degree:
+            raise ParseError(f"net '{name}' declares {degree} pins but has {len(pins)} "
+                             "pin lines", path=path, line=lineno)
+    _check_declared(declared, {"NumNets": len(nets),
+                               "NumPins": sum(len(net[3]) for net in nets)}, path)
+    return [(name, pins) for name, _degree, _lineno, pins in nets]
 
 
 def _parse_pl(path, name_to_id):
@@ -154,33 +177,29 @@ def _parse_scl(path):
     """Returns (rows, row_height) where rows are (x0, y0, width, height)."""
     rows = []
     fields = None
-    with open(path, "r") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#") or line.startswith("UCLA"):
-                continue
-            if line.startswith("CoreRow"):
-                fields = {}
-                continue
-            if line.startswith("End"):
-                if fields is not None and "Coordinate" in fields:
-                    height = fields.get("Height", 0.0)
-                    pitch = fields.get("Sitespacing", fields.get("Sitewidth", 1.0))
-                    width = fields.get("NumSites", 0.0) * pitch
-                    rows.append((fields.get("SubrowOrigin", 0.0), fields["Coordinate"],
-                                 width, height))
-                fields = None
-                continue
-            if fields is None:
-                continue
-            # key : value pairs, possibly several per line (SubrowOrigin ... NumSites ...)
-            tokens = line.replace(":", " : ").split()
-            for i in range(len(tokens) - 2):
-                if tokens[i + 1] == ":":
-                    try:
-                        fields[tokens[i]] = float(tokens[i + 2])
-                    except ValueError:
-                        pass
+    for _, line in _content_lines(path):
+        if line.startswith("CoreRow"):
+            fields = {}
+            continue
+        if line.startswith("End"):
+            if fields is not None and "Coordinate" in fields:
+                height = fields.get("Height", 0.0)
+                pitch = fields.get("Sitespacing", fields.get("Sitewidth", 1.0))
+                width = fields.get("NumSites", 0.0) * pitch
+                rows.append((fields.get("SubrowOrigin", 0.0), fields["Coordinate"],
+                             width, height))
+            fields = None
+            continue
+        if fields is None:
+            continue
+        # key : value pairs, possibly several per line (SubrowOrigin ... NumSites ...)
+        tokens = line.replace(":", " : ").split()
+        for i in range(len(tokens) - 2):
+            if tokens[i + 1] == ":":
+                try:
+                    fields[tokens[i]] = float(tokens[i + 2])
+                except ValueError:
+                    pass
     if not rows:
         return [], None
     heights = [r[3] for r in rows if r[3] > 0]
@@ -188,12 +207,11 @@ def _parse_scl(path):
     return rows, row_height
 
 
-def infer_row_height(nodes):
-    """Most common height among non-terminal nodes (fallback when .scl is absent)."""
-    heights = [round(n.height, 9) for n in nodes if n.kind != KIND_TERMINAL]
-    if not heights:
-        return None
-    return Counter(heights).most_common(1)[0][0]
+def infer_row_height(heights):
+    """Most common of the non-terminal node `heights`, compared to 1e-9: the
+    row height of a design without .scl rows. None for no heights."""
+    counts = Counter(round(h, 9) for h in heights)
+    return counts.most_common(1)[0][0] if counts else None
 
 
 def parse_bookshelf(path) -> DesignBundle:
@@ -235,18 +253,16 @@ def parse_bookshelf(path) -> DesignBundle:
     origin = (min(xs), min(ys))
     canvas_w, canvas_h = max(xs) - origin[0], max(ys) - origin[1]
 
+    if row_height is None:
+        row_height = infer_row_height(sizes[n][1] for n in order if not terminal_tag[n])
     nodes = []
     for i, name in enumerate(order):
         w, h = sizes[name]
         if terminal_tag[name]:
             kind, movable = KIND_TERMINAL, False
         else:
-            rh = row_height
-            if rh is None:
-                heights = [sizes[n][1] for n in order if not terminal_tag[n]]
-                rh = Counter(round(v, 9) for v in heights).most_common(1)[0][0]
-                row_height = rh
-            kind = KIND_MACRO if min(w, h) >= DEFAULT_MACRO_THRESHOLD * rh else KIND_STD
+            kind = (KIND_MACRO if min(w, h) >= DEFAULT_MACRO_THRESHOLD * row_height
+                    else KIND_STD)
             movable = not (i in pl and pl[i][2])
         nodes.append(Node(id=i, name=name, width=w, height=h, kind=kind, movable=movable))
 
@@ -273,7 +289,7 @@ def parse_bookshelf(path) -> DesignBundle:
 
     movable_area = netlist.movable_area
     if netlist.canvas_area > 0 and movable_area > 0:
-        netlist.target_density = min(1.0, max(0.05, movable_area / netlist.canvas_area))
+        netlist.target_density = round_up_density(movable_area / netlist.canvas_area)
 
     meta = {"origin": origin, "row_height": row_height}
     return DesignBundle(
@@ -295,7 +311,10 @@ def write_bookshelf(bundle: DesignBundle, directory, basename: str) -> dict:
     os.makedirs(directory, exist_ok=True)
     netlist, placement = bundle.netlist, bundle.placement
     origin = bundle.meta.get("origin", (0.0, 0.0))
-    row_height = bundle.meta.get("row_height") or infer_row_height(netlist.nodes) or 1.0
+    row_height = (bundle.meta.get("row_height")
+                  or infer_row_height(n.height for n in netlist.nodes
+                                      if n.kind != KIND_TERMINAL)
+                  or 1.0)
 
     paths = {ext: os.path.join(directory, f"{basename}.{ext}")
              for ext in ("nodes", "nets", "pl", "scl")}

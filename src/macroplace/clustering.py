@@ -127,8 +127,6 @@ def cluster_std_cells(netlist: Netlist, k: int) -> ClusteredNetlist:
                 heap.append((-score(a, b), a, b))
     heapq.heapify(heap)
 
-    version = {i: 0 for i in std_ids}  # bumped on every merge touching a group
-
     def merge(a: int, b: int) -> None:
         keep, gone = (a, b) if a < b else (b, a)
         group_members[keep].extend(group_members.pop(gone))
@@ -141,8 +139,6 @@ def cluster_std_cells(netlist: Netlist, k: int) -> ClusteredNetlist:
             adj[nbr].pop(gone, None)
             adj[keep][nbr] = adj[keep].get(nbr, 0.0) + w
             adj[nbr][keep] = adj[keep][nbr]
-        version[keep] += 1
-        version.pop(gone)
         for nbr in adj[keep]:
             lo, hi = (keep, nbr) if keep < nbr else (nbr, keep)
             heapq.heappush(heap, (-score(lo, hi), lo, hi))

@@ -16,6 +16,7 @@ contract violation, not a move.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -36,9 +37,9 @@ class EnvConfig:
     grid_cols: int = 32
     clusters_k: int | None = None  # None -> default_cluster_count(macros)
     placer: PlacerConfig = field(default_factory=PlacerConfig)
-    weights: RewardWeights = field(default_factory=RewardWeights)
-    capacity_h: float = DEFAULT_CAPACITY
-    capacity_v: float = DEFAULT_CAPACITY
+    weights: ClassVar[RewardWeights] = RewardWeights()
+    capacity_h: ClassVar[float] = DEFAULT_CAPACITY
+    capacity_v: ClassVar[float] = DEFAULT_CAPACITY
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,6 @@ class Observation:
 
 @dataclass(frozen=True)
 class Transition:
-    action: int
     reward: float
     done: bool
     metrics: Metrics | None = None
@@ -185,17 +185,14 @@ class MacroPlacementEnv:
 
         if next_state.mask is None:
             final_placement, metrics = self.finish(next_state.placement)
-            transition = Transition(action=action, reward=metrics.reward,
-                                    done=True, metrics=metrics,
+            transition = Transition(reward=metrics.reward, done=True, metrics=metrics,
                                     final_placement=final_placement)
             return transition, next_state
 
         if not next_state.mask.any:
-            transition = Transition(action=action, reward=-DEAD_END_PENALTY,
-                                    done=True, dead_end=True)
+            transition = Transition(reward=-DEAD_END_PENALTY, done=True, dead_end=True)
             return transition, next_state
-        transition = Transition(action=action, reward=0.0, done=False)
-        return transition, next_state
+        return Transition(reward=0.0, done=False), next_state
 
 
 def uniform_random_policy(obs: Observation):

@@ -43,10 +43,6 @@ class Grid:
         )
 
     @property
-    def num_cells(self) -> int:
-        return self.rows * self.cols
-
-    @property
     def canvas_width(self) -> float:
         return self.cell_w * self.cols
 

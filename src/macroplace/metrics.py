@@ -3,12 +3,10 @@ proxy cost whose negation is the episode reward.
 
 Congestion uses RUDY-style net smearing: each net's demand is spread
 uniformly over its bounding box (clamped to at least one grid cell in each
-dimension and shifted to stay on canvas). Pin positions are node centers;
-the pin-offset approximation matches the rest of the proxy pipeline.
-
-Net bounding boxes are segment reductions over `Netlist.net_csr`; net boxes
-and node footprints go onto the grid through `raster.cover`, whose in-order
-accumulation equals a per-net (per-node) loop bit for bit.
+dimension and shifted to stay on canvas). The boxes are `netlist.net_boxes`,
+the same ones HPWL measures: pins at node centers, one unplaced-node check.
+Net boxes and node footprints go onto the grid through `raster.cover`,
+whose in-order accumulation equals a per-net (per-node) loop bit for bit.
 """
 
 from __future__ import annotations
@@ -18,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvaluationError
 from .grid import Grid
-from .netlist import Netlist, Placement
+from .netlist import Netlist, Placement, net_boxes
 from .raster import accumulate, cover, node_boxes
 
 # Routing capacity per cell, horizontal == vertical. Calibrated once as the
@@ -35,10 +32,6 @@ class CongestionMap:
     demand_v: np.ndarray
     capacity_h: float
     capacity_v: float
-
-    @property
-    def shape(self):
-        return self.demand_h.shape
 
 
 @dataclass(frozen=True)
@@ -72,18 +65,7 @@ def congestion_map(
     w/w_box, each distributed over the box proportionally to overlap area."""
     rows, cols = grid.rows, grid.cols
     W, H = grid.canvas_width, grid.canvas_height
-    csr = netlist.net_csr
-    unplaced = ~placement.placed[csr.node_ids]
-    if unplaced.any():
-        pin = int(np.argmax(unplaced))
-        net = netlist.nets[int(csr.net_ids[csr.pin_net[pin]])]
-        raise EvaluationError(
-            f"net '{net.name}' references unplaced node "
-            f"'{netlist.nodes[int(csr.node_ids[pin])].name}'"
-        )
-    pts = placement.positions[csr.node_ids]
-    lo = np.minimum.reduceat(pts, csr.starts)
-    hi = np.maximum.reduceat(pts, csr.starts)
+    lo, hi = net_boxes(netlist, placement)
     x0, y0 = lo[:, 0], lo[:, 1]
     x1, y1 = hi[:, 0], hi[:, 1]
     # Clamp the box to at least one cell per axis, then shift on-canvas.
@@ -95,8 +77,8 @@ def congestion_map(
     entries = cover(bx, bx + bw, by, by + bh, grid.cell_w, grid.cell_h, rows, cols)
     box = entries.box
     frac = entries.wy * entries.wx / (bw * bh)[box]  # overlap-area fractions, sum to 1
-    demand_h = accumulate(entries, (csr.weights / bh)[box] * frac, rows, cols)
-    demand_v = accumulate(entries, (csr.weights / bw)[box] * frac, rows, cols)
+    demand_h = accumulate(entries, (netlist.net_csr.weights / bh)[box] * frac, rows, cols)
+    demand_v = accumulate(entries, (netlist.net_csr.weights / bw)[box] * frac, rows, cols)
     return CongestionMap(demand_h=demand_h, demand_v=demand_v,
                          capacity_h=capacity_h, capacity_v=capacity_v)
 

@@ -38,6 +38,8 @@ class Node:
 
 @dataclass(frozen=True)
 class Pin:
+    # Offsets are kept for Bookshelf I/O and `validate`; every wirelength
+    # measure (`net_boxes`, the smoothed one) puts pins at node centers.
     node: int
     offset_x: float = 0.0
     offset_y: float = 0.0
@@ -58,7 +60,6 @@ class NetCSR(NamedTuple):
     pin_net: np.ndarray  # (P,) pin -> row
     net_ids: np.ndarray  # (M,) row -> index into Netlist.nets
     node_ids: np.ndarray  # (P,) pin -> node id
-    offsets: np.ndarray  # (P, 2) pin offsets from the node center
     weights: np.ndarray  # (M,) net weights
     counts: np.ndarray  # (M,) pins per row
 
@@ -123,8 +124,6 @@ class Netlist:
             pin_net=np.repeat(np.arange(len(nets)), counts),
             net_ids=np.array(net_ids, dtype=np.int64),
             node_ids=np.array([p.node for p in pins], dtype=np.int64),
-            offsets=np.array([(p.offset_x, p.offset_y) for p in pins],
-                             dtype=np.float64).reshape(len(pins), 2),
             weights=np.array([net.weight for net in nets], dtype=np.float64),
             counts=counts,
         )
@@ -213,24 +212,35 @@ class ValidationReport:
         return not self.violations
 
 
-def hpwl(netlist: Netlist, placement: Placement) -> float:
-    """Total weighted half-perimeter wirelength over all nets.
+def net_boxes(netlist: Netlist, placement: Placement) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) corners of each `net_csr` row's pin bounding box, (M, 2) each.
 
     Pin position is the owning node's center; pin offsets are ignored, as in
-    the rest of the proxy cost. Nets with fewer than two pins contribute zero.
-    Raises EvaluationError (naming the node) if a net references an unplaced
-    node.
+    the whole proxy cost and in the analytical engine's smoothed wirelength.
+    Raises EvaluationError naming the net and the node if a net references
+    an unplaced node.
     """
     csr = netlist.net_csr
     unplaced = ~placement.placed[csr.node_ids]
     if unplaced.any():
-        bad = netlist.nodes[int(csr.node_ids[np.argmax(unplaced)])]
-        raise EvaluationError(f"net references unplaced node '{bad.name}' (id {bad.id})")
-    if not len(csr.starts):
-        return 0.0
+        pin = int(np.argmax(unplaced))
+        net = netlist.nets[int(csr.net_ids[csr.pin_net[pin]])]
+        node = netlist.nodes[int(csr.node_ids[pin])]
+        raise EvaluationError(f"net '{net.name}' references unplaced node '{node.name}'")
     pts = placement.positions[csr.node_ids]
-    ext = np.maximum.reduceat(pts, csr.starts) - np.minimum.reduceat(pts, csr.starts)
-    per_net = csr.weights * (ext[:, 0] + ext[:, 1])
+    return np.minimum.reduceat(pts, csr.starts), np.maximum.reduceat(pts, csr.starts)
+
+
+def hpwl(netlist: Netlist, placement: Placement) -> float:
+    """Total weighted half-perimeter wirelength over the `net_boxes`.
+
+    Nets with fewer than two pins contribute zero.
+    """
+    lo, hi = net_boxes(netlist, placement)
+    if not len(lo):
+        return 0.0
+    ext = hi - lo
+    per_net = netlist.net_csr.weights * (ext[:, 0] + ext[:, 1])
     # Sequential sum in net order: the exact total a per-net loop gives.
     return float(np.add.accumulate(per_net)[-1])
 

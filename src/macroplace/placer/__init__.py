@@ -7,12 +7,13 @@ produce an in-canvas Placement, so the environment swaps engines by config
 alone. `spread_movable` is the one run with macros moving too: the
 analytical engine over every node the design marks movable.
 
-`PlacerConfig` is the contract both engines share: which engine runs, its
-outer-iteration budget, the overflow below which the analytical engine
-stops (force-directed always runs the full budget), the bin count of the
+`PlacerConfig` is the contract both engines share: which engine runs
+("fd" or "analytical"), its outer-iteration budget, the bin count of the
 density grid (a power of two >= 2, checked at construction), and the seed
-of the start jitter. Each engine's step-size and schedule constants live in
-its own module.
+of the start jitter. The overflow below which the analytical engine stops
+(force-directed always runs the full budget) is the class constant
+`PlacerConfig.overflow_stop`. Each engine's step-size and schedule
+constants live in its own module.
 
 The stop/trace overflow both engines report is the pure-overlap measure
 (density target 1.0): clusters are solid blocks much wider than a bin, so
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -43,33 +44,26 @@ from ..metrics import density_overflow
 from ..netlist import Netlist, Placement, hpwl
 from .density import check_bins
 
-ENGINE_ALIASES = {
-    "fd": "force_directed",
-    "force_directed": "force_directed",
-    "analytical": "analytical",
-}
+ENGINES = ("fd", "analytical")
 
 
 @dataclass(frozen=True)
 class PlacerConfig:
     engine: str = "analytical"
     max_outer_iters: int = 30
-    overflow_stop: float = 0.10
     bins: int = 64
     seed: int = 0
+    overflow_stop: ClassVar[float] = 0.10
 
     def canonical_engine(self) -> str:
-        try:
-            return ENGINE_ALIASES[self.engine]
-        except KeyError:
-            raise PlacementError(f"unknown placer engine '{self.engine}'") from None
+        if self.engine not in ENGINES:
+            raise PlacementError(f"unknown placer engine '{self.engine}'")
+        return self.engine
 
     def __post_init__(self):
         self.canonical_engine()
         if self.max_outer_iters < 1:
             raise ValueError(f"max_outer_iters must be >= 1, got {self.max_outer_iters}")
-        if not (0 < self.overflow_stop < 1):
-            raise ValueError(f"overflow_stop must be in (0,1), got {self.overflow_stop}")
         check_bins(self.bins)
 
 
@@ -159,15 +153,14 @@ def place_clusters(clustered: ClusteredNetlist, fixed_placement: Placement,
     from .analytical import run_analytical
     from .force_directed import run_force_directed
 
-    pnet = clustered.placement_netlist
-    for node in pnet.nodes:
-        if node.kind != "std_cell" and not fixed_placement.placed[node.id]:
-            raise PlacementError(
-                f"fixed node '{node.name}' must be placed before cluster placement"
-            )
     movable = movable_cluster_mask(clustered)
-    engine = config.canonical_engine()
-    if engine == "analytical":
+    unplaced = ~movable & ~fixed_placement.placed
+    if unplaced.any():
+        node = clustered.placement_netlist.nodes[int(np.argmax(unplaced))]
+        raise PlacementError(
+            f"fixed node '{node.name}' must be placed before cluster placement"
+        )
+    if config.engine == "analytical":
         return run_analytical(clustered, fixed_placement, movable, config)
     return run_force_directed(clustered, fixed_placement, movable, config)
 

@@ -9,10 +9,12 @@ so the smoothed extent lies in [true extent - 2*gamma*log(p), true extent]
 and converges to the exact half-perimeter as gamma -> 0. Exponentials are
 max-shifted, so finite inputs can never produce non-finite output.
 
-All nets are evaluated at once as segment reductions (`np.*.reduceat`) over
-`Netlist.net_csr`. Pins are stored in net order, so the `np.bincount`
-scatter adds each node's gradient terms in the same order a per-net loop
-would.
+Pins sit at node centers, as in `netlist.hpwl` and the RUDY map, so the
+analytical engine minimises a smoothing of the wirelength that the proxy
+cost scores. All nets are evaluated at once as segment reductions
+(`np.*.reduceat`) over `Netlist.net_csr`. Pins are stored in net order, so
+the `np.bincount` scatter adds each node's gradient terms in the same order
+a per-net loop would.
 """
 
 from __future__ import annotations
@@ -25,14 +27,13 @@ from ..netlist import Netlist, Placement
 def smooth_wl_and_grad(netlist: Netlist, placement: Placement, gamma: float):
     """Smoothed total wirelength and gradient w.r.t. every node center.
 
-    Pin positions are node centers plus pin offsets; offsets are constants,
-    so pin gradients accumulate directly onto their nodes. Nets with fewer
-    than two pins contribute nothing.
+    Pin positions are node centers, so pin gradients accumulate directly
+    onto their nodes. Nets with fewer than two pins contribute nothing.
     """
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     csr = netlist.net_csr
-    pts = placement.positions[csr.node_ids] + csr.offsets  # (P, 2)
+    pts = placement.positions[csr.node_ids]  # (P, 2)
     hi = np.maximum.reduceat(pts, csr.starts)  # (M, 2)
     lo = np.minimum.reduceat(pts, csr.starts)
     e_hi = np.exp((pts - hi[csr.pin_net]) / gamma)

@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 
-def hpwl_bruteforce(netlist, placement, use_pin_offsets=False):
+def hpwl_bruteforce(netlist, placement):
     total = 0.0
     for net in netlist.nets:
         if len(net.pins) < 2:
@@ -17,9 +17,6 @@ def hpwl_bruteforce(netlist, placement, use_pin_offsets=False):
         xs, ys = [], []
         for pin in net.pins:
             x, y = placement.positions[pin.node]
-            if use_pin_offsets:
-                x += pin.offset_x
-                y += pin.offset_y
             xs.append(x)
             ys.append(y)
         total += net.weight * ((max(xs) - min(xs)) + (max(ys) - min(ys)))
@@ -228,7 +225,7 @@ def _axis_extent_and_grad(coords, gamma):
 
 
 def smooth_wl_loop(netlist, placement, gamma):
-    """Per-net log-sum-exp wirelength and gradient."""
+    """Per-net log-sum-exp wirelength and gradient, pins at node centers."""
     value = 0.0
     grad = np.zeros_like(placement.positions)
     for net in netlist.nets:
@@ -236,8 +233,7 @@ def smooth_wl_loop(netlist, placement, gamma):
             continue
         ids = np.fromiter((p.node for p in net.pins), dtype=np.int64,
                           count=len(net.pins))
-        offs = np.array([(p.offset_x, p.offset_y) for p in net.pins])
-        pts = placement.positions[ids] + offs
+        pts = placement.positions[ids]
         for axis in (0, 1):
             extent, g = _axis_extent_and_grad(pts[:, axis], gamma)
             value += net.weight * extent
@@ -245,14 +241,11 @@ def smooth_wl_loop(netlist, placement, gamma):
     return float(value), grad
 
 
-def rasterize_area_loop(netlist, placement, rows, cols, cell_w, cell_h,
-                        include_fixed=True):
+def rasterize_area_loop(netlist, placement, rows, cols, cell_w, cell_h):
     """Per-node area raster (terminals excluded)."""
     area = np.zeros((rows, cols))
     for node in netlist.nodes:
         if node.kind == "terminal" or not placement.placed[node.id]:
-            continue
-        if not include_fixed and not node.movable:
             continue
         x, y = placement.positions[node.id]
         c0, wx = _axis_overlap(x - node.width / 2, x + node.width / 2, cell_w, cols)

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from macroplace.agent import network
 from macroplace.agent.features import FEATURE_VERSION
 from macroplace.agent.network import (
     DesignContext,
@@ -73,19 +74,21 @@ def test_loss_gradients_match_central_differences(training_bundle):
                                atol=1e-7 * np.abs(analytic).max())
 
 
-def test_checkpoint_round_trip(tmp_path):
+def test_checkpoint_round_trip(tmp_path, monkeypatch):
     params = init_params(np.random.default_rng(4), rounds=2, embed_dim=4)
     path = tmp_path / "policy.npz"
     save_params(params, path)
     loaded = load_params(path)
     np.testing.assert_array_equal(loaded.to_vector(), params.to_vector())
-    assert replace(loaded, arrays={}) == replace(params, arrays={})
+    assert (loaded.rounds, loaded.embed_dim) == (params.rounds, params.embed_dim) == (2, 4)
     assert {k: v.shape for k, v in loaded.arrays.items()} == {
         k: v.shape for k, v in params.arrays.items()}
 
     # A checkpoint of another feature layout is refused, not misread.
     stale = tmp_path / "stale.npz"
-    save_params(replace(params, feature_version=FEATURE_VERSION + 1), stale)
+    with monkeypatch.context() as patch:
+        patch.setattr(network, "FEATURE_VERSION", FEATURE_VERSION + 1)
+        save_params(params, stale)
     with pytest.raises(ValueError, match=f"feature version {FEATURE_VERSION + 1}"):
         load_params(stale)
 
@@ -94,6 +97,12 @@ def test_checkpoint_round_trip(tmp_path):
 def test_train_config_rejects_an_empty_batch(episodes):
     with pytest.raises(ValueError, match=f"episodes_per_update must be >= 1, got {episodes}"):
         TrainConfig(episodes_per_update=episodes)
+
+
+@pytest.mark.parametrize("name", ["rounds", "embed_dim"])
+def test_train_config_rejects_an_empty_network(name):
+    with pytest.raises(ValueError, match=f"{name} must be >= 1, got 0"):
+        TrainConfig(**{name: 0})
 
 
 def test_greedy_policy_is_the_masked_argmax(training_bundle):

@@ -100,6 +100,40 @@ class TestBookshelfParse:
         with pytest.raises(FileNotFoundError):
             parse_bookshelf(str(tmp_path))
 
+    @pytest.mark.parametrize("edit,message", [
+        (("NetDegree : 3", "NetDegree : 2"),
+         r"fix\.nets:4: net 'n0' declares 2 pins but has 3 pin lines"),
+        (("  b O : 0.0 0.0\n  p B : 0.0 0.0\n", ""),
+         r"fix\.nets:4: net 'n0' declares 3 pins but has 1 pin lines"),
+        (("NumNets : 1", "NumNets : 2"), r"fix\.nets: NumNets 2 != 1 parsed"),
+        (("NumPins : 3", "NumPins : 4"), r"fix\.nets: NumPins 4 != 3 parsed"),
+        (("NetDegree : 3", "NetDegree : three"), r"fix\.nets:4: bad net degree: 'three'"),
+        (("a I : 1.0 0.0", "a I : one 0.0"), r"fix\.nets:5: bad pin offset"),
+    ], ids=["extra-pin", "missing-pins", "num-nets", "num-pins", "bad-degree",
+            "bad-offset"])
+    def test_nets_section_is_checked(self, tmp_path, edit, message):
+        files = dict(FIXTURE)
+        assert edit[0] in files["fix.nets"]
+        files["fix.nets"] = files["fix.nets"].replace(*edit)
+        write_fixture(tmp_path, files)
+        with pytest.raises(ParseError, match=message):
+            parse_bookshelf(str(tmp_path))
+
+    def test_target_density_is_rounded_up(self, tmp_path):
+        spec = SyntheticSpec(macro_count=4, std_cell_count=46, net_count=60, seed=3)
+        bundle = generate_synthetic(spec)
+        write_bookshelf(bundle, tmp_path, "rt")
+        nl = parse_bookshelf(str(tmp_path)).netlist
+        utilization = nl.movable_area / nl.canvas_area
+        assert nl.target_density == round_up_density(utilization) > utilization
+        assert nl.target_density == bundle.netlist.target_density
+        # Nothing movable (every node /FIXED): the density target stays 1.0.
+        files = dict(FIXTURE)
+        files["fix.pl"] = files["fix.pl"].replace("12 : N\n", "12 : N /FIXED\n")
+        (tmp_path / "fixed").mkdir()
+        fixed = parse_bookshelf(str(write_fixture(tmp_path / "fixed", files))).netlist
+        assert fixed.movable_area == 0 and fixed.target_density == 1.0
+
     def test_canvas_without_scl_comes_from_pl_extents(self, tmp_path):
         files = {k: v for k, v in FIXTURE.items() if not k.endswith(".scl")}
         write_fixture(tmp_path, files)

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from macroplace.errors import EvaluationError
+from macroplace.grid import Grid
+from macroplace.metrics import congestion_map
 from macroplace.netlist import (
     KIND_MACRO,
     KIND_STD,
@@ -57,6 +59,19 @@ class TestHpwl:
         pl.placed[0] = True
         with pytest.raises(EvaluationError, match="b|p"):
             hpwl(nl, pl)
+
+    def test_unplaced_error_is_the_congestion_map_error(self):
+        nl = tiny_netlist()
+        pl = Placement.empty(nl.num_nodes)
+        pl.positions[0] = (5.0, 5.0)
+        pl.placed[0] = True
+        with pytest.raises(EvaluationError) as from_hpwl:
+            hpwl(nl, pl)
+        grid = Grid.empty(4, 4, nl.canvas_width, nl.canvas_height)
+        with pytest.raises(EvaluationError) as from_rudy:
+            congestion_map(nl, pl, grid)
+        assert str(from_hpwl.value) == str(from_rudy.value)
+        assert str(from_hpwl.value).startswith(f"net '{nl.nets[0].name}' references")
 
     def test_single_pin_net_contributes_zero(self):
         nodes = [Node(0, "a", 1.0, 1.0, KIND_STD, True)]

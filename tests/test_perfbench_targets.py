@@ -4,9 +4,10 @@ Every function the per-layer benchmark traces (perfbench/tracing.py) still
 exists under the module and name it is traced by, so a refactor cannot
 silently drop a layer from the benchmark. And one unit of each kind the
 benchmark runs (an FD rollout, an analytical rollout, an annealing call)
-runs and passes the benchmark's own output checks on a tiny design, so a
-refactor that removes something perfbench/bench.py reads fails here, not
-only in the slow perfbench/test_smoke.py.
+runs, passes the benchmark's own output checks on a tiny design and yields
+every per-layer metric, so a refactor that removes something
+perfbench/bench.py reads fails here, not only in the slow
+perfbench/test_smoke.py.
 """
 
 import importlib.util
@@ -72,3 +73,7 @@ def test_benchmark_unit_passes_its_checks(design_dir, engine, sa_moves):
     for unit in (first, again):
         assert unit.failed == 0, unit.problems
         assert len(unit.outcomes) == unit.attempted == 1 + sa_moves
+    # What only `--trace 1` reads (the stop overflow, the engine name, the
+    # cluster count) is read here too, without spans.
+    metrics = bench.per_layer_metrics(workload, env, [], {}, 1.0, [first], [again])
+    assert {name for name, _unit in bench.PER_LAYER} == set(metrics)

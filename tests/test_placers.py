@@ -118,7 +118,7 @@ class TestForceDirected:
         fixed = Placement.empty(clustered.placement_netlist.num_nodes)
         fixed.positions[0] = (2.0, 2.0)
         fixed.placed[0] = True
-        config = PlacerConfig(engine="force_directed", max_outer_iters=5, seed=0)
+        config = PlacerConfig(engine="fd", max_outer_iters=5, seed=0)
         with pytest.warns(UserWarning, match="no connectivity"):
             placement, _ = place_clusters(clustered, base_placement(clustered, fixed),
                                           config)

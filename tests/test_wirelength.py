@@ -61,6 +61,19 @@ def test_gradient_matches_finite_differences(rng):
         np.testing.assert_allclose(grad[ids], fd, rtol=1e-4, atol=1e-4 * scale)
 
 
+def test_offsets_off_equals_zeroed_offsets(rng):
+    """Pins sit at node centers, as in hpwl: pin offsets change nothing."""
+    nl, pl = random_design(rng, with_offsets=True)
+    zeroed_nets = [Net(n.id, n.name, tuple(Pin(p.node) for p in n.pins), n.weight)
+                   for n in nl.nets]
+    nl_zero = Netlist(nl.nodes, zeroed_nets, nl.canvas_width, nl.canvas_height,
+                      nl.target_density)
+    value, grad = smooth_wl_and_grad(nl, pl, 2.0)
+    value_zero, grad_zero = smooth_wl_and_grad(nl_zero, pl, 2.0)
+    assert value == value_zero
+    np.testing.assert_array_equal(grad, grad_zero)
+
+
 def test_gamma_to_zero_converges_to_hpwl():
     nodes = [Node(0, "a", 1.0, 1.0, KIND_STD, True),
              Node(1, "b", 1.0, 1.0, KIND_STD, True)]

@@ -6,14 +6,17 @@ in .nets, lower-left node corners plus ``/FIXED`` flags in .pl, and core
 rows in .scl. Coordinates are shifted on read so the canvas origin is
 (0, 0); the shift is recorded in the bundle metadata and undone on write.
 
-NumNodes, NumNets, NumPins and each NetDegree must match the lines that
-follow; a malformed file raises ParseError with its path and line. Without
+NumNodes, NumTerminals, NumNets, NumPins, NumRows and each NetDegree must
+match the lines that follow, and every non-terminal node needs a finite,
+positive width and height; a malformed file raises ParseError with its path
+(and line, where one line is at fault). Without
 .scl rows the row height is `infer_row_height`, as on write. The target
 density is `round_up_density` of the movable area (1.0 if none).
 """
 
 from __future__ import annotations
 
+import math
 import os
 from collections import Counter
 
@@ -110,10 +113,14 @@ def _parse_nodes(path):
             w, h = float(parts[1]), float(parts[2])
         except ValueError as exc:
             raise ParseError(f"bad node dimensions: '{line}'", path=path, line=lineno) from exc
-        sizes[name] = (w, h)
         terminal[name] = len(parts) > 3 and parts[3].lower().startswith("terminal")
+        if not terminal[name] and not all(math.isfinite(v) and v > 0 for v in (w, h)):
+            raise ParseError(f"node '{name}' needs a finite, positive width and height: "
+                             f"'{line}'", path=path, line=lineno)
+        sizes[name] = (w, h)
         order.append(name)
-    _check_declared(declared, {"NumNodes": len(order)}, path)
+    _check_declared(declared, {"NumNodes": len(order),
+                               "NumTerminals": sum(terminal.values())}, path)
     return order, sizes, terminal
 
 
@@ -173,11 +180,22 @@ def _parse_pl(path, name_to_id):
     return out
 
 
+SCL_NUMERIC_FIELDS = ("Coordinate", "Height", "Sitewidth", "Sitespacing",
+                      "SubrowOrigin", "NumSites")
+
+
 def _parse_scl(path):
-    """Returns (rows, row_height) where rows are (x0, y0, width, height)."""
+    """Returns (rows, row_height) where rows are (x0, y0, width, height).
+
+    The row fields in SCL_NUMERIC_FIELDS must be numbers; other fields
+    (Siteorient, Sitesymmetry, ...) are not read."""
+    declared = {}
     rows = []
     fields = None
-    for _, line in _content_lines(path):
+    for lineno, line in _content_lines(path):
+        if line.startswith("NumRows"):
+            declared["NumRows"] = _count(line.partition(":")[2], "NumRows", path, lineno)
+            continue
         if line.startswith("CoreRow"):
             fields = {}
             continue
@@ -195,11 +213,13 @@ def _parse_scl(path):
         # key : value pairs, possibly several per line (SubrowOrigin ... NumSites ...)
         tokens = line.replace(":", " : ").split()
         for i in range(len(tokens) - 2):
-            if tokens[i + 1] == ":":
+            if tokens[i + 1] == ":" and tokens[i] in SCL_NUMERIC_FIELDS:
                 try:
                     fields[tokens[i]] = float(tokens[i + 2])
                 except ValueError:
-                    pass
+                    raise ParseError(f"bad {tokens[i]}: '{tokens[i + 2]}'",
+                                     path=path, line=lineno) from None
+    _check_declared(declared, {"NumRows": len(rows)}, path)
     if not rows:
         return [], None
     heights = [r[3] for r in rows if r[3] > 0]

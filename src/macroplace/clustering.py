@@ -2,9 +2,11 @@
 
 Clustering shrinks the std-cell population to at most k groups by greedy
 heavy-edge coarsening: repeatedly merge the pair of groups with the largest
-connectivity-per-combined-area score. Macros and terminals pass through
-unchanged; nets are rewired with one zero-offset pin per touched cluster,
-and nets falling entirely inside one cluster are dropped.
+connectivity-per-combined-area score. Each group holds its own best pair,
+and one heap over those per-group bests yields the global best pair, so a
+merge rescores only the merged group's pairs. Macros and terminals pass
+through unchanged; nets are rewired with one zero-offset pin per touched
+cluster, and nets falling entirely inside one cluster are dropped.
 
 The rewired nets expand into one clique-model graph per design
 (`ClusteredNetlist.graph`), which the force-directed engine solves over and
@@ -102,8 +104,21 @@ def _pair_weights_between_std(netlist: Netlist) -> dict:
 def cluster_std_cells(netlist: Netlist, k: int) -> ClusteredNetlist:
     """Coarsen std cells into at most k clusters.
 
-    Deterministic: scores are pure functions of the netlist, and ties are
-    broken toward the lexicographically smallest group-id pair.
+    Each step merges the pair of groups with the largest score w/(area_a +
+    area_b), ties broken toward the lexicographically smallest group-id pair:
+    the smallest key (-score, lo, hi) over all live pairs. Merging stops when
+    that score is not positive; the lowest-id groups are then merged until k
+    remain.
+
+    Each group g keeps best[g], the smallest key among its own pairs, and
+    the heap holds these keys (lazily: an entry counts only while it equals
+    best[lo] and best[hi]). The smallest pair key overall is the smallest of
+    the per-group minima, so the heap top is the same global argmax a heap
+    of every pair would give. Merging b into a (a < b) changes only the
+    pairs of a: best[a] is rescanned, and each neighbour n takes the new
+    (n, a) key if it is smaller than best[n], is rescanned if best[n] paired
+    it with a or b, and is otherwise left alone. Scores are pure functions
+    of the netlist, so the result is deterministic.
     """
     if k <= 0:
         raise ValueError(f"cluster count k must be >= 1, got {k}")
@@ -116,15 +131,24 @@ def cluster_std_cells(netlist: Netlist, k: int) -> ClusteredNetlist:
         adj[a][b] = adj[a].get(b, 0.0) + w
         adj[b][a] = adj[b].get(a, 0.0) + w
 
-    def score(a: int, b: int) -> float:
-        w = adj[a].get(b, 0.0)
-        return w / (group_area[a] + group_area[b])
+    def best_key(g: int):
+        """Smallest (-score, lo, hi) among g's pairs; None without neighbours."""
+        area_g = group_area[g]
+        top, partner = 0.0, -1
+        for n, w in adj[g].items():
+            s = w / (area_g + group_area[n])
+            if partner < 0 or s > top or (s == top and n < partner):
+                top, partner = s, n
+        if partner < 0:
+            return None
+        return (-top, g, partner) if g < partner else (-top, partner, g)
 
-    heap = []
-    for a in std_ids:
-        for b in adj[a]:
-            if a < b:
-                heap.append((-score(a, b), a, b))
+    best: dict[int, tuple[float, int, int]] = {}
+    for g in std_ids:
+        key = best_key(g)
+        if key is not None:
+            best[g] = key
+    heap = list(best.values())
     heapq.heapify(heap)
 
     def merge(a: int, b: int) -> None:
@@ -139,20 +163,34 @@ def cluster_std_cells(netlist: Netlist, k: int) -> ClusteredNetlist:
             adj[nbr].pop(gone, None)
             adj[keep][nbr] = adj[keep].get(nbr, 0.0) + w
             adj[nbr][keep] = adj[keep][nbr]
-        for nbr in adj[keep]:
-            lo, hi = (keep, nbr) if keep < nbr else (nbr, keep)
-            heapq.heappush(heap, (-score(lo, hi), lo, hi))
 
     while len(group_members) > k and heap:
-        neg, a, b = heapq.heappop(heap)
-        if a not in group_members or b not in group_members:
-            continue
-        if -neg != score(a, b):  # stale entry
+        key = heapq.heappop(heap)
+        neg, a, b = key
+        if best.get(a) != key or best.get(b) != key:  # stale entry
             continue
         if -neg <= 0.0:
-            heap = []  # only zero-connectivity pairs remain
-            break
-        merge(a, b)
+            break  # only zero-connectivity pairs remain
+        merge(a, b)  # a < b: a keeps the group
+        del best[b]
+        key = best_key(a)
+        if key is None:
+            del best[a]
+        else:
+            best[a] = key
+            heapq.heappush(heap, key)
+        area_a = group_area[a]
+        for n, w in adj[a].items():
+            old = best[n]
+            s = w / (group_area[n] + area_a)
+            key = (-s, n, a) if n < a else (-s, a, n)
+            if key >= old:
+                if old[1] not in (a, b) and old[2] not in (a, b):
+                    continue  # best[n] is a pair the merge left alone
+                key = best_key(n)
+            if key != old:
+                best[n] = key
+                heapq.heappush(heap, key)
 
     # Force down to k by merging the lowest-id groups (zero connectivity left).
     while len(group_members) > k:

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 
+from macroplace.netlist import KIND_STD
+
 
 def hpwl_bruteforce(netlist, placement):
     total = 0.0
@@ -438,3 +440,51 @@ def spread_once_reference(pnet, placement, movable_ids, bins):
     out.positions[movable_ids, 1] = np.where(
         push, y - fy / (np.abs(fy) + 1e-12) * scale * cell_h, y)
     return out
+
+
+def greedy_merge_bruteforce(netlist, k):
+    """Greedy heavy-edge coarsening of the std cells by exhaustive scan.
+
+    Pair weight: w/(p-1) per p-pin net joining two groups, summed in net
+    order. Each step scans every live pair for the largest w/(area_a +
+    area_b), ties toward the smallest (lo, hi); it stops at a score <= 0,
+    then merges the two lowest-id groups until k remain. A merge keeps the
+    lower id, adds the higher group's area and pair weights to it, and
+    keeps its own weights first in each sum. Returns [(members, area)] in
+    group-id order.
+    """
+    members = {n.id: [n.id] for n in netlist.nodes if n.kind == KIND_STD}
+    area = {i: netlist.nodes[i].width * netlist.nodes[i].height for i in members}
+    weight = {}  # (lo, hi) -> connectivity
+    for net in netlist.nets:
+        if len(net.pins) < 2:
+            continue
+        cells = sorted({pin.node for pin in net.pins if pin.node in members})
+        for i, a in enumerate(cells):
+            for b in cells[i + 1:]:
+                weight[a, b] = weight.get((a, b), 0.0) + net.weight / (len(net.pins) - 1)
+
+    def merge(a, b):
+        members[a] += members.pop(b)
+        area[a] += area.pop(b)
+        for (x, y), w in list(weight.items()):
+            if b not in (x, y):
+                continue
+            del weight[x, y]
+            other = x if y == b else y
+            if other != a:
+                key = (min(a, other), max(a, other))
+                weight[key] = weight.get(key, 0.0) + w
+
+    while len(members) > k:
+        top = None
+        for (x, y), w in weight.items():
+            s = w / (area[x] + area[y])
+            if top is None or s > top[0] or (s == top[0] and (x, y) < top[1]):
+                top = (s, (x, y))
+        if top is None or top[0] <= 0.0:
+            break
+        merge(*top[1])
+    while len(members) > k:
+        merge(*sorted(members)[:2])
+    return [(tuple(sorted(members[g])), area[g]) for g in sorted(members)]

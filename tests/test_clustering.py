@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from macroplace.netlist import (
 )
 
 from conftest import random_design
+from oracles import greedy_merge_bruteforce
 
 
 def chain_netlist(n_cells, canvas=100.0):
@@ -30,6 +33,35 @@ def chain_netlist(n_cells, canvas=100.0):
         Net(i, f"n{i}", (Pin(i), Pin(i + 1)), 1.0) for i in range(n_cells - 1)
     ]
     return Netlist(nodes, nets, canvas, canvas, target_density=0.5)
+
+
+def unit_grid_netlist(rows, cols):
+    """rows x cols unit-area std cells, each joined to its right and lower
+    neighbour by a unit-weight two-pin net: every score ties."""
+    n = rows * cols
+    nodes = [Node(i, f"c{i}", 1.0, 1.0, KIND_STD, True) for i in range(n)]
+    pairs = [(i, i + 1) for i in range(n) if (i + 1) % cols]
+    pairs += [(i, i + cols) for i in range(n - cols)]
+    nets = [Net(j, f"n{j}", (Pin(a), Pin(b)), 1.0) for j, (a, b) in enumerate(pairs)]
+    return Netlist(nodes, nets, 50.0, 50.0)
+
+
+def with_net_weights(netlist, weights):
+    nets = [Net(n.id, n.name, n.pins, w) for n, w in zip(netlist.nets, weights)]
+    return Netlist(netlist.nodes, nets, netlist.canvas_width, netlist.canvas_height)
+
+
+def merge_order_digest(clustered):
+    """SHA-256 over the clusters (members, area as a hex float), cluster_of
+    and every rewired net's pins (node, offsets as hex floats)."""
+    h = hashlib.sha256()
+    for c in clustered.clusters:
+        h.update(repr((c.members, c.area.hex())).encode())
+    h.update(repr(clustered.cluster_of.tolist()).encode())
+    for net in clustered.placement_netlist.nets:
+        h.update(repr([(p.node, p.offset_x.hex(), p.offset_y.hex())
+                       for p in net.pins]).encode())
+    return h.hexdigest()
 
 
 class TestClusterStdCells:
@@ -150,3 +182,53 @@ class TestExpandToGraph:
         assert (g.edges_i != g.edges_j).all()
         assert (g.weights > 0).all()
         assert (g.edges_i < g.edges_j).all()
+
+
+class TestGreedyMergeOrder:
+    """cluster_std_cells against an exhaustive scan of every live pair: the
+    same groups in the same merge order, so areas agree to the bit."""
+
+    @staticmethod
+    def check(netlist, ks):
+        for k in ks:
+            got = [(c.members, c.area.hex()) for c in cluster_std_cells(netlist, k).clusters]
+            want = [(m, a.hex()) for m, a in greedy_merge_bruteforce(netlist, k)]
+            assert got == want, f"k={k}"
+
+    def test_random_designs(self, rng):
+        for _ in range(6):
+            n = int(rng.integers(20, 90))
+            nl, _ = random_design(rng, n_nodes=n, n_nets=int(rng.integers(n // 2, 2 * n)),
+                                  macro_prob=0.1)
+            self.check(nl, (1, 3, n // 8, n // 3))
+
+    @pytest.mark.parametrize("netlist", [chain_netlist(13), unit_grid_netlist(5, 6)],
+                             ids=["chain", "grid"])
+    def test_ties_everywhere(self, netlist):
+        self.check(netlist, range(1, netlist.num_nodes + 1))
+
+    def test_zero_weight_nets_stop_the_greedy_merges(self, rng):
+        # Pairs 0-1, 2-3, 4-5 carry weight; 1-2 and 3-4 only zero-weight nets.
+        chain = with_net_weights(chain_netlist(6), [1.0, 0.0, 1.0, 0.0, 1.0])
+        self.check(chain, range(1, 7))
+        for _ in range(4):
+            nl, _ = random_design(rng, n_nodes=40, n_nets=50, macro_prob=0.1)
+            weights = [n.weight if rng.random() < 0.5 else 0.0 for n in nl.nets]
+            self.check(with_net_weights(nl, weights), (1, 4, 10, 20))
+
+    def test_disconnected_components_below_component_count(self):
+        # Chains of 4, 3 and 5 cells plus two isolated cells: five components.
+        nodes = [Node(i, f"c{i}", 1.0 + i % 3, 1.0, KIND_STD, True) for i in range(14)]
+        nets = [Net(j, f"n{j}", (Pin(a), Pin(a + 1)), 1.0)
+                for j, a in enumerate([0, 1, 2, 4, 5, 7, 8, 9, 10])]
+        self.check(Netlist(nodes, nets, 50.0, 50.0), range(1, 6))
+
+    def test_benchmark_design_merge_order_is_pinned(self):
+        # The rollout-fd-M benchmark design at its default k (4 x 16 macros).
+        # The digest was recorded with merge_order_digest at commit 94f9981,
+        # whose cluster_std_cells kept one lazy heap entry per group pair.
+        bundle = generate_synthetic(SyntheticSpec(16, 2000, 2500, seed=1))
+        clustered = cluster_std_cells(bundle.netlist, k=default_cluster_count(16))
+        assert clustered.num_clusters == 64
+        assert merge_order_digest(clustered) == (
+            "28737b784db10dd73b10404af089cde6b5d8e9e63a922a80fa14079afecea227")

@@ -119,6 +119,37 @@ class TestBookshelfParse:
         with pytest.raises(ParseError, match=message):
             parse_bookshelf(str(tmp_path))
 
+    @pytest.mark.parametrize("name,edit,message", [
+        ("fix.nodes", ("  b  1  1", "  b  0  0"),
+         r"fix\.nodes:6: node 'b' needs a finite, positive width and height"),
+        ("fix.nodes", ("  b  1  1", "  b  1  inf"),
+         r"fix\.nodes:6: node 'b' needs a finite, positive width and height"),
+        ("fix.nodes", ("NumTerminals : 1", "NumTerminals : 5"),
+         r"fix\.nodes: NumTerminals 5 != 1 parsed"),
+        ("fix.scl", ("Height : 1", "Height : x"), r"fix\.scl:5: bad Height: 'x'"),
+        ("fix.scl", ("NumSites : 20", "NumSites : twenty"),
+         r"fix\.scl:8: bad NumSites: 'twenty'"),
+        ("fix.scl", ("NumRows : 2", "NumRows : 3"), r"fix\.scl: NumRows 3 != 2 parsed"),
+        ("fix.scl", ("NumRows : 2", "NumRows : two"), r"fix\.scl:2: bad NumRows: 'two'"),
+    ], ids=["zero-size-cell", "infinite-cell", "num-terminals", "bad-row-height",
+            "bad-num-sites", "num-rows", "bad-num-rows"])
+    def test_nodes_and_scl_sections_are_checked(self, tmp_path, name, edit, message):
+        files = dict(FIXTURE)
+        assert edit[0] in files[name]
+        files[name] = files[name].replace(*edit, 1)
+        write_fixture(tmp_path, files)
+        with pytest.raises(ParseError, match=message):
+            parse_bookshelf(str(tmp_path))
+
+    def test_zero_size_terminal_and_symbolic_row_fields_parse(self, tmp_path):
+        files = dict(FIXTURE)
+        files["fix.nodes"] = files["fix.nodes"].replace("  p  1  1", "  p  0  0")
+        files["fix.scl"] = files["fix.scl"].replace(
+            "  Sitespacing : 1\n", "  Sitespacing : 1\n  Siteorient : N\n  Sitesymmetry : Y\n")
+        bundle = parse_bookshelf(str(write_fixture(tmp_path, files)))
+        assert bundle.netlist.nodes[2].area == 0.0
+        assert bundle.meta["row_height"] == 1.0
+
     def test_target_density_is_rounded_up(self, tmp_path):
         spec = SyntheticSpec(macro_count=4, std_cell_count=46, net_count=60, seed=3)
         bundle = generate_synthetic(spec)

@@ -7,9 +7,10 @@ rows in .scl. Coordinates are shifted on read so the canvas origin is
 (0, 0); the shift is recorded in the bundle metadata and undone on write.
 
 NumNodes, NumTerminals, NumNets, NumPins, NumRows and each NetDegree must
-match the lines that follow, and every non-terminal node needs a finite,
-positive width and height; a malformed file raises ParseError with its path
-(and line, where one line is at fault). Without
+match the lines that follow, every non-terminal node needs a finite,
+positive width and height, and every .scl CoreRow needs a Coordinate and an
+End; a malformed file raises ParseError with its path (and line, where one
+line is at fault). Without
 .scl rows the row height is `infer_row_height`, as on write. The target
 density is `round_up_density` of the movable area (1.0 if none).
 """
@@ -65,7 +66,9 @@ def _check_declared(declared, parsed, path):
 
 
 def _resolve_paths(path):
-    """Accept a directory, an .aux file, or any member file; return the file map."""
+    """Accept a directory, an .aux file, or any member file, as a str or
+    os.PathLike; return the file map."""
+    path = os.fspath(path)
     if os.path.isdir(path):
         nodes = [f for f in sorted(os.listdir(path)) if f.endswith(".nodes")]
         if len(nodes) != 1:
@@ -191,16 +194,21 @@ def _parse_scl(path):
     (Siteorient, Sitesymmetry, ...) are not read."""
     declared = {}
     rows = []
-    fields = None
+    fields = None  # the open CoreRow's fields, opened on line `row_line`
+    row_line = None
     for lineno, line in _content_lines(path):
         if line.startswith("NumRows"):
             declared["NumRows"] = _count(line.partition(":")[2], "NumRows", path, lineno)
             continue
         if line.startswith("CoreRow"):
-            fields = {}
+            if fields is not None:
+                raise ParseError("CoreRow without End", path=path, line=row_line)
+            fields, row_line = {}, lineno
             continue
         if line.startswith("End"):
-            if fields is not None and "Coordinate" in fields:
+            if fields is not None:
+                if "Coordinate" not in fields:
+                    raise ParseError("CoreRow without Coordinate", path=path, line=row_line)
                 height = fields.get("Height", 0.0)
                 pitch = fields.get("Sitespacing", fields.get("Sitewidth", 1.0))
                 width = fields.get("NumSites", 0.0) * pitch
@@ -219,6 +227,8 @@ def _parse_scl(path):
                 except ValueError:
                     raise ParseError(f"bad {tokens[i]}: '{tokens[i + 2]}'",
                                      path=path, line=lineno) from None
+    if fields is not None:
+        raise ParseError("CoreRow without End", path=path, line=row_line)
     _check_declared(declared, {"NumRows": len(rows)}, path)
     if not rows:
         return [], None

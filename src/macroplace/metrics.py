@@ -5,8 +5,9 @@ Congestion uses RUDY-style net smearing: each net's demand is spread
 uniformly over its bounding box (clamped to at least one grid cell in each
 dimension and shifted to stay on canvas). The boxes are `netlist.net_boxes`,
 the same ones HPWL measures: pins at node centers, one unplaced-node check.
-Net boxes and node footprints go onto the grid through `raster.cover`,
-whose in-order accumulation equals a per-net (per-node) loop bit for bit.
+Net boxes and node footprints go onto the grid through the per-axis
+overlap matrices of `raster.axis_overlap` and one matrix product per map,
+which equals a per-net (per-node) loop to rounding.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .grid import Grid
 from .netlist import Netlist, Placement, net_boxes
-from .raster import accumulate, cover, node_boxes
+from .raster import axis_overlap, node_boxes
 
 # Routing capacity per cell, horizontal == vertical. Calibrated once as the
 # 95th percentile of nonzero per-cell single-net demand over a four-design
@@ -66,6 +67,9 @@ def congestion_map(
     rows, cols = grid.rows, grid.cols
     W, H = grid.canvas_width, grid.canvas_height
     lo, hi = net_boxes(netlist, placement)
+    # The clamp below would turn an infinite edge into a canvas-wide box.
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise ValueError("net box edges must be finite")
     x0, y0 = lo[:, 0], lo[:, 1]
     x1, y1 = hi[:, 0], hi[:, 1]
     # Clamp the box to at least one cell per axis, then shift on-canvas.
@@ -74,11 +78,12 @@ def congestion_map(
     bx = np.minimum(np.maximum((x0 + x1) / 2 - bw / 2, 0.0), W - bw)
     by = np.minimum(np.maximum((y0 + y1) / 2 - bh / 2, 0.0), H - bh)
 
-    entries = cover(bx, bx + bw, by, by + bh, grid.cell_w, grid.cell_h, rows, cols)
-    box = entries.box
-    frac = entries.wy * entries.wx / (bw * bh)[box]  # overlap-area fractions, sum to 1
-    demand_h = accumulate(entries, (netlist.net_csr.weights / bh)[box] * frac, rows, cols)
-    demand_v = accumulate(entries, (netlist.net_csr.weights / bw)[box] * frac, rows, cols)
+    wx = axis_overlap(bx, bx + bw, grid.cell_w, cols)
+    wy = axis_overlap(by, by + bh, grid.cell_h, rows)
+    # wy_i (x) wx_i / (bw_i * bh_i) are net i's overlap-area fractions, sum 1.
+    per_area = netlist.net_csr.weights / (bw * bh)
+    demand_h = (wy * (per_area / bh)[:, None]).T @ wx
+    demand_v = (wy * (per_area / bw)[:, None]).T @ wx
     return CongestionMap(demand_h=demand_h, demand_v=demand_v,
                          capacity_h=capacity_h, capacity_v=capacity_v)
 
@@ -110,8 +115,7 @@ def rasterize_area(netlist: Netlist, placement: Placement, rows: int, cols: int,
     """
     keep = netlist.node_arrays.charge & placement.placed
     x0, x1, y0, y1 = node_boxes(netlist, placement, np.flatnonzero(keep))
-    entries = cover(x0, x1, y0, y1, cell_w, cell_h, rows, cols)
-    return accumulate(entries, entries.wy * entries.wx, rows, cols)
+    return axis_overlap(y0, y1, cell_h, rows).T @ axis_overlap(x0, x1, cell_w, cols)
 
 
 def density_overflow(netlist: Netlist, placement: Placement, grid: Grid,

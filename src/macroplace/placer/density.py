@@ -15,18 +15,16 @@ What the movable nodes cannot change is computed once per placement, in a
 `DensityGrid`: the bin geometry, the raster of the charge-carrying nodes
 that stay fixed, the total charge area and the Poisson eigenvalue
 denominators. Each solve rasterizes only the grid's movable ids through
-`raster.cover`, the rasterizer the density metrics use, and adds their
-entries onto a copy of the fixed raster in entry order (`charge_raster`,
-which the force-directed engine's spreading pass shares). That equals one
-in-order pass over all charge-carrying nodes bit for bit when every fixed
-id precedes every movable id, which `cluster_std_cells` guarantees for
-cluster placement (macros and terminals first, then the clusters). A grid
-built with everything movable has nothing fixed, and its raster is the
-one-pass raster.
+`raster.axis_overlap`, the rasterizer the density metrics use, as one
+matrix product added onto the fixed raster (`charge_raster`, which the
+force-directed engine's spreading pass shares). That equals one pass over
+all charge-carrying nodes to rounding; a grid built with everything
+movable has nothing fixed, and its raster is the one-pass raster.
 
-`DensityField` keeps the boxes and overlap entries of its raster; the
-gradient weights them with `raster.edge_slope` and sums them per node with
-one `np.bincount` per axis.
+`DensityField` keeps the boxes and the per-axis overlap matrices of its
+raster. The gradient needs, per node, the potential summed over its
+footprint with one axis's overlap replaced by that axis's edge slope:
+one matrix product and one row sum per axis.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ import numpy as np
 from scipy.fft import dctn, idctn
 
 from ..netlist import Netlist, Placement
-from ..raster import Cover, accumulate, cover, edge_slope, node_boxes
+from ..raster import axis_overlap, node_boxes
 
 
 def check_bins(bins: int) -> None:
@@ -71,11 +69,11 @@ def density_grid(netlist: Netlist, placement: Placement, movable: np.ndarray,
     charged = arrays.charge & placement.placed
     all_ids = np.flatnonzero(charged)
     fixed_ids = np.flatnonzero(charged & ~movable)
-    entries = cover(*node_boxes(netlist, placement, fixed_ids), bin_w, bin_h, bins, bins)
+    x0, x1, y0, y1 = node_boxes(netlist, placement, fixed_ids)
     return DensityGrid(
         bins=bins, bin_w=bin_w, bin_h=bin_h,
         ids=np.flatnonzero(charged & movable),
-        fixed_area=accumulate(entries, entries.wy * entries.wx, bins, bins),
+        fixed_area=axis_overlap(y0, y1, bin_h, bins).T @ axis_overlap(x0, x1, bin_w, bins),
         charge_area=float((arrays.width[all_ids] * arrays.height[all_ids]).sum()),
         denom=poisson_denominators(bins, bin_w, bin_h),
     )
@@ -90,7 +88,8 @@ class DensityField:
     norm_scale: float  # rho rescale factor applied after rasterization
     ids: np.ndarray  # the nodes rasterized for this field, the raster's boxes in order
     boxes: tuple  # their (x0, x1, y0, y1) footprints
-    entries: Cover  # raster.cover of `boxes`
+    wx: np.ndarray  # (len(ids), bins) column overlaps of `boxes` (raster.axis_overlap)
+    wy: np.ndarray  # (len(ids), bins) row overlaps
 
     @property
     def bins(self) -> int:
@@ -102,19 +101,14 @@ class DensityField:
 
 
 def charge_raster(netlist: Netlist, placement: Placement, grid: DensityGrid):
-    """(area, boxes, entries): the placed charge-carrying area per bin, with
-    the footprints and overlap entries of the grid's movable ids.
-
-    The movable ids' entries are added onto a copy of the grid's fixed
-    raster in entry order; only those ids are read from `placement`.
-    """
-    bins = grid.bins
+    """(area, boxes, wx, wy): the placed charge-carrying area per bin, with
+    the footprints and the column and row overlap matrices of the grid's
+    movable ids. Only those ids are read from `placement`."""
     boxes = node_boxes(netlist, placement, grid.ids)
-    entries = cover(*boxes, grid.bin_w, grid.bin_h, bins, bins)
-    area = grid.fixed_area.copy()
-    # In entry order onto the fixed raster (np.add.at is unbuffered).
-    np.add.at(area.reshape(-1), entries.row * bins + entries.col, entries.wy * entries.wx)
-    return area, boxes, entries
+    x0, x1, y0, y1 = boxes
+    wx = axis_overlap(x0, x1, grid.bin_w, grid.bins)
+    wy = axis_overlap(y0, y1, grid.bin_h, grid.bins)
+    return grid.fixed_area + wy.T @ wx, boxes, wx, wy
 
 
 def solve_density_field(netlist: Netlist, placement: Placement,
@@ -127,13 +121,13 @@ def solve_density_field(netlist: Netlist, placement: Placement,
     charge-carrying (movable-kind) area; its mean then matches the design's
     utilization, which the benchmark edit rounds up into target_density.
     """
-    area, boxes, entries = charge_raster(netlist, placement, grid)
+    area, boxes, wx, wy = charge_raster(netlist, placement, grid)
     raster_total = area.sum()
     scale = grid.charge_area / raster_total if raster_total > 0 else 1.0
     rho = area * (scale / (grid.bin_w * grid.bin_h))
     return DensityField(rho=rho, psi=solve_poisson(rho, grid.denom), bin_w=grid.bin_w,
                         bin_h=grid.bin_h, norm_scale=scale,
-                        ids=grid.ids, boxes=boxes, entries=entries)
+                        ids=grid.ids, boxes=boxes, wx=wx, wy=wy)
 
 
 def poisson_denominators(bins: int, bin_w: float, bin_h: float) -> np.ndarray:
@@ -173,14 +167,23 @@ def density_energy_and_grad(field: DensityField, netlist: Netlist):
     """
     energy = 0.5 * float((field.rho * field.psi).sum()) * field.bin_area
     grad = np.zeros((netlist.num_nodes, 2))
-    ids, entries = field.ids, field.entries
     x0, x1, y0, y1 = field.boxes
-    box, wx, wy = entries.box, entries.wx, entries.wy
     # d(overlap_x)/dx per column and d(overlap_y)/dy per row.
-    dwx = edge_slope(x0[box], x1[box], entries.col, field.bin_w)
-    dwy = edge_slope(y0[box], y1[box], entries.row, field.bin_h)
-    psi = field.psi[entries.row, entries.col]
+    dwx = _edge_slope(x0, x1, field.bin_w, field.bins)
+    dwy = _edge_slope(y0, y1, field.bin_h, field.bins)
     s = field.norm_scale
-    grad[ids, 0] = s * np.bincount(box, weights=wy * psi * dwx, minlength=len(ids))
-    grad[ids, 1] = s * np.bincount(box, weights=dwy * psi * wx, minlength=len(ids))
+    grad[field.ids, 0] = s * ((field.wy @ field.psi) * dwx).sum(axis=1)
+    grad[field.ids, 1] = s * ((dwy @ field.psi) * field.wx).sum(axis=1)
     return energy, grad
+
+
+def _edge_slope(lo, hi, cell: float, count: int) -> np.ndarray:
+    """(n, count) d(overlap of [lo + t, hi + t] with each cell)/dt: +1 in
+    the cell whose interior holds the upper edge, -1 in the cell whose
+    interior holds the lower edge."""
+    idx = np.arange(count)
+    left = idx * cell
+    right = (idx + 1) * cell
+    upper = (hi[:, None] > left) & (hi[:, None] < right)
+    lower = (lo[:, None] > left) & (lo[:, None] < right)
+    return upper.astype(np.float64) - lower

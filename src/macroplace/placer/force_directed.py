@@ -26,7 +26,7 @@ so that its shift never mixes with the anchored clusters' modes.
 Spreading. One `DensityGrid` per placement holds the raster of the fixed
 macros; each iteration adds only the clusters onto it through
 `density.charge_raster`, the helper the electrostatic engine's solve uses,
-which gives `rasterize_area`'s raster bit for bit. The blurred overflow's
+which gives `rasterize_area`'s raster to rounding. The blurred overflow's
 gradient is read only at the clusters' bins. The trace rows the engine
 appends are never read here: their HPWL and overflow cost nothing unless a
 caller reads them.
@@ -82,7 +82,7 @@ def _spread_once(pnet, placement, grid: DensityGrid):
     in place."""
     rows = cols = grid.bins
     cell_w, cell_h = grid.bin_w, grid.bin_h
-    area, _, _ = charge_raster(pnet, placement, grid)
+    area = charge_raster(pnet, placement, grid)[0]
     cell_area = cell_w * cell_h
     # Overlap pressure only (density above 1.0): the design target is not
     # reachable per-bin for solid clusters wider than a bin.

@@ -1,72 +1,48 @@
 """Box-to-bin rasterizer shared by the density metrics, the RUDY congestion
 map and the electrostatic density model.
 
-`cover` lists every (box, bin) overlap as one entry: the box index, the
-bin's row and column, and the box's overlap length with that column (`wx`)
-and row (`wy`); the overlap area is `wx * wy`. Entries are box-major, so
-`accumulate` (one `np.bincount`) adds each bin's contributions in box order
-and equals a per-box `grid[r0:r1, c0:c1] += np.outer(wy, wx)` loop bit for
-bit. Boxes partly off the grid cover only their on-grid bins.
+A box's overlap with a grid is the outer product of its overlap with the
+columns and its overlap with the rows, so every map sum_i v_i * wy_i (x) wx_i
+is one matrix product of the two per-axis overlap matrices:
+
+    (wy * v[:, None]).T @ wx    # wx = axis_overlap(x0, x1, ...), (n, cols)
+                                # wy = axis_overlap(y0, y1, ...), (n, rows)
+
+The product sums each bin's contributions in BLAS order, not box order, so
+a map matches a per-box `grid[r0:r1, c0:c1] += np.outer(wy, wx)` loop to
+rounding, while each overlap length the loop computes is the same float
+here. Boxes partly off the grid cover only their on-grid bins.
+
+The matrices are dense, O(boxes x bins) per axis. At the sizes measured
+(RUDY: up to 943 nets on a 32 x 32 grid; node maps: up to 164 nodes on
+32 x 32 or 64 x 64 bins) the product is faster than listing each
+(box, bin) overlap once; a map with many more bins per axis than a box
+covers would pay for the zeros.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
 from .netlist import Netlist, Placement
 
 
-class Cover(NamedTuple):
-    box: np.ndarray  # (E,) entry -> box index, nondecreasing
-    row: np.ndarray  # (E,) bin row
-    col: np.ndarray  # (E,) bin column
-    wx: np.ndarray  # (E,) overlap of the box's x-span with the column
-    wy: np.ndarray  # (E,) overlap of the box's y-span with the row
+def axis_overlap(lo, hi, cell: float, count: int) -> np.ndarray:
+    """(n, count) overlap length of each interval [lo, hi] with each of
+    `count` cells of width `cell` from the origin:
+    min(hi, (c+1)*cell) - max(lo, c*cell), clipped at 0.
 
-
-def _axis_span(lo, hi, cell, count):
-    """First covered cell and covered-cell count of each [lo, hi] interval."""
+    On the cells floor(lo/cell) .. ceil(hi/cell) - 1 that a per-box loop
+    visits, each value is the loop's float. Every other cell holds 0, save
+    one case: when lo/cell (hi/cell) rounds to a whole number k while
+    k*cell rounds past the edge, the cell the loop skips just outside the
+    edge keeps the one-ulp sliver that the rounded edges still overlap."""
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise ValueError("box edges must be finite")
-    first = np.minimum(np.maximum(np.floor(lo / cell), 0), count).astype(np.int64)
-    last = np.minimum(np.maximum(np.ceil(hi / cell) - 1, -1), count - 1).astype(np.int64)
-    return first, np.maximum(last - first + 1, 0)
-
-
-def cover(x0, x1, y0, y1, cell_w: float, cell_h: float, rows: int, cols: int) -> Cover:
-    """Overlap entries of boxes [x0, x1] x [y0, y1] with a rows x cols grid
-    of cell_w x cell_h bins anchored at the origin."""
-    c0, nx = _axis_span(x0, x1, cell_w, cols)
-    r0, ny = _axis_span(y0, y1, cell_h, rows)
-    per_box = nx * ny
-    box = np.repeat(np.arange(len(per_box)), per_box)
-    # Position of each entry within its box, walked row-major.
-    k = np.arange(len(box)) - np.repeat(np.cumsum(per_box) - per_box, per_box)
-    dr, dc = np.divmod(k, nx[box])
-    row = r0[box] + dr
-    col = c0[box] + dc
-    bx0, bx1, by0, by1 = x0[box], x1[box], y0[box], y1[box]
-    wx = np.minimum(bx1, (col + 1) * cell_w) - np.maximum(bx0, col * cell_w)
-    wy = np.minimum(by1, (row + 1) * cell_h) - np.maximum(by0, row * cell_h)
-    return Cover(box, row, col, wx, wy)
-
-
-def accumulate(entries: Cover, values: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """(rows, cols) grid holding the per-bin sum of `values`, in entry order."""
-    flat = np.bincount(entries.row * cols + entries.col, weights=values,
-                       minlength=rows * cols)
-    # bincount returns integers when there are no entries at all.
-    return flat.astype(np.float64, copy=False).reshape(rows, cols)
-
-
-def edge_slope(lo, hi, idx, cell):
-    """d(overlap of [lo + t, hi + t] with cell idx)/dt: +1 where the upper
-    edge lies strictly inside the cell, -1 where the lower edge does."""
-    left = idx * cell
-    right = (idx + 1) * cell
-    return ((hi > left) & (hi < right)).astype(np.float64) - ((lo > left) & (lo < right))
+    idx = np.arange(count)
+    overlap = np.minimum(hi[:, None], (idx + 1) * cell)
+    overlap -= np.maximum(lo[:, None], idx * cell)
+    return np.maximum(overlap, 0.0, out=overlap)
 
 
 def node_boxes(netlist: Netlist, placement: Placement, ids: np.ndarray):

@@ -14,6 +14,17 @@ from macroplace.netlist import (
 )
 
 
+REL = 1e-12  # tolerance of a kernel that reassociates its reference's float sums
+
+
+def assert_close_to_scale(actual, expected, rel=REL):
+    """|actual - expected| <= rel * max|expected|, elementwise."""
+    actual = np.asarray(actual, dtype=float)
+    expected = np.asarray(expected, dtype=float)
+    scale = max(float(np.abs(expected).max(initial=0.0)), 1e-300)
+    assert np.abs(actual - expected).max(initial=0.0) <= rel * scale
+
+
 def random_design(rng, n_nodes=20, n_nets=15, canvas=(100.0, 80.0), macro_prob=0.15,
                   with_offsets=False):
     """Random placed netlist for oracle comparisons."""

@@ -191,9 +191,10 @@ def poisson_residual(field):
 
 # --- Loop references -------------------------------------------------------
 # The per-net and per-node loops that the CSR net kernel and the shared
-# rasterizer replaced, kept verbatim. The rasterizer accumulates in the same
-# order, so its outputs must equal these bit for bit; the smooth-WL and
-# density-gradient kernels reassociate float sums, so they match to rounding.
+# rasterizer replaced, kept verbatim. The rasterizer's per-axis overlap
+# lengths must equal `_axis_overlap`'s bit for bit; its maps, the smooth-WL
+# and the density-gradient kernels reassociate float sums, so they match
+# these to rounding.
 
 
 def _axis_overlap(lo: float, hi: float, cell: float, count: int):

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from macroplace.design import DesignBundle, SyntheticSpec, generate_synthetic
+from macroplace.bookshelf import parse_bookshelf, write_bookshelf
+from macroplace.design import (
+    DesignBundle,
+    SyntheticSpec,
+    edit_for_movable_macros,
+    generate_synthetic,
+)
 from macroplace.env import (
     EnvConfig,
     MacroPlacementEnv,
@@ -183,6 +189,20 @@ class TestDeterminism:
         t2 = rollout(env, uniform_random_policy, seed=42)
         assert t1.reward == t2.reward
         assert [s.action for s in t1.steps] == [s.action for s in t2.steps]
+
+    def test_fd_rewards_at_benchmark_scale_are_pinned(self, tmp_path):
+        """The benchmark's rollout-fd-M design (16 macros, 2000 cells, 2500
+        nets, design seed 1, ingested through Bookshelf) rolled out with the
+        FD engine. The rewards were recorded by these rollouts at commit
+        6793be2, whose rasterizer summed each bin box by box; the matrix
+        product sums in another order, so they hold to 1e-9 relative."""
+        spec = SyntheticSpec(16, 2000, 2500, seed=1)
+        write_bookshelf(generate_synthetic(spec), tmp_path, "m")
+        bundle = edit_for_movable_macros(parse_bookshelf(tmp_path))
+        env = MacroPlacementEnv(bundle, EnvConfig(placer=PlacerConfig(engine="fd")))
+        rewards = [rollout(env, uniform_random_policy, seed).reward for seed in (0, 1, 2)]
+        recorded = [-0.9371344817220548, -0.8955540392911929, -0.9234413170780145]
+        assert rewards == pytest.approx(recorded, rel=1e-9, abs=0.0)
 
     def test_engine_swap_changes_only_reward(self, training_bundle):
         placements = {}

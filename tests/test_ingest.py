@@ -131,8 +131,9 @@ class TestBookshelfParse:
          r"fix\.scl:8: bad NumSites: 'twenty'"),
         ("fix.scl", ("NumRows : 2", "NumRows : 3"), r"fix\.scl: NumRows 3 != 2 parsed"),
         ("fix.scl", ("NumRows : 2", "NumRows : two"), r"fix\.scl:2: bad NumRows: 'two'"),
+        ("fix.scl", ("  Coordinate : 1\n", ""), r"fix\.scl:10: CoreRow without Coordinate"),
     ], ids=["zero-size-cell", "infinite-cell", "num-terminals", "bad-row-height",
-            "bad-num-sites", "num-rows", "bad-num-rows"])
+            "bad-num-sites", "num-rows", "bad-num-rows", "row-without-coordinate"])
     def test_nodes_and_scl_sections_are_checked(self, tmp_path, name, edit, message):
         files = dict(FIXTURE)
         assert edit[0] in files[name]
@@ -140,6 +141,29 @@ class TestBookshelfParse:
         write_fixture(tmp_path, files)
         with pytest.raises(ParseError, match=message):
             parse_bookshelf(str(tmp_path))
+
+    @pytest.mark.parametrize("scl,line", [
+        (FIXTURE["fix.scl"].removesuffix("End\n"), 10),
+        (FIXTURE["fix.scl"].replace("End\n", "", 1), 3),
+    ], ids=["at-eof", "before-next-row"])
+    def test_core_row_without_end_cites_its_line(self, tmp_path, scl, line):
+        """A CoreRow still open at the end of the file, or when the next
+        one starts, is an error at the CoreRow's line."""
+        write_fixture(tmp_path, {**FIXTURE, "fix.scl": scl})
+        with pytest.raises(ParseError, match=rf"fix\.scl:{line}: CoreRow without End"):
+            parse_bookshelf(str(tmp_path))
+
+    @pytest.mark.parametrize("member", ["", "fix.aux", "fix.nodes"],
+                             ids=["directory", "aux", "member-file"])
+    def test_path_objects_are_accepted(self, tmp_path, member):
+        files = {**FIXTURE, "fix.aux": "RowBasedPlacement : fix.nodes fix.nets fix.pl fix.scl\n"}
+        write_fixture(tmp_path, files)
+        expected = parse_bookshelf(str(tmp_path))
+        bundle = parse_bookshelf(tmp_path / member)
+        assert [n.name for n in bundle.netlist.nodes] == ["a", "b", "p"]
+        np.testing.assert_array_equal(bundle.placement.positions,
+                                      expected.placement.positions)
+        assert bundle.netlist.canvas_width == expected.netlist.canvas_width
 
     def test_zero_size_terminal_and_symbolic_row_fields_parse(self, tmp_path):
         files = dict(FIXTURE)

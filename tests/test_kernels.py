@@ -2,10 +2,12 @@
 linear system, solve and spreading pass against the loops and routines they
 replaced (tests/oracles.py).
 
-The rasterizer and the spreading pass compute in the references' order, so
-their outputs must be bit-equal. The smooth-WL and density-gradient kernels
-reassociate float sums, and the spectral solve replaces a sparse LU solve,
-so they are held to 1e-12 of the reference's scale.
+HPWL, the per-axis overlap lengths, the FD system, the blur and the
+gradient reads compute in the references' order, so their outputs must be
+bit-equal. The rasterized maps (one matrix product per map), the smooth-WL
+and density-gradient kernels reassociate float sums, and the spectral solve
+replaces a sparse LU solve, so they and the spreading pass built on the
+maps are held to 1e-12 of the reference's scale.
 """
 
 import re
@@ -44,9 +46,11 @@ from macroplace.placer.force_directed import (
     spsolve,
 )
 from macroplace.placer.wirelength import smooth_wl_and_grad
+from macroplace.raster import axis_overlap, node_boxes
 
-from conftest import floating_netlist
+from conftest import REL, assert_close_to_scale, floating_netlist
 from oracles import (
+    _axis_overlap,
     blur_reference,
     congestion_map_loop,
     density_energy_and_grad_loop,
@@ -58,16 +62,7 @@ from oracles import (
     spread_once_reference,
 )
 
-REL = 1e-12
 CANVAS = (64.0, 48.0)
-
-
-def assert_close_to_scale(actual, expected, rel=REL):
-    """|actual - expected| <= rel * max|expected|, elementwise."""
-    actual = np.asarray(actual, dtype=float)
-    expected = np.asarray(expected, dtype=float)
-    scale = max(float(np.abs(expected).max(initial=0.0)), 1e-300)
-    assert np.abs(actual - expected).max(initial=0.0) <= rel * scale
 
 
 def edge_case_design(rng, n_nodes=30, n_nets=25):
@@ -117,8 +112,7 @@ def edge_case_design(rng, n_nodes=30, n_nets=25):
 
 def random_cluster_placement(rng, n_nodes=80, n_nets=60, k=30):
     """A clustered `edge_case_design` with its clusters placed at random,
-    partly off canvas. Asserts the order the fixed raster relies on: fixed
-    charge first."""
+    partly off canvas, and some fixed charge under them."""
     nl, pl = edge_case_design(rng, n_nodes=n_nodes, n_nets=n_nets)
     clustered = cluster_std_cells(nl, k=k)
     pnet = clustered.placement_netlist
@@ -127,7 +121,7 @@ def random_cluster_placement(rng, n_nodes=80, n_nets=60, k=30):
     ppl.positions[movable] = rng.uniform(-5.0, 70.0, size=(movable.sum(), 2))
     ppl.placed[movable] = True
     fixed = np.flatnonzero(pnet.node_arrays.charge & ppl.placed & ~movable)
-    assert len(fixed) and fixed.max() < np.flatnonzero(movable).min()
+    assert len(fixed)
     return clustered, ppl, movable
 
 
@@ -136,12 +130,32 @@ GRIDS = [(6, 8), (5, 7), (1, 1), (16, 16)]  # (6, 8) has 8x8 bins
 
 class TestRasterizer:
     @pytest.mark.parametrize("rows,cols", GRIDS)
+    def test_axis_overlap_bit_equal(self, rng, rows, cols):
+        """Each row holds the loop's overlap floats on the cells the loop
+        covers and 0 elsewhere, for every node's box: edges on bin
+        boundaries, boxes partly and wholly off the grid."""
+        cell_w, cell_h = CANVAS[0] / cols, CANVAS[1] / rows
+        for _ in range(5):
+            nl, pl = edge_case_design(rng)
+            x0, x1, y0, y1 = node_boxes(nl, pl, np.arange(nl.num_nodes))
+            for lo, hi, cell, count in ((x0, x1, cell_w, cols), (y0, y1, cell_h, rows)):
+                w = axis_overlap(lo, hi, cell, count)
+                assert w.shape == (nl.num_nodes, count)
+                for i in range(nl.num_nodes):
+                    first, ref = _axis_overlap(lo[i], hi[i], cell, count)
+                    expected = np.zeros(count)
+                    expected[first:first + len(ref)] = ref
+                    np.testing.assert_array_equal(w[i], expected)
+
+    @pytest.mark.parametrize("rows,cols", GRIDS)
     def test_rasterize_area_bit_equal(self, rng, rows, cols):
+        """Named for its former bit-equality: the product sums each bin in
+        BLAS order, so the map matches the loop to rounding."""
         for _ in range(5):
             nl, pl = edge_case_design(rng)
             pl.placed[[4, 9]] = False
             cell_w, cell_h = CANVAS[0] / cols, CANVAS[1] / rows
-            np.testing.assert_array_equal(
+            assert_close_to_scale(
                 rasterize_area(nl, pl, rows, cols, cell_w, cell_h),
                 rasterize_area_loop(nl, pl, rows, cols, cell_w, cell_h))
 
@@ -152,8 +166,8 @@ class TestRasterizer:
             grid = Grid.empty(rows, cols, *CANVAS)
             cmap = congestion_map(nl, pl, grid)
             ref_h, ref_v = congestion_map_loop(nl, pl, grid)
-            np.testing.assert_array_equal(cmap.demand_h, ref_h)
-            np.testing.assert_array_equal(cmap.demand_v, ref_v)
+            assert_close_to_scale(cmap.demand_h, ref_h)
+            assert_close_to_scale(cmap.demand_v, ref_v)
 
     def test_density_charge_bit_equal(self, rng):
         for bins in (4, 8, 32):
@@ -162,13 +176,12 @@ class TestRasterizer:
             everything = np.ones(nl.num_nodes, dtype=bool)
             field = solve_density_field(nl, pl, density_grid(nl, pl, everything, bins))
             area = rasterize_area_loop(nl, pl, bins, bins, field.bin_w, field.bin_h)
-            np.testing.assert_array_equal(field.rho, area * (field.norm_scale / field.bin_area))
+            assert_close_to_scale(field.rho, area * (field.norm_scale / field.bin_area))
 
     def test_density_charge_fixed_raster_bit_equal(self, rng):
         """A cluster placement's grid rasterizes the macros once and adds
-        the clusters onto that raster per solve: the field equals the
-        one-pass field (nothing fixed) bit for bit. The designs are large
-        enough that adding the two rasters' sums instead differs."""
+        the clusters onto that raster per solve: the field and its gradient
+        equal the one-pass field's (nothing fixed) to rounding."""
         for bins in (4, 4, 8, 8, 32, 32):
             clustered, ppl, movable = random_cluster_placement(rng)
             pnet = clustered.placement_netlist
@@ -176,15 +189,29 @@ class TestRasterizer:
             everything = np.ones(pnet.num_nodes, dtype=bool)
             one_pass = solve_density_field(pnet, ppl,
                                            density_grid(pnet, ppl, everything, bins))
-            np.testing.assert_array_equal(seeded.rho, one_pass.rho)
-            np.testing.assert_array_equal(seeded.psi, one_pass.psi)
+            assert_close_to_scale(seeded.rho, one_pass.rho)
+            assert_close_to_scale(seeded.psi, one_pass.psi)
             area = rasterize_area_loop(pnet, ppl, bins, bins, seeded.bin_w, seeded.bin_h)
-            np.testing.assert_array_equal(seeded.rho,
-                                          area * (seeded.norm_scale / seeded.bin_area))
+            assert_close_to_scale(seeded.rho, area * (seeded.norm_scale / seeded.bin_area))
             _, grad = density_energy_and_grad(seeded, pnet)
             _, ref = density_energy_and_grad(one_pass, pnet)
-            np.testing.assert_array_equal(grad[movable], ref[movable])
+            assert_close_to_scale(grad[movable], ref[movable])
             assert not grad[~movable].any()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_box_edges_raise(self, rng, bad):
+        nl, pl = edge_case_design(rng)
+        movable = nl.node_arrays.movable
+        grid = density_grid(nl, pl, movable, 8)
+        node = next(p.node for net in nl.nets for p in net.pins
+                    if movable[p.node] and nl.node_arrays.charge[p.node])
+        pl.positions[node, 0] = bad
+        with pytest.raises(ValueError, match="box edges must be finite"):
+            rasterize_area(nl, pl, 6, 8, 8.0, 8.0)
+        with pytest.raises(ValueError, match="box edges must be finite"):
+            congestion_map(nl, pl, Grid.empty(6, 8, *CANVAS))
+        with pytest.raises(ValueError, match="box edges must be finite"):
+            solve_density_field(nl, pl, grid)
 
     def test_congestion_unplaced_names_net_and_node(self, rng):
         nl, pl = edge_case_design(rng)
@@ -365,7 +392,8 @@ class TestSpreading:
     @pytest.mark.parametrize("bins", [4, 8, 32, 64])
     def test_spread_once_bit_equal(self, rng, bins):
         """On the fixed raster, with the gradient read at the clusters'
-        bins, the pass moves every cluster as the full-raster pass does."""
+        bins, the pass moves every cluster as the full-raster pass does, to
+        the rounding of the raster's matrix product."""
         moved = 0
         for _ in range(4):
             clustered, ppl, movable = random_cluster_placement(rng)
@@ -373,7 +401,7 @@ class TestSpreading:
             ref = spread_once_reference(pnet, ppl, np.flatnonzero(movable), bins)
             grid = density_grid(pnet, ppl, movable, bins)
             out = _spread_once(pnet, ppl.copy(), grid)
-            np.testing.assert_array_equal(out.positions, ref.positions)
+            assert_close_to_scale(out.positions, ref.positions)
             moved += int((out.positions != ppl.positions).any())
         assert moved  # the push branch ran
 

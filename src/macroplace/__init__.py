@@ -14,7 +14,6 @@ from .netlist import (
     Placement,
     hpwl,
     stats,
-    validate,
 )
 
 __all__ = [
@@ -33,7 +32,6 @@ __all__ = [
     "generate_synthetic",
     "hpwl",
     "stats",
-    "validate",
 ]
 
 __version__ = "0.1.0"

@@ -1,5 +1,6 @@
 """Non-learning baselines: random search, simulated annealing, and the
-exhaustive oracle used by the comparison harness and the acceptance suite."""
+exhaustive oracle, which the tests use as the exact best reward of small
+designs."""
 
 from __future__ import annotations
 
@@ -25,10 +26,6 @@ class BaselineResult:
     best_actions: list
     best_placement: Placement | None
     rewards: list  # per-evaluation rewards, in evaluation order
-
-    @property
-    def evaluations(self) -> int:
-        return len(self.rewards)
 
 
 def baseline_random(env: MacroPlacementEnv, episodes: int,
@@ -85,7 +82,7 @@ def baseline_sim_anneal(env: MacroPlacementEnv, moves: int, seed: int = 0) -> Ba
             placement.positions[pid] = (x, y)
             placement.placed[pid] = True
         macro = env.pnet.nodes[env.macro_order[k]]
-        choices = np.flatnonzero(feasibility_mask(grid, macro).flat())
+        choices = np.flatnonzero(feasibility_mask(grid, macro))
         if len(choices) == 0:
             continue
         proposal = list(cells)
@@ -126,7 +123,7 @@ def oracle_exhaustive(env: MacroPlacementEnv) -> BaselineResult:
 
     def recurse(state, actions):
         obs = env.observation(state)
-        for action in np.flatnonzero(obs.mask.flat()):
+        for action in np.flatnonzero(obs.mask):
             transition, nxt = env.step(state, int(action))
             seq = actions + [int(action)]
             if transition.done:

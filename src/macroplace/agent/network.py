@@ -46,18 +46,6 @@ class PolicyParams:
     def copy(self) -> "PolicyParams":
         return PolicyParams({k: v.copy() for k, v in self.arrays.items()})
 
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate([self.arrays[k].ravel() for k in sorted(self.arrays)])
-
-    def from_vector(self, vec: np.ndarray) -> "PolicyParams":
-        out = self.copy()
-        pos = 0
-        for k in sorted(out.arrays):
-            size = out.arrays[k].size
-            out.arrays[k] = vec[pos:pos + size].reshape(out.arrays[k].shape).copy()
-            pos += size
-        return out
-
 
 def init_params(rng: np.random.Generator, rounds: int = 2,
                 embed_dim: int = 16) -> PolicyParams:
@@ -241,7 +229,7 @@ def policy_from_params(params: PolicyParams, ctx: DesignContext):
 
     def policy(obs: Observation):
         _cache, logits, value = forward_step(params, ctx, obs)
-        probs, _, _ = masked_distribution(logits, obs.mask.flat())
+        probs, _, _ = masked_distribution(logits, obs.mask.ravel())
         return probs, value
 
     return policy
@@ -252,7 +240,7 @@ def greedy_policy_from_params(params: PolicyParams, ctx: DesignContext):
 
     def policy(obs: Observation):
         _cache, logits, value = forward_step(params, ctx, obs)
-        probs, feasible, _ = masked_distribution(logits, obs.mask.flat())
+        probs, feasible, _ = masked_distribution(logits, obs.mask.ravel())
         best = feasible[int(np.argmax(probs[feasible]))]
         out = np.zeros_like(probs)
         out[best] = 1.0

@@ -73,7 +73,7 @@ def loss_and_grads(params: PolicyParams, batch):
             obs = step.observation
             cache, logits, value = forward_step(params, ctx, obs)
             probs, feasible, log_probs_f = masked_distribution(
-                logits, obs.mask.flat())
+                logits, obs.mask.ravel())
             adv = ret - step.value  # frozen at collection time
             lp = float(np.log(probs[step.action]))
             ent = float(-(probs[feasible] * log_probs_f).sum())

@@ -8,11 +8,13 @@ rows in .scl. Coordinates are shifted on read so the canvas origin is
 
 NumNodes, NumTerminals, NumNets, NumPins, NumRows and each NetDegree must
 match the lines that follow, every non-terminal node needs a finite,
-positive width and height, and every .scl CoreRow needs a Coordinate and an
-End; a malformed file raises ParseError with its path (and line, where one
-line is at fault). Without
-.scl rows the row height is `infer_row_height`, as on write. The target
-density is `round_up_density` of the movable area (1.0 if none).
+positive width and height, every .scl CoreRow needs a Coordinate and an
+End, and the canvas (the box around the rows and placed nodes) needs a
+positive width and height; a malformed file raises ParseError with its path
+(and line, where one line is at fault). The row height is
+`infer_row_height` over the .scl row heights, or without rows over the
+non-terminal node heights, as on write. The target density is
+`round_up_density` of the movable area (1.0 if none).
 """
 
 from __future__ import annotations
@@ -230,18 +232,20 @@ def _parse_scl(path):
     if fields is not None:
         raise ParseError("CoreRow without End", path=path, line=row_line)
     _check_declared(declared, {"NumRows": len(rows)}, path)
-    if not rows:
-        return [], None
-    heights = [r[3] for r in rows if r[3] > 0]
-    row_height = Counter(heights).most_common(1)[0][0] if heights else None
-    return rows, row_height
+    return rows, infer_row_height(r[3] for r in rows if r[3] > 0)
 
 
 def infer_row_height(heights):
-    """Most common of the non-terminal node `heights`, compared to 1e-9: the
-    row height of a design without .scl rows. None for no heights."""
-    counts = Counter(round(h, 9) for h in heights)
-    return counts.most_common(1)[0][0] if counts else None
+    """Most common of `heights` compared to 1e-9, returned as the first
+    exact height of the winning group (ties go to the group seen first);
+    None for no heights."""
+    first = {}
+    counts = Counter()
+    for h in heights:
+        key = round(h, 9)
+        first.setdefault(key, h)
+        counts[key] += 1
+    return first[counts.most_common(1)[0][0]] if counts else None
 
 
 def parse_bookshelf(path) -> DesignBundle:
@@ -282,6 +286,9 @@ def parse_bookshelf(path) -> DesignBundle:
                          path=files["pl"])
     origin = (min(xs), min(ys))
     canvas_w, canvas_h = max(xs) - origin[0], max(ys) - origin[1]
+    if not (canvas_w > 0 and canvas_h > 0):
+        raise ParseError(f"derived canvas is {canvas_w:g} x {canvas_h:g}; its width and "
+                         "height must be positive", path=files["pl"])
 
     if row_height is None:
         row_height = infer_row_height(sizes[n][1] for n in order if not terminal_tag[n])
@@ -318,7 +325,7 @@ def parse_bookshelf(path) -> DesignBundle:
         placement.placed[nid] = True
 
     movable_area = netlist.movable_area
-    if netlist.canvas_area > 0 and movable_area > 0:
+    if movable_area > 0:
         netlist.target_density = round_up_density(movable_area / netlist.canvas_area)
 
     meta = {"origin": origin, "row_height": row_height}

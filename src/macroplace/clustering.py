@@ -38,7 +38,6 @@ class Cluster:
 
 @dataclass(eq=False)
 class ClusteredNetlist:
-    base: Netlist
     clusters: list[Cluster]
     cluster_of: np.ndarray  # per-original-node cluster index, -1 for non-std
     placement_netlist: Netlist  # macros + terminals + cluster pseudo-nodes
@@ -253,7 +252,6 @@ def cluster_std_cells(netlist: Netlist, k: int) -> ClusteredNetlist:
         target_density=netlist.target_density,
     )
     return ClusteredNetlist(
-        base=netlist,
         clusters=clusters,
         cluster_of=cluster_of,
         placement_netlist=placement_netlist,

@@ -189,5 +189,5 @@ def generate_synthetic(spec: SyntheticSpec) -> DesignBundle:
         provenance=f"synthetic:seed={spec.seed}",
         # Half-row std cells keep macro/std classification stable through a
         # bookshelf round trip with the default macro threshold.
-        meta={"origin": (0.0, 0.0), "row_height": cell_h / 2, "spec": spec},
+        meta={"origin": (0.0, 0.0), "row_height": cell_h / 2},
     )

@@ -23,7 +23,7 @@ import numpy as np
 from .clustering import base_placement, cluster_std_cells, default_cluster_count
 from .design import DesignBundle
 from .errors import DesignError, PlacementError
-from .grid import Grid, Mask, feasibility_mask, place_on_grid
+from .grid import Grid, feasibility_mask, place_on_grid
 from .metrics import DEFAULT_CAPACITY, Metrics, RewardWeights, evaluate
 from .netlist import Placement
 from .placer import PlacerConfig, place_clusters
@@ -47,14 +47,15 @@ class EnvState:
     grid: Grid
     step_index: int
     placement: Placement  # placement-netlist coordinates, macros placed so far
-    mask: Mask | None  # next macro's true feasibility; None once all are placed
+    # The next macro's (rows, cols) bool feasibility; None once all are placed.
+    mask: np.ndarray | None
 
 
 @dataclass(frozen=True)
 class Observation:
     occupancy: np.ndarray  # bool copy of the grid occupancy
     macro_id: int  # placement-netlist node id of the macro to place
-    mask: Mask
+    mask: np.ndarray  # (rows, cols) bool feasibility of that macro
     positions: np.ndarray  # placement snapshot for feature building
     placed: np.ndarray
     step_index: int
@@ -175,7 +176,7 @@ class MacroPlacementEnv:
             raise PlacementError(
                 f"action {action} is outside the grid's {self.num_cells} cells")
         row, col = divmod(action, self.config.grid_cols)
-        if not state.mask.feasible[row, col]:
+        if not state.mask[row, col]:
             raise PlacementError(
                 f"action {action} is infeasible for macro '{macro.name}'")
 
@@ -189,7 +190,7 @@ class MacroPlacementEnv:
                                     final_placement=final_placement)
             return transition, next_state
 
-        if not next_state.mask.any:
+        if not next_state.mask.any():
             transition = Transition(reward=-DEAD_END_PENALTY, done=True, dead_end=True)
             return transition, next_state
         return Transition(reward=0.0, done=False), next_state
@@ -197,7 +198,7 @@ class MacroPlacementEnv:
 
 def uniform_random_policy(obs: Observation):
     """Uniform distribution over feasible cells; value estimate 0."""
-    flat = obs.mask.flat().astype(np.float64)
+    flat = obs.mask.ravel().astype(np.float64)
     total = flat.sum()
     if total == 0:
         raise PlacementError("uniform policy called with an all-false mask")

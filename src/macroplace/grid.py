@@ -58,18 +58,6 @@ class Grid:
                     self.occupancy.copy(), list(self.placed_macros))
 
 
-@dataclass(frozen=True)
-class Mask:
-    feasible: np.ndarray  # (rows, cols) bool
-
-    @property
-    def any(self) -> bool:
-        return bool(self.feasible.any())
-
-    def flat(self) -> np.ndarray:
-        return self.feasible.ravel()
-
-
 def _footprint_offsets(grid: Grid, macro: Node):
     """Footprint as constant offsets around the action cell: placing at
     (r, c) covers rows r+dr0..r+dr1 and cols c+dc0..c+dc1. The footprint,
@@ -107,9 +95,10 @@ def footprint(grid: Grid, macro: Node, row: int, col: int) -> frozenset:
                      for c in range(cols.start, cols.stop))
 
 
-def feasibility_mask(grid: Grid, macro: Node) -> Mask:
-    """Feasible cells: the box stays inside the canvas and covers no occupied
-    cell. An all-false mask is a legal result."""
+def feasibility_mask(grid: Grid, macro: Node) -> np.ndarray:
+    """(rows, cols) bool array of the feasible cells: the box stays inside
+    the canvas and covers no occupied cell. An all-false mask is a legal
+    result."""
     w2, h2 = macro.width / 2, macro.height / 2
     tol_x = _REL_TOL * max(grid.canvas_width, 1.0)
     tol_y = _REL_TOL * max(grid.canvas_height, 1.0)
@@ -120,7 +109,7 @@ def feasibility_mask(grid: Grid, macro: Node) -> Mask:
     inside_r = (row_centers - h2 >= -tol_y) & (row_centers + h2 <= grid.canvas_height + tol_y)
     inside = inside_r[:, None] & inside_c[None, :]
     if not inside.any():
-        return Mask(feasible=inside)
+        return inside
 
     dr0, dr1, dc0, dc1 = _footprint_offsets(grid, macro)
     # Sliding-window occupancy count via a zero-padded summed-area table.
@@ -135,7 +124,7 @@ def feasibility_mask(grid: Grid, macro: Node) -> Mask:
     covered = (
         sat[r_hi, c_hi] - sat[r_lo, c_hi] - sat[r_hi, c_lo] + sat[r_lo, c_lo]
     )
-    return Mask(feasible=inside & (covered == 0))
+    return inside & (covered == 0)
 
 
 def place_on_grid(grid: Grid, macro: Node, row: int, col: int):

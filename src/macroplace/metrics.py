@@ -25,6 +25,8 @@ from .raster import axis_overlap, node_boxes
 # 95th percentile of nonzero per-cell single-net demand over a four-design
 # synthetic suite on a 32x32 grid.
 DEFAULT_CAPACITY = 0.8
+# Share of cells, rounded up, whose mean overflow is the congestion score.
+TOP_FRACTION = 0.1
 
 
 @dataclass
@@ -88,22 +90,19 @@ def congestion_map(
                          capacity_h=capacity_h, capacity_v=capacity_v)
 
 
-def _top_overflow(demand: np.ndarray, capacity: float, top_fraction: float) -> float:
+def _top_overflow(demand: np.ndarray, capacity: float) -> float:
     ratios = np.maximum(0.0, demand.ravel() - capacity) / capacity
-    k = math.ceil(top_fraction * ratios.size)
-    if k >= ratios.size:
-        return float(ratios.mean())
+    k = math.ceil(TOP_FRACTION * ratios.size)
     top = np.partition(ratios, ratios.size - k)[ratios.size - k:]
     return float(top.mean())
 
 
-def congestion_scores(cmap: CongestionMap, top_fraction: float = 0.1):
-    """Mean overflow ratio over the most congested cells, per orientation."""
-    if not (0 < top_fraction <= 1):
-        raise ValueError(f"top_fraction must be in (0, 1], got {top_fraction}")
+def congestion_scores(cmap: CongestionMap):
+    """Mean overflow ratio over the TOP_FRACTION most congested cells, per
+    orientation."""
     return (
-        _top_overflow(cmap.demand_h, cmap.capacity_h, top_fraction),
-        _top_overflow(cmap.demand_v, cmap.capacity_v, top_fraction),
+        _top_overflow(cmap.demand_h, cmap.capacity_h),
+        _top_overflow(cmap.demand_v, cmap.capacity_v),
     )
 
 
@@ -154,7 +153,7 @@ def evaluate(netlist: Netlist, placement: Placement, grid: Grid,
              capacity_h: float = DEFAULT_CAPACITY,
              capacity_v: float = DEFAULT_CAPACITY) -> Metrics:
     """One-stop proxy metrics for a fully placed design: HPWL at node
-    centers, and congestion over the top 10 % of cells."""
+    centers, and congestion over the TOP_FRACTION most congested cells."""
     from .netlist import hpwl as hpwl_fn
 
     wl = hpwl_fn(netlist, placement)

@@ -8,7 +8,7 @@ concern, not this one's.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -19,7 +19,6 @@ from .errors import EvaluationError
 KIND_MACRO = "macro"
 KIND_STD = "std_cell"
 KIND_TERMINAL = "terminal"
-NODE_KINDS = (KIND_MACRO, KIND_STD, KIND_TERMINAL)
 
 
 @dataclass(frozen=True)
@@ -38,8 +37,8 @@ class Node:
 
 @dataclass(frozen=True)
 class Pin:
-    # Offsets are kept for Bookshelf I/O and `validate`; every wirelength
-    # measure (`net_boxes`, the smoothed one) puts pins at node centers.
+    # Offsets are kept for Bookshelf I/O only; every wirelength measure
+    # (`net_boxes`, the smoothed one) puts pins at node centers.
     node: int
     offset_x: float = 0.0
     offset_y: float = 0.0
@@ -141,12 +140,6 @@ class Netlist:
     def macros(self) -> list[Node]:
         return [n for n in self.nodes if n.kind == KIND_MACRO]
 
-    def std_cells(self) -> list[Node]:
-        return [n for n in self.nodes if n.kind == KIND_STD]
-
-    def terminals(self) -> list[Node]:
-        return [n for n in self.nodes if n.kind == KIND_TERMINAL]
-
 
 @dataclass
 class Placement:
@@ -175,19 +168,6 @@ class Placement:
         out.placed[node_id] = True
         return out
 
-    def in_canvas(self, netlist: Netlist, tol: float = 1e-9) -> bool:
-        """True if every placed node's bounding box lies within the canvas."""
-        pad = tol * max(netlist.canvas_width, netlist.canvas_height, 1.0)
-        for node in netlist.nodes:
-            if not self.placed[node.id]:
-                continue
-            x, y = self.positions[node.id]
-            if x - node.width / 2 < -pad or x + node.width / 2 > netlist.canvas_width + pad:
-                return False
-            if y - node.height / 2 < -pad or y + node.height / 2 > netlist.canvas_height + pad:
-                return False
-        return True
-
 
 @dataclass(frozen=True)
 class BenchmarkStats:
@@ -196,20 +176,6 @@ class BenchmarkStats:
     terminal_count: int
     utilization: float
     max_density: float
-
-    @property
-    def total_nodes(self) -> int:
-        return self.macro_count + self.std_cell_count + self.terminal_count
-
-
-@dataclass
-class ValidationReport:
-    violations: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 def net_boxes(netlist: Netlist, placement: Placement) -> tuple[np.ndarray, np.ndarray]:
@@ -259,45 +225,3 @@ def stats(netlist: Netlist) -> BenchmarkStats:
         max_density=netlist.target_density,
     )
 
-
-def validate(netlist: Netlist) -> ValidationReport:
-    """Check structural invariants; failures are reported, never raised."""
-    report = ValidationReport()
-    n = netlist.num_nodes
-    for node in netlist.nodes:
-        if node.id < 0 or node.id >= n or netlist.nodes[node.id] is not node:
-            report.violations.append(f"node '{node.name}': id {node.id} is not its dense index")
-        if node.width <= 0 or node.height <= 0:
-            report.violations.append(f"node '{node.name}': nonpositive dimensions")
-        if node.kind not in NODE_KINDS:
-            report.violations.append(f"node '{node.name}': unknown kind '{node.kind}'")
-        if node.kind == KIND_TERMINAL and node.movable:
-            report.violations.append(f"node '{node.name}': terminals must not be movable")
-    for net in netlist.nets:
-        if not net.pins:
-            report.violations.append(f"net '{net.name}': no pins")
-        if net.weight < 0:
-            report.violations.append(f"net '{net.name}': negative weight")
-        for k, pin in enumerate(net.pins):
-            if pin.node < 0 or pin.node >= n:
-                report.violations.append(
-                    f"net '{net.name}' pin {k}: node id {pin.node} out of range"
-                )
-                continue
-            node = netlist.nodes[pin.node]
-            if abs(pin.offset_x) > node.width / 2 or abs(pin.offset_y) > node.height / 2:
-                report.violations.append(
-                    f"net '{net.name}' pin {k}: offset outside node '{node.name}'"
-                )
-    if netlist.canvas_width <= 0 or netlist.canvas_height <= 0:
-        report.violations.append("canvas dimensions must be positive")
-    if not (0 < netlist.target_density <= 1):
-        report.violations.append(f"target_density {netlist.target_density} not in (0, 1]")
-    elif netlist.canvas_area > 0:
-        budget = netlist.target_density * netlist.canvas_area
-        if netlist.movable_area > budget * (1 + 1e-12):
-            report.warnings.append(
-                f"movable area {netlist.movable_area:.6g} exceeds "
-                f"target_density x canvas = {budget:.6g}"
-            )
-    return report

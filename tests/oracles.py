@@ -1,7 +1,9 @@
 """Independent brute-force oracles.
 
 Everything here recomputes results from first principles with plain Python
-loops, deliberately avoiding the production code paths it checks.
+loops, deliberately avoiding the production code paths it checks. The
+flat parameter vector at the end is the view the gradient, checkpoint and
+determinism tests compare.
 """
 
 import math
@@ -489,3 +491,33 @@ def greedy_merge_bruteforce(netlist, k):
     while len(members) > k:
         merge(*sorted(members)[:2])
     return [(tuple(sorted(members[g])), area[g]) for g in sorted(members)]
+
+
+def in_canvas(netlist, placement, tol=1e-9):
+    """True if every placed node's bounding box lies within the canvas."""
+    pad = tol * max(netlist.canvas_width, netlist.canvas_height, 1.0)
+    for node in netlist.nodes:
+        if not placement.placed[node.id]:
+            continue
+        x, y = placement.positions[node.id]
+        if x - node.width / 2 < -pad or x + node.width / 2 > netlist.canvas_width + pad:
+            return False
+        if y - node.height / 2 < -pad or y + node.height / 2 > netlist.canvas_height + pad:
+            return False
+    return True
+
+
+def params_to_vector(params):
+    """Every array of a PolicyParams, flattened and concatenated in key order."""
+    return np.concatenate([params.arrays[k].ravel() for k in sorted(params.arrays)])
+
+
+def params_from_vector(params, vec):
+    """A copy of `params` whose arrays are read back from `params_to_vector`'s layout."""
+    out = params.copy()
+    pos = 0
+    for k in sorted(out.arrays):
+        size = out.arrays[k].size
+        out.arrays[k] = vec[pos:pos + size].reshape(out.arrays[k].shape).copy()
+        pos += size
+    return out

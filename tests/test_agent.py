@@ -20,8 +20,9 @@ from macroplace.agent.network import (
 from macroplace.agent.train import TrainConfig, loss_and_grads, train
 from macroplace.env import EnvConfig, MacroPlacementEnv, rollout
 from macroplace.errors import TrainingError
-from macroplace.grid import Mask
 from macroplace.placer import PlacerConfig
+
+from oracles import params_from_vector, params_to_vector
 
 
 def tiny_env(bundle):
@@ -45,7 +46,7 @@ def test_one_train_update_completes(training_bundle):
     params, curve = train(env, config, params=start.copy())
     assert len(curve) == 1
     assert np.isfinite(curve[0].loss)
-    assert not np.array_equal(params.to_vector(), start.to_vector())
+    assert not np.array_equal(params_to_vector(params), params_to_vector(start))
 
 
 def test_loss_gradients_match_central_differences(training_bundle):
@@ -59,15 +60,15 @@ def test_loss_gradients_match_central_differences(training_bundle):
     assert not any(traj.dead_end for _ctx, traj in batch)
 
     _, grads, _ = loss_and_grads(params, batch)
-    analytic = replace(params, arrays=grads).to_vector()
-    vec = params.to_vector()
+    analytic = params_to_vector(replace(params, arrays=grads))
+    vec = params_to_vector(params)
     h = 1e-6
     numeric = np.empty_like(vec)
     for i in range(len(vec)):
         step = np.zeros_like(vec)
         step[i] = h
-        plus, _, _ = loss_and_grads(params.from_vector(vec + step), batch)
-        minus, _, _ = loss_and_grads(params.from_vector(vec - step), batch)
+        plus, _, _ = loss_and_grads(params_from_vector(params, vec + step), batch)
+        minus, _, _ = loss_and_grads(params_from_vector(params, vec - step), batch)
         numeric[i] = (plus - minus) / (2 * h)
     # Round-off of the differences is ~eps * |loss| / h ~ 3e-9 here.
     np.testing.assert_allclose(analytic, numeric, rtol=1e-5,
@@ -79,7 +80,7 @@ def test_checkpoint_round_trip(tmp_path, monkeypatch):
     path = tmp_path / "policy.npz"
     save_params(params, path)
     loaded = load_params(path)
-    np.testing.assert_array_equal(loaded.to_vector(), params.to_vector())
+    np.testing.assert_array_equal(params_to_vector(loaded), params_to_vector(params))
     assert (loaded.rounds, loaded.embed_dim) == (params.rounds, params.embed_dim) == (2, 4)
     assert {k: v.shape for k, v in loaded.arrays.items()} == {
         k: v.shape for k, v in params.arrays.items()}
@@ -115,7 +116,7 @@ def test_greedy_policy_is_the_masked_argmax(training_bundle):
     top = int(np.argmax(logits))
     feasible = np.ones(env.num_cells, dtype=bool)
     feasible[top - top % 6:top - top % 6 + 6] = False
-    obs = replace(obs, mask=Mask(feasible.reshape(6, 6)))
+    obs = replace(obs, mask=feasible.reshape(6, 6))
 
     probs, value = greedy_policy_from_params(params, ctx)(obs)
     expected = np.zeros(env.num_cells)
@@ -138,7 +139,7 @@ def test_train_deterministic_per_seed(training_bundle):
     params_a, curve_a = train(env, config)
     params_b, curve_b = train(env, config)
     assert curve_a == curve_b
-    np.testing.assert_array_equal(params_a.to_vector(), params_b.to_vector())
+    np.testing.assert_array_equal(params_to_vector(params_a), params_to_vector(params_b))
 
 
 def test_non_finite_loss_dumps_batch(training_bundle, monkeypatch, tmp_path):

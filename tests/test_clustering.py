@@ -68,7 +68,7 @@ class TestClusterStdCells:
     def test_identity_clustering_preserves_hpwl(self, rng):
         nl, pl = random_design(rng, n_nodes=25, n_nets=18)
         clustered = cluster_std_cells(nl, k=nl.num_nodes)
-        assert clustered.num_clusters == len(nl.std_cells())
+        assert clustered.num_clusters == len([n for n in nl.nodes if n.kind == KIND_STD])
         # every cluster is a single cell
         assert all(len(c.members) == 1 for c in clustered.clusters)
         ppl = base_placement(clustered, pl)
@@ -95,7 +95,7 @@ class TestClusterStdCells:
     def test_area_conservation(self, rng):
         nl, _ = random_design(rng, n_nodes=100, n_nets=160, macro_prob=0.0)
         clustered = cluster_std_cells(nl, k=10)
-        total_cells = sum(n.area for n in nl.std_cells())
+        total_cells = sum(n.area for n in nl.nodes if n.kind == KIND_STD)
         total_clusters = sum(c.area for c in clustered.clusters)
         assert total_clusters == pytest.approx(total_cells, rel=1e-9)
         # every std cell in exactly one cluster

@@ -78,7 +78,7 @@ class TestReset:
         _, obs1 = env.reset()
         _, obs2 = env.reset()
         np.testing.assert_array_equal(obs1.occupancy, obs2.occupancy)
-        np.testing.assert_array_equal(obs1.mask.feasible, obs2.mask.feasible)
+        np.testing.assert_array_equal(obs1.mask, obs2.mask)
         assert obs1.macro_id == obs2.macro_id
 
     def test_zero_macros_rejected(self):
@@ -96,7 +96,7 @@ class TestStep:
     def test_single_macro_episode(self):
         env = small_env(macros=[(9.0, 9.0)])
         state, obs = env.reset()
-        action = int(np.flatnonzero(obs.mask.flat())[0])
+        action = int(np.flatnonzero(obs.mask.ravel())[0])
         transition, state2 = env.step(state, action)
         assert transition.done
         assert np.isfinite(transition.reward)
@@ -123,7 +123,7 @@ class TestStep:
     def test_blocking_fixture_pays_dead_end_penalty(self):
         env = self.blocking_env()
         state, obs = env.reset()
-        feasible = np.flatnonzero(obs.mask.flat())
+        feasible = np.flatnonzero(obs.mask.ravel())
         assert list(feasible) == [4]  # the center cell only
         transition, state2 = env.step(state, 4)
         assert transition.done
@@ -136,7 +136,7 @@ class TestStep:
     def test_infeasible_action_is_contract_violation(self):
         env = small_env(macros=[(14.0, 14.0), (6.0, 6.0)])
         state, obs = env.reset()
-        infeasible = np.flatnonzero(~obs.mask.flat())
+        infeasible = np.flatnonzero(~obs.mask.ravel())
         assert len(infeasible) > 0
         with pytest.raises(PlacementError, match="infeasible"):
             env.step(state, int(infeasible[0]))
@@ -151,7 +151,7 @@ class TestStep:
     def test_reward_zero_until_done(self):
         env = small_env()
         state, obs = env.reset()
-        action = int(np.flatnonzero(obs.mask.flat())[0])
+        action = int(np.flatnonzero(obs.mask.ravel())[0])
         transition, state = env.step(state, action)
         assert transition.reward == 0.0
         assert not transition.done
@@ -171,7 +171,7 @@ class TestDeterminism:
             state, obs = env.reset()
             total = []
             while True:
-                action = int(np.flatnonzero(obs.mask.flat())[0])
+                action = int(np.flatnonzero(obs.mask.ravel())[0])
                 transition, state = env.step(state, action)
                 total.append(transition.reward)
                 if transition.done:
@@ -218,8 +218,8 @@ class TestDeterminism:
             actions = []
             mask_log = []
             while True:
-                mask_log.append(obs.mask.feasible.copy())
-                action = int(np.flatnonzero(obs.mask.flat())[0])
+                mask_log.append(obs.mask.copy())
+                action = int(np.flatnonzero(obs.mask.ravel())[0])
                 actions.append(action)
                 transition, state = env.step(state, action)
                 if transition.done:
@@ -245,7 +245,7 @@ class TestRolloutBookkeeping:
         traj = rollout(env, uniform_random_policy, seed=1)
         assert len(traj) == env.num_macros
         for step in traj.steps:
-            assert step.observation.mask.feasible.ravel()[step.action]
+            assert step.observation.mask.ravel()[step.action]
             assert np.isfinite(step.log_prob)
         assert traj.metrics is not None
         assert traj.final_placement.placed.all()
@@ -279,7 +279,7 @@ class TestRolloutBookkeeping:
             covered = 0
             while True:
                 rng = np.random.default_rng(seed * 1000 + state.step_index)
-                choices = np.flatnonzero(obs.mask.flat())
+                choices = np.flatnonzero(obs.mask.ravel())
                 action = int(rng.choice(choices))
                 prev = state.grid.occupancy.sum()
                 transition, state = env.step(state, action)

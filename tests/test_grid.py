@@ -46,13 +46,13 @@ class TestFeasibilityMask:
     def test_empty_grid_small_macro_all_feasible(self):
         grid = Grid.empty(6, 7, 70.0, 60.0)
         mask = feasibility_mask(grid, macro(5.0, 5.0))
-        assert mask.feasible.all()
+        assert mask.all()
 
     def test_full_canvas_macro_unique_center(self):
         grid = Grid.empty(5, 5, 50.0, 50.0)  # odd grid: a centered cell exists
         mask = feasibility_mask(grid, macro(50.0, 50.0))
-        assert mask.feasible.sum() == 1
-        assert mask.feasible[2, 2]
+        assert mask.sum() == 1
+        assert mask[2, 2]
 
     def test_matches_bruteforce_after_one_placement(self):
         grid = Grid.empty(8, 8, 80.0, 80.0)
@@ -62,13 +62,13 @@ class TestFeasibilityMask:
         mask = feasibility_mask(grid, m1)
         brute = mask_bruteforce(grid, m1)
         for (r, c), want in brute.items():
-            assert mask.feasible[r, c] == want, (r, c)
+            assert mask[r, c] == want, (r, c)
 
     def test_all_false_mask_is_legal(self):
         grid = Grid.empty(2, 2, 20.0, 20.0)
         grid.occupancy[:] = True
         mask = feasibility_mask(grid, macro(5.0, 5.0))
-        assert not mask.feasible.any()
+        assert not mask.any()
 
     def test_random_grids_match_bruteforce(self, rng):
         for _ in range(25):
@@ -87,7 +87,7 @@ class TestFeasibilityMask:
             mask = feasibility_mask(grid, m)
             brute = mask_bruteforce(grid, m)
             for (r, c), want in brute.items():
-                assert mask.feasible[r, c] == want, (r, c, rows, cols)
+                assert mask[r, c] == want, (r, c, rows, cols)
 
 
 class TestPlaceOnGrid:
@@ -98,9 +98,9 @@ class TestPlaceOnGrid:
         np.testing.assert_allclose(pos, (25.0, 25.0))
         mask = feasibility_mask(grid2, macro(20.0, 20.0, mid=1))
         # any cell whose footprint would hit the covered block is infeasible
-        assert not mask.feasible[2, 2]
-        assert not mask.feasible[1, 1]
-        assert mask.feasible[5, 5]
+        assert not mask[2, 2]
+        assert not mask[1, 1]
+        assert mask[5, 5]
 
     def test_sequential_union_and_disjoint(self, rng):
         for _ in range(30):
@@ -109,9 +109,9 @@ class TestPlaceOnGrid:
             for k in range(6):
                 m = macro(float(rng.uniform(5, 35)), float(rng.uniform(5, 35)), mid=k)
                 mask = feasibility_mask(grid, m)
-                if not mask.any:
+                if not mask.any():
                     break
-                choices = np.flatnonzero(mask.flat())
+                choices = np.flatnonzero(mask.ravel())
                 cell = int(rng.choice(choices))
                 r, c = divmod(cell, grid.cols)
                 grid, _ = place_on_grid(grid, m, r, c)
@@ -145,9 +145,9 @@ class TestPlaceOnGrid:
                 m = macro(float(rng.uniform(0.05, 0.5) * grid.canvas_width),
                           float(rng.uniform(0.05, 0.5) * grid.canvas_height), mid=k)
                 mask = feasibility_mask(grid, m)
-                if not mask.any:
+                if not mask.any():
                     break
-                cell = int(rng.choice(np.flatnonzero(mask.flat())))
+                cell = int(rng.choice(np.flatnonzero(mask.ravel())))
                 r, c = divmod(cell, cols)
                 cells = footprint(grid, m, r, c)
                 grid, _ = place_on_grid(grid, m, r, c)  # must not raise

@@ -8,6 +8,10 @@ is re-exported).
 No module reaches into another object's private names: it reads
 `<expr>._name` only when `<expr>` is `self` or `cls`, and it imports no
 `_name`. Dunder names are public.
+
+Every public function, class, method and annotated class field of
+`macroplace` is read by code in src/ or perfbench/, or is on a short list of
+entry points kept on purpose, each with its reason.
 """
 
 import ast
@@ -100,3 +104,105 @@ def test_guard_sees_private_access():
     )
     assert private_accesses(source) == [
         ("_footprint_offsets", 2), ("pkg._impl", 3), ("_base", 6), ("_y", 7)]
+
+
+# Census of what the program reads. A public name of `macroplace` is read
+# when code in src/ or perfbench/ loads it by name or as an attribute, passes
+# it as a keyword, or names it in perfbench's traced-function table.
+ROOT = PACKAGE.parent.parent
+READERS = MODULES + sorted((ROOT / "perfbench").glob("*.py"))
+TRACE_TABLE = ROOT / "perfbench" / "tracing.py"
+
+# Public names nothing in src/ or perfbench/ reads, kept on purpose.
+UNREAD_BY_DESIGN = {
+    "agent.baselines.baseline_random":
+        "random search, the comparison and gate of ROADMAP items 1-2",
+    "agent.baselines.oracle_exhaustive":
+        "exact best reward of small designs, the learning gate's reference",
+    "agent.network.save_params": "policy checkpoints for the item-2 report",
+    "agent.network.load_params": "policy checkpoints for the item-2 report",
+    "agent.network.greedy_policy_from_params":
+        "scores a trained policy in the item-1 gate and the item-2 report",
+    "agent.train.train": "the training loop that ROADMAP item 1 makes learn",
+    "placer.spread_movable": "the item-2 stand-in for the academic placers",
+    "grid.footprint": "the public form of the footprint rule, checked "
+                      "against footprint_raster",
+}
+
+
+def read_names(source, dotted_strings=False):
+    """Names the source reads: Name and Attribute loads and call keywords;
+    with `dotted_strings`, every part of every string constant."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.keyword) and node.arg:
+            names.add(node.arg)
+        elif (dotted_strings and isinstance(node, ast.Constant)
+              and isinstance(node.value, str)):
+            names.update(node.value.split("."))
+    return names
+
+
+def public_definitions(source):
+    """(qualified name, bare name) of each public top-level function and
+    class, and of each method and annotated field of a public class."""
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        yield node.name, node.name
+        for item in node.body if isinstance(node, ast.ClassDef) else ():
+            if isinstance(item, ast.FunctionDef):
+                name = item.name
+            elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                name = item.target.id
+            else:
+                continue
+            if not name.startswith("_"):
+                yield f"{node.name}.{name}", name
+
+
+def unread_public_names(modules, read):
+    """Sorted `module.qualified name` of each public definition in `modules`
+    ({module name: source}) whose bare name is not in `read`."""
+    return sorted(f"{module}.{qualified}"
+                  for module, source in modules.items()
+                  for qualified, name in public_definitions(source)
+                  if name not in read)
+
+
+def test_every_public_name_is_read():
+    read = set()
+    for path in READERS:
+        read |= read_names(path.read_text(), dotted_strings=path == TRACE_TABLE)
+    modules = {}
+    for path in MODULES:
+        parts = path.relative_to(PACKAGE).with_suffix("").parts
+        modules[".".join(p for p in parts if p != "__init__")] = path.read_text()
+    assert unread_public_names(modules, read) == sorted(UNREAD_BY_DESIGN)
+
+
+def test_census_sees_unread_names():
+    source = (
+        "def used(): pass\n"
+        "def unused(): pass\n"
+        "def _private(): pass\n"
+        "class Box:\n"
+        "    size: int\n"
+        "    label: str\n"
+        "    spare: int\n"
+        "    def area(self): return self.size\n"
+        "    def volume(self): pass\n"
+        "    def __len__(self): return 0\n"
+        "__all__ = ['unused']\n"
+        "used(); Box(label='x').area()\n"
+    )
+    read = read_names(source)
+    assert unread_public_names({"m": source}, read) == [
+        "m.Box.spare", "m.Box.volume", "m.unused"]
+    table = "TRACED = (('m.volume', 'pkg.m', 'Box.volume'),)\n"
+    assert "volume" in read_names(table, dotted_strings=True)
+    assert "volume" not in read_names(table)

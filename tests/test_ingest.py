@@ -12,7 +12,7 @@ from macroplace.design import (
     round_up_density,
 )
 from macroplace.errors import DesignError, ParseError
-from macroplace.netlist import KIND_MACRO, KIND_STD, KIND_TERMINAL, hpwl, stats, validate
+from macroplace.netlist import KIND_MACRO, KIND_STD, KIND_TERMINAL, hpwl, stats
 
 
 FIXTURE = {
@@ -57,6 +57,15 @@ End
 }
 
 
+def assert_well_formed(nl):
+    """Every node has a finite, positive size, every pin names a node in
+    range, and the target density lies in (0, 1]."""
+    sizes = np.array([(n.width, n.height) for n in nl.nodes])
+    assert np.isfinite(sizes).all() and (sizes > 0).all()
+    assert all(0 <= p.node < nl.num_nodes for net in nl.nets for p in net.pins)
+    assert 0 < nl.target_density <= 1
+
+
 def write_fixture(tmp_path, files=FIXTURE):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -78,7 +87,7 @@ class TestBookshelfParse:
         # .pl coordinates are lower-left corners; centers follow
         np.testing.assert_allclose(bundle.placement.positions[0], [6.0, 6.0])
         np.testing.assert_allclose(bundle.placement.positions[1], [12.5, 12.5])
-        assert validate(nl).ok
+        assert_well_formed(nl)
 
     def test_unknown_node_in_nets_cites_line(self, tmp_path):
         files = dict(FIXTURE)
@@ -152,6 +161,28 @@ class TestBookshelfParse:
         write_fixture(tmp_path, {**FIXTURE, "fix.scl": scl})
         with pytest.raises(ParseError, match=rf"fix\.scl:{line}: CoreRow without End"):
             parse_bookshelf(str(tmp_path))
+
+    @pytest.mark.parametrize("size,canvas", [("0  0", "0 x 0"), ("0  3", "0 x 3")],
+                             ids=["point", "zero-width"])
+    def test_degenerate_canvas_names_the_pl(self, tmp_path, size, canvas):
+        """Without rows, a .pl that places only a terminal of zero width
+        derives a canvas that later code would divide by."""
+        files = {k: v for k, v in FIXTURE.items() if not k.endswith(".scl")}
+        files["fix.nodes"] = files["fix.nodes"].replace("  p  1  1", f"  p  {size}")
+        files["fix.pl"] = "UCLA pl 1.0\np  5  5 : N /FIXED\n"
+        write_fixture(tmp_path, files)
+        with pytest.raises(ParseError, match=rf"fix\.pl: derived canvas is {canvas};"):
+            parse_bookshelf(str(tmp_path))
+
+    def test_row_heights_vote_to_one_part_in_a_billion(self, tmp_path):
+        """Row heights equal to 9 decimals vote as one group, and the row
+        height is the first of them exactly as written."""
+        row = ("CoreRow Horizontal\n  Coordinate : {y}\n  Height : {h}\n"
+               "  Sitewidth : 1\n  SubrowOrigin : 0  NumSites : 20\nEnd\n")
+        rows = [("0", "2"), ("2", "1.00000000002"), ("3.00000000002", "1.00000000004")]
+        scl = "UCLA scl 1.0\nNumRows : 3\n" + "".join(row.format(y=y, h=h) for y, h in rows)
+        write_fixture(tmp_path, {**FIXTURE, "fix.scl": scl})
+        assert parse_bookshelf(str(tmp_path)).meta["row_height"] == 1.00000000002
 
     @pytest.mark.parametrize("member", ["", "fix.aux", "fix.nodes"],
                              ids=["directory", "aux", "member-file"])
@@ -312,7 +343,7 @@ class TestSynthetic:
             nl = bundle.netlist
             total_movable = sum(n.area for n in nl.nodes if n.movable)
             assert total_movable <= nl.target_density * nl.canvas_area + 1e-9
-            assert validate(nl).ok
+            assert_well_formed(nl)
 
     def test_macro_areas_relative_to_cells(self):
         bundle = generate_synthetic(SyntheticSpec(5, 200, 100, seed=2))

@@ -6,6 +6,7 @@ from macroplace.grid import Grid
 from macroplace.metrics import (
     CongestionMap,
     Metrics,
+    TOP_FRACTION,
     RewardWeights,
     congestion_map,
     congestion_scores,
@@ -100,19 +101,15 @@ class TestCongestionScores:
         assert congestion_scores(cmap) == (pytest.approx(1.0), pytest.approx(1.0))
 
     def test_matches_sort_oracle(self, rng):
-        for frac in (0.05, 0.1, 0.37, 1.0):
-            demand = rng.uniform(0.0, 3.0, size=(9, 7))
+        """At TOP_FRACTION; on the 1x1 map k is the whole map."""
+        for shape in ((9, 7), (1, 1), (3, 5), (32, 32)):
+            demand = rng.uniform(0.0, 3.0, size=shape)
             cmap = CongestionMap(demand, demand * 0.5, 1.2, 0.9)
-            ch, cv = congestion_scores(cmap, top_fraction=frac)
+            ch, cv = congestion_scores(cmap)
             assert ch == pytest.approx(
-                top_fraction_mean_sorted(demand.ravel().tolist(), 1.2, frac))
+                top_fraction_mean_sorted(demand.ravel().tolist(), 1.2, TOP_FRACTION))
             assert cv == pytest.approx(
-                top_fraction_mean_sorted((demand * 0.5).ravel().tolist(), 0.9, frac))
-
-    def test_bad_fraction_rejected(self):
-        cmap = CongestionMap(np.zeros((2, 2)), np.zeros((2, 2)), 1.0, 1.0)
-        with pytest.raises(ValueError):
-            congestion_scores(cmap, top_fraction=0.0)
+                top_fraction_mean_sorted((demand * 0.5).ravel().tolist(), 0.9, TOP_FRACTION))
 
 
 class TestDensityOverflow:

@@ -7,7 +7,6 @@ from macroplace.metrics import congestion_map
 from macroplace.netlist import (
     KIND_MACRO,
     KIND_STD,
-    KIND_TERMINAL,
     Net,
     Netlist,
     Node,
@@ -15,7 +14,6 @@ from macroplace.netlist import (
     Placement,
     hpwl,
     stats,
-    validate,
 )
 
 from conftest import random_design, tiny_netlist
@@ -113,7 +111,7 @@ class TestStats:
     def test_counts_partition(self, rng):
         nl, _ = random_design(rng, n_nodes=30)
         st = stats(nl)
-        assert st.total_nodes == nl.num_nodes
+        assert st.macro_count + st.std_cell_count + st.terminal_count == nl.num_nodes
 
     def test_empty_netlist(self):
         nl = Netlist([], [], 10.0, 10.0)
@@ -135,36 +133,3 @@ class TestStats:
         with pytest.warns(UserWarning, match="utilization"):
             stats(nl)
 
-
-class TestValidate:
-    def test_well_formed(self):
-        report = validate(tiny_netlist())
-        assert report.ok
-        assert report.violations == []
-
-    def test_pin_out_of_range(self):
-        nodes = [Node(0, "a", 1.0, 1.0, KIND_STD, True)]
-        nets = [Net(0, "n", (Pin(5),))]
-        report = validate(Netlist(nodes, nets, 10.0, 10.0))
-        assert len(report.violations) == 1
-        assert "out of range" in report.violations[0]
-
-    def test_pin_offset_exceeds_half_width(self):
-        nodes = [Node(0, "a", 2.0, 2.0, KIND_STD, True),
-                 Node(1, "b", 2.0, 2.0, KIND_STD, True)]
-        nets = [Net(0, "n", (Pin(0, 1.5, 0.0), Pin(1)))]
-        report = validate(Netlist(nodes, nets, 10.0, 10.0))
-        assert len(report.violations) == 1
-        assert "offset" in report.violations[0]
-
-    def test_movable_terminal_flagged(self):
-        nodes = [Node(0, "p", 1.0, 1.0, KIND_TERMINAL, True)]
-        report = validate(Netlist(nodes, [], 10.0, 10.0))
-        assert any("terminal" in v for v in report.violations)
-
-    def test_area_budget_is_warning_not_violation(self):
-        nodes = [Node(0, "m", 9.0, 9.0, KIND_MACRO, True)]
-        nl = Netlist(nodes, [], 10.0, 10.0, target_density=0.5)
-        report = validate(nl)
-        assert report.ok
-        assert len(report.warnings) == 1

@@ -22,6 +22,7 @@ from macroplace.netlist import (
 from macroplace.placer import PlacerConfig, place_clusters, spread_movable
 
 from conftest import floating_netlist
+from oracles import in_canvas
 
 
 def spring_fixture():
@@ -178,7 +179,7 @@ class TestAnalytical:
         placement, trace = place_clusters(clustered, base_placement(clustered, fixed),
                                           config)
         assert trace[-1].overflow < 0.10
-        assert placement.in_canvas(clustered.placement_netlist)
+        assert in_canvas(clustered.placement_netlist, placement)
 
     def test_deterministic(self):
         clustered, fixed = clustered_synthetic(seed=9)
@@ -244,7 +245,7 @@ class TestEngineContract:
             config = PlacerConfig(engine=engine, max_outer_iters=6, seed=1)
             placement, trace = place_clusters(clustered, fixed, config)
             assert placement.placed.all()
-            assert placement.in_canvas(pnet)
+            assert in_canvas(pnet, placement)
             # fixed nodes never move
             for node in pnet.nodes:
                 if node.kind != KIND_STD:
@@ -273,7 +274,7 @@ class TestEngineContract:
         placement, _ = spread_movable(clustered, fixed, config)
         pnet = clustered.placement_netlist
         assert placement.placed.all()
-        assert placement.in_canvas(pnet)
+        assert in_canvas(pnet, placement)
         macro_ids = [n.id for n in pnet.nodes if n.kind == KIND_MACRO]
         spreads = placement.positions[macro_ids]
         assert np.ptp(spreads, axis=0).max() > 1.0  # macros actually spread out

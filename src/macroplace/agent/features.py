@@ -23,15 +23,14 @@ _KIND_SLOT = {KIND_MACRO: 0, KIND_STD: 1, KIND_TERMINAL: 2}
 def static_features(pnet: Netlist) -> np.ndarray:
     """The 8 placement-independent columns (positions left zero)."""
     n = pnet.num_nodes
-    out = np.zeros((n, NUM_FEATURES))
+    arrays = pnet.node_arrays
     degrees = pnet.node_degrees
-    max_deg = max(int(degrees.max()), 1) if n else 1
-    for node in pnet.nodes:
-        out[node.id, _KIND_SLOT[node.kind]] = 1.0
-        out[node.id, 3] = node.width / pnet.canvas_width
-        out[node.id, 4] = node.height / pnet.canvas_height
-        out[node.id, 5] = node.area / pnet.canvas_area
-        out[node.id, 6] = degrees[node.id] / max_deg
+    out = np.zeros((n, NUM_FEATURES))
+    out[np.arange(n), [_KIND_SLOT[node.kind] for node in pnet.nodes]] = 1.0
+    out[:, 3] = arrays.width / pnet.canvas_width
+    out[:, 4] = arrays.height / pnet.canvas_height
+    out[:, 5] = arrays.width * arrays.height / pnet.canvas_area
+    out[:, 6] = degrees / max(int(degrees.max(initial=0)), 1)
     return out
 
 

@@ -2,7 +2,8 @@
 
 Forward pass per step:
   1. R rounds of graph propagation h <- tanh(W_self h + W_nbr (P h) + b),
-     P = row-normalized weighted adjacency of the clustered design graph.
+     P = row-normalized weighted adjacency of the placement netlist's
+     clique graph.
   2. Trunk over [global mean embedding || current-macro embedding].
   3. Per-cell 2-layer scorer over [trunk || 3x3 occupancy patch || cell row,
      col], masked softmax over feasible cells.
@@ -76,35 +77,42 @@ def init_params(rng: np.random.Generator, rounds: int = 2,
 
 
 def save_params(params: PolicyParams, path) -> None:
+    """Write an `.npz` checkpoint at exactly `path` (no suffix is added)."""
     meta = {"format": CHECKPOINT_FORMAT, "feature_version": FEATURE_VERSION}
-    np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-             **params.arrays)
+    with open(path, "wb") as fh:
+        np.savez(fh, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+                 **params.arrays)
 
 
 def load_params(path) -> PolicyParams:
-    data = np.load(path)
-    meta = json.loads(bytes(data["__meta__"]).decode())
+    with np.load(path) as data:
+        meta = json.loads(bytes(data["__meta__"]).decode())
+        arrays = {k: data[k] for k in data.files if k != "__meta__"}
     if meta.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a policy checkpoint: {path}")
     if meta.get("feature_version") != FEATURE_VERSION:
         raise ValueError(f"checkpoint {path} has feature version "
                          f"{meta.get('feature_version')}, this build reads {FEATURE_VERSION}")
-    return PolicyParams({k: data[k] for k in data.files if k != "__meta__"})
+    return PolicyParams(arrays)
 
 
 class DesignContext:
     """Per-design precomputation shared by every episode: graph propagation
-    matrix, static features, and cell coordinate channels."""
+    matrix, static features, and cell coordinate channels. `pbar` is the
+    placement netlist's `clique_graph` over both edge directions with each
+    row divided by its sum, so (P h)_i is the weighted mean of i's
+    neighbours (an isolated node's row stays zero)."""
 
     def __init__(self, env: MacroPlacementEnv):
         self.pnet = env.pnet
-        graph = env.clustered.graph
-        indptr, indices, weights, strength = graph.neighbor_csr
-        norm = np.where(strength > 0, strength, 1.0)
-        # row-normalized adjacency: (P h)_i = weighted mean of neighbors of i
-        data = weights / np.repeat(norm, np.diff(indptr))
-        self.pbar = csr_matrix((data, indices, indptr),
-                               shape=(graph.num_nodes, graph.num_nodes))
+        graph = self.pnet.clique_graph
+        n = graph.num_nodes
+        ends = (np.concatenate([graph.edges_i, graph.edges_j]),
+                np.concatenate([graph.edges_j, graph.edges_i]))
+        self.pbar = csr_matrix((np.tile(graph.weights, 2), ends), shape=(n, n))
+        strength = self.pbar @ np.ones(n)
+        self.pbar.data /= np.repeat(np.where(strength > 0, strength, 1.0),
+                                    np.diff(self.pbar.indptr))
         self.static = static_features(self.pnet)
         rows, cols = env.config.grid_rows, env.config.grid_cols
         r = np.arange(rows, dtype=np.float64) / max(rows - 1, 1)

@@ -1,24 +1,22 @@
-"""Standard-cell clustering and net-to-graph expansion.
+"""Standard-cell clustering.
 
 Clustering shrinks the std-cell population to at most k groups by greedy
 heavy-edge coarsening: repeatedly merge the pair of groups with the largest
-connectivity-per-combined-area score. Each group holds its own best pair,
-and one heap over those per-group bests yields the global best pair, so a
-merge rescores only the merged group's pairs. Macros and terminals pass
-through unchanged; nets are rewired with one zero-offset pin per touched
-cluster, and nets falling entirely inside one cluster are dropped.
-
-The rewired nets expand into one clique-model graph per design
-(`ClusteredNetlist.graph`), which the force-directed engine solves over and
-the policy network propagates along.
+connectivity-per-combined-area score. A pair's connectivity starts as its
+std-std edge weight in the design's `Netlist.clique_graph`. Each group holds
+its own best pair, and one heap over those per-group bests yields the
+global best pair, so a merge rescores only the merged group's pairs.
+Macros and terminals pass through unchanged; nets are rewired with one
+zero-offset pin per touched cluster, and nets falling entirely inside one
+cluster are dropped. The placement netlist's own `clique_graph` is what the
+force-directed engine solves over and the policy network propagates along.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,57 +46,6 @@ class ClusteredNetlist:
     def num_clusters(self) -> int:
         return len(self.clusters)
 
-    @cached_property
-    def graph(self) -> AdjacencyGraph:
-        """Clique-model graph of the placement netlist, built once per design."""
-        return expand_to_graph(self)
-
-
-@dataclass(eq=False)
-class AdjacencyGraph:
-    """Weighted undirected graph without self-loops or parallel edges."""
-
-    num_nodes: int
-    edges_i: np.ndarray
-    edges_j: np.ndarray
-    weights: np.ndarray
-
-    @cached_property
-    def neighbor_csr(self):
-        """(indptr, indices, weights) over both edge directions, plus the
-        per-node total incident weight (0 for isolated nodes)."""
-        src = np.concatenate([self.edges_i, self.edges_j])
-        dst = np.concatenate([self.edges_j, self.edges_i])
-        w = np.concatenate([self.weights, self.weights])
-        order = np.argsort(src, kind="stable")
-        src, dst, w = src[order], dst[order], w[order]
-        indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
-        np.add.at(indptr, src + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        strength = np.zeros(self.num_nodes)
-        np.add.at(strength, src, w)
-        return indptr, dst, w, strength
-
-
-def _pair_weights_between_std(netlist: Netlist) -> dict:
-    """Clique-model connectivity between std-cell pairs: w/(p-1) per net."""
-    weights: dict[tuple[int, int], float] = {}
-    for net in netlist.nets:
-        p = len(net.pins)
-        if p < 2:
-            continue
-        std_nodes = sorted({
-            pin.node for pin in net.pins if netlist.nodes[pin.node].kind == KIND_STD
-        })
-        if len(std_nodes) < 2:
-            continue
-        w = net.weight / (p - 1)
-        for a_idx in range(len(std_nodes)):
-            for b_idx in range(a_idx + 1, len(std_nodes)):
-                key = (std_nodes[a_idx], std_nodes[b_idx])
-                weights[key] = weights.get(key, 0.0) + w
-    return weights
-
 
 def cluster_std_cells(netlist: Netlist, k: int) -> ClusteredNetlist:
     """Coarsen std cells into at most k clusters.
@@ -126,9 +73,13 @@ def cluster_std_cells(netlist: Netlist, k: int) -> ClusteredNetlist:
     group_members: dict[int, list[int]] = {i: [i] for i in std_ids}
     group_area: dict[int, float] = {i: netlist.nodes[i].area for i in std_ids}
     adj: dict[int, dict[int, float]] = {i: {} for i in std_ids}
-    for (a, b), w in _pair_weights_between_std(netlist).items():
-        adj[a][b] = adj[a].get(b, 0.0) + w
-        adj[b][a] = adj[b].get(a, 0.0) + w
+    graph = netlist.clique_graph
+    is_std = np.zeros(netlist.num_nodes, dtype=bool)
+    is_std[std_ids] = True
+    both = is_std[graph.edges_i] & is_std[graph.edges_j]
+    for a, b, w in zip(graph.edges_i[both].tolist(), graph.edges_j[both].tolist(),
+                       graph.weights[both].tolist()):
+        adj[a][b] = adj[b][a] = w
 
     def best_key(g: int):
         """Smallest (-score, lo, hi) among g's pairs; None without neighbours."""
@@ -142,11 +93,7 @@ def cluster_std_cells(netlist: Netlist, k: int) -> ClusteredNetlist:
             return None
         return (-top, g, partner) if g < partner else (-top, partner, g)
 
-    best: dict[int, tuple[float, int, int]] = {}
-    for g in std_ids:
-        key = best_key(g)
-        if key is not None:
-            best[g] = key
+    best = {g: key for g in std_ids if (key := best_key(g)) is not None}
     heap = list(best.values())
     heapq.heapify(heap)
 
@@ -193,8 +140,7 @@ def cluster_std_cells(netlist: Netlist, k: int) -> ClusteredNetlist:
 
     # Force down to k by merging the lowest-id groups (zero connectivity left).
     while len(group_members) > k:
-        remaining = sorted(group_members)
-        merge(remaining[0], remaining[1])
+        merge(*sorted(group_members)[:2])
 
     ordered = sorted(group_members)
     clusters = []
@@ -203,8 +149,7 @@ def cluster_std_cells(netlist: Netlist, k: int) -> ClusteredNetlist:
         members = tuple(sorted(group_members[gid]))
         area = group_area[gid]
         clusters.append(Cluster(members=members, area=area, side=math.sqrt(area)))
-        for m in members:
-            cluster_of[m] = ci
+        cluster_of[list(members)] = ci
 
     # Placement netlist: non-std nodes first (original order), then clusters.
     orig_to_placement = np.full(netlist.num_nodes, -1, dtype=np.int64)
@@ -225,36 +170,24 @@ def cluster_std_cells(netlist: Netlist, k: int) -> ClusteredNetlist:
     for net in netlist.nets:
         pins: list[Pin] = []
         seen_clusters: set[int] = set()
-        touched: set[int] = set()
         for pin in net.pins:
-            node = netlist.nodes[pin.node]
-            if node.kind == KIND_STD:
+            if is_std[pin.node]:
                 ci = int(cluster_of[pin.node])
-                pid = int(cluster_to_placement[ci])
-                touched.add(pid)
                 if ci not in seen_clusters:
                     seen_clusters.add(ci)
-                    pins.append(Pin(node=pid))
+                    pins.append(Pin(node=int(cluster_to_placement[ci])))
             else:
-                pid = int(orig_to_placement[pin.node])
-                touched.add(pid)
-                pins.append(Pin(node=pid, offset_x=pin.offset_x, offset_y=pin.offset_y))
-        if len(seen_clusters) == 1 and len(touched) == 1:
+                pins.append(Pin(node=int(orig_to_placement[pin.node]),
+                                offset_x=pin.offset_x, offset_y=pin.offset_y))
+        if len(pins) == 1 and seen_clusters:
             continue  # internal to one cluster
         pnets.append(Net(id=len(pnets), name=net.name, pins=tuple(pins),
                          weight=net.weight))
 
-    placement_netlist = Netlist(
-        nodes=pnodes,
-        nets=pnets,
-        canvas_width=netlist.canvas_width,
-        canvas_height=netlist.canvas_height,
-        target_density=netlist.target_density,
-    )
     return ClusteredNetlist(
         clusters=clusters,
         cluster_of=cluster_of,
-        placement_netlist=placement_netlist,
+        placement_netlist=replace(netlist, nodes=pnodes, nets=pnets),
         orig_to_placement=orig_to_placement,
         cluster_to_placement=cluster_to_placement,
     )
@@ -267,40 +200,8 @@ def base_placement(clustered: ClusteredNetlist, placement: Placement) -> Placeme
     unplaced.
     """
     out = Placement.empty(clustered.placement_netlist.num_nodes)
-    for orig_id, pid in enumerate(clustered.orig_to_placement):
-        if pid < 0:
-            continue
-        out.positions[pid] = placement.positions[orig_id]
-        out.placed[pid] = placement.placed[orig_id]
+    carried = clustered.orig_to_placement >= 0
+    pids = clustered.orig_to_placement[carried]
+    out.positions[pids] = placement.positions[carried]
+    out.placed[pids] = placement.placed[carried]
     return out
-
-
-def expand_to_graph(clustered: ClusteredNetlist) -> AdjacencyGraph:
-    """Expand rewired hyperedges into a weighted clique-model graph: w/(p-1)
-    between every pin pair of a p-pin net. Parallel edges merge by weight
-    summation."""
-    netlist = clustered.placement_netlist
-    acc: dict[tuple[int, int], float] = {}
-    for net in netlist.nets:
-        p = len(net.pins)
-        if p < 2:
-            continue
-        w = net.weight / (p - 1)
-        for i in range(p):
-            for j in range(i + 1, p):
-                a, b = net.pins[i].node, net.pins[j].node
-                if a == b:
-                    continue
-                key = (a, b) if a < b else (b, a)
-                acc[key] = acc.get(key, 0.0) + w
-
-    if acc:
-        keys = sorted(acc)
-        ei = np.array([k[0] for k in keys], dtype=np.int64)
-        ej = np.array([k[1] for k in keys], dtype=np.int64)
-        ew = np.array([acc[k] for k in keys])
-    else:
-        ei = np.zeros(0, dtype=np.int64)
-        ej = np.zeros(0, dtype=np.int64)
-        ew = np.zeros(0)
-    return AdjacencyGraph(num_nodes=netlist.num_nodes, edges_i=ei, edges_j=ej, weights=ew)

@@ -72,14 +72,8 @@ def edit_for_movable_macros(bundle: DesignBundle) -> DesignBundle:
         replace(n, movable=True) if n.kind == KIND_MACRO else n for n in netlist.nodes
     ]
     movable_area = sum(n.area for n in nodes if n.movable)
-    density = round_up_density(movable_area / netlist.canvas_area)
-    edited = Netlist(
-        nodes=nodes,
-        nets=netlist.nets,
-        canvas_width=netlist.canvas_width,
-        canvas_height=netlist.canvas_height,
-        target_density=density,
-    )
+    edited = replace(netlist, nodes=nodes,
+                     target_density=round_up_density(movable_area / netlist.canvas_area))
     provenance = bundle.provenance
     if not provenance.endswith("+movable-macros"):
         provenance = provenance + "+movable-macros"

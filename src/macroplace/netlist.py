@@ -63,6 +63,19 @@ class NetCSR(NamedTuple):
     counts: np.ndarray  # (M,) pins per row
 
 
+class CliqueGraph(NamedTuple):
+    """Clique model of the nets, the graph clustering coarsens, the
+    force-directed engine solves over and the policy propagates along:
+    w/(p-1) per pin pair of a p-pin net, summed in net order. One edge per
+    node pair, sorted by (i, j) with i < j; a pair of pins on one node adds
+    nothing."""
+
+    num_nodes: int
+    edges_i: np.ndarray  # (E,)
+    edges_j: np.ndarray  # (E,)
+    weights: np.ndarray  # (E,)
+
+
 class NodeArrays(NamedTuple):
     width: np.ndarray  # (N,)
     height: np.ndarray
@@ -98,12 +111,12 @@ class Netlist:
 
     @cached_property
     def node_degrees(self) -> np.ndarray:
-        """Number of nets incident to each node (multiple pins on one net count once)."""
-        deg = np.zeros(self.num_nodes, dtype=np.int64)
-        for net in self.nets:
-            for node_id in {p.node for p in net.pins}:
-                deg[node_id] += 1
-        return deg
+        """Number of nets incident to each node: the distinct (net, node)
+        pairs of `net_csr`, so a node listed twice on a net counts once."""
+        n = self.num_nodes
+        csr = self.net_csr
+        incident = np.unique(csr.pin_net * n + csr.node_ids) % n
+        return np.bincount(incident, minlength=n)
 
     @cached_property
     def net_csr(self) -> NetCSR:
@@ -126,6 +139,31 @@ class Netlist:
             weights=np.array([net.weight for net in nets], dtype=np.float64),
             counts=counts,
         )
+
+    @cached_property
+    def clique_graph(self) -> CliqueGraph:
+        """The nets' `CliqueGraph`, built once over `net_csr`. The pin pairs
+        of all p-pin rows come from one `np.triu_indices(p, 1)` and land in
+        net order; `np.bincount` sums each node pair in that order."""
+        n = self.num_nodes
+        csr = self.net_csr
+        pairs = csr.counts * (csr.counts - 1) // 2
+        first = np.cumsum(pairs) - pairs
+        a = np.empty(int(pairs.sum()), dtype=np.int64)
+        b = np.empty_like(a)
+        for p in np.unique(csr.counts[csr.counts > 1]):
+            rows = np.flatnonzero(csr.counts == p)
+            iu, ju = np.triu_indices(p, 1)
+            pins = csr.node_ids[csr.starts[rows, None] + np.arange(p)]
+            slots = first[rows, None] + np.arange(len(iu))
+            a[slots], b[slots] = pins[:, iu], pins[:, ju]
+        w = np.repeat(csr.weights / np.maximum(csr.counts - 1, 1), pairs)
+        apart = a != b
+        keys, edge = np.unique((np.minimum(a, b) * n + np.maximum(a, b))[apart],
+                               return_inverse=True)
+        # Float weights also when there is no edge (`bincount` then gives ints).
+        weights = np.bincount(edge, weights=w[apart], minlength=len(keys))
+        return CliqueGraph(n, keys // n, keys % n, weights.astype(np.float64, copy=False))
 
     @cached_property
     def node_arrays(self) -> NodeArrays:

@@ -26,7 +26,8 @@ read, so an unread trace costs one copy per iteration; the analytical
 engine reads the overflow for its stop rule. What the movable nodes cannot
 change (their in-canvas bounds, the fixed charge both engines rasterize
 onto, and the force-directed engine's dense system and its
-eigendecomposition) is computed once per placement.
+eigendecomposition) is computed once per placement; `engine_start` builds
+the part both engines share, with their start positions.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from ..errors import PlacementError
 from ..grid import Grid
 from ..metrics import density_overflow
 from ..netlist import Netlist, Placement, hpwl
-from .density import check_bins
+from .density import check_bins, density_grid
 
 ENGINES = ("fd", "analytical")
 
@@ -105,35 +106,37 @@ class CanvasBounds(NamedTuple):
     hi: np.ndarray  # (m, 2) highest center per axis
 
 
-def canvas_bounds(pnet: Netlist, movable: np.ndarray) -> CanvasBounds:
-    arrays = pnet.node_arrays
-    ids = np.flatnonzero(movable)
-    lo = np.stack([arrays.width[ids], arrays.height[ids]], axis=1) / 2
-    hi = np.array([pnet.canvas_width, pnet.canvas_height]) - lo
-    return CanvasBounds(ids, lo, np.maximum(lo, hi))
-
-
-def initial_positions(clustered: ClusteredNetlist, placement: Placement,
-                      bounds: CanvasBounds, rng: np.random.Generator) -> Placement:
-    """Movable nodes without a position start at canvas center + small jitter."""
-    pnet = clustered.placement_netlist
-    out = placement.copy()
-    jitter = 0.01 * min(pnet.canvas_width, pnet.canvas_height)
-    for nid in bounds.ids:
-        if not out.placed[nid]:
-            out.positions[nid] = (
-                pnet.canvas_width / 2 + rng.uniform(-jitter, jitter),
-                pnet.canvas_height / 2 + rng.uniform(-jitter, jitter),
-            )
-            out.placed[nid] = True
-    return clamp_in_canvas(out, bounds)
-
-
 def clamp_in_canvas(placement: Placement, bounds: CanvasBounds) -> Placement:
     """Move each movable node's box inside the canvas, in place."""
     pos = placement.positions
     pos[bounds.ids] = np.minimum(np.maximum(pos[bounds.ids], bounds.lo), bounds.hi)
     return placement
+
+
+def engine_start(clustered: ClusteredNetlist, start: Placement, movable: np.ndarray,
+                 config: PlacerConfig):
+    """The start both engines share: (placement netlist, `CanvasBounds`,
+    start placement, `DensityGrid` of the fixed charge, grid of the trace
+    rows). Movable nodes without a position start at canvas center plus a
+    jitter of 1 % of the shorter canvas side (one draw per node and axis,
+    seeded by `config.seed`), and every movable box is clamped into the
+    canvas."""
+    pnet = clustered.placement_netlist
+    arrays = pnet.node_arrays
+    ids = np.flatnonzero(movable)
+    lo = np.stack([arrays.width[ids], arrays.height[ids]], axis=1) / 2
+    hi = np.array([pnet.canvas_width, pnet.canvas_height]) - lo
+    bounds = CanvasBounds(ids, lo, np.maximum(lo, hi))
+    placement = start.copy()
+    new = ids[~placement.placed[ids]]
+    jitter = 0.01 * min(pnet.canvas_width, pnet.canvas_height)
+    rng = np.random.default_rng(config.seed)
+    center = np.array([pnet.canvas_width / 2, pnet.canvas_height / 2])
+    placement.positions[new] = center + rng.uniform(-jitter, jitter, size=(len(new), 2))
+    placement.placed[new] = True
+    clamp_in_canvas(placement, bounds)
+    return (pnet, bounds, placement, density_grid(pnet, placement, movable, config.bins),
+            Grid.empty(config.bins, config.bins, pnet.canvas_width, pnet.canvas_height))
 
 
 def movable_cluster_mask(clustered: ClusteredNetlist) -> np.ndarray:
@@ -189,8 +192,7 @@ __all__ = [
     "place_clusters",
     "spread_movable",
     "CanvasBounds",
-    "canvas_bounds",
-    "initial_positions",
+    "engine_start",
     "clamp_in_canvas",
     "movable_cluster_mask",
 ]

@@ -15,9 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..clustering import ClusteredNetlist
-from ..grid import Grid
 from ..netlist import Placement
-from .density import density_energy_and_grad, density_grid, solve_density_field
+from .density import density_energy_and_grad, solve_density_field
 from .wirelength import smooth_wl_and_grad
 
 # Wirelength smoothing: gamma starts at GAMMA_BINS mean bin dimensions,
@@ -44,21 +43,15 @@ def _gradient(pnet, placement, movable, gamma, lam, dgrid):
 
 def run_analytical(clustered: ClusteredNetlist, start: Placement,
                    movable: np.ndarray, config):
-    from . import TraceRow, canvas_bounds, clamp_in_canvas, initial_positions
+    from . import TraceRow, clamp_in_canvas, engine_start
 
-    pnet = clustered.placement_netlist
-    rng = np.random.default_rng(config.seed)
-    bounds = canvas_bounds(pnet, movable)
-    placement = initial_positions(clustered, start, bounds, rng)
-    if not movable.any():
+    pnet, bounds, placement, dgrid, eval_grid = engine_start(clustered, start, movable, config)
+    if not len(bounds.ids):
         return placement, []
 
-    bins = config.bins
-    dgrid = density_grid(pnet, placement, movable, bins)
-    bin_dim = 0.5 * (pnet.canvas_width + pnet.canvas_height) / bins
+    bin_dim = 0.5 * (pnet.canvas_width + pnet.canvas_height) / config.bins
     gamma = GAMMA_BINS * bin_dim
     gamma_floor = GAMMA_FLOOR_BINS * bin_dim
-    eval_grid = Grid.empty(bins, bins, pnet.canvas_width, pnet.canvas_height)
     diag = float(np.hypot(pnet.canvas_width, pnet.canvas_height))
 
     # lambda_0: balance the L1 norms of the two gradient terms.

@@ -1,15 +1,17 @@
 """Force-directed (quadratic) placement engine.
 
-Alternates (a) an exact quadratic-wirelength solve over the design's clique
-graph (`ClusteredNetlist.graph`) with fixed nodes as anchors and (b) a
+Alternates (a) an exact quadratic-wirelength solve over the placement
+netlist's clique graph with fixed nodes as anchors and (b) a
 diffusion-style spreading pass that pushes clusters out of overfull bins.
 Spread positions feed back into the next solve as pseudo-anchors whose
 weight ramps up over the iterations, the classic fixed-point trick that
 keeps spreading from being undone.
 
-Solve. The movable-block Laplacian A (node degrees D on its diagonal,
-edges to fixed nodes included) is filled once per placement as a dense
-matrix, with array operations over the graph's edges (`_fd_system`).
+Solve. The graph is `Netlist.clique_graph`, built once per design from
+`net_csr`: w/(p-1) between every pin pair of a p-pin net, one edge per node
+pair. The movable-block Laplacian A (node degrees D on its diagonal, edges
+to fixed nodes included) is filled once per placement as a dense matrix,
+with array operations over the graph's edges (`_fd_system`).
 Iteration `it` of T adds the anchor weights D * t, t = it / T, so its
 matrix is D^1/2 (M + t I) D^1/2 with M = D^-1/2 A D^-1/2 fixed.
 `_spectrum` eigendecomposes M once, M = Q diag(lam) Q^T, and every
@@ -40,9 +42,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ..clustering import ClusteredNetlist
-from ..grid import Grid
 from ..netlist import Placement
-from .density import DensityGrid, charge_raster, density_grid
+from .density import DensityGrid, charge_raster
 
 
 def _blur(a: np.ndarray, passes: int = 2) -> np.ndarray:
@@ -194,18 +195,15 @@ def spsolve(spectrum: Spectrum, rhs: np.ndarray, t: float) -> np.ndarray:
 
 def run_force_directed(clustered: ClusteredNetlist, start: Placement,
                        movable: np.ndarray, config):
-    from . import TraceRow, canvas_bounds, clamp_in_canvas, initial_positions
+    from . import TraceRow, clamp_in_canvas, engine_start
 
-    pnet = clustered.placement_netlist
-    rng = np.random.default_rng(config.seed)
-    bounds = canvas_bounds(pnet, movable)
-    placement = initial_positions(clustered, start, bounds, rng)
-    movable_ids = bounds.ids
-    if len(movable_ids) == 0:
+    pnet, bounds, placement, grid, eval_grid = engine_start(clustered, start, movable, config)
+    if not len(bounds.ids):
         return placement, []
 
+    movable_ids = bounds.ids
     m = len(movable_ids)
-    A, diag, fixed_rhs, pinned = _fd_system(clustered.graph, movable_ids,
+    A, diag, fixed_rhs, pinned = _fd_system(pnet.clique_graph, movable_ids,
                                             placement.positions)
     spectrum = _spectrum(A, diag, pinned)
     floating = spectrum.floor > 0
@@ -217,9 +215,6 @@ def run_force_directed(clustered: ClusteredNetlist, start: Placement,
         )
 
     center = np.array([pnet.canvas_width / 2, pnet.canvas_height / 2])
-    grid = density_grid(pnet, placement, movable, config.bins)
-    eval_grid = Grid.empty(config.bins, config.bins,
-                           pnet.canvas_width, pnet.canvas_height)
     trace = []
     anchors = np.tile(center, (m, 1))
     T = config.max_outer_iters

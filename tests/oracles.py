@@ -326,6 +326,45 @@ def density_energy_and_grad_loop(field, netlist, placement, movable_only=True):
     return energy, grad
 
 
+def clique_graph_loop(netlist):
+    """Clique-model graph of the nets through a dict: w/(p-1) between every
+    pin pair of a p-pin net, parallel edges merged by weight summation.
+    Returns (num_nodes, edges_i, edges_j, weights) with the edges sorted."""
+    acc: dict[tuple[int, int], float] = {}
+    for net in netlist.nets:
+        p = len(net.pins)
+        if p < 2:
+            continue
+        w = net.weight / (p - 1)
+        for i in range(p):
+            for j in range(i + 1, p):
+                a, b = net.pins[i].node, net.pins[j].node
+                if a == b:
+                    continue
+                key = (a, b) if a < b else (b, a)
+                acc[key] = acc.get(key, 0.0) + w
+
+    if acc:
+        keys = sorted(acc)
+        ei = np.array([k[0] for k in keys], dtype=np.int64)
+        ej = np.array([k[1] for k in keys], dtype=np.int64)
+        ew = np.array([acc[k] for k in keys])
+    else:
+        ei = np.zeros(0, dtype=np.int64)
+        ej = np.zeros(0, dtype=np.int64)
+        ew = np.zeros(0)
+    return netlist.num_nodes, ei, ej, ew
+
+
+def node_degrees_loop(netlist):
+    """Nets incident to each node, a node listed twice on a net counted once."""
+    deg = np.zeros(netlist.num_nodes, dtype=np.int64)
+    for net in netlist.nets:
+        for node_id in {p.node for p in net.pins}:
+            deg[node_id] += 1
+    return deg
+
+
 def fd_system_loop(graph, movable_ids, positions, anchor_w):
     """Force-directed linear system assembled per edge through dicts and
     lists: the movable-block Laplacian plus `anchor_w` on its diagonal, as
@@ -448,10 +487,10 @@ def spread_once_reference(pnet, placement, movable_ids, bins):
 def greedy_merge_bruteforce(netlist, k):
     """Greedy heavy-edge coarsening of the std cells by exhaustive scan.
 
-    Pair weight: w/(p-1) per p-pin net joining two groups, summed in net
-    order. Each step scans every live pair for the largest w/(area_a +
-    area_b), ties toward the smallest (lo, hi); it stops at a score <= 0,
-    then merges the two lowest-id groups until k remain. A merge keeps the
+    Pair weight: w/(p-1) per pin pair of a p-pin net on two different
+    cells, summed in net order. Each step scans every live pair for the
+    largest w/(area_a + area_b), ties toward the smallest (lo, hi); it stops
+    at a score <= 0, then merges the two lowest-id groups until k remain. A merge keeps the
     lower id, adds the higher group's area and pair weights to it, and
     keeps its own weights first in each sum. Returns [(members, area)] in
     group-id order.
@@ -462,10 +501,12 @@ def greedy_merge_bruteforce(netlist, k):
     for net in netlist.nets:
         if len(net.pins) < 2:
             continue
-        cells = sorted({pin.node for pin in net.pins if pin.node in members})
+        cells = [pin.node for pin in net.pins if pin.node in members]
         for i, a in enumerate(cells):
             for b in cells[i + 1:]:
-                weight[a, b] = weight.get((a, b), 0.0) + net.weight / (len(net.pins) - 1)
+                if a != b:
+                    key = (min(a, b), max(a, b))
+                    weight[key] = weight.get(key, 0.0) + net.weight / (len(net.pins) - 1)
 
     def merge(a, b):
         members[a] += members.pop(b)

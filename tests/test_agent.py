@@ -94,6 +94,16 @@ def test_checkpoint_round_trip(tmp_path, monkeypatch):
         load_params(stale)
 
 
+def test_checkpoint_without_npz_suffix_round_trips(tmp_path):
+    """The checkpoint lands at the path given, whatever its suffix."""
+    params = init_params(np.random.default_rng(5), rounds=1, embed_dim=4)
+    path = tmp_path / "ckpt"
+    save_params(params, path)
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
+    np.testing.assert_array_equal(params_to_vector(load_params(path)),
+                                  params_to_vector(params))
+
+
 @pytest.mark.parametrize("episodes", [0, -2])
 def test_train_config_rejects_an_empty_batch(episodes):
     with pytest.raises(ValueError, match=f"episodes_per_update must be >= 1, got {episodes}"):

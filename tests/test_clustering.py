@@ -7,7 +7,6 @@ from macroplace.clustering import (
     base_placement,
     cluster_std_cells,
     default_cluster_count,
-    expand_to_graph,
 )
 from macroplace.design import SyntheticSpec, generate_synthetic
 from macroplace.netlist import (
@@ -148,10 +147,12 @@ class TestClusterStdCells:
 
 
 class TestExpandToGraph:
+    """The clique expansion of a placement netlist (`Netlist.clique_graph`)."""
+
     def test_two_pin_clique(self):
         nl = chain_netlist(2)
         clustered = cluster_std_cells(nl, k=2)
-        g = expand_to_graph(clustered)
+        g = clustered.placement_netlist.clique_graph
         assert len(g.weights) == 1
         assert g.weights[0] == pytest.approx(1.0)
 
@@ -160,14 +161,14 @@ class TestExpandToGraph:
         nets = [Net(0, "n", (Pin(0), Pin(1), Pin(2)), 1.0)]
         nl = Netlist(nodes, nets, 50.0, 50.0)
         clustered = cluster_std_cells(nl, k=3)
-        g = expand_to_graph(clustered)
+        g = clustered.placement_netlist.clique_graph
         assert len(g.weights) == 3
         np.testing.assert_allclose(g.weights, 0.5)
 
     def test_clique_total_weight_closed_form(self, rng):
         nl, _ = random_design(rng, n_nodes=30, n_nets=40)
         clustered = cluster_std_cells(nl, k=nl.num_nodes)  # identity: keep all pins
-        g = expand_to_graph(clustered)
+        g = clustered.placement_netlist.clique_graph
         expected = sum(
             net.weight * len(net.pins) / 2
             for net in clustered.placement_netlist.nets
@@ -178,7 +179,7 @@ class TestExpandToGraph:
     def test_no_self_loops_positive_weights(self, rng):
         nl, _ = random_design(rng, n_nodes=50, n_nets=70)
         clustered = cluster_std_cells(nl, k=6)
-        g = expand_to_graph(clustered)
+        g = clustered.placement_netlist.clique_graph
         assert (g.edges_i != g.edges_j).all()
         assert (g.weights > 0).all()
         assert (g.edges_i < g.edges_j).all()
@@ -215,6 +216,22 @@ class TestGreedyMergeOrder:
             nl, _ = random_design(rng, n_nodes=40, n_nets=50, macro_prob=0.1)
             weights = [n.weight if rng.random() < 0.5 else 0.0 for n in nl.nets]
             self.check(with_net_weights(nl, weights), (1, 4, 10, 20))
+
+    def test_std_cell_listed_twice_on_a_net(self, rng):
+        # Net a lists c0 twice: its pin pairs join c0 and c1 twice at 1/2,
+        # more than c1-c2's 0.8, so c0 and c1 merge first.
+        nodes = [Node(i, f"c{i}", 1.0, 1.0, KIND_STD, True) for i in range(3)]
+        nets = [Net(0, "a", (Pin(0), Pin(1), Pin(0)), 1.0),
+                Net(1, "b", (Pin(1), Pin(2)), 0.8)]
+        netlist = Netlist(nodes, nets, 50.0, 50.0)
+        self.check(netlist, (1, 2, 3))
+        assert [c.members for c in cluster_std_cells(netlist, 2).clusters] == [(0, 1), (2,)]
+        for _ in range(4):
+            nl, _ = random_design(rng, n_nodes=40, n_nets=50, macro_prob=0.1)
+            nets = [Net(n.id, n.name, n.pins + n.pins[:1], n.weight)
+                    if rng.random() < 0.3 else n for n in nl.nets]
+            self.check(Netlist(nl.nodes, nets, nl.canvas_width, nl.canvas_height),
+                       (1, 4, 10, 20))
 
     def test_disconnected_components_below_component_count(self):
         # Chains of 4, 3 and 5 cells plus two isolated cells: five components.

@@ -12,6 +12,9 @@ No module reaches into another object's private names: it reads
 Every public function, class, method and annotated class field of
 `macroplace` is read by code in src/ or perfbench/, or is on a short list of
 entry points kept on purpose, each with its reason.
+
+Nets reach the program through one CSR pin layout (`Netlist.net_csr`): only
+a short list of functions, each with its reason, reads `Net.pins` itself.
 """
 
 import ast
@@ -130,6 +133,12 @@ UNREAD_BY_DESIGN = {
 }
 
 
+def module_name(path):
+    """Dotted name of a `macroplace` module below the package, e.g. "placer"."""
+    parts = path.relative_to(PACKAGE).with_suffix("").parts
+    return ".".join(p for p in parts if p != "__init__")
+
+
 def read_names(source, dotted_strings=False):
     """Names the source reads: Name and Attribute loads and call keywords;
     with `dotted_strings`, every part of every string constant."""
@@ -178,10 +187,7 @@ def test_every_public_name_is_read():
     read = set()
     for path in READERS:
         read |= read_names(path.read_text(), dotted_strings=path == TRACE_TABLE)
-    modules = {}
-    for path in MODULES:
-        parts = path.relative_to(PACKAGE).with_suffix("").parts
-        modules[".".join(p for p in parts if p != "__init__")] = path.read_text()
+    modules = {module_name(path): path.read_text() for path in MODULES}
     assert unread_public_names(modules, read) == sorted(UNREAD_BY_DESIGN)
 
 
@@ -206,3 +212,52 @@ def test_census_sees_unread_names():
     table = "TRACED = (('m.volume', 'pkg.m', 'Box.volume'),)\n"
     assert "volume" in read_names(table, dotted_strings=True)
     assert "volume" not in read_names(table)
+
+
+# The functions of src/ that read `Net.pins`; everything else reads the
+# pins through `Netlist.net_csr` or the graph built on it.
+PINS_READERS = {
+    "netlist.Netlist.net_csr": "builds the CSR pin layout every other reader uses",
+    "clustering.cluster_std_cells": "rewires each net's pins into the placement "
+                                    "netlist's Nets, one pin per touched cluster",
+    "bookshelf.write_bookshelf": "writes every pin with its offsets to the .nets file",
+}
+
+
+def pins_reads(source):
+    """(qualified name of the enclosing function or class, line) of each
+    `<expr>.pins` load, in source order; "<module>" outside any."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == "pins"
+                    and isinstance(child.ctx, ast.Load)):
+                found.append((".".join(scope) or "<module>", child.lineno))
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return sorted(found, key=lambda item: item[1])
+
+
+def test_nets_are_read_through_one_layout():
+    readers = {f"{module_name(path)}.{scope}"
+               for path in MODULES for scope, _line in pins_reads(path.read_text())}
+    assert readers == set(PINS_READERS)
+
+
+def test_pins_guard_sees_reads():
+    source = (
+        "class Netlist:\n"
+        "    def net_csr(self):\n"
+        "        return [p for net in self.nets for p in net.pins]\n"
+        "def rewire(net, pins):\n"
+        "    first = lambda: net.pins[0]\n"
+        "    return Net(pins=pins), first\n"
+        "net.pins = ()\n"
+        "count = len(net.pins)\n"
+    )
+    assert pins_reads(source) == [("Netlist.net_csr", 3), ("rewire", 5), ("<module>", 8)]

@@ -1,13 +1,14 @@
-"""The CSR net kernel, the shared box rasterizer and the force-directed
-linear system, solve and spreading pass against the loops and routines they
-replaced (tests/oracles.py).
+"""The CSR net kernel and the clique graph built on it, the shared box
+rasterizer and the force-directed linear system, solve and spreading pass
+against the loops and routines they replaced (tests/oracles.py).
 
-HPWL, the per-axis overlap lengths, the FD system, the blur and the
-gradient reads compute in the references' order, so their outputs must be
-bit-equal. The rasterized maps (one matrix product per map), the smooth-WL
-and density-gradient kernels reassociate float sums, and the spectral solve
-replaces a sparse LU solve, so they and the spreading pass built on the
-maps are held to 1e-12 of the reference's scale.
+HPWL, the clique graph, node degrees, the per-axis overlap lengths, the FD
+system, the blur and the gradient reads compute in the references' order,
+so their outputs must be bit-equal. The rasterized maps (one matrix product
+per map), the smooth-WL and density-gradient kernels reassociate float
+sums, and the spectral solve replaces a sparse LU solve, so they and the
+spreading pass built on the maps are held to 1e-12 of the reference's
+scale.
 """
 
 import re
@@ -16,7 +17,8 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import spsolve as superlu_solve
 
-from macroplace.clustering import base_placement, cluster_std_cells
+from macroplace.clustering import base_placement, cluster_std_cells, default_cluster_count
+from macroplace.design import SyntheticSpec, generate_synthetic
 from macroplace.errors import EvaluationError
 from macroplace.grid import Grid
 from macroplace.metrics import congestion_map, rasterize_area
@@ -48,15 +50,17 @@ from macroplace.placer.force_directed import (
 from macroplace.placer.wirelength import smooth_wl_and_grad
 from macroplace.raster import axis_overlap, node_boxes
 
-from conftest import REL, assert_close_to_scale, floating_netlist
+from conftest import REL, assert_close_to_scale, floating_netlist, random_design
 from oracles import (
     _axis_overlap,
     blur_reference,
+    clique_graph_loop,
     congestion_map_loop,
     density_energy_and_grad_loop,
     fd_anchor_weights_loop,
     fd_system_loop,
     hpwl_bruteforce,
+    node_degrees_loop,
     rasterize_area_loop,
     smooth_wl_loop,
     spread_once_reference,
@@ -267,6 +271,56 @@ class TestNetKernel:
         np.testing.assert_array_equal(g1, g0)
 
 
+class TestCliqueGraph:
+    """`Netlist.clique_graph` and `node_degrees` against the dict loops."""
+
+    @staticmethod
+    def check(netlist):
+        num_nodes, *ref = clique_graph_loop(netlist)
+        graph = netlist.clique_graph
+        assert graph.num_nodes == num_nodes
+        for got, want in zip(graph[1:], ref):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(netlist.node_degrees, node_degrees_loop(netlist))
+
+    def test_random_designs_bit_equal(self, rng):
+        for _ in range(5):
+            for nl, _ in (random_design(rng, n_nodes=40, n_nets=60), edge_case_design(rng)):
+                self.check(nl)
+                for k in (3, 12):
+                    self.check(cluster_std_cells(nl, k=k).placement_netlist)
+
+    @pytest.mark.parametrize("spec", [SyntheticSpec(8, 500, 600, seed=1),
+                                      SyntheticSpec(16, 2000, 2500, seed=1),
+                                      SyntheticSpec(32, 8000, 10000, seed=1)],
+                             ids=["S", "M", "L"])
+    def test_benchmark_designs_bit_equal(self, spec):
+        nl = generate_synthetic(spec).netlist
+        self.check(nl)
+        k = default_cluster_count(spec.macro_count)
+        self.check(cluster_std_cells(nl, k=k).placement_netlist)
+
+    def test_node_listed_twice_and_short_nets(self):
+        nodes = [Node(i, f"c{i}", 1.0, 1.0, KIND_STD, True) for i in range(4)]
+        nets = [Net(0, "twice", (Pin(0), Pin(1), Pin(0)), 1.0),
+                Net(1, "single", (Pin(2),), 1.0),
+                Net(2, "self", (Pin(3), Pin(3)), 2.0),
+                Net(3, "empty", (), 1.0)]
+        nl = Netlist(nodes, nets, 10.0, 10.0)
+        graph = nl.clique_graph
+        # Both pin pairs of c0 and c1 count, 1/2 each; c3 with itself adds nothing.
+        assert (graph.edges_i.tolist(), graph.edges_j.tolist(),
+                graph.weights.tolist()) == ([0], [1], [1.0])
+        assert nl.node_degrees.tolist() == [1, 1, 1, 1]
+        self.check(nl)
+
+    def test_no_nets(self):
+        nodes = [Node(0, "c0", 1.0, 1.0, KIND_STD, True)]
+        self.check(Netlist(nodes, [], 10.0, 10.0))
+        self.check(Netlist(nodes, [Net(0, "empty", (), 1.0)], 10.0, 10.0))
+
+
 class TestDensityGradient:
     @pytest.mark.parametrize("movable_only", [True, False])
     def test_matches_loop(self, rng, movable_only):
@@ -302,7 +356,7 @@ class TestForceDirectedSystem:
     def check_against_loop(self, clustered, rng):
         """The dense matrix and right-hand side equal the per-edge dict
         assembly with no anchor weights."""
-        graph = clustered.graph
+        graph = clustered.placement_netlist.clique_graph
         movable_ids = np.flatnonzero(movable_cluster_mask(clustered))
         positions = rng.uniform(0.0, 50.0, size=(graph.num_nodes, 2))
         A, diag, fixed_rhs, _ = _fd_system(graph, movable_ids, positions)
@@ -315,7 +369,7 @@ class TestForceDirectedSystem:
     def test_hand_design_bit_equal(self, rng):
         clustered = cluster_std_cells(fd_design(), k=6)
         movable = movable_cluster_mask(clustered)
-        graph = clustered.graph
+        graph = clustered.placement_netlist.clique_graph
         ends = set(zip(movable[graph.edges_i], movable[graph.edges_j]))
         assert ends == {(False, False), (False, True), (True, True)}
         diag = self.check_against_loop(clustered, rng)
@@ -335,7 +389,7 @@ class TestForceDirectedSolve:
         """At every iteration's t, the spectral solve equals SuperLU on the
         per-edge assembly with the reference anchor weights on its
         diagonal; returns the clusters with no path to a fixed node."""
-        graph = clustered.graph
+        graph = clustered.placement_netlist.clique_graph
         movable_ids = np.flatnonzero(movable_cluster_mask(clustered))
         positions = rng.uniform(0.0, 50.0, size=(graph.num_nodes, 2))
         A, diag, _, pinned = _fd_system(graph, movable_ids, positions)

@@ -6,18 +6,15 @@ from .netlist import (
     KIND_MACRO,
     KIND_STD,
     KIND_TERMINAL,
-    BenchmarkStats,
     Net,
     Netlist,
     Node,
     Pin,
     Placement,
     hpwl,
-    stats,
 )
 
 __all__ = [
-    "BenchmarkStats",
     "DesignBundle",
     "KIND_MACRO",
     "KIND_STD",
@@ -31,7 +28,6 @@ __all__ = [
     "edit_for_movable_macros",
     "generate_synthetic",
     "hpwl",
-    "stats",
 ]
 
 __version__ = "0.1.0"

@@ -1,6 +1,8 @@
 """REINFORCE with a learned value baseline, batched over masked episodes.
 
-The loss over a batch of trajectories is
+One training run learns one design: every episode of a batch is a rollout
+of the same environment, as the paper trains one policy per design. The
+loss over a batch of trajectories is
 
     sum_t [ -A_t * log pi(a_t | s_t) ] + VALUE_COEF * sum_t (R - V(s_t))^2
     - ENTROPY_BETA * sum_t entropy(pi(. | s_t))
@@ -63,11 +65,12 @@ class CurvePoint:
     entropy: float
 
 
-def loss_and_grads(params: PolicyParams, batch):
-    """Scalar loss and parameter gradients over [(ctx, trajectory), ...]."""
+def loss_and_grads(params: PolicyParams, ctx: DesignContext, trajectories):
+    """Scalar loss and parameter gradients over the trajectories of one
+    design."""
     grads = {k: np.zeros_like(v) for k, v in params.arrays.items()}
     loss = policy_loss = value_loss = entropy_total = 0.0
-    for ctx, traj in batch:
+    for traj in trajectories:
         ret = traj.reward
         for step in traj.steps:
             obs = step.observation
@@ -119,37 +122,27 @@ def _episode_seed(seed: int, update: int, episode: int):
     return np.random.SeedSequence([seed, update, episode])
 
 
-def train(envs, train_config: TrainConfig = TrainConfig(),
-          params: PolicyParams | None = None, dump_path=None):
-    """Train over one or more environments; returns (params, curve).
+def train(env: MacroPlacementEnv, train_config: TrainConfig = TrainConfig(),
+          dump_path=None):
+    """Train a policy on one environment; returns (params, curve).
 
     Fully deterministic for a given seed. A non-finite loss aborts with a
     TrainingError and, when dump_path is given, a JSON dump of the batch
     that produced it.
     """
-    if isinstance(envs, MacroPlacementEnv):
-        envs = [envs]
-    if not envs:
-        raise ValueError("need at least one environment")
-    ctxs = [DesignContext(env) for env in envs]
+    ctx = DesignContext(env)
     rng = np.random.default_rng(train_config.seed)
-    if params is None:
-        params = init_params(rng, rounds=train_config.rounds,
-                             embed_dim=train_config.embed_dim)
+    params = init_params(rng, rounds=train_config.rounds,
+                         embed_dim=train_config.embed_dim)
     adam = AdamState(params)
     curve: list[CurvePoint] = []
 
     for update in range(train_config.updates):
-        batch = []
-        rewards = []
-        for episode in range(train_config.episodes_per_update):
-            idx = episode % len(envs)
-            policy = policy_from_params(params, ctxs[idx])
-            traj = rollout(envs[idx], policy,
-                           _episode_seed(train_config.seed, update, episode))
-            batch.append((ctxs[idx], traj))
-            rewards.append(traj.reward)
-        loss, grads, aux = loss_and_grads(params, batch)
+        policy = policy_from_params(params, ctx)
+        batch = [rollout(env, policy, _episode_seed(train_config.seed, update, episode))
+                 for episode in range(train_config.episodes_per_update)]
+        rewards = [traj.reward for traj in batch]
+        loss, grads, aux = loss_and_grads(params, ctx, batch)
         if not np.isfinite(loss):
             if dump_path is not None:
                 _dump_batch(batch, loss, dump_path)
@@ -181,7 +174,7 @@ def _dump_batch(batch, loss, path) -> None:
                     for s in traj.steps
                 ],
             }
-            for _ctx, traj in batch
+            for traj in batch
         ],
     }
     with open(path, "w") as fh:

@@ -328,13 +328,8 @@ def parse_bookshelf(path) -> DesignBundle:
     if movable_area > 0:
         netlist.target_density = round_up_density(movable_area / netlist.canvas_area)
 
-    meta = {"origin": origin, "row_height": row_height}
-    return DesignBundle(
-        netlist=netlist,
-        placement=placement,
-        provenance=f"bookshelf:{os.path.abspath(files['nodes'])}",
-        meta=meta,
-    )
+    return DesignBundle(netlist=netlist, placement=placement,
+                        meta={"origin": origin, "row_height": row_height})
 
 
 def _fmt(value) -> str:

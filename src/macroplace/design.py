@@ -29,11 +29,11 @@ DENSITY_STEP = 0.05  # target densities are rounded up to multiples of this
 
 @dataclass
 class DesignBundle:
-    """A netlist plus its as-read placement and where it came from."""
+    """A netlist plus its as-read placement and what a writer needs to
+    reproduce its files: `meta` holds the canvas origin and row height."""
 
     netlist: Netlist
     placement: Placement
-    provenance: str = ""
     meta: dict = field(default_factory=dict)
 
 
@@ -74,15 +74,8 @@ def edit_for_movable_macros(bundle: DesignBundle) -> DesignBundle:
     movable_area = sum(n.area for n in nodes if n.movable)
     edited = replace(netlist, nodes=nodes,
                      target_density=round_up_density(movable_area / netlist.canvas_area))
-    provenance = bundle.provenance
-    if not provenance.endswith("+movable-macros"):
-        provenance = provenance + "+movable-macros"
-    return DesignBundle(
-        netlist=edited,
-        placement=bundle.placement.copy(),
-        provenance=provenance,
-        meta=dict(bundle.meta),
-    )
+    return DesignBundle(netlist=edited, placement=bundle.placement.copy(),
+                        meta=dict(bundle.meta))
 
 
 def generate_synthetic(spec: SyntheticSpec) -> DesignBundle:
@@ -180,7 +173,6 @@ def generate_synthetic(spec: SyntheticSpec) -> DesignBundle:
     return DesignBundle(
         netlist=netlist,
         placement=placement,
-        provenance=f"synthetic:seed={spec.seed}",
         # Half-row std cells keep macro/std classification stable through a
         # bookshelf round trip with the default macro threshold.
         meta={"origin": (0.0, 0.0), "row_height": cell_h / 2},

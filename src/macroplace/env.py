@@ -26,7 +26,7 @@ from .errors import DesignError, PlacementError
 from .grid import Grid, feasibility_mask, place_on_grid
 from .metrics import DEFAULT_CAPACITY, Metrics, RewardWeights, evaluate
 from .netlist import Placement
-from .placer import PlacerConfig, place_clusters
+from .placer import PlacerConfig, movable_cluster_mask, place_clusters
 
 DEAD_END_PENALTY = 2.0  # reward of an episode that ends in a dead end, negated
 
@@ -91,7 +91,12 @@ class Trajectory:
 
 
 class MacroPlacementEnv:
-    """Environment bound to one design; all episode state lives in EnvState."""
+    """Environment bound to one design; all episode state lives in EnvState.
+
+    Refuses with DesignError a design no episode can finish: a fixed node
+    without a position, or a macro that fits no cell center of the empty
+    grid.
+    """
 
     def __init__(self, bundle: DesignBundle, config: EnvConfig = EnvConfig()):
         netlist = bundle.netlist
@@ -114,9 +119,21 @@ class MacroPlacementEnv:
 
         base = base_placement(self.clustered, bundle.placement)
         base.placed[self.macro_order] = False  # macros are placed by the agent
+        # The fixed nodes `place_clusters` requires placed, macros aside.
+        unplaced = ~movable_cluster_mask(self.clustered) & ~base.placed
+        unplaced[self.macro_order] = False
+        if unplaced.any():
+            node = self.pnet.nodes[int(np.argmax(unplaced))]
+            raise DesignError(f"fixed node '{node.name}' has no position")
         self._base_placement = base
         self._eval_grid = Grid.empty(config.grid_rows, config.grid_cols,
                                      netlist.canvas_width, netlist.canvas_height)
+        # An empty grid of the episode's shape: every macro needs a cell on it.
+        for pid in self.macro_order:
+            if not feasibility_mask(self._eval_grid, self.pnet.nodes[pid]).any():
+                raise DesignError(
+                    f"macro '{self.pnet.nodes[pid].name}' fits no cell center of "
+                    f"the empty {config.grid_rows}x{config.grid_cols} grid")
 
     @property
     def num_macros(self) -> int:

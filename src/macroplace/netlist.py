@@ -1,4 +1,4 @@
-"""Netlist, placement, and the exact wirelength/statistics evaluators.
+"""Netlist, placement, and the exact wirelength evaluator.
 
 Coordinates are real-valued microns. Node positions always refer to the
 *center* of the node's bounding box; grid snapping is the grid module's
@@ -7,7 +7,6 @@ concern, not this one's.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -207,15 +206,6 @@ class Placement:
         return out
 
 
-@dataclass(frozen=True)
-class BenchmarkStats:
-    macro_count: int
-    std_cell_count: int
-    terminal_count: int
-    utilization: float
-    max_density: float
-
-
 def net_boxes(netlist: Netlist, placement: Placement) -> tuple[np.ndarray, np.ndarray]:
     """(lo, hi) corners of each `net_csr` row's pin bounding box, (M, 2) each.
 
@@ -247,19 +237,3 @@ def hpwl(netlist: Netlist, placement: Placement) -> float:
     per_net = netlist.net_csr.weights * (ext[:, 0] + ext[:, 1])
     # Sequential sum in net order: the exact total a per-net loop gives.
     return float(np.add.accumulate(per_net)[-1])
-
-
-def stats(netlist: Netlist) -> BenchmarkStats:
-    """Benchmark statistics: node counts by kind, utilization, max density."""
-    kinds = [n.kind for n in netlist.nodes]
-    util = netlist.movable_area / netlist.canvas_area if netlist.canvas_area > 0 else 0.0
-    if util > 1.0:
-        warnings.warn(f"utilization {util:.3f} exceeds 1.0", stacklevel=2)
-    return BenchmarkStats(
-        macro_count=kinds.count(KIND_MACRO),
-        std_cell_count=kinds.count(KIND_STD),
-        terminal_count=kinds.count(KIND_TERMINAL),
-        utilization=util,
-        max_density=netlist.target_density,
-    )
-

@@ -8,9 +8,11 @@ alone. `spread_movable` is the one run with macros moving too: the
 analytical engine over every node the design marks movable.
 
 `PlacerConfig` is the contract both engines share: which engine runs
-("fd" or "analytical"), its outer-iteration budget, the bin count of the
-density grid (a power of two >= 2, checked at construction), and the seed
-of the start jitter. The overflow below which the analytical engine stops
+("fd" or "analytical"), its outer-iteration budget and the bin count of the
+density grid (a power of two >= 2, checked at construction). The start
+jitter is drawn from a fixed seed: force-directed overwrites every movable
+position in its first solve, so only the analytical engine's start depends
+on it. The overflow below which the analytical engine stops
 (force-directed always runs the full budget) is the class constant
 `PlacerConfig.overflow_stop`. Each engine's step-size and schedule
 constants live in its own module.
@@ -53,7 +55,6 @@ class PlacerConfig:
     engine: str = "analytical"
     max_outer_iters: int = 30
     bins: int = 64
-    seed: int = 0
     overflow_stop: ClassVar[float] = 0.10
 
     def canonical_engine(self) -> str:
@@ -118,9 +119,9 @@ def engine_start(clustered: ClusteredNetlist, start: Placement, movable: np.ndar
     """The start both engines share: (placement netlist, `CanvasBounds`,
     start placement, `DensityGrid` of the fixed charge, grid of the trace
     rows). Movable nodes without a position start at canvas center plus a
-    jitter of 1 % of the shorter canvas side (one draw per node and axis,
-    seeded by `config.seed`), and every movable box is clamped into the
-    canvas."""
+    jitter of 1 % of the shorter canvas side (one draw per node and axis
+    from `np.random.default_rng(0)`), and every movable box is clamped into
+    the canvas."""
     pnet = clustered.placement_netlist
     arrays = pnet.node_arrays
     ids = np.flatnonzero(movable)
@@ -130,7 +131,7 @@ def engine_start(clustered: ClusteredNetlist, start: Placement, movable: np.ndar
     placement = start.copy()
     new = ids[~placement.placed[ids]]
     jitter = 0.01 * min(pnet.canvas_width, pnet.canvas_height)
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(0)
     center = np.array([pnet.canvas_width / 2, pnet.canvas_height / 2])
     placement.positions[new] = center + rng.uniform(-jitter, jitter, size=(len(new), 2))
     placement.placed[new] = True

@@ -41,9 +41,10 @@ def test_forward_step_value_is_float(training_bundle):
 
 def test_one_train_update_completes(training_bundle):
     env = tiny_env(training_bundle)
-    start = init_params(np.random.default_rng(1), rounds=1, embed_dim=8)
     config = TrainConfig(updates=1, episodes_per_update=2, rounds=1, embed_dim=8, seed=3)
-    params, curve = train(env, config, params=start.copy())
+    # What `train` draws as its start.
+    start = init_params(np.random.default_rng(config.seed), rounds=1, embed_dim=8)
+    params, curve = train(env, config)
     assert len(curve) == 1
     assert np.isfinite(curve[0].loss)
     assert not np.array_equal(params_to_vector(params), params_to_vector(start))
@@ -56,10 +57,10 @@ def test_loss_gradients_match_central_differences(training_bundle):
     ctx = DesignContext(env)
     params = init_params(np.random.default_rng(2), rounds=2, embed_dim=4)
     policy = policy_from_params(params, ctx)
-    batch = [(ctx, rollout(env, policy, seed)) for seed in (0, 1)]
-    assert not any(traj.dead_end for _ctx, traj in batch)
+    batch = [rollout(env, policy, seed) for seed in (0, 1)]
+    assert not any(traj.dead_end for traj in batch)
 
-    _, grads, _ = loss_and_grads(params, batch)
+    _, grads, _ = loss_and_grads(params, ctx, batch)
     analytic = params_to_vector(replace(params, arrays=grads))
     vec = params_to_vector(params)
     h = 1e-6
@@ -67,8 +68,8 @@ def test_loss_gradients_match_central_differences(training_bundle):
     for i in range(len(vec)):
         step = np.zeros_like(vec)
         step[i] = h
-        plus, _, _ = loss_and_grads(params_from_vector(params, vec + step), batch)
-        minus, _, _ = loss_and_grads(params_from_vector(params, vec - step), batch)
+        plus, _, _ = loss_and_grads(params_from_vector(params, vec + step), ctx, batch)
+        minus, _, _ = loss_and_grads(params_from_vector(params, vec - step), ctx, batch)
         numeric[i] = (plus - minus) / (2 * h)
     # Round-off of the differences is ~eps * |loss| / h ~ 3e-9 here.
     np.testing.assert_allclose(analytic, numeric, rtol=1e-5,
@@ -155,8 +156,8 @@ def test_train_deterministic_per_seed(training_bundle):
 def test_non_finite_loss_dumps_batch(training_bundle, monkeypatch, tmp_path):
     import macroplace.agent.train as train_module
 
-    def nan_loss(params, batch):
-        _, grads, aux = loss_and_grads(params, batch)
+    def nan_loss(params, ctx, batch):
+        _, grads, aux = loss_and_grads(params, ctx, batch)
         return float("nan"), grads, aux
 
     monkeypatch.setattr(train_module, "loss_and_grads", nan_loss)

@@ -38,7 +38,7 @@ def bundle_from(nodes, nets, canvas, target=1.0, terminal_corners=True):
         if n.kind == KIND_TERMINAL:
             pl.positions[n.id] = (n.width / 2, n.height / 2)
             pl.placed[n.id] = True
-    return DesignBundle(netlist=nl, placement=pl, provenance="fixture")
+    return DesignBundle(netlist=nl, placement=pl)
 
 
 def small_env(grid=4, macros=None, cells=3, canvas=40.0, target=1.0):
@@ -56,8 +56,7 @@ def small_env(grid=4, macros=None, cells=3, canvas=40.0, target=1.0):
         nets.append(Net(len(nets), f"n{i}", (Pin(ids[i]), Pin(ids[i + 1])), 1.0))
     bundle = bundle_from(nodes, nets, canvas, target)
     config = EnvConfig(grid_rows=grid, grid_cols=grid,
-                       placer=PlacerConfig(engine="fd", max_outer_iters=5, bins=16,
-                                           seed=0),
+                       placer=PlacerConfig(engine="fd", max_outer_iters=5, bins=16),
                        clusters_k=2)
     return MacroPlacementEnv(bundle, config)
 
@@ -91,6 +90,22 @@ class TestReset:
         with pytest.raises(ValueError, match="k must be >= 1, got 0"):
             MacroPlacementEnv(small_env().bundle, EnvConfig(clusters_k=0))
 
+    def test_macro_that_fits_no_cell_center_rejected(self):
+        """9.9 wide on a 10-wide canvas: the center must lie in [4.95, 5.05],
+        which holds none of the 4x4 grid's cell centers, so `reset` would
+        hand the policy an all-false mask."""
+        with pytest.raises(DesignError,
+                           match="macro 'm0' fits no cell center of the empty 4x4 grid"):
+            small_env(grid=4, macros=[(9.9, 2.0)], canvas=10.0)
+
+    def test_fixed_node_without_position_rejected(self):
+        """A terminal without a position (as one missing from a Bookshelf
+        .pl) would otherwise fail only in `finish`, after every macro step."""
+        env = small_env()
+        env.bundle.placement.placed[:] = False
+        with pytest.raises(DesignError, match="fixed node 'p0' has no position"):
+            MacroPlacementEnv(env.bundle, env.config)
+
 
 class TestStep:
     def test_single_macro_episode(self):
@@ -117,7 +132,7 @@ class TestStep:
         bundle = bundle_from(nodes, nets, 30.0)
         config = EnvConfig(grid_rows=3, grid_cols=3, clusters_k=1,
                            placer=PlacerConfig(engine="fd", max_outer_iters=3,
-                                               bins=16, seed=0))
+                                               bins=16))
         return MacroPlacementEnv(bundle, config)
 
     def test_blocking_fixture_pays_dead_end_penalty(self):
@@ -183,7 +198,7 @@ class TestDeterminism:
     def test_rollout_seed_determinism(self, training_bundle):
         config = EnvConfig(grid_rows=8, grid_cols=8, clusters_k=8,
                            placer=PlacerConfig(engine="fd", max_outer_iters=5,
-                                               bins=16, seed=0))
+                                               bins=16))
         env = MacroPlacementEnv(training_bundle, config)
         t1 = rollout(env, uniform_random_policy, seed=42)
         t2 = rollout(env, uniform_random_policy, seed=42)
@@ -211,8 +226,7 @@ class TestDeterminism:
         for engine in ("fd", "analytical"):
             config = EnvConfig(
                 grid_rows=8, grid_cols=8, clusters_k=6,
-                placer=PlacerConfig(engine=engine, max_outer_iters=4, bins=16,
-                                    seed=0))
+                placer=PlacerConfig(engine=engine, max_outer_iters=4, bins=16))
             env = MacroPlacementEnv(training_bundle, config)
             state, obs = env.reset()
             actions = []
@@ -240,7 +254,7 @@ class TestRolloutBookkeeping:
     def test_trajectory_records(self, training_bundle):
         config = EnvConfig(grid_rows=8, grid_cols=8, clusters_k=6,
                            placer=PlacerConfig(engine="fd", max_outer_iters=4,
-                                               bins=16, seed=0))
+                                               bins=16))
         env = MacroPlacementEnv(training_bundle, config)
         traj = rollout(env, uniform_random_policy, seed=1)
         assert len(traj) == env.num_macros
@@ -255,7 +269,7 @@ class TestRolloutBookkeeping:
 
         config = EnvConfig(grid_rows=8, grid_cols=8, clusters_k=6,
                            placer=PlacerConfig(engine="fd", max_outer_iters=2,
-                                               bins=16, seed=0))
+                                               bins=16))
         env = MacroPlacementEnv(training_bundle, config)
         masked = []
         real = menv.feasibility_mask
@@ -272,7 +286,7 @@ class TestRolloutBookkeeping:
     def test_no_overlap_over_random_rollouts(self, training_bundle):
         config = EnvConfig(grid_rows=10, grid_cols=10, clusters_k=6,
                            placer=PlacerConfig(engine="fd", max_outer_iters=3,
-                                               bins=16, seed=0))
+                                               bins=16))
         env = MacroPlacementEnv(training_bundle, config)
         for seed in range(25):
             state, obs = env.reset()

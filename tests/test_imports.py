@@ -110,8 +110,10 @@ def test_guard_sees_private_access():
 
 
 # Census of what the program reads. A public name of `macroplace` is read
-# when code in src/ or perfbench/ loads it by name or as an attribute, passes
-# it as a keyword, or names it in perfbench's traced-function table.
+# when code in src/ or perfbench/ loads it as an attribute, passes it as a
+# keyword, names it in perfbench's traced-function table, or loads it by
+# bare name in a module that defines it or imports it with `from ... import`
+# (elsewhere a bare name is a local variable that shares the name).
 ROOT = PACKAGE.parent.parent
 READERS = MODULES + sorted((ROOT / "perfbench").glob("*.py"))
 TRACE_TABLE = ROOT / "perfbench" / "tracing.py"
@@ -130,6 +132,8 @@ UNREAD_BY_DESIGN = {
     "placer.spread_movable": "the item-2 stand-in for the academic placers",
     "grid.footprint": "the public form of the footprint rule, checked "
                       "against footprint_raster",
+    "placer.TraceRow.wl": "the trace's HPWL column (ROADMAP aim 4), read by "
+                          "tests and by the item-6 telemetry",
 }
 
 
@@ -140,12 +144,22 @@ def module_name(path):
 
 
 def read_names(source, dotted_strings=False):
-    """Names the source reads: Name and Attribute loads and call keywords;
-    with `dotted_strings`, every part of every string constant."""
+    """Names the source reads: Attribute loads, call keywords and Name loads
+    of the names it defines or imports with `from ... import` (under their
+    imported name); with `dotted_strings`, every part of every string
+    constant."""
+    tree = ast.parse(source)
+    known = {}  # bound name -> name it reads
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            known[node.name] = node.name
+        elif isinstance(node, ast.ImportFrom):
+            known.update((alias.asname or alias.name, alias.name) for alias in node.names)
     names = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            names.add(node.id)
+            if node.id in known:
+                names.add(known[node.id])
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             names.add(node.attr)
         elif isinstance(node, ast.keyword) and node.arg:
@@ -212,6 +226,17 @@ def test_census_sees_unread_names():
     table = "TRACED = (('m.volume', 'pkg.m', 'Box.volume'),)\n"
     assert "volume" in read_names(table, dotted_strings=True)
     assert "volume" not in read_names(table)
+    # A local variable that shares an unread function's name reads nothing;
+    # a from-import, also renamed, reads the imported name.
+    reader = (
+        "from m import used as run\n"
+        "def report(unused):\n"
+        "    volume = unused + 1\n"
+        "    return run(volume)\n"
+    )
+    assert unread_public_names({"m": source}, read | read_names(reader)) == [
+        "m.Box.spare", "m.Box.volume", "m.unused"]
+    assert read_names(reader) == {"used"}
 
 
 # The functions of src/ that read `Net.pins`; everything else reads the

@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,7 +13,11 @@ from macroplace.design import (
     round_up_density,
 )
 from macroplace.errors import DesignError, ParseError
-from macroplace.netlist import KIND_MACRO, KIND_STD, KIND_TERMINAL, hpwl, stats
+from macroplace.netlist import KIND_MACRO, KIND_STD, KIND_TERMINAL, hpwl
+
+
+def kind_counts(netlist):
+    return Counter(n.kind for n in netlist.nodes)
 
 
 FIXTURE = {
@@ -241,10 +246,9 @@ class TestBookshelfParse:
                 placement.placed[node.id] = True
         write_bookshelf(bundle, tmp_path, "rt")
         again = parse_bookshelf(str(tmp_path / "rt.nodes"))
-        s0, s1 = stats(nl), stats(again.netlist)
-        assert (s0.macro_count, s0.std_cell_count, s0.terminal_count) == (
-            s1.macro_count, s1.std_cell_count, s1.terminal_count)
-        assert s1.utilization == pytest.approx(s0.utilization, rel=1e-9)
+        assert kind_counts(again.netlist) == kind_counts(nl)
+        assert again.netlist.movable_area / again.netlist.canvas_area == pytest.approx(
+            nl.movable_area / nl.canvas_area, rel=1e-9)
         assert hpwl(again.netlist, again.placement) == pytest.approx(
             hpwl(nl, placement), rel=1e-9)
 
@@ -263,9 +267,7 @@ class TestEdit:
         bundle = parse_bookshelf(str(write_fixture(tmp_path)))
         edited = edit_for_movable_macros(bundle)
         assert all(n.movable for n in edited.netlist.nodes if n.kind == KIND_MACRO)
-        s0, s1 = stats(bundle.netlist), stats(edited.netlist)
-        assert s0.std_cell_count == s1.std_cell_count
-        assert s0.macro_count == s1.macro_count
+        assert kind_counts(edited.netlist) == kind_counts(bundle.netlist)
 
     def test_density_rounding(self):
         assert round_up_density(0.71) == pytest.approx(0.75)
@@ -280,7 +282,8 @@ class TestEdit:
         assert [dataclasses.astuple(n) for n in once.netlist.nodes] == [
             dataclasses.astuple(n) for n in twice.netlist.nodes
         ]
-        assert once.provenance == twice.provenance
+        np.testing.assert_array_equal(once.placement.positions, twice.placement.positions)
+        assert once.meta == twice.meta
 
     def test_everything_else_unchanged(self, tmp_path):
         bundle = parse_bookshelf(str(write_fixture(tmp_path)))
@@ -312,14 +315,11 @@ class TestSynthetic:
         assert a.netlist.nets == b.netlist.nets
         np.testing.assert_array_equal(a.placement.positions, b.placement.positions)
         np.testing.assert_array_equal(a.placement.placed, b.placement.placed)
-        assert (a.provenance, a.meta) == (b.provenance, b.meta)
+        assert a.meta == b.meta
 
     def test_counts(self):
         bundle = generate_synthetic(SyntheticSpec(2, 100, 120, seed=1))
-        st = stats(bundle.netlist)
-        assert st.macro_count == 2
-        assert st.std_cell_count == 100
-        assert st.terminal_count == 4
+        assert kind_counts(bundle.netlist) == {KIND_MACRO: 2, KIND_STD: 100, KIND_TERMINAL: 4}
 
     def test_unplaced_except_corner_terminals(self):
         bundle = generate_synthetic(SyntheticSpec(2, 50, 60, seed=5))

@@ -5,7 +5,6 @@ from macroplace.errors import EvaluationError
 from macroplace.grid import Grid
 from macroplace.metrics import congestion_map
 from macroplace.netlist import (
-    KIND_MACRO,
     KIND_STD,
     Net,
     Netlist,
@@ -13,7 +12,6 @@ from macroplace.netlist import (
     Pin,
     Placement,
     hpwl,
-    stats,
 )
 
 from conftest import random_design, tiny_netlist
@@ -105,31 +103,3 @@ class TestHpwl:
             nl.target_density,
         )
         assert hpwl(doubled, pl) == pytest.approx(2 * hpwl(nl, pl), rel=1e-12)
-
-
-class TestStats:
-    def test_counts_partition(self, rng):
-        nl, _ = random_design(rng, n_nodes=30)
-        st = stats(nl)
-        assert st.macro_count + st.std_cell_count + st.terminal_count == nl.num_nodes
-
-    def test_empty_netlist(self):
-        nl = Netlist([], [], 10.0, 10.0)
-        st = stats(nl)
-        assert (st.macro_count, st.std_cell_count, st.utilization) == (0, 0, 0.0)
-
-    def test_utilization_and_density(self):
-        nl = tiny_netlist()
-        st = stats(nl)
-        assert st.macro_count == 1
-        assert st.std_cell_count == 1
-        assert st.terminal_count == 1
-        assert st.utilization == pytest.approx((16.0 + 4.0) / 400.0)
-        assert st.max_density == 0.5
-
-    def test_overfull_warns(self):
-        nodes = [Node(0, "big", 30.0, 30.0, KIND_MACRO, True)]
-        nl = Netlist(nodes, [], 20.0, 20.0)
-        with pytest.warns(UserWarning, match="utilization"):
-            stats(nl)
-

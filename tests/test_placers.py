@@ -101,7 +101,7 @@ class TestConfig:
 class TestForceDirected:
     def test_spring_balance(self):
         clustered, fixed = spring_fixture()
-        config = PlacerConfig(engine="fd", max_outer_iters=10, seed=0)
+        config = PlacerConfig(engine="fd", max_outer_iters=10)
         placement, trace = place_clusters(clustered, fixed, config)
         cid = clustered.cluster_to_placement[0]
         assert placement.positions[cid, 0] == pytest.approx(5.0, abs=1e-6)
@@ -119,7 +119,7 @@ class TestForceDirected:
         fixed = Placement.empty(clustered.placement_netlist.num_nodes)
         fixed.positions[0] = (2.0, 2.0)
         fixed.placed[0] = True
-        config = PlacerConfig(engine="fd", max_outer_iters=5, seed=0)
+        config = PlacerConfig(engine="fd", max_outer_iters=5)
         with pytest.warns(UserWarning, match="no connectivity"):
             placement, _ = place_clusters(clustered, base_placement(clustered, fixed),
                                           config)
@@ -136,7 +136,7 @@ class TestForceDirected:
         fixed = Placement.empty(clustered.placement_netlist.num_nodes)
         fixed.positions[0] = (2.0, 2.0)
         fixed.placed[0] = True
-        config = PlacerConfig(engine="fd", max_outer_iters=5, seed=0)
+        config = PlacerConfig(engine="fd", max_outer_iters=5)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             placement, trace = place_clusters(
@@ -152,9 +152,27 @@ class TestForceDirected:
 
     def test_deterministic(self):
         clustered, fixed = clustered_synthetic()
-        config = PlacerConfig(engine="fd", max_outer_iters=8, seed=3)
+        config = PlacerConfig(engine="fd", max_outer_iters=8)
         p1, t1 = place_clusters(clustered, fixed, config)
         p2, t2 = place_clusters(clustered, fixed, config)
+        np.testing.assert_array_equal(p1.positions, p2.positions)
+        assert [(r.wl, r.overflow) for r in t1] == [(r.wl, r.overflow) for r in t2]
+
+    def test_start_positions_are_ignored(self):
+        """The first solve overwrites every movable position: the jittered
+        start and a random in-canvas start give the same placement and trace."""
+        clustered, fixed = clustered_synthetic()
+        pnet = clustered.placement_netlist
+        ids = clustered.cluster_to_placement
+        assert not fixed.placed[ids].any()  # the first run starts from the jitter
+        start = fixed.copy()
+        half = np.stack([pnet.node_arrays.width[ids], pnet.node_arrays.height[ids]], axis=1) / 2
+        canvas = np.array([pnet.canvas_width, pnet.canvas_height])
+        start.positions[ids] = np.random.default_rng(1).uniform(half, canvas - half)
+        start.placed[ids] = True
+        config = PlacerConfig(engine="fd", max_outer_iters=8)
+        p1, t1 = place_clusters(clustered, fixed, config)
+        p2, t2 = place_clusters(clustered, start, config)
         np.testing.assert_array_equal(p1.positions, p2.positions)
         assert [(r.wl, r.overflow) for r in t1] == [(r.wl, r.overflow) for r in t2]
 
@@ -175,7 +193,7 @@ class TestAnalytical:
         fixed = Placement.empty(clustered.placement_netlist.num_nodes)
         fixed.positions[0] = (32.0, 32.0)
         fixed.placed[0] = True
-        config = PlacerConfig(engine="analytical", seed=1)
+        config = PlacerConfig(engine="analytical")
         placement, trace = place_clusters(clustered, base_placement(clustered, fixed),
                                           config)
         assert trace[-1].overflow < 0.10
@@ -183,14 +201,14 @@ class TestAnalytical:
 
     def test_deterministic(self):
         clustered, fixed = clustered_synthetic(seed=9)
-        config = PlacerConfig(engine="analytical", max_outer_iters=6, seed=4)
+        config = PlacerConfig(engine="analytical", max_outer_iters=6)
         p1, _ = place_clusters(clustered, fixed, config)
         p2, _ = place_clusters(clustered, fixed, config)
         np.testing.assert_array_equal(p1.positions, p2.positions)
 
     def test_trace_columns(self):
         clustered, fixed = clustered_synthetic(seed=2)
-        config = PlacerConfig(engine="analytical", max_outer_iters=4, seed=0)
+        config = PlacerConfig(engine="analytical", max_outer_iters=4)
         _, trace = place_clusters(clustered, fixed, config)
         assert trace
         for row in trace:
@@ -205,7 +223,7 @@ class TestTrace:
     def test_rows_keep_values_when_placement_mutates(self, engine):
         clustered, fixed = clustered_synthetic(seed=3)
         pnet = clustered.placement_netlist
-        config = PlacerConfig(engine=engine, max_outer_iters=4, seed=0)
+        config = PlacerConfig(engine=engine, max_outer_iters=4)
         placement, trace = place_clusters(clustered, fixed, config)
         before = placement.copy()
         placement.positions *= 0.5
@@ -217,7 +235,7 @@ class TestTrace:
         clustered, fixed = clustered_synthetic(seed=3)
         wl_calls = count_calls(monkeypatch, hpwl)
         overflow_calls = count_calls(monkeypatch, density_overflow)
-        config = PlacerConfig(engine="fd", max_outer_iters=30, seed=0)
+        config = PlacerConfig(engine="fd", max_outer_iters=30)
         _, trace = place_clusters(clustered, fixed, config)
         assert len(trace) == 30
         assert (len(wl_calls), len(overflow_calls)) == (0, 0)
@@ -229,7 +247,7 @@ class TestTrace:
         clustered, fixed = clustered_synthetic(seed=3)
         wl_calls = count_calls(monkeypatch, hpwl)
         overflow_calls = count_calls(monkeypatch, density_overflow)
-        config = PlacerConfig(engine="analytical", max_outer_iters=5, seed=0)
+        config = PlacerConfig(engine="analytical", max_outer_iters=5)
         _, trace = place_clusters(clustered, fixed, config)
         assert len(overflow_calls) == len(trace) > 0
         assert len(wl_calls) == 0
@@ -242,7 +260,7 @@ class TestEngineContract:
         clustered, fixed = clustered_synthetic(seed=7)
         pnet = clustered.placement_netlist
         for engine in ("fd", "analytical"):
-            config = PlacerConfig(engine=engine, max_outer_iters=6, seed=1)
+            config = PlacerConfig(engine=engine, max_outer_iters=6)
             placement, trace = place_clusters(clustered, fixed, config)
             assert placement.placed.all()
             assert in_canvas(pnet, placement)
@@ -270,7 +288,7 @@ class TestEngineContract:
         bundle = generate_synthetic(SyntheticSpec(3, 60, 80, seed=21))
         clustered = cluster_std_cells(bundle.netlist, k=8)
         fixed = base_placement(clustered, bundle.placement)
-        config = PlacerConfig(max_outer_iters=8, seed=2)
+        config = PlacerConfig(max_outer_iters=8)
         placement, _ = spread_movable(clustered, fixed, config)
         pnet = clustered.placement_netlist
         assert placement.placed.all()

@@ -115,15 +115,14 @@ def feasibility_mask(grid: Grid, macro: Node) -> np.ndarray:
     # Sliding-window occupancy count via a zero-padded summed-area table.
     sat = np.zeros((grid.rows + 1, grid.cols + 1), dtype=np.int64)
     np.cumsum(np.cumsum(grid.occupancy, axis=0), axis=1, out=sat[1:, 1:])
-    r = np.arange(grid.rows)[:, None]
-    c = np.arange(grid.cols)[None, :]
-    r_lo = np.clip(r + dr0, 0, grid.rows)
-    r_hi = np.clip(r + dr1 + 1, 0, grid.rows)
-    c_lo = np.clip(c + dc0, 0, grid.cols)
-    c_hi = np.clip(c + dc1 + 1, 0, grid.cols)
-    covered = (
-        sat[r_hi, c_hi] - sat[r_lo, c_hi] - sat[r_hi, c_lo] + sat[r_lo, c_lo]
-    )
+    # dr0, dc0 <= 0 <= dr1, dc1: each window bound is clipped on one side.
+    r = np.arange(grid.rows)
+    c = np.arange(grid.cols)
+    r_lo, r_hi = np.maximum(r + dr0, 0), np.minimum(r + (dr1 + 1), grid.rows)
+    c_lo, c_hi = np.maximum(c + dc0, 0), np.minimum(c + (dc1 + 1), grid.cols)
+    # Occupied cells per row window and column prefix, then per window.
+    strips = sat[r_hi] - sat[r_lo]
+    covered = strips[:, c_hi] - strips[:, c_lo]
     return inside & (covered == 0)
 
 

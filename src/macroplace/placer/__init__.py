@@ -26,10 +26,13 @@ An engine iteration computes only what the next iteration needs. Its trace
 row keeps a copy of the placement and computes HPWL and overflow when first
 read, so an unread trace costs one copy per iteration; the analytical
 engine reads the overflow for its stop rule. What the movable nodes cannot
-change (their in-canvas bounds, the fixed charge both engines rasterize
-onto, and the force-directed engine's dense system and its
-eigendecomposition) is computed once per placement; `engine_start` builds
-the part both engines share, with their start positions.
+change is computed once per placement: their in-canvas bounds and the
+fixed charge both engines rasterize onto (`engine_start` builds these,
+with the start positions both engines share), and the force-directed
+engine's pull of the fixed nodes. The force-directed engine's dense system
+and its eigendecomposition depend on neither the macros' positions nor
+the clusters', so they are computed once per design, on its first
+placement.
 """
 
 from __future__ import annotations

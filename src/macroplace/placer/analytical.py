@@ -35,7 +35,7 @@ FALLBACK_STEP_FRAC = 1e-2
 def _gradient(pnet, placement, movable, gamma, lam, dgrid):
     """Gradient of smooth_wl + lam * energy, zero on fixed nodes."""
     _, gwl = smooth_wl_and_grad(pnet, placement, gamma)
-    _, genergy = density_energy_and_grad(solve_density_field(pnet, placement, dgrid), pnet)
+    _, genergy = density_energy_and_grad(solve_density_field(placement, dgrid), pnet)
     grad = gwl + lam * genergy
     grad[~movable] = 0.0
     return grad
@@ -56,7 +56,7 @@ def run_analytical(clustered: ClusteredNetlist, start: Placement,
 
     # lambda_0: balance the L1 norms of the two gradient terms.
     _, gwl = smooth_wl_and_grad(pnet, placement, gamma)
-    _, genergy = density_energy_and_grad(solve_density_field(pnet, placement, dgrid), pnet)
+    _, genergy = density_energy_and_grad(solve_density_field(placement, dgrid), pnet)
     gwl_norm = np.abs(gwl[movable]).sum()
     gen_norm = np.abs(genergy[movable]).sum()
     lam = gwl_norm / gen_norm if gen_norm > 0 and gwl_norm > 0 else 1.0

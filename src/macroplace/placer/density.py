@@ -12,14 +12,16 @@ node positions and the solve is linear, the energy gradient below is the
 exact derivative of the energy away from bin-boundary kinks.
 
 What the movable nodes cannot change is computed once per placement, in a
-`DensityGrid`: the bin geometry, the raster of the charge-carrying nodes
-that stay fixed, the total charge area and the Poisson eigenvalue
-denominators. Each solve rasterizes only the grid's movable ids through
-`raster.axis_overlap`, the rasterizer the density metrics use, as one
-matrix product added onto the fixed raster (`charge_raster`, which the
-force-directed engine's spreading pass shares). That equals one pass over
-all charge-carrying nodes to rounding; a grid built with everything
-movable has nothing fixed, and its raster is the one-pass raster.
+`DensityGrid`: the bin geometry, the movable ids' half sizes, the raster of
+the charge-carrying nodes that stay fixed and the total charge area; the
+Poisson eigenvalue denominators, which only the solve reads, on first
+read. Each solve rasterizes only the grid's movable ids through
+`raster.axis_overlap`, the rasterizer the density metrics use, both axes
+in one pass, as one matrix product added onto the fixed raster
+(`charge_raster`, which the force-directed engine's spreading pass
+shares). That equals one pass over all charge-carrying nodes to rounding;
+a grid built with everything movable has nothing fixed, and its raster is
+the one-pass raster.
 
 `DensityField` keeps the boxes and the per-axis overlap matrices of its
 raster. The gradient needs, per node, the potential summed over its
@@ -30,6 +32,7 @@ one matrix product and one row sum per axis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.fft import dctn, idctn
@@ -51,9 +54,20 @@ class DensityGrid:
     bin_w: float
     bin_h: float
     ids: np.ndarray  # movable charge-carrying placed nodes, rasterized per solve
+    half: np.ndarray  # (len(ids), 2) half width and half height of each id
     fixed_area: np.ndarray  # (bins, bins) raster of the other charge-carrying placed nodes
     charge_area: float  # total area of all charge-carrying placed nodes
-    denom: np.ndarray  # Poisson eigenvalue denominators (`poisson_denominators`)
+
+    @cached_property
+    def cells(self) -> np.ndarray:
+        """(bin_w, bin_h), the cell widths of `raster.axis_overlap`'s
+        two-axis pass."""
+        return np.array([self.bin_w, self.bin_h])
+
+    @cached_property
+    def denom(self) -> np.ndarray:
+        """Poisson eigenvalue denominators (`poisson_denominators`)."""
+        return poisson_denominators(self.bins, self.bin_w, self.bin_h)
 
 
 def density_grid(netlist: Netlist, placement: Placement, movable: np.ndarray,
@@ -69,13 +83,13 @@ def density_grid(netlist: Netlist, placement: Placement, movable: np.ndarray,
     charged = arrays.charge & placement.placed
     all_ids = np.flatnonzero(charged)
     fixed_ids = np.flatnonzero(charged & ~movable)
+    ids = np.flatnonzero(charged & movable)
     x0, x1, y0, y1 = node_boxes(netlist, placement, fixed_ids)
     return DensityGrid(
-        bins=bins, bin_w=bin_w, bin_h=bin_h,
-        ids=np.flatnonzero(charged & movable),
+        bins=bins, bin_w=bin_w, bin_h=bin_h, ids=ids,
+        half=np.stack([arrays.width[ids], arrays.height[ids]], axis=1) / 2,
         fixed_area=axis_overlap(y0, y1, bin_h, bins).T @ axis_overlap(x0, x1, bin_w, bins),
         charge_area=float((arrays.width[all_ids] * arrays.height[all_ids]).sum()),
-        denom=poisson_denominators(bins, bin_w, bin_h),
     )
 
 
@@ -100,19 +114,17 @@ class DensityField:
         return self.bin_w * self.bin_h
 
 
-def charge_raster(netlist: Netlist, placement: Placement, grid: DensityGrid):
-    """(area, boxes, wx, wy): the placed charge-carrying area per bin, with
-    the footprints and the column and row overlap matrices of the grid's
-    movable ids. Only those ids are read from `placement`."""
-    boxes = node_boxes(netlist, placement, grid.ids)
-    x0, x1, y0, y1 = boxes
-    wx = axis_overlap(x0, x1, grid.bin_w, grid.bins)
-    wy = axis_overlap(y0, y1, grid.bin_h, grid.bins)
-    return grid.fixed_area + wy.T @ wx, boxes, wx, wy
+def charge_raster(grid: DensityGrid, centres: np.ndarray):
+    """(area, lo, hi, wx, wy): the placed charge-carrying area per bin with
+    the grid's movable ids centred at `centres` (len(ids), 2), their lower
+    and upper box corners and their column and row overlap matrices."""
+    lo = centres - grid.half
+    hi = centres + grid.half
+    wx, wy = axis_overlap(lo.T, hi.T, grid.cells, grid.bins)
+    return grid.fixed_area + wy.T @ wx, lo, hi, wx, wy
 
 
-def solve_density_field(netlist: Netlist, placement: Placement,
-                        grid: DensityGrid) -> DensityField:
+def solve_density_field(placement: Placement, grid: DensityGrid) -> DensityField:
     """Rasterize charge and solve for the potential.
 
     `placement` must keep the fixed nodes and placed flags `grid` was built
@@ -121,13 +133,14 @@ def solve_density_field(netlist: Netlist, placement: Placement,
     charge-carrying (movable-kind) area; its mean then matches the design's
     utilization, which the benchmark edit rounds up into target_density.
     """
-    area, boxes, wx, wy = charge_raster(netlist, placement, grid)
+    area, lo, hi, wx, wy = charge_raster(grid, placement.positions[grid.ids])
     raster_total = area.sum()
     scale = grid.charge_area / raster_total if raster_total > 0 else 1.0
     rho = area * (scale / (grid.bin_w * grid.bin_h))
     return DensityField(rho=rho, psi=solve_poisson(rho, grid.denom), bin_w=grid.bin_w,
                         bin_h=grid.bin_h, norm_scale=scale,
-                        ids=grid.ids, boxes=boxes, wx=wx, wy=wy)
+                        ids=grid.ids, boxes=(lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1]),
+                        wx=wx, wy=wy)
 
 
 def poisson_denominators(bins: int, bin_w: float, bin_h: float) -> np.ndarray:

@@ -10,12 +10,12 @@ keeps spreading from being undone.
 Solve. The graph is `Netlist.clique_graph`, built once per design from
 `net_csr`: w/(p-1) between every pin pair of a p-pin net, one edge per node
 pair. The movable-block Laplacian A (node degrees D on its diagonal, edges
-to fixed nodes included) is filled once per placement as a dense matrix,
-with array operations over the graph's edges (`_fd_system`).
+to fixed nodes included) is filled as a dense matrix, with array
+operations over the graph's edges (`_fd_system`).
 Iteration `it` of T adds the anchor weights D * t, t = it / T, so its
 matrix is D^1/2 (M + t I) D^1/2 with M = D^-1/2 A D^-1/2 fixed.
-`_spectrum` eigendecomposes M once, M = Q diag(lam) Q^T, and every
-iteration's solve (`spsolve`) is exact:
+`_spectrum` eigendecomposes M, M = Q diag(lam) Q^T, and every iteration's
+solve (`spsolve`) is exact:
 
     x = D^-1/2 Q ((Q^T D^-1/2 rhs) / (lam + t))
 
@@ -25,23 +25,34 @@ Such a group is anchored with a weight that does not ramp: D * max(t, 1),
 where an isolated cluster's D counts as 1. It is diagonalised on its own,
 so that its shift never mixes with the anchored clusters' modes.
 
+Neither A nor its spectrum depends on positions, so they are built once
+per design, with the edges between a movable and a fixed node: on the
+first placement of a `ClusteredNetlist` with a given movable set, and kept
+while that netlist lives (`_system_for`). Per placement only the fixed
+nodes' pull along those edges (`FixedPull.rhs`) and the fixed raster are
+computed again.
+
 Spreading. One `DensityGrid` per placement holds the raster of the fixed
 macros; each iteration adds only the clusters onto it through
 `density.charge_raster`, the helper the electrostatic engine's solve uses,
 which gives `rasterize_area`'s raster to rounding. The blurred overflow's
-gradient is read only at the clusters' bins. The trace rows the engine
-appends are never read here: their HPWL and overflow cost nothing unless a
-caller reads them.
+gradient is read only at the clusters' bins. Within an iteration the
+clusters' centres stay in one (m, 2) array, from the solve through both
+clamps and the spreading pass, and reach the placement once, for the trace
+row. The trace rows the engine appends are never read here: their HPWL and
+overflow cost nothing unless a caller reads them.
 """
 
 from __future__ import annotations
 
 import warnings
+import weakref
 from typing import NamedTuple
 
 import numpy as np
 
 from ..clustering import ClusteredNetlist
+from ..errors import PlacementError
 from ..netlist import Placement
 from .density import DensityGrid, charge_raster
 
@@ -50,73 +61,96 @@ def _blur(a: np.ndarray, passes: int = 2) -> np.ndarray:
     """Mean of each bin and its four neighbours, `passes` times, with the
     edge replicated."""
     rows, cols = a.shape
-    padded = np.empty((rows + 2, cols + 2))
-    out = a
-    for _ in range(passes):
+    width = cols + 2
+    pads = np.zeros((2, rows + 2, width))
+    pads[0, 1:-1, 1:-1] = a
+    # Flat in the padded layout a bin's neighbours sit 1 and `width` away,
+    # so a pass is five contiguous slices from bin (0, 0) to bin
+    # (rows - 1, cols - 1). The border columns inside that span get sums
+    # that mean nothing; the next pass overwrites them with the edge.
+    first, n = width + 1, (rows - 1) * width + cols
+    for k in range(passes):
+        padded = pads[k % 2]
         # Edge rows and columns replicated; the stencil reads no corner.
-        padded[1:-1, 1:-1] = out
-        padded[0, 1:-1] = out[0]
-        padded[-1, 1:-1] = out[-1]
-        padded[1:-1, 0] = out[:, 0]
-        padded[1:-1, -1] = out[:, -1]
-        out = (
-            padded[:-2, 1:-1] + padded[2:, 1:-1] + padded[1:-1, :-2]
-            + padded[1:-1, 2:] + padded[1:-1, 1:-1]
-        ) / 5.0
-    return out
+        padded[0, 1:-1] = padded[1, 1:-1]
+        padded[-1, 1:-1] = padded[-2, 1:-1]
+        padded[1:-1, 0] = padded[1:-1, 1]
+        padded[1:-1, -1] = padded[1:-1, -2]
+        src = padded.ravel()
+        out = pads[(k + 1) % 2].ravel()[first:first + n]
+        # Summed in place, in the order of (up + down + left + right + self) / 5.
+        np.add(src[first - width:first - width + n], src[first + width:first + width + n],
+               out=out)
+        out += src[first - 1:first - 1 + n]
+        out += src[first + 1:first + 1 + n]
+        out += src[first:first + n]
+        out /= 5.0
+    # Contiguous, so `_field_at` reads its bins flat.
+    return pads[passes % 2, 1:-1, 1:-1].copy()
 
 
-def _gradient_at(field: np.ndarray, r: np.ndarray, c: np.ndarray,
-                 cell_h: float, cell_w: float):
-    """`np.gradient(field, cell_h, cell_w)` read at bins (r, c): central
-    differences inside, one-sided ones on the edges."""
+def _field_at(field: np.ndarray, at: np.ndarray, cells: np.ndarray):
+    """(value, gradient) of a C-contiguous `field` at the bins `at`, (m, 2)
+    (column, row) pairs: the (m,) values and the (m, 2) (d/dx, d/dy) of
+    `np.gradient(field, cells[1], cells[0])`, central differences inside
+    and one-sided ones on the edges."""
     rows, cols = field.shape
-    r0, r1 = np.maximum(r - 1, 0), np.minimum(r + 1, rows - 1)
-    c0, c1 = np.maximum(c - 1, 0), np.minimum(c + 1, cols - 1)
-    gy = (field[r1, c] - field[r0, c]) / np.where(r1 - r0 == 2, 2.0 * cell_h, cell_h)
-    gx = (field[r, c1] - field[r, c0]) / np.where(c1 - c0 == 2, 2.0 * cell_w, cell_w)
-    return gy, gx
+    values = field.ravel()
+    flat = at[:, 1] * cols + at[:, 0]
+    hi = np.minimum(at + 1, (cols - 1, rows - 1))
+    lo = np.maximum(at - 1, 0)
+    step = np.array([1, cols])  # flat offset of one column, one row
+    ahead = values[flat[:, None] + (hi - at) * step]
+    behind = values[flat[:, None] + (lo - at) * step]
+    spacing = np.where(hi - lo == 2, 2.0 * cells, cells)
+    return values[flat], (ahead - behind) / spacing
 
 
-def _spread_once(pnet, placement, grid: DensityGrid):
-    """Displace the grid's movable ids down the blurred overflow gradient,
-    in place."""
-    rows = cols = grid.bins
-    cell_w, cell_h = grid.bin_w, grid.bin_h
-    area = charge_raster(pnet, placement, grid)[0]
-    cell_area = cell_w * cell_h
+def _spread_once(centres: np.ndarray, grid: DensityGrid, target_density: float):
+    """The grid's movable ids, centred at `centres` (len(grid.ids), 2),
+    moved down the blurred overflow gradient: their new centres."""
+    area = charge_raster(grid, centres)[0]
+    cell_area = grid.bin_w * grid.bin_h
     # Overlap pressure only (density above 1.0): the design target is not
     # reachable per-bin for solid clusters wider than a bin.
     over = np.maximum(0.0, area / cell_area - 1.0)
     if over.max() <= 0:
-        return placement
+        return centres
     field = _blur(over, passes=2)
-    ids = grid.ids
-    x = placement.positions[ids, 0]
-    y = placement.positions[ids, 1]
-    c = np.clip(np.trunc(x / cell_w), 0, cols - 1).astype(np.int64)
-    r = np.clip(np.trunc(y / cell_h), 0, rows - 1).astype(np.int64)
-    f = field[r, c]
-    fy, fx = _gradient_at(field, r, c, cell_h, cell_w)
-    push = f > 0
-    scale = np.minimum(f / max(pnet.target_density, 1e-9), 2.0)
-    placement.positions[ids, 0] = np.where(
-        push, x - fx / (np.abs(fx) + 1e-12) * scale * cell_w, x)
-    placement.positions[ids, 1] = np.where(
-        push, y - fy / (np.abs(fy) + 1e-12) * scale * cell_h, y)
-    return placement
+    cells = grid.cells
+    # np.clip's bounds, without its Python-level wrapper.
+    at = np.minimum(np.maximum(np.trunc(centres / cells), 0), grid.bins - 1).astype(np.int64)
+    f, grad = _field_at(field, at, cells)
+    scale = np.minimum(f / max(target_density, 1e-9), 2.0)
+    moved = centres - grad / (np.abs(grad) + 1e-12) * scale[:, None] * cells
+    return np.where((f > 0)[:, None], moved, centres)
 
 
-def _fd_system(graph, movable_ids: np.ndarray, positions: np.ndarray):
+class FixedPull(NamedTuple):
+    """The graph's edges between a movable and a fixed node, in graph-edge
+    order."""
+    to: np.ndarray  # (e,) movable end, as an index into the movable ids
+    fixed: np.ndarray  # (e,) fixed end, as a node id
+    w: np.ndarray  # (e,) edge weight
+    m: int  # number of movable nodes
+
+    def rhs(self, positions: np.ndarray) -> np.ndarray:
+        """(m, 2) pull of the fixed neighbours at `positions`, summed per
+        movable node in edge order."""
+        pull = self.w[:, None] * positions[self.fixed]
+        return np.stack([np.bincount(self.to, weights=pull[:, axis], minlength=self.m)
+                         for axis in (0, 1)], axis=1)
+
+
+def _fd_system(graph, movable_ids: np.ndarray):
     """Linear system of the quadratic solve over the movable nodes.
 
-    Returns (A, diag, fixed_rhs, pinned): the dense (m, m) movable-block
+    Returns (A, diag, pull, pinned): the dense (m, m) movable-block
     Laplacian with the node degrees on its diagonal, the degrees, the
-    (m, 2) pull of the fixed neighbours, and which movable nodes have a
-    fixed neighbour. Degrees and pulls sum in graph-edge order; edges
-    between two fixed nodes contribute nothing. The graph has no parallel
-    edges or self-loops, so every off-diagonal entry is one edge's weight,
-    negated.
+    `FixedPull` of the fixed neighbours, and which movable nodes have a
+    fixed neighbour. Degrees sum in graph-edge order; edges between two
+    fixed nodes contribute nothing. The graph has no parallel edges or
+    self-loops, so every off-diagonal entry is one edge's weight, negated.
     """
     m = len(movable_ids)
     k = np.arange(m)
@@ -133,9 +167,6 @@ def _fd_system(graph, movable_ids: np.ndarray, positions: np.ndarray):
     mixed = (li >= 0) != (lj >= 0)
     to = np.where(li >= 0, li, lj)[mixed]
     fixed = np.where(li >= 0, graph.edges_j, graph.edges_i)[mixed]
-    pull = w[mixed, None] * positions[fixed]
-    fixed_rhs = np.stack([np.bincount(to, weights=pull[:, axis], minlength=m)
-                          for axis in (0, 1)], axis=1)
 
     both = (li >= 0) & (lj >= 0)
     a, b = li[both], lj[both]
@@ -143,11 +174,11 @@ def _fd_system(graph, movable_ids: np.ndarray, positions: np.ndarray):
     A[a, b] = A[b, a] = -w[both]
     A[k, k] = diag
     pinned = np.bincount(to, minlength=m) > 0
-    return A, diag, fixed_rhs, pinned
+    return A, diag, FixedPull(to, fixed, w[mixed], m), pinned
 
 
 class Spectrum(NamedTuple):
-    """The FD system of one placement, diagonalised: at t it is A plus
+    """The FD system of one design, diagonalised: at t it is A plus
     `anchor_weights(t)` on the diagonal, and it equals
     B^1/2 Q diag(vals + max(t, floor)) Q^T B^1/2 with B = `base`. Q is
     orthogonal and block-diagonal over the anchored and the other
@@ -193,41 +224,69 @@ def spsolve(spectrum: Spectrum, rhs: np.ndarray, t: float) -> np.ndarray:
     return spectrum.left @ ((spectrum.right @ rhs) / shifted[:, None])
 
 
+class FDSystem(NamedTuple):
+    """The force-directed system of one design with one movable set: all
+    of it but the positions of the fixed nodes."""
+    movable: np.ndarray  # (N,) bool, the movable set it was built for
+    spectrum: Spectrum
+    pull: FixedPull
+    floating: list  # names of the movable nodes no fixed node reaches
+
+
+# One system per live ClusteredNetlist, dropped with it.
+_SYSTEMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _system_for(clustered: ClusteredNetlist, movable: np.ndarray) -> FDSystem:
+    """The `FDSystem` of `clustered` with `movable` moving, built on the
+    first call for that movable set."""
+    system = _SYSTEMS.get(clustered)
+    if system is None or not np.array_equal(system.movable, movable):
+        pnet = clustered.placement_netlist
+        movable_ids = np.flatnonzero(movable)
+        A, diag, pull, pinned = _fd_system(pnet.clique_graph, movable_ids)
+        spectrum = _spectrum(A, diag, pinned)
+        floating = [pnet.nodes[int(movable_ids[k])].name
+                    for k in np.flatnonzero(spectrum.floor)]
+        system = FDSystem(movable.copy(), spectrum, pull, floating)
+        _SYSTEMS[clustered] = system
+    return system
+
+
 def run_force_directed(clustered: ClusteredNetlist, start: Placement,
                        movable: np.ndarray, config):
-    from . import TraceRow, clamp_in_canvas, engine_start
+    from . import TraceRow, engine_start
 
     pnet, bounds, placement, grid, eval_grid = engine_start(clustered, start, movable, config)
     if not len(bounds.ids):
         return placement, []
-
-    movable_ids = bounds.ids
-    m = len(movable_ids)
-    A, diag, fixed_rhs, pinned = _fd_system(pnet.clique_graph, movable_ids,
-                                            placement.positions)
-    spectrum = _spectrum(A, diag, pinned)
-    floating = spectrum.floor > 0
-    if floating.any():
-        names = [pnet.nodes[int(movable_ids[k])].name for k in np.flatnonzero(floating)]
+    # The solve moves bounds.ids and spreading grid.ids: one centre array
+    # serves both only when every movable node carries area.
+    if not np.array_equal(grid.ids, bounds.ids):
+        raise PlacementError("force-directed placement needs every movable node to carry area")
+    system = _system_for(clustered, movable)
+    if system.floating:
         warnings.warn(
-            f"clusters with no connectivity to a fixed node anchored at canvas center: {names}",
+            "clusters with no connectivity to a fixed node anchored at canvas center: "
+            f"{system.floating}",
             stacklevel=2,
         )
 
+    spectrum = system.spectrum
+    fixed_rhs = system.pull.rhs(placement.positions)
+    ids, lo, hi = bounds
     center = np.array([pnet.canvas_width / 2, pnet.canvas_height / 2])
     trace = []
-    anchors = np.tile(center, (m, 1))
+    anchors = np.tile(center, (len(ids), 1))
     T = config.max_outer_iters
     for it in range(T):
         t = it / T
         rhs = fixed_rhs + spectrum.anchor_weights(t)[:, None] * anchors
+        centres = np.minimum(np.maximum(spsolve(spectrum, rhs, t), lo), hi)
+        centres = _spread_once(centres, grid, pnet.target_density)
+        anchors = np.minimum(np.maximum(centres, lo), hi)
         # In place: the rows of `trace` hold their own copies.
-        placement.positions[movable_ids] = spsolve(spectrum, rhs, t)
-        placement = clamp_in_canvas(placement, bounds)
-
-        placement = _spread_once(pnet, placement, grid)
-        placement = clamp_in_canvas(placement, bounds)
-        anchors = placement.positions[movable_ids].copy()
+        placement.positions[ids] = anchors
         trace.append(TraceRow(iteration=it, lam=None, netlist=pnet,
                               placement=placement, grid=eval_grid))
     return placement, trace

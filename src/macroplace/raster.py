@@ -11,7 +11,8 @@ is one matrix product of the two per-axis overlap matrices:
 The product sums each bin's contributions in BLAS order, not box order, so
 a map matches a per-box `grid[r0:r1, c0:c1] += np.outer(wy, wx)` loop to
 rounding, while each overlap length the loop computes is the same float
-here. Boxes partly off the grid cover only their on-grid bins.
+here. Boxes partly off the grid cover only their on-grid bins. On a grid
+of as many rows as columns one `axis_overlap` call gives both matrices.
 
 The matrices are dense, O(boxes x bins) per axis. At the sizes measured
 (RUDY: up to 943 nets on a 32 x 32 grid; node maps: up to 164 nodes on
@@ -27,10 +28,16 @@ import numpy as np
 from .netlist import Netlist, Placement
 
 
-def axis_overlap(lo, hi, cell: float, count: int) -> np.ndarray:
+def axis_overlap(lo, hi, cell, count: int) -> np.ndarray:
     """(n, count) overlap length of each interval [lo, hi] with each of
     `count` cells of width `cell` from the origin:
     min(hi, (c+1)*cell) - max(lo, c*cell), clipped at 0.
+
+    `lo` and `hi` may carry leading axes, with `cell` one width per leading
+    index. Both axes of a grid of as many rows as columns in one pass are
+    `axis_overlap(lo.T, hi.T, cells, count)` for (n, 2) box corners and
+    cells = (cell_w, cell_h): the (2, n, count) result holds each axis's
+    matrix, contiguous and equal to that axis's own call float for float.
 
     On the cells floor(lo/cell) .. ceil(hi/cell) - 1 that a per-box loop
     visits, each value is the loop's float. Every other cell holds 0, save
@@ -39,9 +46,9 @@ def axis_overlap(lo, hi, cell: float, count: int) -> np.ndarray:
     edge keeps the one-ulp sliver that the rounded edges still overlap."""
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise ValueError("box edges must be finite")
-    idx = np.arange(count)
-    overlap = np.minimum(hi[:, None], (idx + 1) * cell)
-    overlap -= np.maximum(lo[:, None], idx * cell)
+    edges = np.arange(count + 1) * np.asarray(cell)[..., None]
+    overlap = np.minimum(hi[..., None], edges[..., None, 1:], order="C")
+    overlap -= np.maximum(lo[..., None], edges[..., None, :-1])
     return np.maximum(overlap, 0.0, out=overlap)
 
 

@@ -20,7 +20,7 @@ def solve(nl, pl, bins):
     is one pass over all charge-carrying nodes and every node gets a
     gradient."""
     everything = np.ones(nl.num_nodes, dtype=bool)
-    return solve_density_field(nl, pl, density_grid(nl, pl, everything, bins))
+    return solve_density_field(pl, density_grid(nl, pl, everything, bins))
 
 
 class TestPoissonSolve:

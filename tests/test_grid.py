@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from macroplace.errors import PlacementError
-from macroplace.grid import Grid, feasibility_mask, footprint, place_on_grid
+from macroplace.grid import Grid, _footprint_offsets, feasibility_mask, footprint, place_on_grid
 from macroplace.netlist import KIND_MACRO, Node
 
 from oracles import footprint_raster, mask_bruteforce
@@ -88,6 +88,41 @@ class TestFeasibilityMask:
             brute = mask_bruteforce(grid, m)
             for (r, c), want in brute.items():
                 assert mask[r, c] == want, (r, c, rows, cols)
+
+
+    @pytest.mark.parametrize("rows,cols", [(1, 1), (1, 6), (6, 1), (1, 9), (9, 1)])
+    def test_single_row_or_column_grids_match_bruteforce(self, rng, rows, cols):
+        for _ in range(20):
+            grid = Grid.empty(rows, cols, float(rng.uniform(30, 100)),
+                              float(rng.uniform(30, 100)))
+            grid.occupancy[:] = rng.random((rows, cols)) < 0.3
+            m = macro(float(rng.uniform(0.05, 1.0) * grid.canvas_width),
+                      float(rng.uniform(0.05, 1.0) * grid.canvas_height))
+            mask = feasibility_mask(grid, m)
+            for (r, c), want in mask_bruteforce(grid, m).items():
+                assert mask[r, c] == want, (r, c, rows, cols)
+
+    @pytest.mark.parametrize("rows,cols", [(5, 5), (3, 7), (7, 3), (1, 5), (5, 1)])
+    def test_footprint_past_every_edge_matches_bruteforce(self, rng, rows, cols):
+        """Footprints as wide and tall as the canvas: their offsets run past
+        every edge of the grid from every cell but the centre, and with the
+        canvas boundary's tolerance (1 + 1e-9) from the centre too, where
+        the box still counts as inside."""
+        for _ in range(10):
+            grid = Grid.empty(rows, cols, float(rng.uniform(30, 100)),
+                              float(rng.uniform(30, 100)))
+            grid.occupancy[:] = rng.random((rows, cols)) < 0.1
+            for fw, fh in ((1.0, 1.0), (1.0 + 1e-9, 1.0 + 1e-9), (1.0 + 1e-9, 0.6),
+                           (0.999, 1.0)):
+                m = macro(fw * grid.canvas_width, fh * grid.canvas_height)
+                dr0, dr1, dc0, dc1 = _footprint_offsets(grid, m)
+                if fw > 1.0 and cols > 1:
+                    assert cols // 2 + dc0 < 0 and cols // 2 + dc1 >= cols
+                if fh > 1.0 and rows > 1:
+                    assert rows // 2 + dr0 < 0 and rows // 2 + dr1 >= rows
+                mask = feasibility_mask(grid, m)
+                for (r, c), want in mask_bruteforce(grid, m).items():
+                    assert mask[r, c] == want, (r, c, rows, cols, fw, fh)
 
 
 class TestPlaceOnGrid:

@@ -42,7 +42,7 @@ from macroplace.placer.density import (
 from macroplace.placer.force_directed import (
     _blur,
     _fd_system,
-    _gradient_at,
+    _field_at,
     _spectrum,
     _spread_once,
     spsolve,
@@ -151,6 +151,29 @@ class TestRasterizer:
                     expected[first:first + len(ref)] = ref
                     np.testing.assert_array_equal(w[i], expected)
 
+    @pytest.mark.parametrize("count", [1, 5, 8, 16])
+    def test_axis_overlap_both_axes_bit_equal(self, rng, count):
+        """Both axes in one pass give each axis's own matrix, contiguous and
+        float for float, and a non-finite edge on either axis raises."""
+        cells = np.array([CANVAS[0] / count, CANVAS[1] / count])
+        for _ in range(5):
+            nl, pl = edge_case_design(rng)
+            x0, x1, y0, y1 = node_boxes(nl, pl, np.arange(nl.num_nodes))
+            lo, hi = np.stack([x0, y0], axis=1), np.stack([x1, y1], axis=1)
+            both = axis_overlap(lo.T, hi.T, cells, count)
+            assert both.shape == (2, nl.num_nodes, count)
+            for axis in (0, 1):
+                assert both[axis].flags.c_contiguous
+                np.testing.assert_array_equal(
+                    both[axis], axis_overlap(lo[:, axis], hi[:, axis], cells[axis], count))
+        for axis in (0, 1):
+            for corners in (lo, hi):
+                saved = corners[3, axis]
+                corners[3, axis] = np.inf
+                with pytest.raises(ValueError, match="box edges must be finite"):
+                    axis_overlap(lo.T, hi.T, cells, count)
+                corners[3, axis] = saved
+
     @pytest.mark.parametrize("rows,cols", GRIDS)
     def test_rasterize_area_bit_equal(self, rng, rows, cols):
         """Named for its former bit-equality: the product sums each bin in
@@ -178,7 +201,7 @@ class TestRasterizer:
             nl, pl = edge_case_design(rng)
             pl.placed[9] = False
             everything = np.ones(nl.num_nodes, dtype=bool)
-            field = solve_density_field(nl, pl, density_grid(nl, pl, everything, bins))
+            field = solve_density_field(pl, density_grid(nl, pl, everything, bins))
             area = rasterize_area_loop(nl, pl, bins, bins, field.bin_w, field.bin_h)
             assert_close_to_scale(field.rho, area * (field.norm_scale / field.bin_area))
 
@@ -189,10 +212,9 @@ class TestRasterizer:
         for bins in (4, 4, 8, 8, 32, 32):
             clustered, ppl, movable = random_cluster_placement(rng)
             pnet = clustered.placement_netlist
-            seeded = solve_density_field(pnet, ppl, density_grid(pnet, ppl, movable, bins))
+            seeded = solve_density_field(ppl, density_grid(pnet, ppl, movable, bins))
             everything = np.ones(pnet.num_nodes, dtype=bool)
-            one_pass = solve_density_field(pnet, ppl,
-                                           density_grid(pnet, ppl, everything, bins))
+            one_pass = solve_density_field(ppl, density_grid(pnet, ppl, everything, bins))
             assert_close_to_scale(seeded.rho, one_pass.rho)
             assert_close_to_scale(seeded.psi, one_pass.psi)
             area = rasterize_area_loop(pnet, ppl, bins, bins, seeded.bin_w, seeded.bin_h)
@@ -215,7 +237,7 @@ class TestRasterizer:
         with pytest.raises(ValueError, match="box edges must be finite"):
             congestion_map(nl, pl, Grid.empty(6, 8, *CANVAS))
         with pytest.raises(ValueError, match="box edges must be finite"):
-            solve_density_field(nl, pl, grid)
+            solve_density_field(pl, grid)
 
     def test_congestion_unplaced_names_net_and_node(self, rng):
         nl, pl = edge_case_design(rng)
@@ -328,7 +350,7 @@ class TestDensityGradient:
             nl, pl = edge_case_design(rng)
             pl.placed[9] = False
             movable = nl.node_arrays.movable if movable_only else np.ones(nl.num_nodes, bool)
-            field = solve_density_field(nl, pl, density_grid(nl, pl, movable, bins))
+            field = solve_density_field(pl, density_grid(nl, pl, movable, bins))
             energy, grad = density_energy_and_grad(field, nl)
             ref_energy, ref_grad = density_energy_and_grad_loop(field, nl, pl, movable_only)
             assert energy == ref_energy
@@ -359,7 +381,8 @@ class TestForceDirectedSystem:
         graph = clustered.placement_netlist.clique_graph
         movable_ids = np.flatnonzero(movable_cluster_mask(clustered))
         positions = rng.uniform(0.0, 50.0, size=(graph.num_nodes, 2))
-        A, diag, fixed_rhs, _ = _fd_system(graph, movable_ids, positions)
+        A, diag, pull, _ = _fd_system(graph, movable_ids)
+        fixed_rhs = pull.rhs(positions)
         ref, ref_rhs = fd_system_loop(graph, movable_ids, positions,
                                       np.zeros(len(movable_ids)))
         np.testing.assert_array_equal(A, ref.toarray())
@@ -392,7 +415,7 @@ class TestForceDirectedSolve:
         graph = clustered.placement_netlist.clique_graph
         movable_ids = np.flatnonzero(movable_cluster_mask(clustered))
         positions = rng.uniform(0.0, 50.0, size=(graph.num_nodes, 2))
-        A, diag, _, pinned = _fd_system(graph, movable_ids, positions)
+        A, diag, _, pinned = _fd_system(graph, movable_ids)
         spectrum = _spectrum(A, diag, pinned)
         anchors = rng.uniform(0.0, 50.0, size=(len(movable_ids), 2))
         for it in range(self.T):
@@ -438,10 +461,11 @@ class TestSpreading:
         field = rng.uniform(0.0, 3.0, size=shape)
         cell_h, cell_w = rng.uniform(0.3, 5.0, size=2)
         r, c = (a.ravel() for a in np.indices(shape))
-        gy, gx = _gradient_at(field, r, c, cell_h, cell_w)
+        f, grad = _field_at(field, np.stack([c, r], axis=1), np.array([cell_w, cell_h]))
         ref_y, ref_x = np.gradient(field, cell_h, cell_w)
-        np.testing.assert_array_equal(gy, ref_y.ravel())
-        np.testing.assert_array_equal(gx, ref_x.ravel())
+        np.testing.assert_array_equal(f, field.ravel())
+        np.testing.assert_array_equal(grad[:, 1], ref_y.ravel())
+        np.testing.assert_array_equal(grad[:, 0], ref_x.ravel())
 
     @pytest.mark.parametrize("bins", [4, 8, 32, 64])
     def test_spread_once_bit_equal(self, rng, bins):
@@ -454,7 +478,10 @@ class TestSpreading:
             pnet = clustered.placement_netlist
             ref = spread_once_reference(pnet, ppl, np.flatnonzero(movable), bins)
             grid = density_grid(pnet, ppl, movable, bins)
-            out = _spread_once(pnet, ppl.copy(), grid)
+            np.testing.assert_array_equal(grid.ids, np.flatnonzero(movable))
+            out = ppl.copy()
+            out.positions[grid.ids] = _spread_once(ppl.positions[grid.ids], grid,
+                                                   pnet.target_density)
             assert_close_to_scale(out.positions, ref.positions)
             moved += int((out.positions != ppl.positions).any())
         assert moved  # the push branch ran

@@ -19,7 +19,14 @@ from macroplace.netlist import (
     Placement,
     hpwl,
 )
-from macroplace.placer import PlacerConfig, place_clusters, spread_movable
+from macroplace.placer import (
+    PlacerConfig,
+    movable_cluster_mask,
+    place_clusters,
+    spread_movable,
+)
+from macroplace.placer.density import poisson_denominators
+from macroplace.placer.force_directed import _system_for, run_force_directed
 
 from conftest import floating_netlist
 from oracles import in_canvas
@@ -141,12 +148,15 @@ class TestForceDirected:
             warnings.simplefilter("always")
             placement, trace = place_clusters(
                 clustered, base_placement(clustered, fixed), config)
+            # The second call takes the design's system from its cache.
+            again, _ = place_clusters(clustered, base_placement(clustered, fixed), config)
         pnet = clustered.placement_netlist
         group = [pnet.nodes[clustered.cluster_to_placement[ci]].name
                  for ci, c in enumerate(clustered.clusters) if c.members in ((2,), (3,))]
         messages = [str(w.message) for w in caught if "no connectivity" in str(w.message)]
-        assert len(messages) == 1
-        assert messages[0].endswith(f"{group}")
+        assert len(messages) == 2
+        assert all(message.endswith(f"{group}") for message in messages)
+        np.testing.assert_array_equal(again.positions, placement.positions)
         assert np.isfinite(placement.positions).all()
         assert all(np.isfinite(row.wl) and np.isfinite(row.overflow) for row in trace)
 
@@ -175,6 +185,96 @@ class TestForceDirected:
         p2, t2 = place_clusters(clustered, start, config)
         np.testing.assert_array_equal(p1.positions, p2.positions)
         assert [(r.wl, r.overflow) for r in t1] == [(r.wl, r.overflow) for r in t2]
+
+
+class TestForceDirectedDesignCache:
+    """The FD system is built once per design and movable set, and a cached
+    system places exactly as a freshly built one."""
+
+    @staticmethod
+    def moved_macros(clustered, fixed, seed):
+        """`fixed` with every macro at another in-canvas spot."""
+        pnet = clustered.placement_netlist
+        rng = np.random.default_rng(seed)
+        other = fixed.copy()
+        for macro in pnet.macros():
+            other.positions[macro.id] = (
+                rng.uniform(macro.width / 2, pnet.canvas_width - macro.width / 2),
+                rng.uniform(macro.height / 2, pnet.canvas_height - macro.height / 2))
+        return other
+
+    def test_eigendecomposition_once_per_design(self, monkeypatch):
+        clustered, fixed = clustered_synthetic(seed=4)
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a):
+            calls.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        config = PlacerConfig(engine="fd", max_outer_iters=4)
+        place_clusters(clustered, fixed, config)
+        first = len(calls)
+        assert first == 2  # the anchored block and the rest
+        for seed in (1, 2):
+            place_clusters(clustered, self.moved_macros(clustered, fixed, seed), config)
+        assert len(calls) == first
+        other, other_fixed = clustered_synthetic(seed=4)
+        place_clusters(other, other_fixed, config)
+        assert len(calls) == 2 * first
+
+    def test_cached_system_places_as_fresh_design(self):
+        clustered, fixed = clustered_synthetic(seed=4)
+        other = self.moved_macros(clustered, fixed, seed=1)
+        config = PlacerConfig(engine="fd", max_outer_iters=8)
+        cached = [place_clusters(clustered, start, config)[0] for start in (fixed, other)]
+        fresh = [place_clusters(clustered_synthetic(seed=4)[0], start, config)[0]
+                 for start in (fixed, other)]
+        for got, want in zip(cached, fresh):
+            np.testing.assert_array_equal(got.positions, want.positions)
+        assert not np.array_equal(cached[0].positions, cached[1].positions)
+
+    def test_other_movable_set_never_served_from_cache(self):
+        clustered, fixed = clustered_synthetic(seed=4)
+        config = PlacerConfig(engine="fd", max_outer_iters=6)
+        placed, _ = place_clusters(clustered, fixed, config)
+        full = movable_cluster_mask(clustered)
+        system = _system_for(clustered, full)
+        assert _system_for(clustered, full) is system
+        # One cluster held where the first run put it.
+        fewer = full.copy()
+        fewer[clustered.cluster_to_placement[0]] = False
+        narrowed = _system_for(clustered, fewer)
+        assert narrowed is not system
+        np.testing.assert_array_equal(narrowed.movable, fewer)
+        assert len(narrowed.spectrum.vals) == fewer.sum()
+        got, _ = run_force_directed(clustered, placed, fewer, config)
+        want, _ = run_force_directed(clustered_synthetic(seed=4)[0], placed, fewer, config)
+        np.testing.assert_array_equal(got.positions, want.positions)
+        # Changing the caller's mask in place does not change the cached one.
+        fewer[:] = full
+        assert _system_for(clustered, fewer) is not narrowed
+        again, _ = place_clusters(clustered, fixed, config)
+        np.testing.assert_array_equal(again.positions, placed.positions)
+
+    def test_movable_node_without_area_rejected(self):
+        clustered, fixed = clustered_synthetic(seed=4)
+        pnet = clustered.placement_netlist
+        movable = movable_cluster_mask(clustered)
+        movable[np.flatnonzero(~pnet.node_arrays.charge)[0]] = True
+        with pytest.raises(PlacementError, match="every movable node to carry area"):
+            run_force_directed(clustered, fixed, movable, PlacerConfig(engine="fd"))
+
+    def test_poisson_denominators_only_where_read(self, monkeypatch):
+        """The spreading pass never reads the Poisson eigenvalues; the
+        electrostatic engine builds them once per placement."""
+        clustered, fixed = clustered_synthetic(seed=4)
+        calls = count_calls(monkeypatch, poisson_denominators)
+        place_clusters(clustered, fixed, PlacerConfig(engine="fd", max_outer_iters=4))
+        assert not calls
+        place_clusters(clustered, fixed, PlacerConfig(engine="analytical", max_outer_iters=2))
+        assert len(calls) == 1
 
 
 class TestAnalytical:

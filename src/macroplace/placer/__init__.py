@@ -22,6 +22,13 @@ The stop/trace overflow both engines report is the pure-overlap measure
 their interiors pin bin density at 1 and the design's own target would be a
 floor no placement can undercut. Proxy evaluation keeps the design target.
 
+Every entry point (`place_clusters`, `spread_movable`, either engine)
+starts in `engine_start` and its checks: fixed nodes placed, movable nodes
+carrying area. Both engines then iterate on arrays, not on a `Placement`:
+FD on the movable nodes' (m, 2) centres, the analytical engine on (N, 2)
+node centres. `CanvasBounds.clamp` is their one clamp, and each writes its
+placement once per outer iteration, for the trace row.
+
 An engine iteration computes only what the next iteration needs. Its trace
 row keeps a copy of the placement and computes HPWL and overflow when first
 read, so an unread trace costs one copy per iteration; the analytical
@@ -37,7 +44,7 @@ placement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import ClassVar, NamedTuple
 
@@ -109,12 +116,10 @@ class CanvasBounds(NamedTuple):
     lo: np.ndarray  # (m, 2) lowest center per axis
     hi: np.ndarray  # (m, 2) highest center per axis
 
-
-def clamp_in_canvas(placement: Placement, bounds: CanvasBounds) -> Placement:
-    """Move each movable node's box inside the canvas, in place."""
-    pos = placement.positions
-    pos[bounds.ids] = np.minimum(np.maximum(pos[bounds.ids], bounds.lo), bounds.hi)
-    return placement
+    def clamp(self, centres: np.ndarray) -> np.ndarray:
+        """`centres` (m, 2) of the movable nodes, each box moved inside the
+        canvas."""
+        return np.minimum(np.maximum(centres, self.lo), self.hi)
 
 
 def engine_start(clustered: ClusteredNetlist, start: Placement, movable: np.ndarray,
@@ -124,9 +129,24 @@ def engine_start(clustered: ClusteredNetlist, start: Placement, movable: np.ndar
     rows). Movable nodes without a position start at canvas center plus a
     jitter of 1 % of the shorter canvas side (one draw per node and axis
     from `np.random.default_rng(0)`), and every movable box is clamped into
-    the canvas."""
+    the canvas.
+
+    Raises `PlacementError` unless `start` places every fixed node and
+    every movable node carries area; the latter makes the density grid's
+    movable ids the bounds' ids, so one (m, 2) centre array serves the
+    bounds, the density solve and the wirelength gradient's movable rows.
+    """
     pnet = clustered.placement_netlist
     arrays = pnet.node_arrays
+    unplaced = ~movable & ~start.placed
+    if unplaced.any():
+        node = pnet.nodes[int(np.argmax(unplaced))]
+        raise PlacementError(f"fixed node '{node.name}' must be placed before the placer runs")
+    bare = movable & ~arrays.charge
+    if bare.any():
+        node = pnet.nodes[int(np.argmax(bare))]
+        raise PlacementError(f"movable node '{node.name}' carries no area; "
+                             "the placers move only nodes that do")
     ids = np.flatnonzero(movable)
     lo = np.stack([arrays.width[ids], arrays.height[ids]], axis=1) / 2
     hi = np.array([pnet.canvas_width, pnet.canvas_height]) - lo
@@ -138,7 +158,7 @@ def engine_start(clustered: ClusteredNetlist, start: Placement, movable: np.ndar
     center = np.array([pnet.canvas_width / 2, pnet.canvas_height / 2])
     placement.positions[new] = center + rng.uniform(-jitter, jitter, size=(len(new), 2))
     placement.placed[new] = True
-    clamp_in_canvas(placement, bounds)
+    placement.positions[ids] = bounds.clamp(placement.positions[ids])
     return (pnet, bounds, placement, density_grid(pnet, placement, movable, config.bins),
             Grid.empty(config.bins, config.bins, pnet.canvas_width, pnet.canvas_height))
 
@@ -161,12 +181,6 @@ def place_clusters(clustered: ClusteredNetlist, fixed_placement: Placement,
     from .force_directed import run_force_directed
 
     movable = movable_cluster_mask(clustered)
-    unplaced = ~movable & ~fixed_placement.placed
-    if unplaced.any():
-        node = clustered.placement_netlist.nodes[int(np.argmax(unplaced))]
-        raise PlacementError(
-            f"fixed node '{node.name}' must be placed before cluster placement"
-        )
     if config.engine == "analytical":
         return run_analytical(clustered, fixed_placement, movable, config)
     return run_force_directed(clustered, fixed_placement, movable, config)
@@ -179,15 +193,15 @@ def spread_movable(clustered: ClusteredNetlist, fixed_placement: Placement,
     snapping, no masks).
 
     `fixed_placement` must place the terminals; macro and cluster positions
-    are ignored and re-seeded at canvas center.
+    are ignored and re-seeded at canvas center. The analytical engine runs
+    whatever `config.engine` names.
     """
     from .analytical import run_analytical
 
     movable = clustered.placement_netlist.node_arrays.movable
-    cfg = replace(config, engine="analytical")
     start = fixed_placement.copy()
     start.placed[movable] = False
-    return run_analytical(clustered, start, movable, cfg)
+    return run_analytical(clustered, start, movable, config)
 
 
 __all__ = [
@@ -197,6 +211,5 @@ __all__ = [
     "spread_movable",
     "CanvasBounds",
     "engine_start",
-    "clamp_in_canvas",
     "movable_cluster_mask",
 ]

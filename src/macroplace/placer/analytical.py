@@ -8,6 +8,13 @@ overflow of an outer iteration's trace row drops below the configured
 threshold. One `DensityGrid` per placement holds the fixed nodes' charge and
 the Poisson eigenvalues, so each gradient rasterizes and differentiates the
 movable nodes only.
+
+Like the force-directed engine, the loop runs on arrays: the Nesterov
+iterates u and v and the gradient g are (N, 2) node-centre arrays whose
+fixed rows never change (g's are 0), and the placement is written once
+per outer iteration, for its trace row. The step-length estimate takes its
+norms over all N rows; their zero fixed rows keep the sums in the order
+that the engine's recorded results were computed in.
 """
 
 from __future__ import annotations
@@ -32,21 +39,21 @@ BACKTRACK_LIMIT = 8  # step-length tries per Nesterov step before the fallback
 FALLBACK_STEP_FRAC = 1e-2
 
 
-def _gradient(pnet, placement, movable, gamma, lam, dgrid):
-    """Gradient of smooth_wl + lam * energy, zero on fixed nodes."""
-    _, gwl = smooth_wl_and_grad(pnet, placement, gamma)
-    _, genergy = density_energy_and_grad(solve_density_field(placement, dgrid), pnet)
-    grad = gwl + lam * genergy
-    grad[~movable] = 0.0
-    return grad
+def _gradient_rows(pnet, positions, gamma, dgrid):
+    """The (wirelength, density) gradient rows of the movable nodes, in
+    `dgrid.ids` order, at the node centres `positions` (N, 2)."""
+    _, gwl = smooth_wl_and_grad(pnet, positions, gamma)
+    _, genergy = density_energy_and_grad(solve_density_field(positions[dgrid.ids], dgrid))
+    return gwl[dgrid.ids], genergy
 
 
 def run_analytical(clustered: ClusteredNetlist, start: Placement,
                    movable: np.ndarray, config):
-    from . import TraceRow, clamp_in_canvas, engine_start
+    from . import TraceRow, engine_start
 
     pnet, bounds, placement, dgrid, eval_grid = engine_start(clustered, start, movable, config)
-    if not len(bounds.ids):
+    ids = bounds.ids  # equal to dgrid.ids: engine_start rejects movable nodes without area
+    if not len(ids):
         return placement, []
 
     bin_dim = 0.5 * (pnet.canvas_width + pnet.canvas_height) / config.bins
@@ -55,42 +62,49 @@ def run_analytical(clustered: ClusteredNetlist, start: Placement,
     diag = float(np.hypot(pnet.canvas_width, pnet.canvas_height))
 
     # lambda_0: balance the L1 norms of the two gradient terms.
-    _, gwl = smooth_wl_and_grad(pnet, placement, gamma)
-    _, genergy = density_energy_and_grad(solve_density_field(placement, dgrid), pnet)
-    gwl_norm = np.abs(gwl[movable]).sum()
-    gen_norm = np.abs(genergy[movable]).sum()
+    gwl, genergy = _gradient_rows(pnet, placement.positions, gamma, dgrid)
+    gwl_norm = np.abs(gwl).sum()
+    gen_norm = np.abs(genergy).sum()
     lam = gwl_norm / gen_norm if gen_norm > 0 and gwl_norm > 0 else 1.0
 
-    def project(pl):
-        return clamp_in_canvas(pl, bounds)
+    def gradient(x):
+        """(N, 2) gradient of smooth_wl + lam * energy at `x`, 0 on the
+        fixed rows."""
+        gwl, genergy = _gradient_rows(pnet, x, gamma, dgrid)
+        g = np.zeros_like(x)
+        g[ids] = gwl + lam * genergy
+        return g
+
+    def project(x):
+        """`x` with the movable boxes moved into the canvas, in place."""
+        x[ids] = bounds.clamp(x[ids])
+        return x
 
     def nesterov_step(step):
         """One accelerated step of length `step` from the current (u, v, a,
-        g_v); returns (u', v', a', gradient at v')."""
-        u_new = project(Placement(v.positions - step * g_v, v.placed.copy()))
+        g_v); returns (u', v', a', gradient at v'). The fixed rows of the
+        gradient are 0, so only the movable rows move."""
+        u_new = project(v - step * g_v)
         a_new = (1.0 + np.sqrt(4.0 * a * a + 1.0)) / 2.0
-        momentum = (a - 1.0) / a_new * (u_new.positions - u.positions)
-        v_new = project(Placement(u_new.positions + momentum, u_new.placed.copy()))
-        return u_new, v_new, a_new, _gradient(pnet, v_new, movable, gamma, lam, dgrid)
+        v_new = project(u_new + (a - 1.0) / a_new * (u_new - u))
+        return u_new, v_new, a_new, gradient(v_new)
 
+    u = placement.positions.copy()
     trace = []
     step = None
     for outer in range(config.max_outer_iters):
-        # One Nesterov run at this (lambda, gamma).
-        u = placement.copy()
-        v = placement.copy()
+        # One Nesterov run at this (lambda, gamma), from the last one's u.
+        v = u
         a = 1.0
-        g_v = _gradient(pnet, v, movable, gamma, lam, dgrid)
+        g_v = gradient(v)
         if step is None:
             gmax = np.abs(g_v).max()
             step = FALLBACK_STEP_FRAC * diag / gmax if gmax > 0 else 1.0
         for _ in range(INNER_ITERS):
             for _try in range(BACKTRACK_LIMIT):
                 u_new, v_new, a_new, g_new = nesterov_step(step)
-                dv = v_new.positions - v.positions
-                dg = g_new - g_v
-                denom = float(np.linalg.norm(dg))
-                lipschitz_step = float(np.linalg.norm(dv)) / denom if denom > 0 else step
+                denom = float(np.linalg.norm(g_new - g_v))
+                lipschitz_step = float(np.linalg.norm(v_new - v)) / denom if denom > 0 else step
                 if step <= lipschitz_step * 1.02 or lipschitz_step == 0.0:
                     break
                 step = lipschitz_step
@@ -101,7 +115,8 @@ def run_analytical(clustered: ClusteredNetlist, start: Placement,
             u, v, a, g_v = u_new, v_new, a_new, g_new
             # Allow the step to grow back; cheap re-estimate next round.
             step *= 1.2
-        placement = project(u)
+        # In place: the rows of `trace` hold their own copies.
+        placement.positions[ids] = u[ids]
 
         # Pure-overlap overflow (target 1.0): solid clusters keep their
         # interior bins at density 1, so the design target would be an

@@ -23,10 +23,13 @@ shares). That equals one pass over all charge-carrying nodes to rounding;
 a grid built with everything movable has nothing fixed, and its raster is
 the one-pass raster.
 
-`DensityField` keeps the boxes and the per-axis overlap matrices of its
-raster. The gradient needs, per node, the potential summed over its
-footprint with one axis's overlap replaced by that axis's edge slope:
-one matrix product and one row sum per axis.
+The kernels take the arrays they read: a solve takes the movable ids'
+(m, 2) centres, so the fixed nodes and placed flags the grid was built
+from cannot change under it, and the energy gradient returns the (m, 2)
+rows of those ids alone. `DensityField` keeps the boxes and the per-axis
+overlap matrices of its raster. The gradient needs, per node, the
+potential summed over its footprint with one axis's overlap replaced by
+that axis's edge slope: one matrix product and one row sum per axis.
 """
 
 from __future__ import annotations
@@ -74,7 +77,8 @@ def density_grid(netlist: Netlist, placement: Placement, movable: np.ndarray,
                  bins: int) -> DensityGrid:
     """Density invariants of `placement` while only `movable` nodes move.
 
-    The placed flags are read here once; every later solve must keep them.
+    The placed flags and the fixed nodes' positions are read here once; a
+    solve reads only the centres of the grid's movable ids.
     """
     check_bins(bins)
     bin_w = netlist.canvas_width / bins
@@ -124,16 +128,15 @@ def charge_raster(grid: DensityGrid, centres: np.ndarray):
     return grid.fixed_area + wy.T @ wx, lo, hi, wx, wy
 
 
-def solve_density_field(placement: Placement, grid: DensityGrid) -> DensityField:
-    """Rasterize charge and solve for the potential.
+def solve_density_field(centres: np.ndarray, grid: DensityGrid) -> DensityField:
+    """Rasterize charge with the grid's movable ids centred at `centres`
+    (len(grid.ids), 2) and solve for the potential.
 
-    `placement` must keep the fixed nodes and placed flags `grid` was built
-    from; only the grid's movable ids are read from it. The density is
-    normalized so that sum(rho) * bin_area equals the total
+    The density is normalized so that sum(rho) * bin_area equals the total
     charge-carrying (movable-kind) area; its mean then matches the design's
     utilization, which the benchmark edit rounds up into target_density.
     """
-    area, lo, hi, wx, wy = charge_raster(grid, placement.positions[grid.ids])
+    area, lo, hi, wx, wy = charge_raster(grid, centres)
     raster_total = area.sum()
     scale = grid.charge_area / raster_total if raster_total > 0 else 1.0
     rho = area * (scale / (grid.bin_w * grid.bin_h))
@@ -167,26 +170,25 @@ def solve_poisson(rho: np.ndarray, denom: np.ndarray) -> np.ndarray:
     return idctn(psi_hat, type=2, norm="ortho")
 
 
-def density_energy_and_grad(field: DensityField, netlist: Netlist):
-    """Potential energy 0.5 * sum(rho * psi) * bin_area and its gradient, at
-    the placement the field was solved for.
+def density_energy_and_grad(field: DensityField):
+    """Potential energy 0.5 * sum(rho * psi) * bin_area and its gradient
+    w.r.t. the centres the field was solved for: one (len(field.ids), 2)
+    row per rasterized node (its grid's movable ids), in that order; the
+    fixed nodes have no row.
 
-    Only the field's rasterized nodes (its grid's movable ids) get a
-    gradient; every other row is zero. The gradient of node i is -q_i times
-    the field integrated over the node's footprint, evaluated through the
-    exact overlap-area derivative: only the bins its left/right
-    (bottom/top) edges cross contribute, with the orthogonal overlap as the
-    weight. High potential pushes nodes out.
+    The gradient of node i is -q_i times the field integrated over the
+    node's footprint, evaluated through the exact overlap-area derivative:
+    only the bins its left/right (bottom/top) edges cross contribute, with
+    the orthogonal overlap as the weight. High potential pushes nodes out.
     """
     energy = 0.5 * float((field.rho * field.psi).sum()) * field.bin_area
-    grad = np.zeros((netlist.num_nodes, 2))
     x0, x1, y0, y1 = field.boxes
     # d(overlap_x)/dx per column and d(overlap_y)/dy per row.
     dwx = _edge_slope(x0, x1, field.bin_w, field.bins)
     dwy = _edge_slope(y0, y1, field.bin_h, field.bins)
     s = field.norm_scale
-    grad[field.ids, 0] = s * ((field.wy @ field.psi) * dwx).sum(axis=1)
-    grad[field.ids, 1] = s * ((dwy @ field.psi) * field.wx).sum(axis=1)
+    grad = np.stack([s * ((field.wy @ field.psi) * dwx).sum(axis=1),
+                     s * ((dwy @ field.psi) * field.wx).sum(axis=1)], axis=1)
     return energy, grad
 
 

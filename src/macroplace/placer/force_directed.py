@@ -52,7 +52,6 @@ from typing import NamedTuple
 import numpy as np
 
 from ..clustering import ClusteredNetlist
-from ..errors import PlacementError
 from ..netlist import Placement
 from .density import DensityGrid, charge_raster
 
@@ -260,10 +259,6 @@ def run_force_directed(clustered: ClusteredNetlist, start: Placement,
     pnet, bounds, placement, grid, eval_grid = engine_start(clustered, start, movable, config)
     if not len(bounds.ids):
         return placement, []
-    # The solve moves bounds.ids and spreading grid.ids: one centre array
-    # serves both only when every movable node carries area.
-    if not np.array_equal(grid.ids, bounds.ids):
-        raise PlacementError("force-directed placement needs every movable node to carry area")
     system = _system_for(clustered, movable)
     if system.floating:
         warnings.warn(
@@ -274,7 +269,7 @@ def run_force_directed(clustered: ClusteredNetlist, start: Placement,
 
     spectrum = system.spectrum
     fixed_rhs = system.pull.rhs(placement.positions)
-    ids, lo, hi = bounds
+    ids = bounds.ids
     center = np.array([pnet.canvas_width / 2, pnet.canvas_height / 2])
     trace = []
     anchors = np.tile(center, (len(ids), 1))
@@ -282,9 +277,8 @@ def run_force_directed(clustered: ClusteredNetlist, start: Placement,
     for it in range(T):
         t = it / T
         rhs = fixed_rhs + spectrum.anchor_weights(t)[:, None] * anchors
-        centres = np.minimum(np.maximum(spsolve(spectrum, rhs, t), lo), hi)
-        centres = _spread_once(centres, grid, pnet.target_density)
-        anchors = np.minimum(np.maximum(centres, lo), hi)
+        centres = bounds.clamp(spsolve(spectrum, rhs, t))
+        anchors = bounds.clamp(_spread_once(centres, grid, pnet.target_density))
         # In place: the rows of `trace` hold their own copies.
         placement.positions[ids] = anchors
         trace.append(TraceRow(iteration=it, lam=None, netlist=pnet,

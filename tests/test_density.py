@@ -17,10 +17,11 @@ from oracles import laplacian_5pt, poisson_residual
 
 def solve(nl, pl, bins):
     """The field with every node movable: nothing is fixed, so its raster
-    is one pass over all charge-carrying nodes and every node gets a
-    gradient."""
+    is one pass over all charge-carrying placed nodes and each of them gets
+    a gradient row, in id order."""
     everything = np.ones(nl.num_nodes, dtype=bool)
-    return solve_density_field(pl, density_grid(nl, pl, everything, bins))
+    grid = density_grid(nl, pl, everything, bins)
+    return solve_density_field(pl.positions[grid.ids], grid)
 
 
 class TestPoissonSolve:
@@ -93,7 +94,8 @@ class TestEnergyGradient:
         pl.positions[1] = (64.0 - 30.3, 32.3)
         pl.placed[:] = True
         field = solve(nl, pl, 32)
-        _, grad = density_energy_and_grad(field, nl)
+        np.testing.assert_array_equal(field.ids, [0, 1])
+        _, grad = density_energy_and_grad(field)
         assert grad[0, 0] == pytest.approx(-grad[1, 0], rel=1e-6)
         assert grad[0, 0] > 0 > grad[1, 0]  # pushed apart
 
@@ -118,10 +120,11 @@ class TestEnergyGradient:
 
             def energy_at(p):
                 f = solve(nl, p, bins)
-                return density_energy_and_grad(f, nl)[0]
+                return density_energy_and_grad(f)[0]
 
             field = solve(nl, pl, bins)
-            energy, grad = density_energy_and_grad(field, nl)
+            np.testing.assert_array_equal(field.ids, np.arange(n))
+            energy, grad = density_energy_and_grad(field)
             h = 1e-5 * canvas
             for nid in range(n):
                 for axis in range(2):
@@ -144,7 +147,7 @@ class TestEnergyGradient:
         dist_to_center = []
         for _ in range(10):
             field = solve(nl, pl, 32)
-            energy, grad = density_energy_and_grad(field, nl)
+            energy, grad = density_energy_and_grad(field)
             energies.append(energy)
             dist_to_center.append(np.hypot(*(pl.positions[0] - 32.0)))
             pl = pl.copy()

@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from macroplace.bookshelf import parse_bookshelf, write_bookshelf
+from macroplace.clustering import base_placement, cluster_std_cells
 from macroplace.design import (
     DesignBundle,
     SyntheticSpec,
@@ -26,7 +29,7 @@ from macroplace.netlist import (
     Pin,
     Placement,
 )
-from macroplace.placer import PlacerConfig
+from macroplace.placer import PlacerConfig, place_clusters, spread_movable
 
 from oracles import mask_bruteforce
 
@@ -218,6 +221,37 @@ class TestDeterminism:
         rewards = [rollout(env, uniform_random_policy, seed).reward for seed in (0, 1, 2)]
         recorded = [-0.9371344817220548, -0.8955540392911929, -0.9234413170780145]
         assert rewards == pytest.approx(recorded, rel=1e-9, abs=0.0)
+
+    def test_analytical_results_at_benchmark_scale_are_pinned(self, tmp_path, monkeypatch):
+        """The benchmark's rollout-nesterov-S design (8 macros, 500 cells,
+        600 nets, design seed 1, ingested through Bookshelf) rolled out with
+        the analytical engine at episode seeds 1 (stops on overflow) and 2
+        (runs the full budget), and `spread_movable` on a small design. The
+        rewards, the trace lengths and the SHA-256 of the spread positions
+        were recorded at commit 5756088 and hold exactly."""
+        spec = SyntheticSpec(8, 500, 600, seed=1)
+        write_bookshelf(generate_synthetic(spec), tmp_path, "s")
+        bundle = edit_for_movable_macros(parse_bookshelf(tmp_path))
+        env = MacroPlacementEnv(bundle, EnvConfig(placer=PlacerConfig(engine="analytical")))
+        lengths = []
+
+        def recorded_place_clusters(*args):
+            placement, trace = place_clusters(*args)
+            lengths.append(len(trace))
+            return placement, trace
+
+        monkeypatch.setattr("macroplace.env.place_clusters", recorded_place_clusters)
+        rewards = [rollout(env, uniform_random_policy, seed).reward for seed in (1, 2)]
+        assert rewards == [-0.561329921405149, -0.6227945440291416]
+        assert lengths == [10, 30]
+
+        small = generate_synthetic(SyntheticSpec(3, 60, 80, seed=21))
+        clustered = cluster_std_cells(small.netlist, k=8)
+        placement, trace = spread_movable(clustered, base_placement(clustered, small.placement),
+                                          PlacerConfig(max_outer_iters=8))
+        assert len(trace) == 3
+        assert hashlib.sha256(placement.positions.tobytes()).hexdigest() == (
+            "3f3bdaa20535f6cf668e9e0c8af1a7e69de153ec5e4b5360ecfed5488f949c06")
 
     def test_engine_swap_changes_only_reward(self, training_bundle):
         placements = {}

@@ -15,6 +15,9 @@ entry points kept on purpose, each with its reason.
 
 Nets reach the program through one CSR pin layout (`Netlist.net_csr`): only
 a short list of functions, each with its reason, reads `Net.pins` itself.
+
+The analytical engine runs on position arrays: `placer/analytical.py` calls
+neither `Placement` nor one of its class methods.
 """
 
 import ast
@@ -286,3 +289,34 @@ def test_pins_guard_sees_reads():
         "count = len(net.pins)\n"
     )
     assert pins_reads(source) == [("Netlist.net_csr", 3), ("rewire", 5), ("<module>", 8)]
+
+
+def placement_constructions(source):
+    """Lines of the calls to `Placement`, `<module>.Placement` or a method
+    of either (such as `Placement.empty`), in source order."""
+    def is_placement(node):
+        return ((isinstance(node, ast.Name) and node.id == "Placement")
+                or (isinstance(node, ast.Attribute) and node.attr == "Placement"))
+
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and (
+            is_placement(node.func)
+            or (isinstance(node.func, ast.Attribute) and is_placement(node.func.value))))
+
+
+def test_analytical_engine_builds_no_placement():
+    source = (PACKAGE / "placer" / "analytical.py").read_text()
+    assert placement_constructions(source) == []
+
+
+def test_placement_guard_sees_constructions():
+    source = (
+        "def start(start: Placement) -> Placement:\n"
+        "    a = Placement(x, placed)\n"
+        "    b = Placement.empty(3)\n"
+        "    c = netlist.Placement(x, placed)\n"
+        "    d = netlist.Placement.empty(3)\n"
+        "    return placement.copy(), isinstance(a, Placement)\n"
+    )
+    assert placement_constructions(source) == [2, 3, 4, 5]

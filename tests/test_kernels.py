@@ -201,7 +201,8 @@ class TestRasterizer:
             nl, pl = edge_case_design(rng)
             pl.placed[9] = False
             everything = np.ones(nl.num_nodes, dtype=bool)
-            field = solve_density_field(pl, density_grid(nl, pl, everything, bins))
+            grid = density_grid(nl, pl, everything, bins)
+            field = solve_density_field(pl.positions[grid.ids], grid)
             area = rasterize_area_loop(nl, pl, bins, bins, field.bin_w, field.bin_h)
             assert_close_to_scale(field.rho, area * (field.norm_scale / field.bin_area))
 
@@ -212,17 +213,20 @@ class TestRasterizer:
         for bins in (4, 4, 8, 8, 32, 32):
             clustered, ppl, movable = random_cluster_placement(rng)
             pnet = clustered.placement_netlist
-            seeded = solve_density_field(ppl, density_grid(pnet, ppl, movable, bins))
+            grid = density_grid(pnet, ppl, movable, bins)
+            seeded = solve_density_field(ppl.positions[grid.ids], grid)
+            np.testing.assert_array_equal(seeded.ids, np.flatnonzero(movable))
             everything = np.ones(pnet.num_nodes, dtype=bool)
-            one_pass = solve_density_field(ppl, density_grid(pnet, ppl, everything, bins))
+            grid = density_grid(pnet, ppl, everything, bins)
+            one_pass = solve_density_field(ppl.positions[grid.ids], grid)
             assert_close_to_scale(seeded.rho, one_pass.rho)
             assert_close_to_scale(seeded.psi, one_pass.psi)
             area = rasterize_area_loop(pnet, ppl, bins, bins, seeded.bin_w, seeded.bin_h)
             assert_close_to_scale(seeded.rho, area * (seeded.norm_scale / seeded.bin_area))
-            _, grad = density_energy_and_grad(seeded, pnet)
-            _, ref = density_energy_and_grad(one_pass, pnet)
-            assert_close_to_scale(grad[movable], ref[movable])
-            assert not grad[~movable].any()
+            _, grad = density_energy_and_grad(seeded)
+            _, ref = density_energy_and_grad(one_pass)
+            assert grad.shape == (movable.sum(), 2)
+            assert_close_to_scale(grad, ref[np.isin(one_pass.ids, seeded.ids)])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_box_edges_raise(self, rng, bad):
@@ -237,7 +241,7 @@ class TestRasterizer:
         with pytest.raises(ValueError, match="box edges must be finite"):
             congestion_map(nl, pl, Grid.empty(6, 8, *CANVAS))
         with pytest.raises(ValueError, match="box edges must be finite"):
-            solve_density_field(pl, grid)
+            solve_density_field(pl.positions[grid.ids], grid)
 
     def test_congestion_unplaced_names_net_and_node(self, rng):
         nl, pl = edge_case_design(rng)
@@ -257,7 +261,7 @@ class TestRasterizer:
         area = rasterize_area(nl, pl, 3, 4, 16.0, 16.0)
         assert area.dtype == np.float64 and not area.any()
         assert hpwl(nl, pl) == 0.0
-        value, grad = smooth_wl_and_grad(nl, pl, 1.0)
+        value, grad = smooth_wl_and_grad(nl, pl.positions, 1.0)
         assert value == 0.0 and grad.shape == (0, 2)
 
 
@@ -271,7 +275,7 @@ class TestNetKernel:
         for _ in range(5):
             nl, pl = edge_case_design(rng)
             for gamma in (0.05, 1.0, 40.0):
-                value, grad = smooth_wl_and_grad(nl, pl, gamma)
+                value, grad = smooth_wl_and_grad(nl, pl.positions, gamma)
                 ref_value, ref_grad = smooth_wl_loop(nl, pl, gamma)
                 assert value == pytest.approx(ref_value, rel=REL, abs=0.0)
                 assert_close_to_scale(grad, ref_grad)
@@ -287,8 +291,8 @@ class TestNetKernel:
         bare = Netlist(nodes, [pair], 20.0, 20.0)
         extra = Netlist(nodes, [pair, lone, Net(2, "none", (), 1.0)], 20.0, 20.0)
         assert hpwl(extra, pl) == hpwl(bare, pl)
-        v0, g0 = smooth_wl_and_grad(bare, pl, 0.7)
-        v1, g1 = smooth_wl_and_grad(extra, pl, 0.7)
+        v0, g0 = smooth_wl_and_grad(bare, pl.positions, 0.7)
+        v1, g1 = smooth_wl_and_grad(extra, pl.positions, 0.7)
         assert v1 == v0
         np.testing.assert_array_equal(g1, g0)
 
@@ -350,13 +354,17 @@ class TestDensityGradient:
             nl, pl = edge_case_design(rng)
             pl.placed[9] = False
             movable = nl.node_arrays.movable if movable_only else np.ones(nl.num_nodes, bool)
-            field = solve_density_field(pl, density_grid(nl, pl, movable, bins))
-            energy, grad = density_energy_and_grad(field, nl)
+            grid = density_grid(nl, pl, movable, bins)
+            field = solve_density_field(pl.positions[grid.ids], grid)
+            energy, grad = density_energy_and_grad(field)
             ref_energy, ref_grad = density_energy_and_grad_loop(field, nl, pl, movable_only)
             assert energy == ref_energy
-            assert_close_to_scale(grad, ref_grad)
-            if movable_only:
-                assert not grad[~nl.node_arrays.movable].any()
+            assert grad.shape == (len(field.ids), 2)
+            assert_close_to_scale(grad, ref_grad[field.ids])
+            # The loop gives no node outside field.ids a gradient either.
+            outside = np.ones(nl.num_nodes, dtype=bool)
+            outside[field.ids] = False
+            assert not ref_grad[outside].any()
 
 
 def fd_design():

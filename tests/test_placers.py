@@ -1,5 +1,6 @@
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from macroplace.metrics import density_overflow
 from macroplace.netlist import (
     KIND_MACRO,
     KIND_STD,
+    KIND_TERMINAL,
     Net,
     Netlist,
     Node,
@@ -25,6 +27,7 @@ from macroplace.placer import (
     place_clusters,
     spread_movable,
 )
+from macroplace.placer.analytical import run_analytical
 from macroplace.placer.density import poisson_denominators
 from macroplace.placer.force_directed import _system_for, run_force_directed
 
@@ -259,12 +262,27 @@ class TestForceDirectedDesignCache:
         np.testing.assert_array_equal(again.positions, placed.positions)
 
     def test_movable_node_without_area_rejected(self):
+        """`engine_start` rejects it for both engines and `spread_movable`:
+        each one's movable rows are the density grid's charge rows."""
         clustered, fixed = clustered_synthetic(seed=4)
         pnet = clustered.placement_netlist
         movable = movable_cluster_mask(clustered)
-        movable[np.flatnonzero(~pnet.node_arrays.charge)[0]] = True
-        with pytest.raises(PlacementError, match="every movable node to carry area"):
-            run_force_directed(clustered, fixed, movable, PlacerConfig(engine="fd"))
+        bare = pnet.nodes[np.flatnonzero(~pnet.node_arrays.charge)[0]]
+        movable[bare.id] = True
+        message = f"movable node '{bare.name}' carries no area"
+        for run in (run_force_directed, run_analytical):
+            with pytest.raises(PlacementError, match=message):
+                run(clustered, fixed, movable, PlacerConfig())
+
+        bundle = generate_synthetic(SyntheticSpec(3, 60, 80, seed=21))
+        nl = bundle.netlist
+        terminal = next(n for n in nl.nodes if n.kind == KIND_TERMINAL)
+        nodes = [replace(n, movable=True) if n is terminal else n for n in nl.nodes]
+        clustered = cluster_std_cells(
+            Netlist(nodes, nl.nets, nl.canvas_width, nl.canvas_height, nl.target_density), k=8)
+        with pytest.raises(PlacementError, match=f"movable node '{terminal.name}' carries"):
+            spread_movable(clustered, base_placement(clustered, bundle.placement),
+                           PlacerConfig())
 
     def test_poisson_denominators_only_where_read(self, monkeypatch):
         """The spreading pass never reads the Poisson eigenvalues; the
@@ -383,6 +401,18 @@ class TestEngineContract:
         clustered, fixed = clustered_synthetic(seed=7)
         with pytest.raises(PlacementError, match="unknown placer engine"):
             place_clusters(clustered, fixed, PlacerConfig(engine="quantum"))
+
+    def test_spread_movable_rejects_unplaced_terminal(self):
+        """`spread_movable` re-seeds only the movable nodes: a terminal
+        without a position is rejected before any iteration, not pulled
+        toward (0, 0)."""
+        bundle = generate_synthetic(SyntheticSpec(3, 60, 80, seed=21))
+        clustered = cluster_std_cells(bundle.netlist, k=8)
+        fixed = base_placement(clustered, bundle.placement)
+        p0 = next(n.id for n in clustered.placement_netlist.nodes if n.name == "p0")
+        fixed.placed[p0] = False
+        with pytest.raises(PlacementError, match="fixed node 'p0' must be placed"):
+            spread_movable(clustered, fixed, PlacerConfig(max_outer_iters=8))
 
     def test_spread_movable_places_macros(self):
         bundle = generate_synthetic(SyntheticSpec(3, 60, 80, seed=21))

@@ -62,6 +62,13 @@ class NetCSR(NamedTuple):
     counts: np.ndarray  # (M,) pins per row
 
 
+class SmoothWLPins(NamedTuple):
+    """Per-pin arrays of the smoothed wirelength's gradient over `net_csr`."""
+
+    weights: np.ndarray  # (P, 1) weight of each pin's net
+    slots: np.ndarray  # (2P,) flat index 2 * node + axis of each pin coordinate
+
+
 class CliqueGraph(NamedTuple):
     """Clique model of the nets, the graph clustering coarsens, the
     force-directed engine solves over and the policy propagates along:
@@ -138,6 +145,14 @@ class Netlist:
             weights=np.array([net.weight for net in nets], dtype=np.float64),
             counts=counts,
         )
+
+    @cached_property
+    def smooth_wl_pins(self) -> SmoothWLPins:
+        """The `SmoothWLPins` of `net_csr`, built on first read, so a design
+        that only the force-directed engine places never holds them."""
+        csr = self.net_csr
+        return SmoothWLPins(weights=csr.weights[csr.pin_net, None],
+                            slots=(2 * csr.node_ids[:, None] + np.arange(2)).ravel())
 
     @cached_property
     def clique_graph(self) -> CliqueGraph:

@@ -15,6 +15,12 @@ fixed rows never change (g's are 0), and the placement is written once
 per outer iteration, for its trace row. The step-length estimate takes its
 norms over all N rows; their zero fixed rows keep the sums in the order
 that the engine's recorded results were computed in.
+
+The engine reads only gradients: the smoothed wirelength's value and the
+density energy are never read, and `SmoothWL.value` is computed only on
+first read. The gradient rows that set lambda_0 are taken at the start
+point with the first gamma, so they also give the first Nesterov run's
+start gradient: one evaluation per placement fewer, with equal results.
 """
 
 from __future__ import annotations
@@ -42,9 +48,10 @@ FALLBACK_STEP_FRAC = 1e-2
 def _gradient_rows(pnet, positions, gamma, dgrid):
     """The (wirelength, density) gradient rows of the movable nodes, in
     `dgrid.ids` order, at the node centres `positions` (N, 2)."""
-    _, gwl = smooth_wl_and_grad(pnet, positions, gamma)
-    _, genergy = density_energy_and_grad(solve_density_field(positions[dgrid.ids], dgrid))
-    return gwl[dgrid.ids], genergy
+    gwl = smooth_wl_and_grad(pnet, positions, gamma).grad
+    field = solve_density_field(positions.take(dgrid.ids, axis=0), dgrid)
+    _, genergy = density_energy_and_grad(field)
+    return gwl.take(dgrid.ids, axis=0), genergy
 
 
 def run_analytical(clustered: ClusteredNetlist, start: Placement,
@@ -61,19 +68,22 @@ def run_analytical(clustered: ClusteredNetlist, start: Placement,
     gamma_floor = GAMMA_FLOOR_BINS * bin_dim
     diag = float(np.hypot(pnet.canvas_width, pnet.canvas_height))
 
-    # lambda_0: balance the L1 norms of the two gradient terms.
-    gwl, genergy = _gradient_rows(pnet, placement.positions, gamma, dgrid)
-    gwl_norm = np.abs(gwl).sum()
-    gen_norm = np.abs(genergy).sum()
-    lam = gwl_norm / gen_norm if gen_norm > 0 and gwl_norm > 0 else 1.0
-
-    def gradient(x):
-        """(N, 2) gradient of smooth_wl + lam * energy at `x`, 0 on the
-        fixed rows."""
-        gwl, genergy = _gradient_rows(pnet, x, gamma, dgrid)
-        g = np.zeros_like(x)
+    def combine(gwl, genergy):
+        """(N, 2) gradient of smooth_wl + lam * energy from its rows, 0 on
+        the fixed rows."""
+        g = np.zeros_like(placement.positions)
         g[ids] = gwl + lam * genergy
         return g
+
+    def gradient(x):
+        """(N, 2) gradient of smooth_wl + lam * energy at `x`."""
+        return combine(*_gradient_rows(pnet, x, gamma, dgrid))
+
+    # lambda_0: balance the L1 norms of the two gradient terms.
+    start_wl, start_energy = _gradient_rows(pnet, placement.positions, gamma, dgrid)
+    gwl_norm = np.abs(start_wl).sum()
+    gen_norm = np.abs(start_energy).sum()
+    lam = gwl_norm / gen_norm if gen_norm > 0 and gwl_norm > 0 else 1.0
 
     def project(x):
         """`x` with the movable boxes moved into the canvas, in place."""
@@ -93,10 +103,11 @@ def run_analytical(clustered: ClusteredNetlist, start: Placement,
     trace = []
     step = None
     for outer in range(config.max_outer_iters):
-        # One Nesterov run at this (lambda, gamma), from the last one's u.
+        # One Nesterov run at this (lambda, gamma), from the last one's u;
+        # the first starts at lambda_0's point and gamma, so at its rows.
         v = u
         a = 1.0
-        g_v = gradient(v)
+        g_v = gradient(v) if outer else combine(start_wl, start_energy)
         if step is None:
             gmax = np.abs(g_v).max()
             step = FALLBACK_STEP_FRAC * diag / gmax if gmax > 0 else 1.0

@@ -26,10 +26,15 @@ the one-pass raster.
 The kernels take the arrays they read: a solve takes the movable ids'
 (m, 2) centres, so the fixed nodes and placed flags the grid was built
 from cannot change under it, and the energy gradient returns the (m, 2)
-rows of those ids alone. `DensityField` keeps the boxes and the per-axis
-overlap matrices of its raster. The gradient needs, per node, the
-potential summed over its footprint with one axis's overlap replaced by
-that axis's edge slope: one matrix product and one row sum per axis.
+rows of those ids alone. `DensityField` keeps the (m, 2) lower and upper
+box corners and the per-axis overlap matrices of its raster. The gradient
+needs, per node, the potential summed over its footprint with one axis's
+overlap replaced by that axis's edge slope: one matrix product and one row
+sum per axis. Both axes' edge slopes come from one comparison pass over
+(2, m, bins) (`_edge_slopes`), with the per-axis products idx * cell and
+strict comparisons, so each slope is the float a per-axis pass gives. The
+spectral solve transforms, divides and negates in place on its own
+temporaries.
 """
 
 from __future__ import annotations
@@ -105,8 +110,9 @@ class DensityField:
     bin_h: float
     norm_scale: float  # rho rescale factor applied after rasterization
     ids: np.ndarray  # the nodes rasterized for this field, the raster's boxes in order
-    boxes: tuple  # their (x0, x1, y0, y1) footprints
-    wx: np.ndarray  # (len(ids), bins) column overlaps of `boxes` (raster.axis_overlap)
+    lo: np.ndarray  # (len(ids), 2) lower corners of their boxes
+    hi: np.ndarray  # (len(ids), 2) upper corners
+    wx: np.ndarray  # (len(ids), bins) column overlaps of the boxes (raster.axis_overlap)
     wy: np.ndarray  # (len(ids), bins) row overlaps
 
     @property
@@ -141,8 +147,7 @@ def solve_density_field(centres: np.ndarray, grid: DensityGrid) -> DensityField:
     scale = grid.charge_area / raster_total if raster_total > 0 else 1.0
     rho = area * (scale / (grid.bin_w * grid.bin_h))
     return DensityField(rho=rho, psi=solve_poisson(rho, grid.denom), bin_w=grid.bin_w,
-                        bin_h=grid.bin_h, norm_scale=scale,
-                        ids=grid.ids, boxes=(lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1]),
+                        bin_h=grid.bin_h, norm_scale=scale, ids=grid.ids, lo=lo, hi=hi,
                         wx=wx, wy=wy)
 
 
@@ -163,11 +168,14 @@ def solve_poisson(rho: np.ndarray, denom: np.ndarray) -> np.ndarray:
 
     Spectral solve in the DCT-II basis: the cosine modes are exact
     eigenvectors of the mirrored 5-point Laplacian. The DC mode is zero.
+    Each step overwrites the temporary of the one before; negation is
+    exact, so -(a / d) is the float (-a) / d.
     """
-    src_hat = dctn(rho - rho.mean(), type=2, norm="ortho")
-    psi_hat = -src_hat / denom
+    psi_hat = dctn(rho - rho.mean(), type=2, norm="ortho", overwrite_x=True)
+    psi_hat /= denom
+    np.negative(psi_hat, out=psi_hat)
     psi_hat[0, 0] = 0.0
-    return idctn(psi_hat, type=2, norm="ortho")
+    return idctn(psi_hat, type=2, norm="ortho", overwrite_x=True)
 
 
 def density_energy_and_grad(field: DensityField):
@@ -182,23 +190,23 @@ def density_energy_and_grad(field: DensityField):
     the orthogonal overlap as the weight. High potential pushes nodes out.
     """
     energy = 0.5 * float((field.rho * field.psi).sum()) * field.bin_area
-    x0, x1, y0, y1 = field.boxes
     # d(overlap_x)/dx per column and d(overlap_y)/dy per row.
-    dwx = _edge_slope(x0, x1, field.bin_w, field.bins)
-    dwy = _edge_slope(y0, y1, field.bin_h, field.bins)
+    dwx, dwy = _edge_slopes(field.lo, field.hi, np.array([field.bin_w, field.bin_h]),
+                            field.bins)
     s = field.norm_scale
     grad = np.stack([s * ((field.wy @ field.psi) * dwx).sum(axis=1),
                      s * ((dwy @ field.psi) * field.wx).sum(axis=1)], axis=1)
     return energy, grad
 
 
-def _edge_slope(lo, hi, cell: float, count: int) -> np.ndarray:
-    """(n, count) d(overlap of [lo + t, hi + t] with each cell)/dt: +1 in
-    the cell whose interior holds the upper edge, -1 in the cell whose
-    interior holds the lower edge."""
-    idx = np.arange(count)
-    left = idx * cell
-    right = (idx + 1) * cell
-    upper = (hi[:, None] > left) & (hi[:, None] < right)
-    lower = (lo[:, None] > left) & (lo[:, None] < right)
-    return upper.astype(np.float64) - lower
+def _edge_slopes(lo, hi, cells, count: int) -> np.ndarray:
+    """(2, n, count) d(overlap of [lo + t, hi + t] with each cell)/dt per
+    axis, for (n, 2) box corners and cells = (cell_w, cell_h): +1 in the
+    cell whose interior holds the upper edge, -1 in the cell whose interior
+    holds the lower edge. Both axes in one pass; cell c spans the products
+    c * cell and (c + 1) * cell, each edge is compared strictly."""
+    edges = (np.arange(count + 1) * cells[:, None])[:, None]  # (2, 1, count + 1)
+    left, right = edges[..., :-1], edges[..., 1:]
+    upper, lower = hi.T[..., None], lo.T[..., None]
+    return np.subtract((upper > left) & (upper < right), (lower > left) & (lower < right),
+                       dtype=np.float64)

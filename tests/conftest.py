@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,23 @@ def floating_netlist():
     nodes += [Node(1 + i, f"c{i}", 1.0, 1.0, KIND_STD, True) for i in range(3)]
     nets = [Net(0, "n0", (Pin(0), Pin(1)), 1.0), Net(1, "n1", (Pin(2), Pin(3)), 1.0)]
     return Netlist(nodes, nets, 20.0, 20.0, target_density=1.0)
+
+
+def count_calls(monkeypatch, fn):
+    """Route every `macroplace` module binding of `fn` through a counter;
+    returns the list that grows by one per call."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "macroplace" or name.startswith("macroplace."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
 
 
 @pytest.fixture

@@ -326,6 +326,19 @@ def density_energy_and_grad_loop(field, netlist, placement, movable_only=True):
     return energy, grad
 
 
+def edge_slope_reference(lo, hi, cell: float, count: int) -> np.ndarray:
+    """(n, count) d(overlap of [lo + t, hi + t] with each cell)/dt along one
+    axis: +1 in the cell whose interior holds the upper edge, -1 in the
+    cell whose interior holds the lower edge. The density gradient's
+    per-axis pass, which its two-axis pass must equal bit for bit."""
+    idx = np.arange(count)
+    left = idx * cell
+    right = (idx + 1) * cell
+    upper = (hi[:, None] > left) & (hi[:, None] < right)
+    lower = (lo[:, None] > left) & (lo[:, None] < right)
+    return upper.astype(np.float64) - lower
+
+
 def clique_graph_loop(netlist):
     """Clique-model graph of the nets through a dict: w/(p-1) between every
     pin pair of a p-pin net, parallel edges merged by weight summation.

@@ -30,7 +30,10 @@ from macroplace.netlist import (
     Placement,
 )
 from macroplace.placer import PlacerConfig, place_clusters, spread_movable
+from macroplace.placer.density import density_energy_and_grad, solve_density_field
+from macroplace.placer.wirelength import smooth_wl_and_grad
 
+from conftest import count_calls
 from oracles import mask_bruteforce
 
 
@@ -228,22 +231,34 @@ class TestDeterminism:
         the analytical engine at episode seeds 1 (stops on overflow) and 2
         (runs the full budget), and `spread_movable` on a small design. The
         rewards, the trace lengths and the SHA-256 of the spread positions
-        were recorded at commit 5756088 and hold exactly."""
+        were recorded at commit 5756088 and hold exactly.
+
+        Each gradient evaluation calls each of the three gradient kernels
+        once, through the bindings a benchmark trace wraps, so the calls per
+        episode count its gradient evaluations: lambda_0's, which also
+        starts the first Nesterov run, one per later run's start and one
+        per Nesterov try."""
         spec = SyntheticSpec(8, 500, 600, seed=1)
         write_bookshelf(generate_synthetic(spec), tmp_path, "s")
         bundle = edit_for_movable_macros(parse_bookshelf(tmp_path))
         env = MacroPlacementEnv(bundle, EnvConfig(placer=PlacerConfig(engine="analytical")))
+        kernels = [count_calls(monkeypatch, fn) for fn in
+                   (smooth_wl_and_grad, solve_density_field, density_energy_and_grad)]
         lengths = []
+        kernel_calls = []
 
         def recorded_place_clusters(*args):
+            before = [len(calls) for calls in kernels]
             placement, trace = place_clusters(*args)
             lengths.append(len(trace))
+            kernel_calls.append([len(calls) - b for calls, b in zip(kernels, before)])
             return placement, trace
 
         monkeypatch.setattr("macroplace.env.place_clusters", recorded_place_clusters)
         rewards = [rollout(env, uniform_random_policy, seed).reward for seed in (1, 2)]
         assert rewards == [-0.561329921405149, -0.6227945440291416]
         assert lengths == [10, 30]
+        assert kernel_calls == [[366] * 3, [1075] * 3]
 
         small = generate_synthetic(SyntheticSpec(3, 60, 80, seed=21))
         clustered = cluster_std_cells(small.netlist, k=8)

@@ -2,9 +2,10 @@
 rasterizer and the force-directed linear system, solve and spreading pass
 against the loops and routines they replaced (tests/oracles.py).
 
-HPWL, the clique graph, node degrees, the per-axis overlap lengths, the FD
-system, the blur and the gradient reads compute in the references' order,
-so their outputs must be bit-equal. The rasterized maps (one matrix product
+HPWL, the clique graph, node degrees, the per-axis overlap lengths, the
+density gradient's edge slopes, the FD system, the blur and the gradient
+reads compute in the references' order, so their outputs must be
+bit-equal. The rasterized maps (one matrix product
 per map), the smooth-WL and density-gradient kernels reassociate float
 sums, and the spectral solve replaces a sparse LU solve, so they and the
 spreading pass built on the maps are held to 1e-12 of the reference's
@@ -35,6 +36,7 @@ from macroplace.netlist import (
 )
 from macroplace.placer import movable_cluster_mask
 from macroplace.placer.density import (
+    _edge_slopes,
     density_energy_and_grad,
     density_grid,
     solve_density_field,
@@ -57,6 +59,7 @@ from oracles import (
     clique_graph_loop,
     congestion_map_loop,
     density_energy_and_grad_loop,
+    edge_slope_reference,
     fd_anchor_weights_loop,
     fd_system_loop,
     hpwl_bruteforce,
@@ -228,6 +231,22 @@ class TestRasterizer:
             assert grad.shape == (movable.sum(), 2)
             assert_close_to_scale(grad, ref[np.isin(one_pass.ids, seeded.ids)])
 
+    @pytest.mark.parametrize("bins", [4, 8, 32, 64])
+    def test_edge_slopes_bit_equal(self, rng, bins):
+        """Both axes' edge slopes in one pass equal the per-axis reference
+        bit for bit, with box edges on bin boundaries and boxes partly or
+        wholly off the grid among them."""
+        for _ in range(5):
+            nl, pl = edge_case_design(rng)
+            pl.placed[9] = False
+            grid = density_grid(nl, pl, np.ones(nl.num_nodes, dtype=bool), bins)
+            field = solve_density_field(pl.positions[grid.ids], grid)
+            slopes = _edge_slopes(field.lo, field.hi, grid.cells, bins)
+            assert slopes.shape == (2, len(grid.ids), bins)
+            for axis, cell in enumerate((field.bin_w, field.bin_h)):
+                ref = edge_slope_reference(field.lo[:, axis], field.hi[:, axis], cell, bins)
+                np.testing.assert_array_equal(slopes[axis], ref)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_box_edges_raise(self, rng, bad):
         nl, pl = edge_case_design(rng)
@@ -261,8 +280,8 @@ class TestRasterizer:
         area = rasterize_area(nl, pl, 3, 4, 16.0, 16.0)
         assert area.dtype == np.float64 and not area.any()
         assert hpwl(nl, pl) == 0.0
-        value, grad = smooth_wl_and_grad(nl, pl.positions, 1.0)
-        assert value == 0.0 and grad.shape == (0, 2)
+        wl = smooth_wl_and_grad(nl, pl.positions, 1.0)
+        assert wl.value == 0.0 and wl.grad.shape == (0, 2)
 
 
 class TestNetKernel:
@@ -275,10 +294,10 @@ class TestNetKernel:
         for _ in range(5):
             nl, pl = edge_case_design(rng)
             for gamma in (0.05, 1.0, 40.0):
-                value, grad = smooth_wl_and_grad(nl, pl.positions, gamma)
+                wl = smooth_wl_and_grad(nl, pl.positions, gamma)
                 ref_value, ref_grad = smooth_wl_loop(nl, pl, gamma)
-                assert value == pytest.approx(ref_value, rel=REL, abs=0.0)
-                assert_close_to_scale(grad, ref_grad)
+                assert wl.value == pytest.approx(ref_value, rel=REL, abs=0.0)
+                assert_close_to_scale(wl.grad, ref_grad)
 
     def test_one_pin_nets_contribute_nothing(self):
         nodes = [Node(0, "a", 1.0, 1.0, KIND_STD, True),
@@ -291,10 +310,10 @@ class TestNetKernel:
         bare = Netlist(nodes, [pair], 20.0, 20.0)
         extra = Netlist(nodes, [pair, lone, Net(2, "none", (), 1.0)], 20.0, 20.0)
         assert hpwl(extra, pl) == hpwl(bare, pl)
-        v0, g0 = smooth_wl_and_grad(bare, pl.positions, 0.7)
-        v1, g1 = smooth_wl_and_grad(extra, pl.positions, 0.7)
-        assert v1 == v0
-        np.testing.assert_array_equal(g1, g0)
+        wl_bare = smooth_wl_and_grad(bare, pl.positions, 0.7)
+        wl_extra = smooth_wl_and_grad(extra, pl.positions, 0.7)
+        assert wl_extra.value == wl_bare.value
+        np.testing.assert_array_equal(wl_extra.grad, wl_bare.grad)
 
 
 class TestCliqueGraph:

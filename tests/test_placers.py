@@ -1,4 +1,3 @@
-import sys
 import warnings
 from dataclasses import replace
 
@@ -30,8 +29,9 @@ from macroplace.placer import (
 from macroplace.placer.analytical import run_analytical
 from macroplace.placer.density import poisson_denominators
 from macroplace.placer.force_directed import _system_for, run_force_directed
+from macroplace.placer.wirelength import SmoothWL, smooth_wl_and_grad
 
-from conftest import floating_netlist
+from conftest import count_calls, floating_netlist
 from oracles import in_canvas
 
 
@@ -72,23 +72,6 @@ def clustered_synthetic(seed=5, macros=2, cells=80, nets=100, k=8):
         )
         placement.placed[macro.id] = True
     return clustered, base_placement(clustered, placement)
-
-
-def count_calls(monkeypatch, fn):
-    """Route every `macroplace` module binding of `fn` through a counter;
-    returns the list that grows by one per call."""
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return fn(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name == "macroplace" or name.startswith("macroplace."):
-            for attr, value in list(vars(module).items()):
-                if value is fn:
-                    monkeypatch.setattr(module, attr, counted)
-    return calls
 
 
 class TestConfig:
@@ -371,6 +354,21 @@ class TestTrace:
         assert len(wl_calls) == 0
         [row.overflow for row in trace]
         assert len(overflow_calls) == len(trace)
+
+    def test_analytical_never_reads_the_smoothed_wirelength(self, monkeypatch):
+        """The engine reads only the smoothed wirelength's gradient; its
+        value is computed on first read, so it is never computed here."""
+        def unread(wl):
+            raise AssertionError("SmoothWL.value read")
+
+        monkeypatch.setattr(SmoothWL, "value", property(unread))
+        clustered, fixed = clustered_synthetic(seed=3)
+        config = PlacerConfig(engine="analytical", max_outer_iters=5)
+        placement, trace = place_clusters(clustered, fixed, config)
+        assert len(trace) > 0
+        wl = smooth_wl_and_grad(clustered.placement_netlist, placement.positions, 1.0)
+        with pytest.raises(AssertionError, match="SmoothWL.value read"):
+            wl.value
 
 
 class TestEngineContract:

@@ -28,21 +28,21 @@ def test_coincident_two_pin_gradient_symmetric():
     pl = Placement.empty(2)
     pl.positions[:] = (10.0, 10.0)
     pl.placed[:] = True
-    _, grad = smooth_wl_and_grad(nl, pl.positions, gamma=1.0)
+    grad = smooth_wl_and_grad(nl, pl.positions, gamma=1.0).grad
     np.testing.assert_allclose(grad, 0.0, atol=1e-14)
 
     # separate slightly: equal magnitude, opposite sign, shrinking with gap
     for gap in (1.0, 0.1, 0.01):
         p2 = pl.copy()
         p2.positions[1, 0] += gap
-        _, g = smooth_wl_and_grad(nl, p2.positions, gamma=1.0)
+        g = smooth_wl_and_grad(nl, p2.positions, gamma=1.0).grad
         assert g[0, 0] == pytest.approx(-g[1, 0], rel=1e-12)
         assert g[0, 0] < 0 < g[1, 0]
     mags = []
     for gap in (1.0, 0.1, 0.01):
         p2 = pl.copy()
         p2.positions[1, 0] += gap
-        _, g = smooth_wl_and_grad(nl, p2.positions, gamma=1.0)
+        g = smooth_wl_and_grad(nl, p2.positions, gamma=1.0).grad
         mags.append(abs(g[1, 0]))
     assert mags == sorted(mags, reverse=True)
 
@@ -54,9 +54,9 @@ def test_gradient_matches_finite_differences(rng):
         nl, pl = random_design(rng, n_nodes=12, n_nets=10, canvas=(canvas, canvas),
                                with_offsets=True)
         gamma = float(rng.uniform(0.5, 5.0))
-        _, grad = smooth_wl_and_grad(nl, pl.positions, gamma)
+        grad = smooth_wl_and_grad(nl, pl.positions, gamma).grad
         ids = list(range(nl.num_nodes))
-        fd = fd_gradient(lambda p: smooth_wl_and_grad(nl, p.positions, gamma)[0], pl, ids, h)
+        fd = fd_gradient(lambda p: smooth_wl_and_grad(nl, p.positions, gamma).value, pl, ids, h)
         scale = np.abs(fd).max()
         np.testing.assert_allclose(grad[ids], fd, rtol=1e-4, atol=1e-4 * scale)
 
@@ -68,10 +68,10 @@ def test_offsets_off_equals_zeroed_offsets(rng):
                    for n in nl.nets]
     nl_zero = Netlist(nl.nodes, zeroed_nets, nl.canvas_width, nl.canvas_height,
                       nl.target_density)
-    value, grad = smooth_wl_and_grad(nl, pl.positions, 2.0)
-    value_zero, grad_zero = smooth_wl_and_grad(nl_zero, pl.positions, 2.0)
-    assert value == value_zero
-    np.testing.assert_array_equal(grad, grad_zero)
+    wl = smooth_wl_and_grad(nl, pl.positions, 2.0)
+    wl_zero = smooth_wl_and_grad(nl_zero, pl.positions, 2.0)
+    assert wl.value == wl_zero.value
+    np.testing.assert_array_equal(wl.grad, wl_zero.grad)
 
 
 def test_gamma_to_zero_converges_to_hpwl():
@@ -88,9 +88,9 @@ def test_gamma_to_zero_converges_to_hpwl():
     # Normalized log-sum-exp undershoots a separated 2-pin net by exactly
     # 2*gamma*ln2 per axis; assert that rate and the shrink toward 0.
     gamma = 1e-3 * extent
-    value, _ = smooth_wl_and_grad(nl, pl.positions, gamma=gamma)
+    value = smooth_wl_and_grad(nl, pl.positions, gamma=gamma).value
     assert abs(value - exact) <= 4 * np.log(2) * gamma * (1 + 1e-9)
-    value_tight, _ = smooth_wl_and_grad(nl, pl.positions, gamma=gamma / 10)
+    value_tight = smooth_wl_and_grad(nl, pl.positions, gamma=gamma / 10).value
     assert abs(value_tight - exact) == pytest.approx(abs(value - exact) / 10, rel=1e-3)
     assert abs(value_tight - exact) <= 1e-3 * exact
 
@@ -99,7 +99,7 @@ def test_smoothed_value_bounds(rng):
     for _ in range(10):
         nl, pl = random_design(rng, n_nodes=15, n_nets=12)
         gamma = float(rng.uniform(0.5, 8.0))
-        value, _ = smooth_wl_and_grad(nl, pl.positions, gamma)
+        value = smooth_wl_and_grad(nl, pl.positions, gamma).value
         exact = hpwl(nl, pl)
         slack = sum(
             2 * gamma * np.log(len(net.pins)) * net.weight * 2  # both axes
@@ -112,9 +112,9 @@ def test_smoothed_value_bounds(rng):
 def test_finite_for_extreme_gamma(rng):
     nl, pl = random_design(rng)
     for gamma in (1e-6, 1e6):
-        value, grad = smooth_wl_and_grad(nl, pl.positions, gamma)
-        assert np.isfinite(value)
-        assert np.isfinite(grad).all()
+        wl = smooth_wl_and_grad(nl, pl.positions, gamma)
+        assert np.isfinite(wl.value)
+        assert np.isfinite(wl.grad).all()
 
 
 def test_gamma_must_be_positive(rng):

@@ -95,18 +95,21 @@ def footprint(grid: Grid, macro: Node, row: int, col: int) -> frozenset:
                      for c in range(cols.start, cols.stop))
 
 
+def _in_canvas(centre, size: float, extent: float):
+    """Whether a box of `size` centred at `centre` (a float or an array)
+    lies in [0, extent] on one axis, up to the boundary tolerance."""
+    tol = _REL_TOL * max(extent, 1.0)
+    return (centre - size / 2 >= -tol) & (centre + size / 2 <= extent + tol)
+
+
 def feasibility_mask(grid: Grid, macro: Node) -> np.ndarray:
     """(rows, cols) bool array of the feasible cells: the box stays inside
     the canvas and covers no occupied cell. An all-false mask is a legal
     result."""
-    w2, h2 = macro.width / 2, macro.height / 2
-    tol_x = _REL_TOL * max(grid.canvas_width, 1.0)
-    tol_y = _REL_TOL * max(grid.canvas_height, 1.0)
-
     col_centers = (np.arange(grid.cols) + 0.5) * grid.cell_w
     row_centers = (np.arange(grid.rows) + 0.5) * grid.cell_h
-    inside_c = (col_centers - w2 >= -tol_x) & (col_centers + w2 <= grid.canvas_width + tol_x)
-    inside_r = (row_centers - h2 >= -tol_y) & (row_centers + h2 <= grid.canvas_height + tol_y)
+    inside_c = _in_canvas(col_centers, macro.width, grid.canvas_width)
+    inside_r = _in_canvas(row_centers, macro.height, grid.canvas_height)
     inside = inside_r[:, None] & inside_c[None, :]
     if not inside.any():
         return inside
@@ -138,12 +141,8 @@ def place_on_grid(grid: Grid, macro: Node, row: int, col: int):
         raise PlacementError(f"macro '{macro.name}' is already placed")
 
     cx, cy = grid.cell_center(row, col)
-    tol_x = _REL_TOL * max(grid.canvas_width, 1.0)
-    tol_y = _REL_TOL * max(grid.canvas_height, 1.0)
-    if (cx - macro.width / 2 < -tol_x
-            or cx + macro.width / 2 > grid.canvas_width + tol_x
-            or cy - macro.height / 2 < -tol_y
-            or cy + macro.height / 2 > grid.canvas_height + tol_y):
+    if not (_in_canvas(cx, macro.width, grid.canvas_width)
+            and _in_canvas(cy, macro.height, grid.canvas_height)):
         raise PlacementError(
             f"macro '{macro.name}' at ({row}, {col}) leaves the canvas"
         )

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid
-from .netlist import Netlist, Placement, net_boxes
+from .netlist import Netlist, Placement, hpwl, net_boxes
 from .raster import axis_overlap, node_boxes
 
 # Routing capacity per cell, horizontal == vertical. Calibrated once as the
@@ -154,9 +154,7 @@ def evaluate(netlist: Netlist, placement: Placement, grid: Grid,
              capacity_v: float = DEFAULT_CAPACITY) -> Metrics:
     """One-stop proxy metrics for a fully placed design: HPWL at node
     centers, and congestion over the TOP_FRACTION most congested cells."""
-    from .netlist import hpwl as hpwl_fn
-
-    wl = hpwl_fn(netlist, placement)
+    wl = hpwl(netlist, placement)
     cmap = congestion_map(netlist, placement, grid, capacity_h, capacity_v)
     ch, cv = congestion_scores(cmap)
     dens = density_overflow(netlist, placement, grid)

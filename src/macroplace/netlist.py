@@ -236,7 +236,7 @@ def net_boxes(netlist: Netlist, placement: Placement) -> tuple[np.ndarray, np.nd
         net = netlist.nets[int(csr.net_ids[csr.pin_net[pin]])]
         node = netlist.nodes[int(csr.node_ids[pin])]
         raise EvaluationError(f"net '{net.name}' references unplaced node '{node.name}'")
-    pts = placement.positions[csr.node_ids]
+    pts = placement.positions.take(csr.node_ids, axis=0)
     return np.minimum.reduceat(pts, csr.starts), np.maximum.reduceat(pts, csr.starts)
 
 

@@ -24,29 +24,31 @@ floor no placement can undercut. Proxy evaluation keeps the design target.
 
 Every entry point (`place_clusters`, `spread_movable`, either engine)
 starts in `engine_start` and its checks: fixed nodes placed, movable nodes
-carrying area. Both engines then iterate on arrays, not on a `Placement`:
-FD on the movable nodes' (m, 2) centres, the analytical engine on (N, 2)
-node centres. `CanvasBounds.clamp` is their one clamp, and each writes its
-placement once per outer iteration, for the trace row.
+carrying area. Only the fixed nodes of the start placement are read: every
+movable node starts at the jittered canvas centre. Both engines then
+iterate on arrays, not on a `Placement`: FD on the movable nodes' (m, 2)
+centres, the analytical engine on (N, 2) node centres. `DensityGrid.clamp`
+is their one clamp, and each writes its placement once per outer iteration,
+for the trace row.
 
 An engine iteration computes only what the next iteration needs. Its trace
 row keeps a copy of the placement and computes HPWL and overflow when first
 read, so an unread trace costs one copy per iteration; the analytical
 engine reads the overflow for its stop rule. What the movable nodes cannot
-change is computed once per placement: their in-canvas bounds and the
-fixed charge both engines rasterize onto (`engine_start` builds these,
-with the start positions both engines share), and the force-directed
-engine's pull of the fixed nodes. The force-directed engine's dense system
-and its eigendecomposition depend on neither the macros' positions nor
-the clusters', so they are computed once per design, on its first
-placement.
+change is computed once per placement: the `DensityGrid` that holds their
+in-canvas bounds and the fixed charge both engines rasterize onto
+(`engine_start` builds it, with the start positions both engines share),
+and the force-directed engine's pull of the fixed nodes. The force-directed
+engine's dense system and its eigendecomposition depend on neither the
+macros' positions nor the clusters', so they are computed once per design,
+on its first placement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import ClassVar, NamedTuple
+from typing import ClassVar
 
 import numpy as np
 
@@ -109,57 +111,40 @@ class TraceRow:
                                 target_density=1.0)
 
 
-class CanvasBounds(NamedTuple):
-    """The movable nodes and the center range that keeps each box in the
-    canvas; a box larger than the canvas is held at its lower bound."""
-    ids: np.ndarray  # (m,) movable node ids, ascending
-    lo: np.ndarray  # (m, 2) lowest center per axis
-    hi: np.ndarray  # (m, 2) highest center per axis
-
-    def clamp(self, centres: np.ndarray) -> np.ndarray:
-        """`centres` (m, 2) of the movable nodes, each box moved inside the
-        canvas."""
-        return np.minimum(np.maximum(centres, self.lo), self.hi)
-
-
 def engine_start(clustered: ClusteredNetlist, start: Placement, movable: np.ndarray,
                  config: PlacerConfig):
-    """The start both engines share: (placement netlist, `CanvasBounds`,
-    start placement, `DensityGrid` of the fixed charge, grid of the trace
-    rows). Movable nodes without a position start at canvas center plus a
-    jitter of 1 % of the shorter canvas side (one draw per node and axis
-    from `np.random.default_rng(0)`), and every movable box is clamped into
-    the canvas.
+    """The start both engines share: (placement netlist, start placement,
+    `DensityGrid` of the fixed charge and the movable boxes' canvas bounds,
+    grid of the trace rows). Only the fixed nodes of `start` are read:
+    every movable node starts at canvas center plus a jitter of 1 % of the
+    shorter canvas side (one draw per node and axis from
+    `np.random.default_rng(0)`), with its box clamped into the canvas.
 
     Raises `PlacementError` unless `start` places every fixed node and
     every movable node carries area; the latter makes the density grid's
-    movable ids the bounds' ids, so one (m, 2) centre array serves the
-    bounds, the density solve and the wirelength gradient's movable rows.
+    ids the movable ids, so one (m, 2) centre array serves the clamp, the
+    density solve and the wirelength gradient's movable rows.
     """
     pnet = clustered.placement_netlist
-    arrays = pnet.node_arrays
     unplaced = ~movable & ~start.placed
     if unplaced.any():
         node = pnet.nodes[int(np.argmax(unplaced))]
         raise PlacementError(f"fixed node '{node.name}' must be placed before the placer runs")
-    bare = movable & ~arrays.charge
+    bare = movable & ~pnet.node_arrays.charge
     if bare.any():
         node = pnet.nodes[int(np.argmax(bare))]
         raise PlacementError(f"movable node '{node.name}' carries no area; "
                              "the placers move only nodes that do")
     ids = np.flatnonzero(movable)
-    lo = np.stack([arrays.width[ids], arrays.height[ids]], axis=1) / 2
-    hi = np.array([pnet.canvas_width, pnet.canvas_height]) - lo
-    bounds = CanvasBounds(ids, lo, np.maximum(lo, hi))
     placement = start.copy()
-    new = ids[~placement.placed[ids]]
     jitter = 0.01 * min(pnet.canvas_width, pnet.canvas_height)
     rng = np.random.default_rng(0)
     center = np.array([pnet.canvas_width / 2, pnet.canvas_height / 2])
-    placement.positions[new] = center + rng.uniform(-jitter, jitter, size=(len(new), 2))
-    placement.placed[new] = True
-    placement.positions[ids] = bounds.clamp(placement.positions[ids])
-    return (pnet, bounds, placement, density_grid(pnet, placement, movable, config.bins),
+    placement.positions[ids] = center + rng.uniform(-jitter, jitter, size=(len(ids), 2))
+    placement.placed[ids] = True
+    grid = density_grid(pnet, placement, movable, config.bins)
+    placement.positions[ids] = grid.clamp(placement.positions[ids])
+    return (pnet, placement, grid,
             Grid.empty(config.bins, config.bins, pnet.canvas_width, pnet.canvas_height))
 
 
@@ -199,9 +184,7 @@ def spread_movable(clustered: ClusteredNetlist, fixed_placement: Placement,
     from .analytical import run_analytical
 
     movable = clustered.placement_netlist.node_arrays.movable
-    start = fixed_placement.copy()
-    start.placed[movable] = False
-    return run_analytical(clustered, start, movable, config)
+    return run_analytical(clustered, fixed_placement, movable, config)
 
 
 __all__ = [
@@ -209,7 +192,6 @@ __all__ = [
     "TraceRow",
     "place_clusters",
     "spread_movable",
-    "CanvasBounds",
     "engine_start",
     "movable_cluster_mask",
 ]

@@ -17,10 +17,11 @@ norms over all N rows; their zero fixed rows keep the sums in the order
 that the engine's recorded results were computed in.
 
 The engine reads only gradients: the smoothed wirelength's value and the
-density energy are never read, and `SmoothWL.value` is computed only on
-first read. The gradient rows that set lambda_0 are taken at the start
-point with the first gamma, so they also give the first Nesterov run's
-start gradient: one evaluation per placement fewer, with equal results.
+density energy are never read, and `SmoothWL.value` and
+`DensityField.energy` are computed only on first read. The gradient rows
+that set lambda_0 are taken at the start point with the first gamma, so
+they also give the first Nesterov run's start gradient: one evaluation per
+placement fewer, with equal results.
 """
 
 from __future__ import annotations
@@ -50,16 +51,15 @@ def _gradient_rows(pnet, positions, gamma, dgrid):
     `dgrid.ids` order, at the node centres `positions` (N, 2)."""
     gwl = smooth_wl_and_grad(pnet, positions, gamma).grad
     field = solve_density_field(positions.take(dgrid.ids, axis=0), dgrid)
-    _, genergy = density_energy_and_grad(field)
-    return gwl.take(dgrid.ids, axis=0), genergy
+    return gwl.take(dgrid.ids, axis=0), density_energy_and_grad(field)
 
 
 def run_analytical(clustered: ClusteredNetlist, start: Placement,
                    movable: np.ndarray, config):
     from . import TraceRow, engine_start
 
-    pnet, bounds, placement, dgrid, eval_grid = engine_start(clustered, start, movable, config)
-    ids = bounds.ids  # equal to dgrid.ids: engine_start rejects movable nodes without area
+    pnet, placement, dgrid, eval_grid = engine_start(clustered, start, movable, config)
+    ids = dgrid.ids
     if not len(ids):
         return placement, []
 
@@ -87,7 +87,7 @@ def run_analytical(clustered: ClusteredNetlist, start: Placement,
 
     def project(x):
         """`x` with the movable boxes moved into the canvas, in place."""
-        x[ids] = bounds.clamp(x[ids])
+        x[ids] = dgrid.clamp(x[ids])
         return x
 
     def nesterov_step(step):

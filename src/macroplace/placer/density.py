@@ -12,29 +12,31 @@ node positions and the solve is linear, the energy gradient below is the
 exact derivative of the energy away from bin-boundary kinks.
 
 What the movable nodes cannot change is computed once per placement, in a
-`DensityGrid`: the bin geometry, the movable ids' half sizes, the raster of
-the charge-carrying nodes that stay fixed and the total charge area; the
-Poisson eigenvalue denominators, which only the solve reads, on first
-read. Each solve rasterizes only the grid's movable ids through
-`raster.axis_overlap`, the rasterizer the density metrics use, both axes
-in one pass, as one matrix product added onto the fixed raster
-(`charge_raster`, which the force-directed engine's spreading pass
-shares). That equals one pass over all charge-carrying nodes to rounding;
-a grid built with everything movable has nothing fixed, and its raster is
-the one-pass raster.
+`DensityGrid`: the bin geometry, the movable ids and the centre range that
+keeps each of their boxes in the canvas (`DensityGrid.clamp`, the one clamp
+of both placement engines), the raster of the charge-carrying nodes that
+stay fixed and the total charge area; the Poisson eigenvalue denominators,
+which only the solve reads, on first read. Each solve rasterizes only the
+grid's movable ids through `raster.axis_overlap`, the rasterizer the
+density metrics use, both axes in one pass, as one matrix product added
+onto the fixed raster (`charge_raster`, which the force-directed engine's
+spreading pass shares). That equals one pass over all charge-carrying nodes
+to rounding; a grid built with everything movable has nothing fixed, and
+its raster is the one-pass raster.
 
 The kernels take the arrays they read: a solve takes the movable ids'
-(m, 2) centres, so the fixed nodes and placed flags the grid was built
-from cannot change under it, and the energy gradient returns the (m, 2)
-rows of those ids alone. `DensityField` keeps the (m, 2) lower and upper
-box corners and the per-axis overlap matrices of its raster. The gradient
-needs, per node, the potential summed over its footprint with one axis's
-overlap replaced by that axis's edge slope: one matrix product and one row
-sum per axis. Both axes' edge slopes come from one comparison pass over
-(2, m, bins) (`_edge_slopes`), with the per-axis products idx * cell and
-strict comparisons, so each slope is the float a per-axis pass gives. The
-spectral solve transforms, divides and negates in place on its own
-temporaries.
+(m, 2) centres, so the fixed nodes and placed flags the grid was built from
+cannot change under it, and the energy gradient returns the (m, 2) rows of
+those ids alone; the energy itself, which the analytical engine never
+reads, is `DensityField.energy`, computed on first read. `DensityField`
+keeps the (m, 2) lower and upper box corners and the per-axis overlap
+matrices of its raster. The gradient needs, per node, the potential summed
+over its footprint with one axis's overlap replaced by that axis's edge
+slope: one matrix product and one row sum per axis. Both axes' edge slopes
+come from one comparison pass over (2, m, bins) (`_edge_slopes`), with the
+per-axis products idx * cell and strict comparisons, so each slope is the
+float a per-axis pass gives. The spectral solve transforms, divides and
+negates in place on its own temporaries.
 """
 
 from __future__ import annotations
@@ -62,9 +64,16 @@ class DensityGrid:
     bin_w: float
     bin_h: float
     ids: np.ndarray  # movable charge-carrying placed nodes, rasterized per solve
-    half: np.ndarray  # (len(ids), 2) half width and half height of each id
+    half: np.ndarray  # (len(ids), 2) half width and height: each id's lowest in-canvas centre
+    hi: np.ndarray  # (len(ids), 2) each id's highest in-canvas centre, at least `half`
     fixed_area: np.ndarray  # (bins, bins) raster of the other charge-carrying placed nodes
     charge_area: float  # total area of all charge-carrying placed nodes
+
+    def clamp(self, centres: np.ndarray) -> np.ndarray:
+        """`centres` (len(ids), 2) of the movable ids, each box moved inside
+        the canvas; a box larger than the canvas is held at its lower
+        bound."""
+        return np.minimum(np.maximum(centres, self.half), self.hi)
 
     @cached_property
     def cells(self) -> np.ndarray:
@@ -94,9 +103,10 @@ def density_grid(netlist: Netlist, placement: Placement, movable: np.ndarray,
     fixed_ids = np.flatnonzero(charged & ~movable)
     ids = np.flatnonzero(charged & movable)
     x0, x1, y0, y1 = node_boxes(netlist, placement, fixed_ids)
+    half = np.stack([arrays.width[ids], arrays.height[ids]], axis=1) / 2
     return DensityGrid(
-        bins=bins, bin_w=bin_w, bin_h=bin_h, ids=ids,
-        half=np.stack([arrays.width[ids], arrays.height[ids]], axis=1) / 2,
+        bins=bins, bin_w=bin_w, bin_h=bin_h, ids=ids, half=half,
+        hi=np.maximum(half, np.array([netlist.canvas_width, netlist.canvas_height]) - half),
         fixed_area=axis_overlap(y0, y1, bin_h, bins).T @ axis_overlap(x0, x1, bin_w, bins),
         charge_area=float((arrays.width[all_ids] * arrays.height[all_ids]).sum()),
     )
@@ -122,6 +132,12 @@ class DensityField:
     @property
     def bin_area(self) -> float:
         return self.bin_w * self.bin_h
+
+    @cached_property
+    def energy(self) -> float:
+        """Potential energy 0.5 * sum(rho * psi) * bin_area, computed on
+        first read; the analytical engine reads only the gradient."""
+        return 0.5 * float((self.rho * self.psi).sum()) * self.bin_area
 
 
 def charge_raster(grid: DensityGrid, centres: np.ndarray):
@@ -178,25 +194,24 @@ def solve_poisson(rho: np.ndarray, denom: np.ndarray) -> np.ndarray:
     return idctn(psi_hat, type=2, norm="ortho", overwrite_x=True)
 
 
-def density_energy_and_grad(field: DensityField):
-    """Potential energy 0.5 * sum(rho * psi) * bin_area and its gradient
+def density_energy_and_grad(field: DensityField) -> np.ndarray:
+    """Gradient of the field's potential energy (`DensityField.energy`)
     w.r.t. the centres the field was solved for: one (len(field.ids), 2)
     row per rasterized node (its grid's movable ids), in that order; the
-    fixed nodes have no row.
+    fixed nodes have no row. The name is the kernel's span in the
+    benchmark's per-layer trace (`placer.density.density_energy_and_grad`).
 
     The gradient of node i is -q_i times the field integrated over the
     node's footprint, evaluated through the exact overlap-area derivative:
     only the bins its left/right (bottom/top) edges cross contribute, with
     the orthogonal overlap as the weight. High potential pushes nodes out.
     """
-    energy = 0.5 * float((field.rho * field.psi).sum()) * field.bin_area
     # d(overlap_x)/dx per column and d(overlap_y)/dy per row.
     dwx, dwy = _edge_slopes(field.lo, field.hi, np.array([field.bin_w, field.bin_h]),
                             field.bins)
     s = field.norm_scale
-    grad = np.stack([s * ((field.wy @ field.psi) * dwx).sum(axis=1),
+    return np.stack([s * ((field.wy @ field.psi) * dwx).sum(axis=1),
                      s * ((dwy @ field.psi) * field.wx).sum(axis=1)], axis=1)
-    return energy, grad
 
 
 def _edge_slopes(lo, hi, cells, count: int) -> np.ndarray:

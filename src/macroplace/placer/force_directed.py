@@ -33,14 +33,15 @@ nodes' pull along those edges (`FixedPull.rhs`) and the fixed raster are
 computed again.
 
 Spreading. One `DensityGrid` per placement holds the raster of the fixed
-macros; each iteration adds only the clusters onto it through
-`density.charge_raster`, the helper the electrostatic engine's solve uses,
-which gives `rasterize_area`'s raster to rounding. The blurred overflow's
-gradient is read only at the clusters' bins. Within an iteration the
-clusters' centres stay in one (m, 2) array, from the solve through both
-clamps and the spreading pass, and reach the placement once, for the trace
-row. The trace rows the engine appends are never read here: their HPWL and
-overflow cost nothing unless a caller reads them.
+macros and the clusters' in-canvas bounds; each iteration adds only the
+clusters onto it through `density.charge_raster`, the helper the
+electrostatic engine's solve uses, which gives `rasterize_area`'s raster to
+rounding. The blurred overflow's gradient is read only at the clusters'
+bins. Within an iteration the clusters' centres stay in one (m, 2) array,
+from the solve through both clamps and the spreading pass, and reach the
+placement once, for the trace row. The trace rows the engine appends are
+never read here: their HPWL and overflow cost nothing unless a caller reads
+them.
 """
 
 from __future__ import annotations
@@ -256,8 +257,8 @@ def run_force_directed(clustered: ClusteredNetlist, start: Placement,
                        movable: np.ndarray, config):
     from . import TraceRow, engine_start
 
-    pnet, bounds, placement, grid, eval_grid = engine_start(clustered, start, movable, config)
-    if not len(bounds.ids):
+    pnet, placement, grid, eval_grid = engine_start(clustered, start, movable, config)
+    if not len(grid.ids):
         return placement, []
     system = _system_for(clustered, movable)
     if system.floating:
@@ -269,7 +270,7 @@ def run_force_directed(clustered: ClusteredNetlist, start: Placement,
 
     spectrum = system.spectrum
     fixed_rhs = system.pull.rhs(placement.positions)
-    ids = bounds.ids
+    ids = grid.ids
     center = np.array([pnet.canvas_width / 2, pnet.canvas_height / 2])
     trace = []
     anchors = np.tile(center, (len(ids), 1))
@@ -277,8 +278,8 @@ def run_force_directed(clustered: ClusteredNetlist, start: Placement,
     for it in range(T):
         t = it / T
         rhs = fixed_rhs + spectrum.anchor_weights(t)[:, None] * anchors
-        centres = bounds.clamp(spsolve(spectrum, rhs, t))
-        anchors = bounds.clamp(_spread_once(centres, grid, pnet.target_density))
+        centres = grid.clamp(spsolve(spectrum, rhs, t))
+        anchors = grid.clamp(_spread_once(centres, grid, pnet.target_density))
         # In place: the rows of `trace` hold their own copies.
         placement.positions[ids] = anchors
         trace.append(TraceRow(iteration=it, lam=None, netlist=pnet,

@@ -95,7 +95,7 @@ class TestEnergyGradient:
         pl.placed[:] = True
         field = solve(nl, pl, 32)
         np.testing.assert_array_equal(field.ids, [0, 1])
-        _, grad = density_energy_and_grad(field)
+        grad = density_energy_and_grad(field)
         assert grad[0, 0] == pytest.approx(-grad[1, 0], rel=1e-6)
         assert grad[0, 0] > 0 > grad[1, 0]  # pushed apart
 
@@ -119,12 +119,11 @@ class TestEnergyGradient:
                 pl.placed[i] = True
 
             def energy_at(p):
-                f = solve(nl, p, bins)
-                return density_energy_and_grad(f)[0]
+                return solve(nl, p, bins).energy
 
             field = solve(nl, pl, bins)
             np.testing.assert_array_equal(field.ids, np.arange(n))
-            energy, grad = density_energy_and_grad(field)
+            energy, grad = field.energy, density_energy_and_grad(field)
             h = 1e-5 * canvas
             for nid in range(n):
                 for axis in range(2):
@@ -147,8 +146,8 @@ class TestEnergyGradient:
         dist_to_center = []
         for _ in range(10):
             field = solve(nl, pl, 32)
-            energy, grad = density_energy_and_grad(field)
-            energies.append(energy)
+            grad = density_energy_and_grad(field)
+            energies.append(field.energy)
             dist_to_center.append(np.hypot(*(pl.positions[0] - 32.0)))
             pl = pl.copy()
             step = 2.0 / max(np.abs(grad).max(), 1e-12)

@@ -168,6 +168,16 @@ class TestPlaceOnGrid:
         with pytest.raises(PlacementError, match="out of range"):
             place_on_grid(grid, macro(5.0, 5.0, mid=2), 9, 0)
 
+    def test_already_placed_macro_raises(self):
+        grid = Grid.empty(4, 4, 40.0, 40.0)
+        m0 = macro(5.0, 5.0, mid=0)
+        placed, _ = place_on_grid(grid, m0, 0, 0)
+        with pytest.raises(PlacementError, match="'m0' is already placed"):
+            place_on_grid(placed, m0, 3, 3)
+        # The guard leaves the grid it was given as it was.
+        assert placed.placed_macros == [(0, 0, 0)]
+        assert placed.occupancy.sum() == 1
+
     def test_mask_soundness_random_rollouts(self, rng):
         """Every feasible cell must accept the macro; occupancy stays disjoint."""
         for _ in range(60):

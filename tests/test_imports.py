@@ -137,6 +137,9 @@ UNREAD_BY_DESIGN = {
                       "against footprint_raster",
     "placer.TraceRow.wl": "the trace's HPWL column (ROADMAP aim 4), read by "
                           "tests and by the item-6 telemetry",
+    "placer.density.DensityField.energy": "the potential energy whose gradient the "
+                                          "analytical engine reads, checked against "
+                                          "finite differences and the loop oracle",
 }
 
 
@@ -305,8 +308,9 @@ def placement_constructions(source):
             or (isinstance(node.func, ast.Attribute) and is_placement(node.func.value))))
 
 
-def test_analytical_engine_builds_no_placement():
-    source = (PACKAGE / "placer" / "analytical.py").read_text()
+@pytest.mark.parametrize("engine", ["analytical", "force_directed"])
+def test_engine_builds_no_placement(engine):
+    source = (PACKAGE / "placer" / f"{engine}.py").read_text()
     assert placement_constructions(source) == []
 
 

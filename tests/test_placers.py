@@ -27,7 +27,12 @@ from macroplace.placer import (
     spread_movable,
 )
 from macroplace.placer.analytical import run_analytical
-from macroplace.placer.density import poisson_denominators
+from macroplace.placer.density import (
+    DensityField,
+    density_grid,
+    poisson_denominators,
+    solve_density_field,
+)
 from macroplace.placer.force_directed import _system_for, run_force_directed
 from macroplace.placer.wirelength import SmoothWL, smooth_wl_and_grad
 
@@ -151,24 +156,6 @@ class TestForceDirected:
         config = PlacerConfig(engine="fd", max_outer_iters=8)
         p1, t1 = place_clusters(clustered, fixed, config)
         p2, t2 = place_clusters(clustered, fixed, config)
-        np.testing.assert_array_equal(p1.positions, p2.positions)
-        assert [(r.wl, r.overflow) for r in t1] == [(r.wl, r.overflow) for r in t2]
-
-    def test_start_positions_are_ignored(self):
-        """The first solve overwrites every movable position: the jittered
-        start and a random in-canvas start give the same placement and trace."""
-        clustered, fixed = clustered_synthetic()
-        pnet = clustered.placement_netlist
-        ids = clustered.cluster_to_placement
-        assert not fixed.placed[ids].any()  # the first run starts from the jitter
-        start = fixed.copy()
-        half = np.stack([pnet.node_arrays.width[ids], pnet.node_arrays.height[ids]], axis=1) / 2
-        canvas = np.array([pnet.canvas_width, pnet.canvas_height])
-        start.positions[ids] = np.random.default_rng(1).uniform(half, canvas - half)
-        start.placed[ids] = True
-        config = PlacerConfig(engine="fd", max_outer_iters=8)
-        p1, t1 = place_clusters(clustered, fixed, config)
-        p2, t2 = place_clusters(clustered, start, config)
         np.testing.assert_array_equal(p1.positions, p2.positions)
         assert [(r.wl, r.overflow) for r in t1] == [(r.wl, r.overflow) for r in t2]
 
@@ -370,6 +357,23 @@ class TestTrace:
         with pytest.raises(AssertionError, match="SmoothWL.value read"):
             wl.value
 
+    def test_analytical_never_reads_the_density_energy(self, monkeypatch):
+        """The engine reads only the density energy's gradient; the energy
+        is computed on first read, so it is never computed here."""
+        def unread(field):
+            raise AssertionError("DensityField.energy read")
+
+        monkeypatch.setattr(DensityField, "energy", property(unread))
+        clustered, fixed = clustered_synthetic(seed=3)
+        config = PlacerConfig(engine="analytical", max_outer_iters=5)
+        placement, trace = place_clusters(clustered, fixed, config)
+        assert len(trace) > 0
+        movable = movable_cluster_mask(clustered)
+        grid = density_grid(clustered.placement_netlist, placement, movable, config.bins)
+        field = solve_density_field(placement.positions[grid.ids], grid)
+        with pytest.raises(AssertionError, match="DensityField.energy read"):
+            field.energy
+
 
 class TestEngineContract:
     def test_both_engines_same_interface(self):
@@ -385,6 +389,25 @@ class TestEngineContract:
                 if node.kind != KIND_STD:
                     np.testing.assert_array_equal(placement.positions[node.id],
                                                   fixed.positions[node.id])
+
+    @pytest.mark.parametrize("engine", ["fd", "analytical"])
+    def test_start_positions_are_ignored(self, engine):
+        """Both engines read only the fixed nodes of the start: the jittered
+        start and a random in-canvas start give the same placement and trace."""
+        clustered, fixed = clustered_synthetic()
+        pnet = clustered.placement_netlist
+        ids = clustered.cluster_to_placement
+        assert not fixed.placed[ids].any()  # the first run starts from the jitter
+        start = fixed.copy()
+        half = np.stack([pnet.node_arrays.width[ids], pnet.node_arrays.height[ids]], axis=1) / 2
+        canvas = np.array([pnet.canvas_width, pnet.canvas_height])
+        start.positions[ids] = np.random.default_rng(1).uniform(half, canvas - half)
+        start.placed[ids] = True
+        config = PlacerConfig(engine=engine, max_outer_iters=8)
+        p1, t1 = place_clusters(clustered, fixed, config)
+        p2, t2 = place_clusters(clustered, start, config)
+        np.testing.assert_array_equal(p1.positions, p2.positions)
+        assert [(r.wl, r.overflow) for r in t1] == [(r.wl, r.overflow) for r in t2]
 
     def test_unplaced_macro_rejected(self):
         clustered, fixed = clustered_synthetic(seed=7)

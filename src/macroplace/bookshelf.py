@@ -7,11 +7,15 @@ rows in .scl. Coordinates are shifted on read so the canvas origin is
 (0, 0); the shift is recorded in the bundle metadata and undone on write.
 
 NumNodes, NumTerminals, NumNets, NumPins, NumRows and each NetDegree must
-match the lines that follow, every non-terminal node needs a finite,
-positive width and height, every .scl CoreRow needs a Coordinate and an
-End, and the canvas (the box around the rows and placed nodes) needs a
-positive width and height; a malformed file raises ParseError with its path
-(and line, where one line is at fault). The row height is
+match the lines that follow. Every non-terminal node needs a finite,
+positive width and height, and every terminal a finite, nonnegative one.
+Every number read from the .pl (coordinates), the .nets (pin offsets) and
+the .scl (the SCL_NUMERIC_FIELDS) must be finite, and no node may be placed
+twice in the .pl. Every .scl CoreRow needs a Coordinate and an End, and the
+canvas (the box around the rows and placed nodes) needs a positive width
+and height. A malformed file raises ParseError with its path (and line,
+where one line is at fault). Each file is read in one pass, and .nets pin
+lines of the same text share one frozen Pin. The row height is
 `infer_row_height` over the .scl row heights, or without rows over the
 non-terminal node heights, as on write. The target density is
 `round_up_density` of the movable area (1.0 if none).
@@ -37,6 +41,7 @@ from .netlist import (
 )
 
 DEFAULT_MACRO_THRESHOLD = 4.0  # macro iff min(w, h) >= threshold * row height
+_SKIPPED_PREFIXES = ("#", "UCLA")  # starts of comment and header lines
 
 
 def _content_lines(path):
@@ -44,9 +49,8 @@ def _content_lines(path):
     with open(path, "r") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if not line or line.startswith("#") or line.startswith("UCLA"):
-                continue
-            yield lineno, line
+            if line and not line.startswith(_SKIPPED_PREFIXES):
+                yield lineno, line
 
 
 def _count(text, what, path, lineno):
@@ -99,89 +103,126 @@ def _resolve_paths(path):
 
 
 def _parse_nodes(path):
+    """Returns (names, sizes, terminal, name_to_id), the lists indexed by
+    dense node id in file order."""
     declared = {}
-    order = []
-    sizes = {}
-    terminal = {}
-    for lineno, line in _content_lines(path):
-        if line.startswith(("NumNodes", "NumTerminals")):
-            key, _, val = line.partition(":")
-            declared[key.strip()] = _count(val, key.strip(), path, lineno)
-            continue
-        parts = line.split()
-        if len(parts) < 3:
-            raise ParseError(f"malformed node line: '{line}'", path=path, line=lineno)
-        name = parts[0]
-        if name in sizes:
-            raise ParseError(f"duplicate node '{name}'", path=path, line=lineno)
-        try:
-            w, h = float(parts[1]), float(parts[2])
-        except ValueError as exc:
-            raise ParseError(f"bad node dimensions: '{line}'", path=path, line=lineno) from exc
-        terminal[name] = len(parts) > 3 and parts[3].lower().startswith("terminal")
-        if not terminal[name] and not all(math.isfinite(v) and v > 0 for v in (w, h)):
-            raise ParseError(f"node '{name}' needs a finite, positive width and height: "
-                             f"'{line}'", path=path, line=lineno)
-        sizes[name] = (w, h)
-        order.append(name)
-    _check_declared(declared, {"NumNodes": len(order),
-                               "NumTerminals": sum(terminal.values())}, path)
-    return order, sizes, terminal
+    names, sizes, terminal = [], [], []
+    name_to_id = {}
+    with open(path, "r") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith(_SKIPPED_PREFIXES):
+                continue
+            if line.startswith(("NumNodes", "NumTerminals")):
+                key, _, val = line.partition(":")
+                declared[key.strip()] = _count(val, key.strip(), path, lineno)
+                continue
+            parts = line.split()
+            if len(parts) < 3:
+                raise ParseError(f"malformed node line: '{line}'", path=path, line=lineno)
+            name = parts[0]
+            if name in name_to_id:
+                raise ParseError(f"duplicate node '{name}'", path=path, line=lineno)
+            try:
+                w, h = float(parts[1]), float(parts[2])
+            except ValueError as exc:
+                raise ParseError(f"bad node dimensions: '{line}'",
+                                 path=path, line=lineno) from exc
+            tag = len(parts) > 3 and parts[3].lower().startswith("terminal")
+            if tag:
+                if not (0.0 <= w < math.inf and 0.0 <= h < math.inf):
+                    raise ParseError(f"terminal '{name}' needs a finite, nonnegative width "
+                                     f"and height: '{line}'", path=path, line=lineno)
+            elif not (0.0 < w < math.inf and 0.0 < h < math.inf):
+                raise ParseError(f"node '{name}' needs a finite, positive width and height: "
+                                 f"'{line}'", path=path, line=lineno)
+            name_to_id[name] = len(names)
+            names.append(name)
+            sizes.append((w, h))
+            terminal.append(tag)
+    _check_declared(declared, {"NumNodes": len(names),
+                               "NumTerminals": sum(terminal)}, path)
+    return names, sizes, terminal, name_to_id
 
 
 def _parse_nets(path, name_to_id):
+    """Returns the Nets in file order. Pin lines of the same text share one
+    (frozen) Pin, so a node's repeated pin is read and built once."""
     declared = {}
     nets = []  # (name, declared degree, NetDegree line, pins)
-    for lineno, line in _content_lines(path):
-        if line.startswith(("NumNets", "NumPins")):
-            key, _, val = line.partition(":")
-            declared[key.strip()] = _count(val, key.strip(), path, lineno)
-            continue
-        if line.startswith("NetDegree"):
-            parts = line.partition(":")[2].split()
-            if not parts:
-                raise ParseError("NetDegree without a degree", path=path, line=lineno)
-            name = parts[1] if len(parts) > 1 else f"net{len(nets)}"
-            nets.append((name, _count(parts[0], "net degree", path, lineno), lineno, []))
-            continue
-        if not nets:
-            raise ParseError(f"pin line outside a net: '{line}'", path=path, line=lineno)
-        parts = line.replace(":", " ").split()
-        node_name = parts[0]
-        if node_name not in name_to_id:
-            raise ParseError(f"unknown node name '{node_name}' in net '{nets[-1][0]}'",
-                             path=path, line=lineno)
-        try:
-            ox = float(parts[2]) if len(parts) > 2 else 0.0
-            oy = float(parts[3]) if len(parts) > 3 else 0.0
-        except ValueError:
-            raise ParseError(f"bad pin offset: '{line}'", path=path, line=lineno) from None
-        nets[-1][3].append(Pin(node=name_to_id[node_name], offset_x=ox, offset_y=oy))
+    shared = {}  # pin line -> its Pin; only lines read as pins enter
+    pins = None  # the open net's pins
+    with open(path, "r") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            pin = shared.get(line)
+            if pin is not None:
+                pins.append(pin)
+                continue
+            if not line or line.startswith(_SKIPPED_PREFIXES):
+                continue
+            if line.startswith(("NumNets", "NumPins")):
+                key, _, val = line.partition(":")
+                declared[key.strip()] = _count(val, key.strip(), path, lineno)
+                continue
+            if line.startswith("NetDegree"):
+                parts = line.partition(":")[2].split()
+                if not parts:
+                    raise ParseError("NetDegree without a degree", path=path, line=lineno)
+                name = parts[1] if len(parts) > 1 else f"net{len(nets)}"
+                pins = []
+                nets.append((name, _count(parts[0], "net degree", path, lineno), lineno, pins))
+                continue
+            if pins is None:
+                raise ParseError(f"pin line outside a net: '{line}'", path=path, line=lineno)
+            parts = line.replace(":", " ").split()
+            node = name_to_id.get(parts[0])
+            if node is None:
+                raise ParseError(f"unknown node name '{parts[0]}' in net '{nets[-1][0]}'",
+                                 path=path, line=lineno)
+            try:
+                ox = float(parts[2]) if len(parts) > 2 else 0.0
+                oy = float(parts[3]) if len(parts) > 3 else 0.0
+            except ValueError:
+                raise ParseError(f"bad pin offset: '{line}'", path=path, line=lineno) from None
+            if not (math.isfinite(ox) and math.isfinite(oy)):
+                raise ParseError(f"non-finite pin offset: '{line}'", path=path, line=lineno)
+            pin = shared[line] = Pin(node=node, offset_x=ox, offset_y=oy)
+            pins.append(pin)
     for name, degree, lineno, pins in nets:
         if len(pins) != degree:
             raise ParseError(f"net '{name}' declares {degree} pins but has {len(pins)} "
                              "pin lines", path=path, line=lineno)
     _check_declared(declared, {"NumNets": len(nets),
                                "NumPins": sum(len(net[3]) for net in nets)}, path)
-    return [(name, pins) for name, _degree, _lineno, pins in nets]
+    return [Net(id=i, name=name, pins=tuple(pins), weight=1.0)
+            for i, (name, _degree, _lineno, pins) in enumerate(nets)]
 
 
 def _parse_pl(path, name_to_id):
     """Returns {node id: (llx, lly, fixed)} keyed by dense node id."""
     out = {}
-    for lineno, line in _content_lines(path):
-        parts = line.split()
-        if len(parts) < 3:
-            raise ParseError(f"malformed placement line: '{line}'", path=path, line=lineno)
-        name = parts[0]
-        if name not in name_to_id:
-            raise ParseError(f"unknown node name '{name}' in .pl", path=path, line=lineno)
-        try:
-            x, y = float(parts[1]), float(parts[2])
-        except ValueError as exc:
-            raise ParseError(f"bad coordinates: '{line}'", path=path, line=lineno) from exc
-        fixed = "/FIXED" in line
-        out[name_to_id[name]] = (x, y, fixed)
+    with open(path, "r") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith(_SKIPPED_PREFIXES):
+                continue
+            parts = line.split()
+            if len(parts) < 3:
+                raise ParseError(f"malformed placement line: '{line}'", path=path, line=lineno)
+            nid = name_to_id.get(parts[0])
+            if nid is None:
+                raise ParseError(f"unknown node name '{parts[0]}' in .pl",
+                                 path=path, line=lineno)
+            if nid in out:
+                raise ParseError(f"node '{parts[0]}' is placed twice", path=path, line=lineno)
+            try:
+                x, y = float(parts[1]), float(parts[2])
+            except ValueError as exc:
+                raise ParseError(f"bad coordinates: '{line}'", path=path, line=lineno) from exc
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ParseError(f"non-finite coordinates: '{line}'", path=path, line=lineno)
+            out[nid] = (x, y, "/FIXED" in line)
     return out
 
 
@@ -192,43 +233,52 @@ SCL_NUMERIC_FIELDS = ("Coordinate", "Height", "Sitewidth", "Sitespacing",
 def _parse_scl(path):
     """Returns (rows, row_height) where rows are (x0, y0, width, height).
 
-    The row fields in SCL_NUMERIC_FIELDS must be numbers; other fields
-    (Siteorient, Sitesymmetry, ...) are not read."""
+    The row fields in SCL_NUMERIC_FIELDS must be finite numbers; other
+    fields (Siteorient, Sitesymmetry, ...) are not read."""
     declared = {}
     rows = []
     fields = None  # the open CoreRow's fields, opened on line `row_line`
     row_line = None
-    for lineno, line in _content_lines(path):
-        if line.startswith("NumRows"):
-            declared["NumRows"] = _count(line.partition(":")[2], "NumRows", path, lineno)
-            continue
-        if line.startswith("CoreRow"):
-            if fields is not None:
-                raise ParseError("CoreRow without End", path=path, line=row_line)
-            fields, row_line = {}, lineno
-            continue
-        if line.startswith("End"):
-            if fields is not None:
-                if "Coordinate" not in fields:
-                    raise ParseError("CoreRow without Coordinate", path=path, line=row_line)
-                height = fields.get("Height", 0.0)
-                pitch = fields.get("Sitespacing", fields.get("Sitewidth", 1.0))
-                width = fields.get("NumSites", 0.0) * pitch
-                rows.append((fields.get("SubrowOrigin", 0.0), fields["Coordinate"],
-                             width, height))
-            fields = None
-            continue
-        if fields is None:
-            continue
-        # key : value pairs, possibly several per line (SubrowOrigin ... NumSites ...)
-        tokens = line.replace(":", " : ").split()
-        for i in range(len(tokens) - 2):
-            if tokens[i + 1] == ":" and tokens[i] in SCL_NUMERIC_FIELDS:
-                try:
-                    fields[tokens[i]] = float(tokens[i + 2])
-                except ValueError:
-                    raise ParseError(f"bad {tokens[i]}: '{tokens[i + 2]}'",
-                                     path=path, line=lineno) from None
+    with open(path, "r") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith(_SKIPPED_PREFIXES):
+                continue
+            if line.startswith("NumRows"):
+                declared["NumRows"] = _count(line.partition(":")[2], "NumRows", path, lineno)
+                continue
+            if line.startswith("CoreRow"):
+                if fields is not None:
+                    raise ParseError("CoreRow without End", path=path, line=row_line)
+                fields, row_line = {}, lineno
+                continue
+            if line.startswith("End"):
+                if fields is not None:
+                    if "Coordinate" not in fields:
+                        raise ParseError("CoreRow without Coordinate",
+                                         path=path, line=row_line)
+                    height = fields.get("Height", 0.0)
+                    pitch = fields.get("Sitespacing", fields.get("Sitewidth", 1.0))
+                    width = fields.get("NumSites", 0.0) * pitch
+                    rows.append((fields.get("SubrowOrigin", 0.0), fields["Coordinate"],
+                                 width, height))
+                fields = None
+                continue
+            if fields is None:
+                continue
+            # key : value pairs, possibly several per line (SubrowOrigin ... NumSites ...)
+            tokens = line.replace(":", " : ").split()
+            for i in range(len(tokens) - 2):
+                if tokens[i + 1] == ":" and tokens[i] in SCL_NUMERIC_FIELDS:
+                    try:
+                        value = float(tokens[i + 2])
+                    except ValueError:
+                        raise ParseError(f"bad {tokens[i]}: '{tokens[i + 2]}'",
+                                         path=path, line=lineno) from None
+                    if not math.isfinite(value):
+                        raise ParseError(f"non-finite {tokens[i]}: '{tokens[i + 2]}'",
+                                         path=path, line=lineno)
+                    fields[tokens[i]] = value
     if fields is not None:
         raise ParseError("CoreRow without End", path=path, line=row_line)
     _check_declared(declared, {"NumRows": len(rows)}, path)
@@ -260,9 +310,8 @@ def parse_bookshelf(path) -> DesignBundle:
         if files.get(key) is None or not os.path.exists(files[key]):
             raise FileNotFoundError(f"missing .{key} file for design at '{path}'")
 
-    order, sizes, terminal_tag = _parse_nodes(files["nodes"])
-    name_to_id = {name: i for i, name in enumerate(order)}
-    raw_nets = _parse_nets(files["nets"], name_to_id)
+    names, sizes, terminal, name_to_id = _parse_nodes(files["nodes"])
+    nets = _parse_nets(files["nets"], name_to_id)
     pl = _parse_pl(files["pl"], name_to_id)
 
     rows, row_height = [], None
@@ -274,13 +323,12 @@ def parse_bookshelf(path) -> DesignBundle:
     for x0, y0, w, h in rows:
         xs += [x0, x0 + w]
         ys += [y0, y0 + h]
-    for name in order:
-        nid = name_to_id[name]
-        if nid in pl:
-            llx, lly, _ = pl[nid]
-            w, h = sizes[name]
-            xs += [llx, llx + w]
-            ys += [lly, lly + h]
+    placed = sorted(pl)
+    for nid in placed:
+        llx, lly, _ = pl[nid]
+        w, h = sizes[nid]
+        xs += [llx, llx + w]
+        ys += [lly, lly + h]
     if not xs:
         raise ParseError("cannot derive a canvas: no rows and no placed nodes",
                          path=files["pl"])
@@ -291,22 +339,16 @@ def parse_bookshelf(path) -> DesignBundle:
                          "height must be positive", path=files["pl"])
 
     if row_height is None:
-        row_height = infer_row_height(sizes[n][1] for n in order if not terminal_tag[n])
+        row_height = infer_row_height(h for (_, h), tag in zip(sizes, terminal) if not tag)
     nodes = []
-    for i, name in enumerate(order):
-        w, h = sizes[name]
-        if terminal_tag[name]:
+    for i, (name, (w, h), tag) in enumerate(zip(names, sizes, terminal)):
+        if tag:
             kind, movable = KIND_TERMINAL, False
         else:
             kind = (KIND_MACRO if min(w, h) >= DEFAULT_MACRO_THRESHOLD * row_height
                     else KIND_STD)
             movable = not (i in pl and pl[i][2])
         nodes.append(Node(id=i, name=name, width=w, height=h, kind=kind, movable=movable))
-
-    nets = [
-        Net(id=i, name=name, pins=tuple(pins), weight=1.0)
-        for i, (name, pins) in enumerate(raw_nets)
-    ]
 
     netlist = Netlist(
         nodes=nodes,
@@ -316,13 +358,14 @@ def parse_bookshelf(path) -> DesignBundle:
         target_density=1.0,
     )
     placement = Placement.empty(len(nodes))
-    for nid, (llx, lly, _fixed) in pl.items():
-        node = nodes[nid]
-        placement.positions[nid] = (
-            llx - origin[0] + node.width / 2,
-            lly - origin[1] + node.height / 2,
-        )
-        placement.placed[nid] = True
+    if placed:
+        centres = []
+        for nid in placed:
+            llx, lly, _ = pl[nid]
+            w, h = sizes[nid]
+            centres.append((llx - origin[0] + w / 2, lly - origin[1] + h / 2))
+        placement.positions[placed] = centres
+        placement.placed[placed] = True
 
     movable_area = netlist.movable_area
     if movable_area > 0:

@@ -5,7 +5,7 @@ heavy-edge coarsening: repeatedly merge the pair of groups with the largest
 connectivity-per-combined-area score. A pair's connectivity starts as its
 std-std edge weight in the design's `Netlist.clique_graph`. Each group holds
 its own best pair, and one heap over those per-group bests yields the
-global best pair, so a merge rescores only the merged group's pairs.
+global best pair, so a merge rescores only the pairs it changed.
 Macros and terminals pass through unchanged; nets are rewired with one
 zero-offset pin per touched cluster, and nets falling entirely inside one
 cluster are dropped. The placement netlist's own `clique_graph` is what the
@@ -61,10 +61,15 @@ def cluster_std_cells(netlist: Netlist, k: int) -> ClusteredNetlist:
     best[lo] and best[hi]). The smallest pair key overall is the smallest of
     the per-group minima, so the heap top is the same global argmax a heap
     of every pair would give. Merging b into a (a < b) changes only the
-    pairs of a: best[a] is rescanned, and each neighbour n takes the new
-    (n, a) key if it is smaller than best[n], is rescanned if best[n] paired
-    it with a or b, and is otherwise left alone. Scores are pure functions
-    of the netlist, so the result is deterministic.
+    pairs of a. It revisits best[a], every group whose best pair was with a
+    or b (a per-group set names them), and every other neighbour of b,
+    whose weight to a grew: that one takes the new (n, a) key if it is
+    smaller than best[n]. The other neighbours of a are skipped, and that
+    is exact: their weight to a is unchanged and areas are not negative, so
+    a's area did not shrink, their (n, a) score did not rise, and their key
+    cannot drop below best[n]. (A pair of negative weight scores below zero,
+    where greedy merging stops anyway.) Scores are pure functions of the
+    netlist, so the result is deterministic.
     """
     if k <= 0:
         raise ValueError(f"cluster count k must be >= 1, got {k}")
@@ -96,6 +101,11 @@ def cluster_std_cells(netlist: Netlist, k: int) -> ClusteredNetlist:
     best = {g: key for g in std_ids if (key := best_key(g)) is not None}
     heap = list(best.values())
     heapq.heapify(heap)
+    # pairs_with[g]: the groups whose best pair is with g. A best key
+    # (-score, lo, hi) of group g pairs it with lo + hi - g.
+    pairs_with: dict[int, set[int]] = {g: set() for g in std_ids}
+    for g, key in best.items():
+        pairs_with[key[1] + key[2] - g].add(g)
 
     def merge(a: int, b: int) -> None:
         keep, gone = (a, b) if a < b else (b, a)
@@ -117,24 +127,29 @@ def cluster_std_cells(netlist: Netlist, k: int) -> ClusteredNetlist:
             continue
         if -neg <= 0.0:
             break  # only zero-connectivity pairs remain
+        rescan = pairs_with.pop(a) | pairs_with.pop(b)
+        rescan -= {a, b}  # the merged pair itself
+        changed = [n for n in adj[b] if n != a and n not in rescan]
         merge(a, b)  # a < b: a keeps the group
         del best[b]
-        key = best_key(a)
-        if key is None:
-            del best[a]
-        else:
-            best[a] = key
+        pairs_with[a] = set()
+        for n in (a, *rescan):
+            key = best_key(n)  # None only for an `a` left without neighbours
+            if key is None:
+                del best[n]
+                continue
+            best[n] = key
+            pairs_with[key[1] + key[2] - n].add(n)
             heapq.heappush(heap, key)
         area_a = group_area[a]
-        for n, w in adj[a].items():
+        adj_a = adj[a]
+        for n in changed:
             old = best[n]
-            s = w / (group_area[n] + area_a)
+            s = adj_a[n] / (group_area[n] + area_a)
             key = (-s, n, a) if n < a else (-s, a, n)
-            if key >= old:
-                if old[1] not in (a, b) and old[2] not in (a, b):
-                    continue  # best[n] is a pair the merge left alone
-                key = best_key(n)
-            if key != old:
+            if key < old:
+                pairs_with[old[1] + old[2] - n].discard(n)
+                pairs_with[a].add(n)
                 best[n] = key
                 heapq.heappush(heap, key)
 
@@ -142,17 +157,8 @@ def cluster_std_cells(netlist: Netlist, k: int) -> ClusteredNetlist:
     while len(group_members) > k:
         merge(*sorted(group_members)[:2])
 
-    ordered = sorted(group_members)
-    clusters = []
-    cluster_of = np.full(netlist.num_nodes, -1, dtype=np.int64)
-    for ci, gid in enumerate(ordered):
-        members = tuple(sorted(group_members[gid]))
-        area = group_area[gid]
-        clusters.append(Cluster(members=members, area=area, side=math.sqrt(area)))
-        cluster_of[list(members)] = ci
-
     # Placement netlist: non-std nodes first (original order), then clusters.
-    orig_to_placement = np.full(netlist.num_nodes, -1, dtype=np.int64)
+    orig_to_placement = [-1] * netlist.num_nodes
     pnodes: list[Node] = []
     for n in netlist.nodes:
         if n.kind == KIND_STD:
@@ -160,25 +166,33 @@ def cluster_std_cells(netlist: Netlist, k: int) -> ClusteredNetlist:
         orig_to_placement[n.id] = len(pnodes)
         pnodes.append(Node(id=len(pnodes), name=n.name, width=n.width, height=n.height,
                            kind=n.kind, movable=n.movable))
-    cluster_to_placement = np.zeros(len(clusters), dtype=np.int64)
-    for ci, cl in enumerate(clusters):
-        cluster_to_placement[ci] = len(pnodes)
-        pnodes.append(Node(id=len(pnodes), name=f"clu{ci}", width=cl.side,
-                           height=cl.side, kind=KIND_STD, movable=True))
+    first_cluster = len(pnodes)
 
+    clusters = []
+    cluster_of = [-1] * netlist.num_nodes
+    for ci, gid in enumerate(sorted(group_members)):
+        members = tuple(sorted(group_members[gid]))
+        area = group_area[gid]
+        side = math.sqrt(area)
+        clusters.append(Cluster(members=members, area=area, side=side))
+        for m in members:
+            cluster_of[m] = ci
+        pnodes.append(Node(id=len(pnodes), name=f"clu{ci}", width=side, height=side,
+                           kind=KIND_STD, movable=True))
+
+    cluster_pins = [Pin(node=first_cluster + ci) for ci in range(len(clusters))]
     pnets: list[Net] = []
     for net in netlist.nets:
         pins: list[Pin] = []
         seen_clusters: set[int] = set()
         for pin in net.pins:
-            if is_std[pin.node]:
-                ci = int(cluster_of[pin.node])
-                if ci not in seen_clusters:
-                    seen_clusters.add(ci)
-                    pins.append(Pin(node=int(cluster_to_placement[ci])))
-            else:
-                pins.append(Pin(node=int(orig_to_placement[pin.node]),
+            ci = cluster_of[pin.node]
+            if ci < 0:
+                pins.append(Pin(node=orig_to_placement[pin.node],
                                 offset_x=pin.offset_x, offset_y=pin.offset_y))
+            elif ci not in seen_clusters:
+                seen_clusters.add(ci)
+                pins.append(cluster_pins[ci])
         if len(pins) == 1 and seen_clusters:
             continue  # internal to one cluster
         pnets.append(Net(id=len(pnets), name=net.name, pins=tuple(pins),
@@ -186,10 +200,10 @@ def cluster_std_cells(netlist: Netlist, k: int) -> ClusteredNetlist:
 
     return ClusteredNetlist(
         clusters=clusters,
-        cluster_of=cluster_of,
+        cluster_of=np.array(cluster_of, dtype=np.int64),
         placement_netlist=replace(netlist, nodes=pnodes, nets=pnets),
-        orig_to_placement=orig_to_placement,
-        cluster_to_placement=cluster_to_placement,
+        orig_to_placement=np.array(orig_to_placement, dtype=np.int64),
+        cluster_to_placement=np.arange(first_cluster, len(pnodes), dtype=np.int64),
     )
 
 

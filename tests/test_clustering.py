@@ -240,12 +240,20 @@ class TestGreedyMergeOrder:
                 for j, a in enumerate([0, 1, 2, 4, 5, 7, 8, 9, 10])]
         self.check(Netlist(nodes, nets, 50.0, 50.0), range(1, 6))
 
-    def test_benchmark_design_merge_order_is_pinned(self):
-        # The rollout-fd-M benchmark design at its default k (4 x 16 macros).
-        # The digest was recorded with merge_order_digest at commit 94f9981,
-        # whose cluster_std_cells kept one lazy heap entry per group pair.
-        bundle = generate_synthetic(SyntheticSpec(16, 2000, 2500, seed=1))
-        clustered = cluster_std_cells(bundle.netlist, k=default_cluster_count(16))
-        assert clustered.num_clusters == 64
-        assert merge_order_digest(clustered) == (
-            "28737b784db10dd73b10404af089cde6b5d8e9e63a922a80fa14079afecea227")
+    @pytest.mark.parametrize("spec,digest", [
+        (SyntheticSpec(8, 500, 600, seed=1),
+         "e8c0b676fb60d5deab5751c7096d6cad8b218cdd4bc1cf96101eeddf2157749a"),
+        (SyntheticSpec(16, 2000, 2500, seed=1),
+         "28737b784db10dd73b10404af089cde6b5d8e9e63a922a80fa14079afecea227"),
+    ], ids=["S", "M"])
+    def test_benchmark_design_merge_order_is_pinned(self, spec, digest):
+        # The rollout-nesterov-S and rollout-fd-M benchmark designs at their
+        # default k (4 x macros). M's digest was recorded with
+        # merge_order_digest at commit 94f9981, whose cluster_std_cells kept
+        # one lazy heap entry per group pair; S's at commit 9b3c7ae, before a
+        # merge revisited only the groups it changed.
+        bundle = generate_synthetic(spec)
+        k = default_cluster_count(spec.macro_count)
+        clustered = cluster_std_cells(bundle.netlist, k=k)
+        assert clustered.num_clusters == k
+        assert merge_order_digest(clustered) == digest

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -71,6 +72,27 @@ def assert_well_formed(nl):
     assert 0 < nl.target_density <= 1
 
 
+def bundle_digest(bundle):
+    """SHA-256 over the nodes, every net with its pins (node, offsets as hex
+    floats), the canvas and target density, the placement bytes and the
+    meta (float reprs round-trip exactly)."""
+    netlist, placement = bundle.netlist, bundle.placement
+    h = hashlib.sha256()
+    for n in netlist.nodes:
+        h.update(repr((n.id, n.name, n.width.hex(), n.height.hex(), n.kind,
+                       n.movable)).encode())
+    for net in netlist.nets:
+        h.update(repr((net.id, net.name, net.weight.hex(),
+                       [(p.node, p.offset_x.hex(), p.offset_y.hex())
+                        for p in net.pins])).encode())
+    h.update(repr((netlist.canvas_width.hex(), netlist.canvas_height.hex(),
+                   netlist.target_density.hex())).encode())
+    h.update(placement.positions.tobytes())
+    h.update(placement.placed.tobytes())
+    h.update(repr(bundle.meta).encode())
+    return h.hexdigest()
+
+
 def write_fixture(tmp_path, files=FIXTURE):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -123,8 +145,12 @@ class TestBookshelfParse:
         (("NumPins : 3", "NumPins : 4"), r"fix\.nets: NumPins 4 != 3 parsed"),
         (("NetDegree : 3", "NetDegree : three"), r"fix\.nets:4: bad net degree: 'three'"),
         (("a I : 1.0 0.0", "a I : one 0.0"), r"fix\.nets:5: bad pin offset"),
+        (("a I : 1.0 0.0", "a I : nan 0.0"),
+         r"fix\.nets:5: non-finite pin offset: 'a I : nan 0\.0'"),
+        (("b O : 0.0 0.0", "b O : 0.0 1e999"),
+         r"fix\.nets:6: non-finite pin offset: 'b O : 0\.0 1e999'"),
     ], ids=["extra-pin", "missing-pins", "num-nets", "num-pins", "bad-degree",
-            "bad-offset"])
+            "bad-offset", "nan-offset-x", "infinite-offset-y"])
     def test_nets_section_is_checked(self, tmp_path, edit, message):
         files = dict(FIXTURE)
         assert edit[0] in files["fix.nets"]
@@ -146,12 +172,46 @@ class TestBookshelfParse:
         ("fix.scl", ("NumRows : 2", "NumRows : 3"), r"fix\.scl: NumRows 3 != 2 parsed"),
         ("fix.scl", ("NumRows : 2", "NumRows : two"), r"fix\.scl:2: bad NumRows: 'two'"),
         ("fix.scl", ("  Coordinate : 1\n", ""), r"fix\.scl:10: CoreRow without Coordinate"),
+        ("fix.nodes", ("  p  1  1", "  p  inf  1"),
+         r"fix\.nodes:7: terminal 'p' needs a finite, nonnegative width and height"),
+        ("fix.nodes", ("  p  1  1", "  p  1  nan"),
+         r"fix\.nodes:7: terminal 'p' needs a finite, nonnegative width and height"),
+        ("fix.nodes", ("  p  1  1", "  p  -1  1"),
+         r"fix\.nodes:7: terminal 'p' needs a finite, nonnegative width and height"),
+        ("fix.scl", ("Coordinate : 0", "Coordinate : nan"), r"fix\.scl:4: non-finite Coordinate"),
+        ("fix.scl", ("Height : 1", "Height : inf"), r"fix\.scl:5: non-finite Height: 'inf'"),
+        ("fix.scl", ("Sitewidth : 1", "Sitewidth : -inf"), r"fix\.scl:6: non-finite Sitewidth"),
+        ("fix.scl", ("Sitespacing : 1", "Sitespacing : 1e999"),
+         r"fix\.scl:7: non-finite Sitespacing: '1e999'"),
+        ("fix.scl", ("SubrowOrigin : 0", "SubrowOrigin : nan"),
+         r"fix\.scl:8: non-finite SubrowOrigin"),
+        ("fix.scl", ("NumSites : 20", "NumSites : inf"), r"fix\.scl:8: non-finite NumSites"),
     ], ids=["zero-size-cell", "infinite-cell", "num-terminals", "bad-row-height",
-            "bad-num-sites", "num-rows", "bad-num-rows", "row-without-coordinate"])
+            "bad-num-sites", "num-rows", "bad-num-rows", "row-without-coordinate",
+            "infinite-terminal-width", "nan-terminal-height", "negative-terminal-width",
+            "nan-row-coordinate", "infinite-row-height", "infinite-site-width",
+            "infinite-site-spacing", "nan-subrow-origin", "infinite-num-sites"])
     def test_nodes_and_scl_sections_are_checked(self, tmp_path, name, edit, message):
         files = dict(FIXTURE)
         assert edit[0] in files[name]
         files[name] = files[name].replace(*edit, 1)
+        write_fixture(tmp_path, files)
+        with pytest.raises(ParseError, match=message):
+            parse_bookshelf(str(tmp_path))
+
+    @pytest.mark.parametrize("edit,message", [
+        (("a  2  2", "a  nan  2"),
+         r"fix\.pl:2: non-finite coordinates: 'a  nan  2 : N /FIXED'"),
+        (("b  12  12", "b  12  1e999"), r"fix\.pl:3: non-finite coordinates"),
+        (("p  0  0 : N /FIXED\n", "p  0  0 : N /FIXED\nb  1  1 : N\n"),
+         r"fix\.pl:5: node 'b' is placed twice"),
+    ], ids=["nan-x", "infinite-y", "placed-twice"])
+    def test_pl_section_is_checked(self, tmp_path, edit, message):
+        """A non-finite coordinate would reach the canvas and every centre;
+        a second line for one node would silently win over the first."""
+        files = dict(FIXTURE)
+        assert edit[0] in files["fix.pl"]
+        files["fix.pl"] = files["fix.pl"].replace(*edit)
         write_fixture(tmp_path, files)
         with pytest.raises(ParseError, match=message):
             parse_bookshelf(str(tmp_path))
@@ -251,6 +311,19 @@ class TestBookshelfParse:
             nl.movable_area / nl.canvas_area, rel=1e-9)
         assert hpwl(again.netlist, again.placement) == pytest.approx(
             hpwl(nl, placement), rel=1e-9)
+
+    @pytest.mark.parametrize("spec,digest", [
+        (SyntheticSpec(8, 500, 600, seed=1),
+         "47d25a4249f2292bc79fac7a5106fd84589dd3423a41295eb109e546a7d495c2"),
+        (SyntheticSpec(16, 2000, 2500, seed=1),
+         "67aae529193cf904ae91e084b4edd3264258c0b70717eb954f767dfd416d48f8"),
+    ], ids=["S", "M"])
+    def test_benchmark_design_bundles_are_pinned(self, tmp_path, spec, digest):
+        """The rollout-nesterov-S and rollout-fd-M benchmark designs, written
+        and read back. The digests were recorded with bundle_digest at commit
+        9b3c7ae, before the reader went to one pass with shared pins."""
+        write_bookshelf(generate_synthetic(spec), tmp_path, "design")
+        assert bundle_digest(parse_bookshelf(tmp_path)) == digest
 
     def test_double_roundtrip_is_stable(self, tmp_path):
         bundle = parse_bookshelf(str(write_fixture(tmp_path)))

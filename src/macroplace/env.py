@@ -93,6 +93,11 @@ class Trajectory:
 class MacroPlacementEnv:
     """Environment bound to one design; all episode state lives in EnvState.
 
+    It keeps the clustered placement netlist, the macro order and the start
+    placement, and not the parsed design: the `DesignBundle` it was built
+    from, with the original netlist, its nets' CSR layout and clique graph,
+    is free once the caller drops it.
+
     Refuses with DesignError a design no episode can finish: a fixed node
     without a position, or a macro that fits no cell center of the empty
     grid.
@@ -103,7 +108,6 @@ class MacroPlacementEnv:
         macros = netlist.macros()
         if not macros:
             raise DesignError("design has no macros to place")
-        self.bundle = bundle
         self.config = config
         k = config.clusters_k
         if k is None:

@@ -4,8 +4,11 @@
 spreading; `analytical` runs Nesterov descent on smoothed wirelength plus a
 growing electrostatic density penalty. Both consume the same inputs and
 produce an in-canvas Placement, so the environment swaps engines by config
-alone. `spread_movable` is the one run with macros moving too: the
-analytical engine over every node the design marks movable.
+alone. Each engine loads only what it reads: `place_clusters` imports its
+engine when called, and the force-directed path loads no scipy (the
+analytical engine's Poisson solve imports `scipy.fft`). `spread_movable`
+is the one run with macros moving too: the analytical engine over every
+node the design marks movable.
 
 `PlacerConfig` is the contract both engines share: which engine runs
 ("fd" or "analytical"), its outer-iteration budget and the bin count of the

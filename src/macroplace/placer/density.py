@@ -37,6 +37,15 @@ come from one comparison pass over (2, m, bins) (`_edge_slopes`), with the
 per-axis products idx * cell and strict comparisons, so each slope is the
 float a per-axis pass gives. The spectral solve transforms, divides and
 negates in place on its own temporaries.
+
+`scipy.fft` is imported inside `solve_poisson`, its one user, so only the
+analytical engine loads it; the force-directed engine, which shares this
+module's grid and raster, loads no scipy. The import pulls in
+`scipy.special` and `scipy._lib._array_api`: with scipy 1.17 it adds about
+26 MB to a process's peak RSS (28 → 54 MB after `import macroplace.env`).
+At module level it held the benchmark's force-directed `rollout-fd-M` at
+82.9 MB peak RSS (median of 10 runs) against 65.1 MB with the import here.
+After the first solve the import is a cached module lookup (~0.9 µs).
 """
 
 from __future__ import annotations
@@ -45,7 +54,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.fft import dctn, idctn
 
 from ..netlist import Netlist, Placement
 from ..raster import axis_overlap, node_boxes
@@ -187,6 +195,8 @@ def solve_poisson(rho: np.ndarray, denom: np.ndarray) -> np.ndarray:
     Each step overwrites the temporary of the one before; negation is
     exact, so -(a / d) is the float (-a) / d.
     """
+    from scipy.fft import dctn, idctn
+
     psi_hat = dctn(rho - rho.mean(), type=2, norm="ortho", overwrite_x=True)
     psi_hat /= denom
     np.negative(psi_hat, out=psi_hat)

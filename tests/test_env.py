@@ -1,4 +1,6 @@
+import gc
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -47,7 +49,8 @@ def bundle_from(nodes, nets, canvas, target=1.0, terminal_corners=True):
     return DesignBundle(netlist=nl, placement=pl)
 
 
-def small_env(grid=4, macros=None, cells=3, canvas=40.0, target=1.0):
+def small_design(grid=4, macros=None, cells=3, canvas=40.0, target=1.0):
+    """(bundle, config) of a chain of macros, cells and one terminal."""
     if macros is None:
         macros = [(9.0, 9.0), (6.0, 6.0)]
     nodes = []
@@ -64,7 +67,11 @@ def small_env(grid=4, macros=None, cells=3, canvas=40.0, target=1.0):
     config = EnvConfig(grid_rows=grid, grid_cols=grid,
                        placer=PlacerConfig(engine="fd", max_outer_iters=5, bins=16),
                        clusters_k=2)
-    return MacroPlacementEnv(bundle, config)
+    return bundle, config
+
+
+def small_env(**kwargs):
+    return MacroPlacementEnv(*small_design(**kwargs))
 
 
 class TestReset:
@@ -94,7 +101,7 @@ class TestReset:
 
     def test_zero_clusters_rejected(self):
         with pytest.raises(ValueError, match="k must be >= 1, got 0"):
-            MacroPlacementEnv(small_env().bundle, EnvConfig(clusters_k=0))
+            MacroPlacementEnv(small_design()[0], EnvConfig(clusters_k=0))
 
     def test_macro_that_fits_no_cell_center_rejected(self):
         """9.9 wide on a 10-wide canvas: the center must lie in [4.95, 5.05],
@@ -107,10 +114,23 @@ class TestReset:
     def test_fixed_node_without_position_rejected(self):
         """A terminal without a position (as one missing from a Bookshelf
         .pl) would otherwise fail only in `finish`, after every macro step."""
-        env = small_env()
-        env.bundle.placement.placed[:] = False
+        bundle, config = small_design()
+        MacroPlacementEnv(bundle, config)
+        bundle.placement.placed[:] = False
         with pytest.raises(DesignError, match="fixed node 'p0' has no position"):
-            MacroPlacementEnv(env.bundle, env.config)
+            MacroPlacementEnv(bundle, config)
+
+    def test_parsed_design_is_not_kept(self):
+        """The environment keeps the placement netlist and its start, not
+        the design it was built from: once the caller drops the bundle, an
+        episode still runs and the original netlist is freed."""
+        bundle, config = small_design()
+        env = MacroPlacementEnv(bundle, config)
+        netlist = weakref.ref(bundle.netlist)
+        del bundle
+        gc.collect()
+        assert netlist() is None
+        assert not rollout(env, uniform_random_policy, seed=0).dead_end
 
 
 class TestStep:

@@ -18,6 +18,10 @@ a short list of functions, each with its reason, reads `Net.pins` itself.
 
 The analytical engine runs on position arrays: `placer/analytical.py` calls
 neither `Placement` nor one of its class methods.
+
+A module imports scipy when it loads only if it is on a short list, each
+with its reason; elsewhere scipy is imported inside the function that reads
+it, so a force-directed run loads none.
 """
 
 import ast
@@ -324,3 +328,61 @@ def test_placement_guard_sees_constructions():
         "    return placement.copy(), isinstance(a, Placement)\n"
     )
     assert placement_constructions(source) == [2, 3, 4, 5]
+
+
+# The modules that import scipy when they load, each with its reason. The
+# rest import it inside the function that calls it, so a run loads only the
+# scipy it reads: `placer.density.solve_poisson` imports `scipy.fft`, which
+# the force-directed engine never calls.
+SCIPY_AT_IMPORT = {
+    "agent.network": "DesignContext's propagation matrix is a scipy.sparse csr_matrix",
+}
+
+
+def scipy_imports_at_load(source):
+    """Lines of the `import scipy...` and `from scipy... import` statements
+    that run when the module loads: at module level or in a class body, not
+    inside a function."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                if any(alias.name.split(".")[0] == "scipy" for alias in child.names):
+                    found.append(child.lineno)
+            elif (isinstance(child, ast.ImportFrom) and child.level == 0
+                  and child.module.split(".")[0] == "scipy"):
+                found.append(child.lineno)
+            visit(child)
+
+    visit(ast.parse(source))
+    return sorted(found)
+
+
+def test_scipy_loads_only_where_it_is_read():
+    loaders = {module_name(path) for path in MODULES
+               if scipy_imports_at_load(path.read_text())}
+    assert loaders == set(SCIPY_AT_IMPORT)
+
+
+def test_scipy_guard_sees_imports_at_load():
+    source = (
+        "import numpy as np\n"
+        "from scipy.fft import dctn\n"
+        "import os, scipy.sparse as sp\n"
+        "from .density import solve_poisson\n"
+        "if np:\n"
+        "    from scipy import linalg\n"
+        "class Solver:\n"
+        "    import scipy\n"
+        "    def solve(self):\n"
+        "        from scipy.fft import idctn\n"
+        "        return idctn\n"
+        "def spectral():\n"
+        "    import scipy.fft\n"
+        "    return scipy.fft\n"
+        "scipyish = lambda: __import__('scipy')\n"
+    )
+    assert scipy_imports_at_load(source) == [2, 3, 6, 8]

@@ -1,5 +1,10 @@
+import json
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -447,3 +452,35 @@ class TestEngineContract:
         macro_ids = [n.id for n in pnet.nodes if n.kind == KIND_MACRO]
         spreads = placement.positions[macro_ids]
         assert np.ptp(spreads, axis=0).max() > 1.0  # macros actually spread out
+
+
+SCIPY_PROBE = """
+import json, sys
+from macroplace.design import SyntheticSpec, generate_synthetic
+from macroplace.env import EnvConfig, MacroPlacementEnv, rollout, uniform_random_policy
+from macroplace.placer import PlacerConfig
+
+def loaded_after_episode(engine):
+    bundle = generate_synthetic(SyntheticSpec(3, 60, 80, seed=21))
+    placer = PlacerConfig(engine=engine, max_outer_iters=3, bins=16)
+    env = MacroPlacementEnv(bundle, EnvConfig(grid_rows=8, grid_cols=8, placer=placer))
+    assert rollout(env, uniform_random_policy, seed=0).metrics is not None
+    return [name for name in ("scipy.fft", "scipy.special") if name in sys.modules]
+
+print(json.dumps([loaded_after_episode("fd"), loaded_after_episode("analytical")]))
+"""
+
+
+def test_fd_episode_loads_no_scipy_fft():
+    """A fresh interpreter runs a force-directed episode without importing
+    `scipy.fft` or the `scipy.special` it pulls in; only the analytical
+    engine's Poisson solve loads them, in the same process afterwards."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", SCIPY_PROBE], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    after_fd, after_analytical = json.loads(done.stdout.splitlines()[-1])
+    assert after_fd == []
+    assert "scipy.fft" in after_analytical

@@ -3,10 +3,15 @@
 Forward pass per step:
   1. R rounds of graph propagation h <- tanh(W_self h + W_nbr (P h) + b),
      P = row-normalized weighted adjacency of the placement netlist's
-     clique graph.
-  2. Trunk over [global mean embedding || current-macro embedding].
-  3. Per-cell 2-layer scorer over [trunk || 3x3 occupancy patch || cell row,
-     col], masked softmax over feasible cells.
+     clique graph, held as a dense (n, n) array. `default_cluster_count`
+     caps the clusters at 512, so n is at most 512 plus the macro and
+     terminal count (84 on the benchmark's M design).
+  2. Trunk u = tanh(W [global mean embedding || current-macro embedding] + b).
+  3. Grid decoder logits = dec_w u + dec_b, one row per grid cell, then a
+     masked softmax over the feasible cells. This is the one-layer case of
+     the deconvolution decoder of Mirhoseini et al. (Nature 2021). dec_w and
+     dec_b start at zero, so the first policy is uniform over the feasible
+     cells; they tie a checkpoint to one grid size.
   4. Value head over [global embedding || fill fraction || placed fraction].
 
 Everything is plain numpy; gradients are assembled by hand and checked
@@ -19,20 +24,17 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from ..env import MacroPlacementEnv, Observation
 from .features import FEATURE_VERSION, NUM_FEATURES, fill_dynamic, static_features
 
-CHECKPOINT_FORMAT = "macroplace-policy-v1"
-PATCH = 9  # 3x3 occupancy window
-CELL_EXTRA = PATCH + 2  # patch + normalized (row, col)
+CHECKPOINT_FORMAT = "macroplace-policy-v2"
 
 
 @dataclass
 class PolicyParams:
-    """Network weights by name; the round count and layer width are read
-    from their keys and shapes."""
+    """Network weights by name; the round count, layer width and grid cell
+    count are read from their keys and shapes."""
 
     arrays: dict
 
@@ -44,14 +46,18 @@ class PolicyParams:
     def embed_dim(self) -> int:
         return len(self.arrays["trunk_b"])
 
+    @property
+    def cells(self) -> int:
+        return len(self.arrays["dec_b"])
+
     def copy(self) -> "PolicyParams":
         return PolicyParams({k: v.copy() for k, v in self.arrays.items()})
 
 
-def init_params(rng: np.random.Generator, rounds: int = 2,
-                embed_dim: int = 16) -> PolicyParams:
-    """Xavier-uniform weights and zero biases; the scorer and value hidden
-    layers are `embed_dim` wide. The per-cell scorer fits any grid size."""
+def init_params(rng: np.random.Generator, cells: int, rounds: int,
+                embed_dim: int) -> PolicyParams:
+    """Xavier-uniform weights and zero biases, a zero grid decoder onto
+    `cells` cells, and a value hidden layer `embed_dim` wide."""
 
     def xavier(out_dim, in_dim):
         limit = np.sqrt(6.0 / (in_dim + out_dim))
@@ -65,10 +71,8 @@ def init_params(rng: np.random.Generator, rounds: int = 2,
         arrays[f"emb_bias_{r}"] = np.zeros(embed_dim)
     arrays["trunk_w"] = xavier(embed_dim, 2 * embed_dim)
     arrays["trunk_b"] = np.zeros(embed_dim)
-    arrays["score_w1"] = xavier(embed_dim, embed_dim + CELL_EXTRA)
-    arrays["score_b1"] = np.zeros(embed_dim)
-    arrays["score_w2"] = xavier(1, embed_dim)
-    arrays["score_b2"] = np.zeros(1)
+    arrays["dec_w"] = np.zeros((cells, embed_dim))
+    arrays["dec_b"] = np.zeros(cells)
     arrays["value_w1"] = xavier(embed_dim, embed_dim + 2)
     arrays["value_b1"] = np.zeros(embed_dim)
     arrays["value_w2"] = xavier(1, embed_dim)
@@ -97,35 +101,24 @@ def load_params(path) -> PolicyParams:
 
 
 class DesignContext:
-    """Per-design precomputation shared by every episode: graph propagation
-    matrix, static features, and cell coordinate channels. `pbar` is the
-    placement netlist's `clique_graph` over both edge directions with each
-    row divided by its sum, so (P h)_i is the weighted mean of i's
-    neighbours (an isolated node's row stays zero)."""
+    """Per-design precomputation shared by every episode: the graph
+    propagation matrix, the static features and the grid's cell count.
+    `pbar` is the placement netlist's `clique_graph` as a dense (n, n) array
+    over both edge directions with each row divided by its sum, so (P h)_i
+    is the weighted mean of i's neighbours (an isolated node's row stays
+    zero)."""
 
     def __init__(self, env: MacroPlacementEnv):
         self.pnet = env.pnet
         graph = self.pnet.clique_graph
-        n = graph.num_nodes
-        ends = (np.concatenate([graph.edges_i, graph.edges_j]),
-                np.concatenate([graph.edges_j, graph.edges_i]))
-        self.pbar = csr_matrix((np.tile(graph.weights, 2), ends), shape=(n, n))
-        strength = self.pbar @ np.ones(n)
-        self.pbar.data /= np.repeat(np.where(strength > 0, strength, 1.0),
-                                    np.diff(self.pbar.indptr))
+        pbar = np.zeros((graph.num_nodes, graph.num_nodes))
+        pbar[graph.edges_i, graph.edges_j] = graph.weights
+        pbar[graph.edges_j, graph.edges_i] = graph.weights
+        strength = pbar.sum(axis=1, keepdims=True)
+        self.pbar = pbar / np.where(strength > 0, strength, 1.0)
         self.static = static_features(self.pnet)
-        rows, cols = env.config.grid_rows, env.config.grid_cols
-        r = np.arange(rows, dtype=np.float64) / max(rows - 1, 1)
-        c = np.arange(cols, dtype=np.float64) / max(cols - 1, 1)
-        self.cell_coords = np.stack(
-            [np.repeat(r, cols), np.tile(c, rows)], axis=1)  # (G, 2)
+        self.num_cells = env.num_cells
         self.num_macros = env.num_macros
-
-    def patches(self, occupancy: np.ndarray) -> np.ndarray:
-        """(G, 9) 3x3 occupancy windows; outside the canvas counts occupied."""
-        padded = np.pad(occupancy.astype(np.float64), 1, constant_values=1.0)
-        windows = np.lib.stride_tricks.sliding_window_view(padded, (3, 3))
-        return windows.reshape(-1, 9)
 
     def features_for(self, obs: Observation) -> np.ndarray:
         return fill_dynamic(self.static, self.pnet, obs.positions, obs.placed)
@@ -148,13 +141,7 @@ def forward_step(params: PolicyParams, ctx: DesignContext, obs: Observation):
     e = h[obs.macro_id]
     t_in = np.concatenate([g, e])
     u = np.tanh(A["trunk_w"] @ t_in + A["trunk_b"])
-
-    patches = ctx.patches(obs.occupancy)
-    G = patches.shape[0]
-    Z = np.concatenate(
-        [np.tile(u, (G, 1)), patches, ctx.cell_coords], axis=1)
-    Q = np.tanh(Z @ A["score_w1"].T + A["score_b1"])
-    logits = (Q @ A["score_w2"].T).ravel() + A["score_b2"][0]
+    logits = A["dec_w"] @ u + A["dec_b"]
 
     fill = float(obs.occupancy.mean())
     placed_frac = obs.step_index / max(ctx.num_macros, 1)
@@ -162,8 +149,8 @@ def forward_step(params: PolicyParams, ctx: DesignContext, obs: Observation):
     qv = np.tanh(A["value_w1"] @ d_in + A["value_b1"])
     value = float((A["value_w2"] @ qv + A["value_b2"])[0])
 
-    cache = {"X": X, "hs": hs, "agg": agg, "g": g, "e": e, "t_in": t_in, "u": u,
-             "Z": Z, "Q": Q, "d_in": d_in, "qv": qv, "macro_id": obs.macro_id}
+    cache = {"hs": hs, "agg": agg, "t_in": t_in, "u": u, "d_in": d_in, "qv": qv,
+             "macro_id": obs.macro_id}
     return cache, logits, value
 
 
@@ -186,7 +173,6 @@ def backward_step(params: PolicyParams, ctx: DesignContext, cache: dict,
                   dlogits: np.ndarray, dvalue: float, grads: dict) -> None:
     """Accumulate d(loss)/d(params) for one step into `grads`."""
     A = params.arrays
-    Q, Z = cache["Q"], cache["Z"]
     D = params.embed_dim
 
     # value head
@@ -199,18 +185,13 @@ def backward_step(params: PolicyParams, ctx: DesignContext, cache: dict,
     dg = A["value_w1"].T @ dqv
     dg_total = dg[:D]
 
-    # per-cell scorer
-    grads["score_w2"] += (dlogits @ Q)[None, :]
-    grads["score_b2"] += dlogits.sum()
-    dQ = np.outer(dlogits, A["score_w2"].ravel())
-    dQpre = dQ * (1.0 - Q * Q)
-    grads["score_w1"] += dQpre.T @ Z
-    grads["score_b1"] += dQpre.sum(axis=0)
-    dZ = dQpre @ A["score_w1"]
-    du = dZ[:, :D].sum(axis=0)
+    # grid decoder
+    u, t_in = cache["u"], cache["t_in"]
+    grads["dec_w"] += np.outer(dlogits, u)
+    grads["dec_b"] += dlogits
+    du = A["dec_w"].T @ dlogits
 
     # trunk
-    u, t_in = cache["u"], cache["t_in"]
     dupre = du * (1.0 - u * u)
     grads["trunk_w"] += np.outer(dupre, t_in)
     grads["trunk_b"] += dupre
@@ -233,7 +214,11 @@ def backward_step(params: PolicyParams, ctx: DesignContext, cache: dict,
 
 
 def policy_from_params(params: PolicyParams, ctx: DesignContext):
-    """Rollout-compatible policy: Observation -> (probs, value)."""
+    """Rollout-compatible policy: Observation -> (probs, value). A policy
+    whose decoder was built for another grid size is refused."""
+    if params.cells != ctx.num_cells:
+        raise ValueError(f"the policy scores {params.cells} cells, but the "
+                         f"environment's grid has {ctx.num_cells}")
 
     def policy(obs: Observation):
         _cache, logits, value = forward_step(params, ctx, obs)
@@ -244,14 +229,14 @@ def policy_from_params(params: PolicyParams, ctx: DesignContext):
 
 
 def greedy_policy_from_params(params: PolicyParams, ctx: DesignContext):
-    """Deterministic argmax policy (lowest cell index wins ties)."""
+    """Deterministic argmax policy (lowest cell index wins ties). Infeasible
+    cells have probability 0, so they never win."""
+    sample = policy_from_params(params, ctx)
 
     def policy(obs: Observation):
-        _cache, logits, value = forward_step(params, ctx, obs)
-        probs, feasible, _ = masked_distribution(logits, obs.mask.ravel())
-        best = feasible[int(np.argmax(probs[feasible]))]
+        probs, value = sample(obs)
         out = np.zeros_like(probs)
-        out[best] = 1.0
+        out[int(np.argmax(probs))] = 1.0
         return out, value
 
     return policy

@@ -132,7 +132,7 @@ def train(env: MacroPlacementEnv, train_config: TrainConfig = TrainConfig(),
     """
     ctx = DesignContext(env)
     rng = np.random.default_rng(train_config.seed)
-    params = init_params(rng, rounds=train_config.rounds,
+    params = init_params(rng, env.num_cells, rounds=train_config.rounds,
                          embed_dim=train_config.embed_dim)
     adam = AdamState(params)
     curve: list[CurvePoint] = []

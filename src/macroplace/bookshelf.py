@@ -108,38 +108,34 @@ def _parse_nodes(path):
     declared = {}
     names, sizes, terminal = [], [], []
     name_to_id = {}
-    with open(path, "r") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith(_SKIPPED_PREFIXES):
-                continue
-            if line.startswith(("NumNodes", "NumTerminals")):
-                key, _, val = line.partition(":")
-                declared[key.strip()] = _count(val, key.strip(), path, lineno)
-                continue
-            parts = line.split()
-            if len(parts) < 3:
-                raise ParseError(f"malformed node line: '{line}'", path=path, line=lineno)
-            name = parts[0]
-            if name in name_to_id:
-                raise ParseError(f"duplicate node '{name}'", path=path, line=lineno)
-            try:
-                w, h = float(parts[1]), float(parts[2])
-            except ValueError as exc:
-                raise ParseError(f"bad node dimensions: '{line}'",
-                                 path=path, line=lineno) from exc
-            tag = len(parts) > 3 and parts[3].lower().startswith("terminal")
-            if tag:
-                if not (0.0 <= w < math.inf and 0.0 <= h < math.inf):
-                    raise ParseError(f"terminal '{name}' needs a finite, nonnegative width "
-                                     f"and height: '{line}'", path=path, line=lineno)
-            elif not (0.0 < w < math.inf and 0.0 < h < math.inf):
-                raise ParseError(f"node '{name}' needs a finite, positive width and height: "
-                                 f"'{line}'", path=path, line=lineno)
-            name_to_id[name] = len(names)
-            names.append(name)
-            sizes.append((w, h))
-            terminal.append(tag)
+    for lineno, line in _content_lines(path):
+        if line.startswith(("NumNodes", "NumTerminals")):
+            key, _, val = line.partition(":")
+            declared[key.strip()] = _count(val, key.strip(), path, lineno)
+            continue
+        parts = line.split()
+        if len(parts) < 3:
+            raise ParseError(f"malformed node line: '{line}'", path=path, line=lineno)
+        name = parts[0]
+        if name in name_to_id:
+            raise ParseError(f"duplicate node '{name}'", path=path, line=lineno)
+        try:
+            w, h = float(parts[1]), float(parts[2])
+        except ValueError as exc:
+            raise ParseError(f"bad node dimensions: '{line}'",
+                             path=path, line=lineno) from exc
+        tag = len(parts) > 3 and parts[3].lower().startswith("terminal")
+        if tag:
+            if not (0.0 <= w < math.inf and 0.0 <= h < math.inf):
+                raise ParseError(f"terminal '{name}' needs a finite, nonnegative width "
+                                 f"and height: '{line}'", path=path, line=lineno)
+        elif not (0.0 < w < math.inf and 0.0 < h < math.inf):
+            raise ParseError(f"node '{name}' needs a finite, positive width and height: "
+                             f"'{line}'", path=path, line=lineno)
+        name_to_id[name] = len(names)
+        names.append(name)
+        sizes.append((w, h))
+        terminal.append(tag)
     _check_declared(declared, {"NumNodes": len(names),
                                "NumTerminals": sum(terminal)}, path)
     return names, sizes, terminal, name_to_id
@@ -152,43 +148,39 @@ def _parse_nets(path, name_to_id):
     nets = []  # (name, declared degree, NetDegree line, pins)
     shared = {}  # pin line -> its Pin; only lines read as pins enter
     pins = None  # the open net's pins
-    with open(path, "r") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            pin = shared.get(line)
-            if pin is not None:
-                pins.append(pin)
-                continue
-            if not line or line.startswith(_SKIPPED_PREFIXES):
-                continue
-            if line.startswith(("NumNets", "NumPins")):
-                key, _, val = line.partition(":")
-                declared[key.strip()] = _count(val, key.strip(), path, lineno)
-                continue
-            if line.startswith("NetDegree"):
-                parts = line.partition(":")[2].split()
-                if not parts:
-                    raise ParseError("NetDegree without a degree", path=path, line=lineno)
-                name = parts[1] if len(parts) > 1 else f"net{len(nets)}"
-                pins = []
-                nets.append((name, _count(parts[0], "net degree", path, lineno), lineno, pins))
-                continue
-            if pins is None:
-                raise ParseError(f"pin line outside a net: '{line}'", path=path, line=lineno)
-            parts = line.replace(":", " ").split()
-            node = name_to_id.get(parts[0])
-            if node is None:
-                raise ParseError(f"unknown node name '{parts[0]}' in net '{nets[-1][0]}'",
-                                 path=path, line=lineno)
-            try:
-                ox = float(parts[2]) if len(parts) > 2 else 0.0
-                oy = float(parts[3]) if len(parts) > 3 else 0.0
-            except ValueError:
-                raise ParseError(f"bad pin offset: '{line}'", path=path, line=lineno) from None
-            if not (math.isfinite(ox) and math.isfinite(oy)):
-                raise ParseError(f"non-finite pin offset: '{line}'", path=path, line=lineno)
-            pin = shared[line] = Pin(node=node, offset_x=ox, offset_y=oy)
+    for lineno, line in _content_lines(path):
+        pin = shared.get(line)
+        if pin is not None:
             pins.append(pin)
+            continue
+        if line.startswith(("NumNets", "NumPins")):
+            key, _, val = line.partition(":")
+            declared[key.strip()] = _count(val, key.strip(), path, lineno)
+            continue
+        if line.startswith("NetDegree"):
+            parts = line.partition(":")[2].split()
+            if not parts:
+                raise ParseError("NetDegree without a degree", path=path, line=lineno)
+            name = parts[1] if len(parts) > 1 else f"net{len(nets)}"
+            pins = []
+            nets.append((name, _count(parts[0], "net degree", path, lineno), lineno, pins))
+            continue
+        if pins is None:
+            raise ParseError(f"pin line outside a net: '{line}'", path=path, line=lineno)
+        parts = line.replace(":", " ").split()
+        node = name_to_id.get(parts[0])
+        if node is None:
+            raise ParseError(f"unknown node name '{parts[0]}' in net '{nets[-1][0]}'",
+                             path=path, line=lineno)
+        try:
+            ox = float(parts[2]) if len(parts) > 2 else 0.0
+            oy = float(parts[3]) if len(parts) > 3 else 0.0
+        except ValueError:
+            raise ParseError(f"bad pin offset: '{line}'", path=path, line=lineno) from None
+        if not (math.isfinite(ox) and math.isfinite(oy)):
+            raise ParseError(f"non-finite pin offset: '{line}'", path=path, line=lineno)
+        pin = shared[line] = Pin(node=node, offset_x=ox, offset_y=oy)
+        pins.append(pin)
     for name, degree, lineno, pins in nets:
         if len(pins) != degree:
             raise ParseError(f"net '{name}' declares {degree} pins but has {len(pins)} "
@@ -202,27 +194,23 @@ def _parse_nets(path, name_to_id):
 def _parse_pl(path, name_to_id):
     """Returns {node id: (llx, lly, fixed)} keyed by dense node id."""
     out = {}
-    with open(path, "r") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith(_SKIPPED_PREFIXES):
-                continue
-            parts = line.split()
-            if len(parts) < 3:
-                raise ParseError(f"malformed placement line: '{line}'", path=path, line=lineno)
-            nid = name_to_id.get(parts[0])
-            if nid is None:
-                raise ParseError(f"unknown node name '{parts[0]}' in .pl",
-                                 path=path, line=lineno)
-            if nid in out:
-                raise ParseError(f"node '{parts[0]}' is placed twice", path=path, line=lineno)
-            try:
-                x, y = float(parts[1]), float(parts[2])
-            except ValueError as exc:
-                raise ParseError(f"bad coordinates: '{line}'", path=path, line=lineno) from exc
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise ParseError(f"non-finite coordinates: '{line}'", path=path, line=lineno)
-            out[nid] = (x, y, "/FIXED" in line)
+    for lineno, line in _content_lines(path):
+        parts = line.split()
+        if len(parts) < 3:
+            raise ParseError(f"malformed placement line: '{line}'", path=path, line=lineno)
+        nid = name_to_id.get(parts[0])
+        if nid is None:
+            raise ParseError(f"unknown node name '{parts[0]}' in .pl",
+                             path=path, line=lineno)
+        if nid in out:
+            raise ParseError(f"node '{parts[0]}' is placed twice", path=path, line=lineno)
+        try:
+            x, y = float(parts[1]), float(parts[2])
+        except ValueError as exc:
+            raise ParseError(f"bad coordinates: '{line}'", path=path, line=lineno) from exc
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ParseError(f"non-finite coordinates: '{line}'", path=path, line=lineno)
+        out[nid] = (x, y, "/FIXED" in line)
     return out
 
 
@@ -239,46 +227,42 @@ def _parse_scl(path):
     rows = []
     fields = None  # the open CoreRow's fields, opened on line `row_line`
     row_line = None
-    with open(path, "r") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith(_SKIPPED_PREFIXES):
-                continue
-            if line.startswith("NumRows"):
-                declared["NumRows"] = _count(line.partition(":")[2], "NumRows", path, lineno)
-                continue
-            if line.startswith("CoreRow"):
-                if fields is not None:
-                    raise ParseError("CoreRow without End", path=path, line=row_line)
-                fields, row_line = {}, lineno
-                continue
-            if line.startswith("End"):
-                if fields is not None:
-                    if "Coordinate" not in fields:
-                        raise ParseError("CoreRow without Coordinate",
-                                         path=path, line=row_line)
-                    height = fields.get("Height", 0.0)
-                    pitch = fields.get("Sitespacing", fields.get("Sitewidth", 1.0))
-                    width = fields.get("NumSites", 0.0) * pitch
-                    rows.append((fields.get("SubrowOrigin", 0.0), fields["Coordinate"],
-                                 width, height))
-                fields = None
-                continue
-            if fields is None:
-                continue
-            # key : value pairs, possibly several per line (SubrowOrigin ... NumSites ...)
-            tokens = line.replace(":", " : ").split()
-            for i in range(len(tokens) - 2):
-                if tokens[i + 1] == ":" and tokens[i] in SCL_NUMERIC_FIELDS:
-                    try:
-                        value = float(tokens[i + 2])
-                    except ValueError:
-                        raise ParseError(f"bad {tokens[i]}: '{tokens[i + 2]}'",
-                                         path=path, line=lineno) from None
-                    if not math.isfinite(value):
-                        raise ParseError(f"non-finite {tokens[i]}: '{tokens[i + 2]}'",
-                                         path=path, line=lineno)
-                    fields[tokens[i]] = value
+    for lineno, line in _content_lines(path):
+        if line.startswith("NumRows"):
+            declared["NumRows"] = _count(line.partition(":")[2], "NumRows", path, lineno)
+            continue
+        if line.startswith("CoreRow"):
+            if fields is not None:
+                raise ParseError("CoreRow without End", path=path, line=row_line)
+            fields, row_line = {}, lineno
+            continue
+        if line.startswith("End"):
+            if fields is not None:
+                if "Coordinate" not in fields:
+                    raise ParseError("CoreRow without Coordinate",
+                                     path=path, line=row_line)
+                height = fields.get("Height", 0.0)
+                pitch = fields.get("Sitespacing", fields.get("Sitewidth", 1.0))
+                width = fields.get("NumSites", 0.0) * pitch
+                rows.append((fields.get("SubrowOrigin", 0.0), fields["Coordinate"],
+                             width, height))
+            fields = None
+            continue
+        if fields is None:
+            continue
+        # key : value pairs, possibly several per line (SubrowOrigin ... NumSites ...)
+        tokens = line.replace(":", " : ").split()
+        for i in range(len(tokens) - 2):
+            if tokens[i + 1] == ":" and tokens[i] in SCL_NUMERIC_FIELDS:
+                try:
+                    value = float(tokens[i + 2])
+                except ValueError:
+                    raise ParseError(f"bad {tokens[i]}: '{tokens[i + 2]}'",
+                                     path=path, line=lineno) from None
+                if not math.isfinite(value):
+                    raise ParseError(f"non-finite {tokens[i]}: '{tokens[i + 2]}'",
+                                     path=path, line=lineno)
+                fields[tokens[i]] = value
     if fields is not None:
         raise ParseError("CoreRow without End", path=path, line=row_line)
     _check_declared(declared, {"NumRows": len(rows)}, path)

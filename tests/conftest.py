@@ -1,4 +1,8 @@
+import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,6 +88,18 @@ def floating_netlist():
     nodes += [Node(1 + i, f"c{i}", 1.0, 1.0, KIND_STD, True) for i in range(3)]
     nets = [Net(0, "n0", (Pin(0), Pin(1)), 1.0), Net(1, "n1", (Pin(2), Pin(3)), 1.0)]
     return Netlist(nodes, nets, 20.0, 20.0, target_density=1.0)
+
+
+def run_in_fresh_interpreter(code):
+    """Run `code` in a new Python process with this checkout's `src` first
+    on its path; return its last line of standard output, read as JSON."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 def count_calls(monkeypatch, fn):

@@ -330,13 +330,12 @@ def test_placement_guard_sees_constructions():
     assert placement_constructions(source) == [2, 3, 4, 5]
 
 
-# The modules that import scipy when they load, each with its reason. The
-# rest import it inside the function that calls it, so a run loads only the
-# scipy it reads: `placer.density.solve_poisson` imports `scipy.fft`, which
-# the force-directed engine never calls.
-SCIPY_AT_IMPORT = {
-    "agent.network": "DesignContext's propagation matrix is a scipy.sparse csr_matrix",
-}
+# The modules that import scipy when they load, each with its reason. None
+# does: each imports it inside the function that calls it, so a run loads
+# only the scipy it reads. `placer.density.solve_poisson` imports
+# `scipy.fft`, which the force-directed engine never calls, and the policy
+# network's propagation matrix is a dense numpy array.
+SCIPY_AT_IMPORT = {}
 
 
 def scipy_imports_at_load(source):

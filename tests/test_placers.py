@@ -1,10 +1,5 @@
-import json
-import os
-import subprocess
-import sys
 import warnings
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,7 +36,7 @@ from macroplace.placer.density import (
 from macroplace.placer.force_directed import _system_for, run_force_directed
 from macroplace.placer.wirelength import SmoothWL, smooth_wl_and_grad
 
-from conftest import count_calls, floating_netlist
+from conftest import count_calls, floating_netlist, run_in_fresh_interpreter
 from oracles import in_canvas
 
 
@@ -475,12 +470,6 @@ def test_fd_episode_loads_no_scipy_fft():
     """A fresh interpreter runs a force-directed episode without importing
     `scipy.fft` or the `scipy.special` it pulls in; only the analytical
     engine's Poisson solve loads them, in the same process afterwards."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", SCIPY_PROBE], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    after_fd, after_analytical = json.loads(done.stdout.splitlines()[-1])
+    after_fd, after_analytical = run_in_fresh_interpreter(SCIPY_PROBE)
     assert after_fd == []
     assert "scipy.fft" in after_analytical

@@ -49,7 +49,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("episodes_per_update", "rounds", "embed_dim"):
+        for name in ("updates", "episodes_per_update", "rounds", "embed_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 

@@ -4,10 +4,10 @@ Minimizes smooth_wl(x) + lambda * energy(x) over movable-node centers with
 positions projected in-canvas. The penalty weight starts where the L1 norms
 of both gradient terms balance and doubles every outer iteration; the
 wirelength smoothing gamma anneals toward a floor. Stops when the density
-overflow of an outer iteration's trace row drops below the configured
-threshold. One `DensityGrid` per placement holds the fixed nodes' charge and
-the Poisson eigenvalues, so each gradient rasterizes and differentiates the
-movable nodes only.
+overflow of an outer iteration's trace row drops below
+`PlacerConfig.overflow_stop`. One `DensityGrid` per placement holds the
+fixed nodes' charge and the Poisson eigenvalues, so each gradient rasterizes
+and differentiates the movable nodes only.
 
 Like the force-directed engine, the loop runs on arrays: the Nesterov
 iterates u and v and the gradient g are (N, 2) node-centre arrays whose
@@ -22,6 +22,16 @@ density energy are never read, and `SmoothWL.value` and
 that set lambda_0 are taken at the start point with the first gamma, so
 they also give the first Nesterov run's start gradient: one evaluation per
 placement fewer, with equal results.
+
+Each Nesterov step tries a step length and re-estimates the local Lipschitz
+step from the gradient at the trial point. The trial is accepted when its
+length is within STEP_SLACK of that estimate; otherwise the estimate becomes
+the next trial's length. After BACKTRACK_LIMIT rejected trials the step
+falls back to FALLBACK_STEP_FRAC * diag / max|g|, which moves the
+largest-gradient node that share of the canvas diagonal. An accepted step
+regrows by the same STEP_SLACK, so the next trial is retried only if the
+local Lipschitz step shrank. Every trial is one gradient evaluation: smooth
+wirelength, density solve and density gradient.
 """
 
 from __future__ import annotations
@@ -41,6 +51,9 @@ GAMMA_FLOOR_BINS = 0.5
 LAMBDA_GROWTH = 2.0  # density-penalty multiplier per outer iteration
 INNER_ITERS = 20  # Nesterov steps per outer iteration
 BACKTRACK_LIMIT = 8  # step-length tries per Nesterov step before the fallback
+# A trial step is accepted within this factor of its Lipschitz estimate, and
+# an accepted step regrows by it.
+STEP_SLACK = 1.02
 # Fallback step: moves the largest-gradient node this share of the canvas
 # diagonal. Also the first step of a placement.
 FALLBACK_STEP_FRAC = 1e-2
@@ -116,7 +129,7 @@ def run_analytical(clustered: ClusteredNetlist, start: Placement,
                 u_new, v_new, a_new, g_new = nesterov_step(step)
                 denom = float(np.linalg.norm(g_new - g_v))
                 lipschitz_step = float(np.linalg.norm(v_new - v)) / denom if denom > 0 else step
-                if step <= lipschitz_step * 1.02 or lipschitz_step == 0.0:
+                if step <= lipschitz_step * STEP_SLACK or lipschitz_step == 0.0:
                     break
                 step = lipschitz_step
             else:
@@ -124,8 +137,7 @@ def run_analytical(clustered: ClusteredNetlist, start: Placement,
                 step = FALLBACK_STEP_FRAC * diag / gmax if gmax > 0 else step
                 u_new, v_new, a_new, g_new = nesterov_step(step)
             u, v, a, g_v = u_new, v_new, a_new, g_new
-            # Allow the step to grow back; cheap re-estimate next round.
-            step *= 1.2
+            step *= STEP_SLACK
         # In place: the rows of `trace` hold their own copies.
         placement.positions[ids] = u[ids]
 

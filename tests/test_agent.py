@@ -162,7 +162,7 @@ def test_train_config_rejects_an_empty_batch(episodes):
         TrainConfig(episodes_per_update=episodes)
 
 
-@pytest.mark.parametrize("name", ["rounds", "embed_dim"])
+@pytest.mark.parametrize("name", ["rounds", "embed_dim", "updates"])
 def test_train_config_rejects_an_empty_network(name):
     with pytest.raises(ValueError, match=f"{name} must be >= 1, got 0"):
         TrainConfig(**{name: 0})

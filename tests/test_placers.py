@@ -26,6 +26,7 @@ from macroplace.placer import (
     place_clusters,
     spread_movable,
 )
+from macroplace.placer import analytical
 from macroplace.placer.analytical import run_analytical
 from macroplace.placer.density import (
     DensityField,
@@ -304,6 +305,41 @@ class TestAnalytical:
             assert np.isfinite(row.wl)
             assert np.isfinite(row.overflow)
             assert row.lam is not None and row.lam > 0
+
+    def test_step_falls_back_after_backtrack_limit(self, monkeypatch):
+        """A fake gradient that is `soft` at the start point and `soft + 10`
+        everywhere else puts every trial of the first Nesterov step ~15x
+        past its Lipschitz estimate: that step costs BACKTRACK_LIMIT
+        rejected trials plus the fallback, whose length is
+        FALLBACK_STEP_FRAC * diag / max|g|. Later steps see no gradient
+        change and are accepted at their first trial."""
+        clustered, fixed = clustered_synthetic(seed=3)
+        pnet = clustered.placement_netlist
+        soft = np.random.default_rng(0).uniform(
+            -1.0, 1.0, (int(movable_cluster_mask(clustered).sum()), 2))
+        calls = []
+
+        def stiff_rows(pnet, positions, gamma, dgrid):
+            calls.append((positions.take(dgrid.ids, axis=0), dgrid))
+            rows = soft if len(calls) == 1 else soft + 10.0
+            return rows, np.zeros_like(rows)
+
+        monkeypatch.setattr(analytical, "_gradient_rows", stiff_rows)
+        placement, trace = place_clusters(
+            clustered, fixed, PlacerConfig(engine="analytical", max_outer_iters=1))
+        assert len(trace) == 1
+        limit = analytical.BACKTRACK_LIMIT
+        assert len(calls) == 1 + (limit + 1) + (analytical.INNER_ITERS - 1)
+
+        start, dgrid = calls[0]
+        shifts = [np.abs(trial - start).max() for trial, _ in calls[1:limit + 1]]
+        assert all(a > b > 0 for a, b in zip(shifts, shifts[1:]))
+        diag = np.hypot(pnet.canvas_width, pnet.canvas_height)
+        step = analytical.FALLBACK_STEP_FRAC * diag / np.abs(soft).max()
+        np.testing.assert_allclose(calls[limit + 1][0], dgrid.clamp(start - step * soft),
+                                   rtol=1e-12)
+        assert np.isfinite(placement.positions).all()
+        assert in_canvas(pnet, placement)
 
 
 class TestTrace:

@@ -4,16 +4,13 @@
 spreading; `analytical` runs Nesterov descent on smoothed wirelength plus a
 growing electrostatic density penalty. Both consume the same inputs and
 produce an in-canvas Placement, so the environment swaps engines by config
-alone. Each engine loads only what it reads: `place_clusters` imports its
-engine when called, and the force-directed path loads no scipy (the
-analytical engine's Poisson solve imports `scipy.fft`). `spread_movable`
-is the one run with macros moving too: the analytical engine over every
-node the design marks movable.
+alone. `spread_movable` is the one run with macros moving too: the
+analytical engine over every node the design marks movable.
 
 `PlacerConfig` is the contract both engines share: which engine runs
 ("fd" or "analytical"), its outer-iteration budget and the bin count of the
-density grid (a power of two >= 2, checked at construction). The start
-jitter is drawn from a fixed seed: force-directed overwrites every movable
+density grid (at least 2, checked at construction). The start jitter is
+drawn from a fixed seed: force-directed overwrites every movable
 position in its first solve, so only the analytical engine's start depends
 on it. The overflow below which the analytical engine stops
 (force-directed always runs the full budget) is the class constant
@@ -60,7 +57,9 @@ from ..errors import PlacementError
 from ..grid import Grid
 from ..metrics import density_overflow
 from ..netlist import Netlist, Placement, hpwl
+from .analytical import run_analytical
 from .density import check_bins, density_grid
+from .force_directed import run_force_directed
 
 ENGINES = ("fd", "analytical")
 
@@ -165,9 +164,6 @@ def place_clusters(clustered: ClusteredNetlist, fixed_placement: Placement,
     `fixed_placement` is in placement-netlist coordinates and must place
     every macro and terminal. Returns (Placement, convergence trace).
     """
-    from .analytical import run_analytical
-    from .force_directed import run_force_directed
-
     movable = movable_cluster_mask(clustered)
     if config.engine == "analytical":
         return run_analytical(clustered, fixed_placement, movable, config)
@@ -181,11 +177,10 @@ def spread_movable(clustered: ClusteredNetlist, fixed_placement: Placement,
     snapping, no masks).
 
     `fixed_placement` must place the terminals; macro and cluster positions
-    are ignored and re-seeded at canvas center. The analytical engine runs
-    whatever `config.engine` names.
+    are ignored and re-seeded at canvas center. It always runs the
+    analytical engine, whatever `config.engine` names, and reads only
+    `config.max_outer_iters` and `config.bins`.
     """
-    from .analytical import run_analytical
-
     movable = clustered.placement_netlist.node_arrays.movable
     return run_analytical(clustered, fixed_placement, movable, config)
 

@@ -7,22 +7,24 @@ Placed macros and clusters rasterize as charge; the potential solves the
     lap(psi) = -(rho - mean(rho))
 
 exactly (the DC mode carries no force), via the DCT-II eigenbasis of the
-mirrored-boundary Laplacian. Because overlap areas are piecewise linear in
-node positions and the solve is linear, the energy gradient below is the
-exact derivative of the energy away from bin-boundary kinks.
+mirrored-boundary Laplacian, written as one dense orthonormal matrix.
+Because overlap areas are piecewise linear in node positions and the solve
+is linear, the energy gradient below is the exact derivative of the energy
+away from bin-boundary kinks.
 
 What the movable nodes cannot change is computed once per placement, in a
 `DensityGrid`: the bin geometry, the movable ids and the centre range that
 keeps each of their boxes in the canvas (`DensityGrid.clamp`, the one clamp
 of both placement engines), the raster of the charge-carrying nodes that
-stay fixed and the total charge area; the Poisson eigenvalue denominators,
-which only the solve reads, on first read. Each solve rasterizes only the
-grid's movable ids through `raster.axis_overlap`, the rasterizer the
-density metrics use, both axes in one pass, as one matrix product added
-onto the fixed raster (`charge_raster`, which the force-directed engine's
-spreading pass shares). That equals one pass over all charge-carrying nodes
-to rounding; a grid built with everything movable has nothing fixed, and
-its raster is the one-pass raster.
+stay fixed and the total charge area; the DCT-II basis and the Poisson
+eigenvalue denominators, which only the solve reads, on first read
+(`DensityGrid.poisson`). Each solve rasterizes only the grid's movable ids
+through `raster.axis_overlap`, the rasterizer the density metrics use, both
+axes in one pass, as one matrix product added onto the fixed raster
+(`charge_raster`, which the force-directed engine's spreading pass
+shares). That equals one pass over all charge-carrying nodes to rounding; a
+grid built with everything movable has nothing fixed, and its raster is the
+one-pass raster.
 
 The kernels take the arrays they read: a solve takes the movable ids'
 (m, 2) centres, so the fixed nodes and placed flags the grid was built from
@@ -35,17 +37,8 @@ over its footprint with one axis's overlap replaced by that axis's edge
 slope: one matrix product and one row sum per axis. Both axes' edge slopes
 come from one comparison pass over (2, m, bins) (`_edge_slopes`), with the
 per-axis products idx * cell and strict comparisons, so each slope is the
-float a per-axis pass gives. The spectral solve transforms, divides and
-negates in place on its own temporaries.
-
-`scipy.fft` is imported inside `solve_poisson`, its one user, so only the
-analytical engine loads it; the force-directed engine, which shares this
-module's grid and raster, loads no scipy. The import pulls in
-`scipy.special` and `scipy._lib._array_api`: with scipy 1.17 it adds about
-26 MB to a process's peak RSS (28 → 54 MB after `import macroplace.env`).
-At module level it held the benchmark's force-directed `rollout-fd-M` at
-82.9 MB peak RSS (median of 10 runs) against 65.1 MB with the import here.
-After the first solve the import is a cached module lookup (~0.9 µs).
+float a per-axis pass gives. The spectral solve divides and negates in
+place on its own temporaries.
 """
 
 from __future__ import annotations
@@ -60,9 +53,9 @@ from ..raster import axis_overlap, node_boxes
 
 
 def check_bins(bins: int) -> None:
-    """The spectral solve needs a power-of-two bin count of at least 2."""
-    if bins < 2 or bins & (bins - 1):
-        raise ValueError(f"bins must be a power of two >= 2, got {bins}")
+    """A density grid has at least 2 bins per axis."""
+    if bins < 2:
+        raise ValueError(f"bins must be >= 2, got {bins}")
 
 
 @dataclass(frozen=True)
@@ -90,9 +83,10 @@ class DensityGrid:
         return np.array([self.bin_w, self.bin_h])
 
     @cached_property
-    def denom(self) -> np.ndarray:
-        """Poisson eigenvalue denominators (`poisson_denominators`)."""
-        return poisson_denominators(self.bins, self.bin_w, self.bin_h)
+    def poisson(self) -> tuple[np.ndarray, np.ndarray]:
+        """(DCT-II basis, eigenvalue denominators) of the Poisson solve
+        (`poisson_basis`)."""
+        return poisson_basis(self.bins, self.bin_w, self.bin_h)
 
 
 def density_grid(netlist: Netlist, placement: Placement, movable: np.ndarray,
@@ -170,38 +164,52 @@ def solve_density_field(centres: np.ndarray, grid: DensityGrid) -> DensityField:
     raster_total = area.sum()
     scale = grid.charge_area / raster_total if raster_total > 0 else 1.0
     rho = area * (scale / (grid.bin_w * grid.bin_h))
-    return DensityField(rho=rho, psi=solve_poisson(rho, grid.denom), bin_w=grid.bin_w,
+    return DensityField(rho=rho, psi=solve_poisson(rho, *grid.poisson), bin_w=grid.bin_w,
                         bin_h=grid.bin_h, norm_scale=scale, ids=grid.ids, lo=lo, hi=hi,
                         wx=wx, wy=wy)
 
 
-def poisson_denominators(bins: int, bin_w: float, bin_h: float) -> np.ndarray:
-    """Eigenvalues of the mirrored 5-point Laplacian on a bins x bins grid,
-    one per DCT-II mode; the DC entry is 1 (its mode is dropped)."""
-    k = np.arange(bins)
-    lam_x = (2.0 * np.cos(np.pi * k / bins) - 2.0) / bin_w**2
-    lam_y = (2.0 * np.cos(np.pi * k / bins) - 2.0) / bin_h**2
-    denom = lam_y[:, None] + lam_x[None, :]
-    denom[0, 0] = 1.0  # DC mode excluded in solve_poisson
-    return denom
+def poisson_basis(bins: int, bin_w: float, bin_h: float) -> tuple[np.ndarray, np.ndarray]:
+    """(C, denom) of the Poisson solve on a bins x bins grid, both from the
+    DCT-II modes k = 0 .. bins - 1.
 
-
-def solve_poisson(rho: np.ndarray, denom: np.ndarray) -> np.ndarray:
-    """Potential psi of lap(psi) = -(rho - mean(rho)), with `denom` from
-    `poisson_denominators` for rho's grid.
-
-    Spectral solve in the DCT-II basis: the cosine modes are exact
-    eigenvectors of the mirrored 5-point Laplacian. The DC mode is zero.
-    Each step overwrites the temporary of the one before; negation is
-    exact, so -(a / d) is the float (-a) / d.
+    C is the orthonormal DCT-II matrix, C[k, j] = sqrt(2 / bins) *
+    cos(pi * (2j + 1) * k / (2 * bins)) with row 0 scaled by 1 / sqrt(2),
+    the transform of either axis: C @ v is v's cosine spectrum and C.T @ s
+    maps a spectrum back. denom[ky, kx] is the eigenvalue of the mirrored
+    5-point Laplacian for mode (ky, kx); the DC entry is 1 (its mode is
+    dropped).
     """
-    from scipy.fft import dctn, idctn
+    angle = np.pi * np.arange(bins) / bins
+    basis = np.sqrt(2.0 / bins) * np.cos(np.outer(angle, np.arange(bins) + 0.5))
+    basis[0] /= np.sqrt(2.0)
+    lam = 2.0 * np.cos(angle) - 2.0
+    denom = lam[:, None] / bin_h**2 + lam[None, :] / bin_w**2
+    denom[0, 0] = 1.0
+    return basis, denom
 
-    psi_hat = dctn(rho - rho.mean(), type=2, norm="ortho", overwrite_x=True)
-    psi_hat /= denom
-    np.negative(psi_hat, out=psi_hat)
-    psi_hat[0, 0] = 0.0
-    return idctn(psi_hat, type=2, norm="ortho", overwrite_x=True)
+
+def solve_poisson(rho: np.ndarray, basis: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """Potential psi of lap(psi) = -(rho - mean(rho)), with `basis` and
+    `denom` from `poisson_basis` for rho's grid.
+
+    Spectral solve in the DCT-II basis C: the cosine modes are exact
+    eigenvectors of the mirrored 5-point Laplacian, so psi =
+    C.T @ (-(C @ (rho - mean) @ C.T) / denom) @ C with the DC mode zero.
+    Negation is exact, so -(a / d) is the float (-a) / d. The four dense
+    matrix products beat a fast transform up to 64 bins, the most any
+    caller uses. On 2 vCPUs with one BLAS thread (median of six probes,
+    each the minimum of 5 repeats) one solve took ~21 / 30 / 88 us at
+    16 / 32 / 64 bins against ~57 / 79 / 162 us for `scipy.fft`'s
+    dctn/idctn pair; the two were even at 128 bins (~0.5 ms) and the
+    matrix was ~2.6x slower at 256 (4.8 against 1.8 ms): O(n^3) against
+    O(n^2 log n).
+    """
+    spectrum = basis @ (rho - rho.mean()) @ basis.T
+    spectrum /= denom
+    np.negative(spectrum, out=spectrum)
+    spectrum[0, 0] = 0.0
+    return basis.T @ spectrum @ basis
 
 
 def density_energy_and_grad(field: DensityField) -> np.ndarray:

@@ -191,6 +191,24 @@ def poisson_residual(field):
     return float(np.abs(lap + src).max())
 
 
+def solve_poisson_scipy(rho, bin_w, bin_h):
+    """The Poisson solve through `scipy.fft`'s fast DCT-II pair, as the
+    placer ran it before its dense basis matrix: transform rho - mean,
+    divide by the mirrored 5-point Laplacian's eigenvalues, negate, drop
+    the DC mode and transform back."""
+    from scipy.fft import dctn, idctn
+
+    bins = rho.shape[0]
+    k = np.arange(bins)
+    lam_x = (2.0 * np.cos(np.pi * k / bins) - 2.0) / bin_w**2
+    lam_y = (2.0 * np.cos(np.pi * k / bins) - 2.0) / bin_h**2
+    denom = lam_y[:, None] + lam_x[None, :]
+    denom[0, 0] = 1.0
+    psi_hat = -dctn(rho - rho.mean(), type=2, norm="ortho") / denom
+    psi_hat[0, 0] = 0.0
+    return idctn(psi_hat, type=2, norm="ortho")
+
+
 # --- Loop references -------------------------------------------------------
 # The per-net and per-node loops that the CSR net kernel and the shared
 # rasterizer replaced, kept verbatim. The rasterizer's per-axis overlap

@@ -6,13 +6,13 @@ from macroplace.placer.density import (
     DensityField,
     density_energy_and_grad,
     density_grid,
-    poisson_denominators,
+    poisson_basis,
     solve_density_field,
     solve_poisson,
 )
 
 from conftest import random_design
-from oracles import laplacian_5pt, poisson_residual
+from oracles import laplacian_5pt, poisson_residual, solve_poisson_scipy
 
 
 def solve(nl, pl, bins):
@@ -25,10 +25,19 @@ def solve(nl, pl, bins):
 
 
 class TestPoissonSolve:
-    def test_bins_must_be_power_of_two(self, rng):
-        nl, pl = random_design(rng, n_nodes=4, n_nets=0)
-        with pytest.raises(ValueError):
-            density_grid(nl, pl, np.ones(nl.num_nodes, dtype=bool), bins=48)
+    def test_bins_need_not_be_a_power_of_two(self, rng):
+        nl, pl = random_design(rng, n_nodes=25, n_nets=0, canvas=(80.0, 60.0))
+        assert poisson_residual(solve(nl, pl, 48)) < 1e-6
+
+    @pytest.mark.parametrize("bins", [16, 48, 64])
+    def test_matches_the_fast_transform_solve(self, rng, bins):
+        """The dense-basis solve equals `scipy.fft`'s dctn/idctn solve to
+        rounding (max-norm relative error), with bins wider than tall."""
+        rho = rng.random((bins, bins))
+        bin_w, bin_h = 80.0 / bins, 60.0 / bins
+        psi = solve_poisson(rho, *poisson_basis(bins, bin_w, bin_h))
+        reference = solve_poisson_scipy(rho, bin_w, bin_h)
+        assert np.abs(psi - reference).max() <= 1e-13 * np.abs(reference).max()
 
     def test_uniform_density_gives_constant_potential(self):
         # one node exactly filling the canvas -> rho uniform
@@ -50,7 +59,7 @@ class TestPoissonSolve:
         bin_w = W / bins
         x = (np.arange(bins) + 0.5) * bin_w
         rho = np.tile(np.cos(np.pi * x / W), (bins, 1))
-        psi = solve_poisson(rho, poisson_denominators(bins, bin_w, bin_w))
+        psi = solve_poisson(rho, *poisson_basis(bins, bin_w, bin_w))
         field = DensityField(rho=rho, psi=psi, bin_w=bin_w, bin_h=bin_w,
                              norm_scale=1.0, ids=None, lo=None, hi=None, wx=None, wy=None)
 

@@ -251,8 +251,8 @@ class TestDeterminism:
         the analytical engine at episode seeds 1 (stops on overflow) and 2
         (runs the full budget), and `spread_movable` on a small design. The
         rewards, the trace lengths and the SHA-256 of the spread positions
-        were recorded with an accepted Nesterov step regrown by
-        `analytical.STEP_SLACK` and hold exactly.
+        were recorded with the Poisson solve in the dense DCT-II basis
+        (`density.poisson_basis`) and hold exactly.
 
         Each gradient evaluation calls each of the three gradient kernels
         once, through the bindings a benchmark trace wraps, so the calls per
@@ -277,9 +277,9 @@ class TestDeterminism:
 
         monkeypatch.setattr("macroplace.env.place_clusters", recorded_place_clusters)
         rewards = [rollout(env, uniform_random_policy, seed).reward for seed in (1, 2)]
-        assert rewards == [-0.5530022139079129, -0.6260392496949742]
-        assert lengths == [11, 30]
-        assert kernel_calls == [[259] * 3, [763] * 3]
+        assert rewards == [-0.5586870312634851, -0.6211876103384133]
+        assert lengths == [12, 30]
+        assert kernel_calls == [[287] * 3, [824] * 3]
 
         small = generate_synthetic(SyntheticSpec(3, 60, 80, seed=21))
         clustered = cluster_std_cells(small.netlist, k=8)
@@ -287,7 +287,7 @@ class TestDeterminism:
                                           PlacerConfig(max_outer_iters=8))
         assert len(trace) == 3
         assert hashlib.sha256(placement.positions.tobytes()).hexdigest() == (
-            "da231f58b77c74709d56d756f01e071c0d6905cf6bf5319a0d9c5f046068f7db")
+            "6dd325b4b3f3e07981b3bc3ce3c37f0eec387767f04dbb505db7ebef4c907b75")
 
     def test_engine_swap_changes_only_reward(self, training_bundle):
         placements = {}

@@ -19,15 +19,15 @@ a short list of functions, each with its reason, reads `Net.pins` itself.
 The analytical engine runs on position arrays: `placer/analytical.py` calls
 neither `Placement` nor one of its class methods.
 
-A module imports scipy when it loads only if it is on a short list, each
-with its reason; elsewhere scipy is imported inside the function that reads
-it, so a force-directed run loads none.
+No module imports scipy, at any depth: the package needs numpy alone.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from conftest import run_in_fresh_interpreter
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "macroplace"
 MODULES = sorted(PACKAGE.rglob("*.py"))
@@ -330,58 +330,61 @@ def test_placement_guard_sees_constructions():
     assert placement_constructions(source) == [2, 3, 4, 5]
 
 
-# The modules that import scipy when they load, each with its reason. None
-# does: each imports it inside the function that calls it, so a run loads
-# only the scipy it reads. `placer.density.solve_poisson` imports
-# `scipy.fft`, which the force-directed engine never calls, and the policy
-# network's propagation matrix is a dense numpy array.
-SCIPY_AT_IMPORT = {}
-
-
-def scipy_imports_at_load(source):
+def scipy_imports(source):
     """Lines of the `import scipy...` and `from scipy... import` statements
-    that run when the module loads: at module level or in a class body, not
-    inside a function."""
-    found = []
-
-    def visit(node):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                continue
-            if isinstance(child, ast.Import):
-                if any(alias.name.split(".")[0] == "scipy" for alias in child.names):
-                    found.append(child.lineno)
-            elif (isinstance(child, ast.ImportFrom) and child.level == 0
-                  and child.module.split(".")[0] == "scipy"):
-                found.append(child.lineno)
-            visit(child)
-
-    visit(ast.parse(source))
-    return sorted(found)
+    anywhere in the module, in source order."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.Import)
+            and any(alias.name.split(".")[0] == "scipy" for alias in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.level == 0
+            and node.module.split(".")[0] == "scipy"))
 
 
-def test_scipy_loads_only_where_it_is_read():
-    loaders = {module_name(path) for path in MODULES
-               if scipy_imports_at_load(path.read_text())}
-    assert loaders == set(SCIPY_AT_IMPORT)
+def test_no_module_imports_scipy():
+    found = {str(path.relative_to(PACKAGE)): scipy_imports(path.read_text()) for path in MODULES}
+    assert {module: lines for module, lines in found.items() if lines} == {}
 
 
-def test_scipy_guard_sees_imports_at_load():
+def test_scipy_guard_sees_imports_at_any_depth():
     source = (
         "import numpy as np\n"
         "from scipy.fft import dctn\n"
         "import os, scipy.sparse as sp\n"
         "from .density import solve_poisson\n"
-        "if np:\n"
-        "    from scipy import linalg\n"
         "class Solver:\n"
-        "    import scipy\n"
         "    def solve(self):\n"
         "        from scipy.fft import idctn\n"
         "        return idctn\n"
         "def spectral():\n"
-        "    import scipy.fft\n"
-        "    return scipy.fft\n"
+        "    import scipy\n"
+        "    return scipy\n"
         "scipyish = lambda: __import__('scipy')\n"
     )
-    assert scipy_imports_at_load(source) == [2, 3, 6, 8]
+    assert scipy_imports(source) == [2, 3, 7, 10]
+
+
+NO_SCIPY_PROBE = """
+import json, sys
+import macroplace.agent.train
+from macroplace.clustering import base_placement, cluster_std_cells
+from macroplace.design import SyntheticSpec, generate_synthetic
+from macroplace.env import EnvConfig, MacroPlacementEnv, rollout, uniform_random_policy
+from macroplace.placer import PlacerConfig, spread_movable
+
+bundle = generate_synthetic(SyntheticSpec(3, 60, 80, seed=21))
+for engine in ("fd", "analytical"):
+    placer = PlacerConfig(engine=engine, max_outer_iters=3, bins=16)
+    env = MacroPlacementEnv(bundle, EnvConfig(grid_rows=8, grid_cols=8, placer=placer))
+    assert rollout(env, uniform_random_policy, seed=0).metrics is not None
+clustered = cluster_std_cells(bundle.netlist, k=8)
+spread_movable(clustered, base_placement(clustered, bundle.placement),
+               PlacerConfig(max_outer_iters=3, bins=16))
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_training_and_both_engines_load_no_scipy():
+    """A fresh interpreter imports the trainer, runs a force-directed and an
+    analytical episode and `spread_movable`, and loads no scipy module."""
+    assert run_in_fresh_interpreter(NO_SCIPY_PROBE) == []

@@ -22,6 +22,7 @@ from macroplace.env import EnvConfig, MacroPlacementEnv, rollout, uniform_random
 from macroplace.errors import TrainingError
 from macroplace.placer import PlacerConfig
 
+from conftest import run_in_fresh_interpreter
 from oracles import params_from_vector, params_to_vector
 
 
@@ -66,6 +67,14 @@ def test_policy_for_another_grid_is_refused(training_bundle, make_policy):
     with pytest.raises(ValueError, match="the policy scores 25 cells, but the "
                                          "environment's grid has 36"):
         make_policy(params, DesignContext(env))
+
+
+def test_agent_loads_no_scipy():
+    """A fresh interpreter imports the trainer (and with it the network)
+    without loading any scipy module."""
+    probe = ("import json, sys, macroplace.agent.train\n"
+             "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+    assert run_in_fresh_interpreter(probe) == []
 
 
 def test_one_train_update_completes(training_bundle):

@@ -27,8 +27,6 @@ from pathlib import Path
 
 import pytest
 
-from conftest import run_in_fresh_interpreter
-
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "macroplace"
 MODULES = sorted(PACKAGE.rglob("*.py"))
 
@@ -363,28 +361,3 @@ def test_scipy_guard_sees_imports_at_any_depth():
     )
     assert scipy_imports(source) == [2, 3, 7, 10]
 
-
-NO_SCIPY_PROBE = """
-import json, sys
-import macroplace.agent.train
-from macroplace.clustering import base_placement, cluster_std_cells
-from macroplace.design import SyntheticSpec, generate_synthetic
-from macroplace.env import EnvConfig, MacroPlacementEnv, rollout, uniform_random_policy
-from macroplace.placer import PlacerConfig, spread_movable
-
-bundle = generate_synthetic(SyntheticSpec(3, 60, 80, seed=21))
-for engine in ("fd", "analytical"):
-    placer = PlacerConfig(engine=engine, max_outer_iters=3, bins=16)
-    env = MacroPlacementEnv(bundle, EnvConfig(grid_rows=8, grid_cols=8, placer=placer))
-    assert rollout(env, uniform_random_policy, seed=0).metrics is not None
-clustered = cluster_std_cells(bundle.netlist, k=8)
-spread_movable(clustered, base_placement(clustered, bundle.placement),
-               PlacerConfig(max_outer_iters=3, bins=16))
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
-"""
-
-
-def test_training_and_both_engines_load_no_scipy():
-    """A fresh interpreter imports the trainer, runs a force-directed and an
-    analytical episode and `spread_movable`, and loads no scipy module."""
-    assert run_in_fresh_interpreter(NO_SCIPY_PROBE) == []

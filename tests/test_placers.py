@@ -37,7 +37,7 @@ from macroplace.placer.density import (
 from macroplace.placer.force_directed import _system_for, run_force_directed
 from macroplace.placer.wirelength import SmoothWL, smooth_wl_and_grad
 
-from conftest import count_calls, floating_netlist
+from conftest import count_calls, floating_netlist, run_in_fresh_interpreter
 from oracles import in_canvas
 
 
@@ -484,3 +484,36 @@ class TestEngineContract:
         macro_ids = [n.id for n in pnet.nodes if n.kind == KIND_MACRO]
         spreads = placement.positions[macro_ids]
         assert np.ptp(spreads, axis=0).max() > 1.0  # macros actually spread out
+
+
+SCIPY_PROBE = """
+import json, sys
+from macroplace.clustering import base_placement, cluster_std_cells
+from macroplace.design import SyntheticSpec, generate_synthetic
+from macroplace.env import EnvConfig, MacroPlacementEnv, rollout, uniform_random_policy
+from macroplace.placer import PlacerConfig, spread_movable
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+bundle = generate_synthetic(SyntheticSpec(3, 60, 80, seed=21))
+loaded = {}
+for engine in ("fd", "analytical"):
+    placer = PlacerConfig(engine=engine, max_outer_iters=3, bins=16)
+    env = MacroPlacementEnv(bundle, EnvConfig(grid_rows=8, grid_cols=8, placer=placer))
+    assert rollout(env, uniform_random_policy, seed=0).metrics is not None
+    loaded[engine] = scipy_loaded()
+clustered = cluster_std_cells(bundle.netlist, k=8)
+spread_movable(clustered, base_placement(clustered, bundle.placement),
+               PlacerConfig(max_outer_iters=3, bins=16))
+loaded["spread_movable"] = scipy_loaded()
+print(json.dumps(loaded))
+"""
+
+
+def test_fd_episode_loads_no_scipy_fft():
+    """A fresh interpreter runs a force-directed episode, then an analytical
+    episode, then `spread_movable`, and loads no scipy module at any stage:
+    the Poisson solve is numpy only."""
+    assert run_in_fresh_interpreter(SCIPY_PROBE) == {
+        "fd": [], "analytical": [], "spread_movable": []}

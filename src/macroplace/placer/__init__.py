@@ -1,21 +1,22 @@
 """Cluster placement with macros held fixed: one interface, two engines.
 
-`force_directed` alternates quadratic wirelength solves with bin-based
-spreading; `analytical` runs Nesterov descent on smoothed wirelength plus a
-growing electrostatic density penalty. Both consume the same inputs and
-produce an in-canvas Placement, so the environment swaps engines by config
-alone. `spread_movable` is the one run with macros moving too: the
-analytical engine over every node the design marks movable.
+`force_directed` alternates quadratic wirelength solves with one move of
+every cluster down the electrostatic density field; `analytical` runs
+Nesterov descent on smoothed wirelength plus a growing penalty on the
+energy of that field. Both consume the same inputs and produce an
+in-canvas Placement, so the environment swaps engines by config alone.
+`spread_movable` is the one run with macros moving too: the analytical
+engine over every node the design marks movable.
 
 `PlacerConfig` is the contract both engines share: which engine runs
 ("fd" or "analytical"), its outer-iteration budget and the bin count of the
 density grid (at least 2, checked at construction). The start jitter is
 drawn from a fixed seed: force-directed overwrites every movable
 position in its first solve, so only the analytical engine's start depends
-on it. The overflow below which the analytical engine stops
-(force-directed always runs the full budget) is the class constant
-`PlacerConfig.overflow_stop`. Each engine's step-size and schedule
-constants live in its own module.
+on it. The overflow below which the analytical engine stops is the class
+constant `PlacerConfig.overflow_stop`; force-directed has no stop rule and
+runs min(budget, `force_directed.FIELD_ITERS`) outer iterations. Each
+engine's step-size and schedule constants live in its own module.
 
 The stop/trace overflow both engines report is the pure-overlap measure
 (density target 1.0): clusters are solid blocks much wider than a bin, so
@@ -38,10 +39,12 @@ engine reads the overflow for its stop rule. What the movable nodes cannot
 change is computed once per placement: the `DensityGrid` that holds their
 in-canvas bounds and the fixed charge both engines rasterize onto
 (`engine_start` builds it, with the start positions both engines share),
-and the force-directed engine's pull of the fixed nodes. The force-directed
-engine's dense system and its eigendecomposition depend on neither the
-macros' positions nor the clusters', so they are computed once per design,
-on its first placement.
+and the force-directed engine's pull of the fixed nodes. Both engines
+solve the density field and take its gradient with the same two kernels,
+`density.solve_density_field` and `density.density_energy_and_grad`. The
+force-directed engine's dense system and its eigendecomposition depend on
+neither the macros' positions nor the clusters', so they are computed
+once per design, on its first placement.
 """
 
 from __future__ import annotations

@@ -16,23 +16,27 @@ What the movable nodes cannot change is computed once per placement, in a
 `DensityGrid`: the bin geometry, the movable ids and the centre range that
 keeps each of their boxes in the canvas (`DensityGrid.clamp`, the one clamp
 of both placement engines), the raster of the charge-carrying nodes that
-stay fixed and the total charge area; the DCT-II basis and the Poisson
-eigenvalue denominators, which only the solve reads, on first read
-(`DensityGrid.poisson`). Each solve rasterizes only the grid's movable ids
-through `raster.axis_overlap`, the rasterizer the density metrics use, both
-axes in one pass, as one matrix product added onto the fixed raster
-(`charge_raster`, which the force-directed engine's spreading pass
-shares). That equals one pass over all charge-carrying nodes to rounding; a
-grid built with everything movable has nothing fixed, and its raster is the
-one-pass raster.
+stay fixed and the total charge area. The DCT-II basis and the Poisson
+eigenvalue denominators depend on the bin geometry alone, so
+`poisson_basis` builds them once per geometry, as read-only arrays that
+every grid of that geometry, of either engine, shares. Each solve
+rasterizes only the grid's movable ids through `raster.axis_overlap`, the
+rasterizer the density metrics use, both axes in one pass, as one matrix
+product added onto the fixed raster. That equals one pass over all
+charge-carrying nodes to rounding; a grid built with everything movable
+has nothing fixed, and its raster is the one-pass raster. Both placement
+engines solve through `solve_density_field` and differentiate through
+`density_energy_and_grad`: the analytical engine descends the energy,
+the force-directed engine moves each cluster by its field once per outer
+iteration.
 
 The kernels take the arrays they read: a solve takes the movable ids'
 (m, 2) centres, so the fixed nodes and placed flags the grid was built from
 cannot change under it, and the energy gradient returns the (m, 2) rows of
-those ids alone; the energy itself, which the analytical engine never
-reads, is `DensityField.energy`, computed on first read. `DensityField`
-keeps the (m, 2) lower and upper box corners and the per-axis overlap
-matrices of its raster. The gradient needs, per node, the potential summed
+those ids alone; the energy itself, which neither engine reads, is
+`DensityField.energy`, computed on first read. `DensityField` keeps the
+(m, 2) lower and upper box corners and the per-axis overlap matrices of
+its raster. The gradient needs, per node, the potential summed
 over its footprint with one axis's overlap replaced by that axis's edge
 slope: one matrix product and one row sum per axis. Both axes' edge slopes
 come from one comparison pass over (2, m, bins) (`_edge_slopes`), with the
@@ -44,7 +48,7 @@ place on its own temporaries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -81,12 +85,6 @@ class DensityGrid:
         """(bin_w, bin_h), the cell widths of `raster.axis_overlap`'s
         two-axis pass."""
         return np.array([self.bin_w, self.bin_h])
-
-    @cached_property
-    def poisson(self) -> tuple[np.ndarray, np.ndarray]:
-        """(DCT-II basis, eigenvalue denominators) of the Poisson solve
-        (`poisson_basis`)."""
-        return poisson_basis(self.bins, self.bin_w, self.bin_h)
 
 
 def density_grid(netlist: Netlist, placement: Placement, movable: np.ndarray,
@@ -138,18 +136,8 @@ class DensityField:
     @cached_property
     def energy(self) -> float:
         """Potential energy 0.5 * sum(rho * psi) * bin_area, computed on
-        first read; the analytical engine reads only the gradient."""
+        first read; both engines read only the gradient."""
         return 0.5 * float((self.rho * self.psi).sum()) * self.bin_area
-
-
-def charge_raster(grid: DensityGrid, centres: np.ndarray):
-    """(area, lo, hi, wx, wy): the placed charge-carrying area per bin with
-    the grid's movable ids centred at `centres` (len(ids), 2), their lower
-    and upper box corners and their column and row overlap matrices."""
-    lo = centres - grid.half
-    hi = centres + grid.half
-    wx, wy = axis_overlap(lo.T, hi.T, grid.cells, grid.bins)
-    return grid.fixed_area + wy.T @ wx, lo, hi, wx, wy
 
 
 def solve_density_field(centres: np.ndarray, grid: DensityGrid) -> DensityField:
@@ -160,18 +148,25 @@ def solve_density_field(centres: np.ndarray, grid: DensityGrid) -> DensityField:
     charge-carrying (movable-kind) area; its mean then matches the design's
     utilization, which the benchmark edit rounds up into target_density.
     """
-    area, lo, hi, wx, wy = charge_raster(grid, centres)
+    lo = centres - grid.half
+    hi = centres + grid.half
+    wx, wy = axis_overlap(lo.T, hi.T, grid.cells, grid.bins)
+    area = grid.fixed_area + wy.T @ wx
     raster_total = area.sum()
     scale = grid.charge_area / raster_total if raster_total > 0 else 1.0
     rho = area * (scale / (grid.bin_w * grid.bin_h))
-    return DensityField(rho=rho, psi=solve_poisson(rho, *grid.poisson), bin_w=grid.bin_w,
-                        bin_h=grid.bin_h, norm_scale=scale, ids=grid.ids, lo=lo, hi=hi,
-                        wx=wx, wy=wy)
+    psi = solve_poisson(rho, *poisson_basis(grid.bins, grid.bin_w, grid.bin_h))
+    return DensityField(rho=rho, psi=psi, bin_w=grid.bin_w, bin_h=grid.bin_h,
+                        norm_scale=scale, ids=grid.ids, lo=lo, hi=hi, wx=wx, wy=wy)
 
 
+# A process places few grid geometries; the bound keeps a long-lived one
+# that sees many from growing without end.
+@lru_cache(maxsize=8)
 def poisson_basis(bins: int, bin_w: float, bin_h: float) -> tuple[np.ndarray, np.ndarray]:
     """(C, denom) of the Poisson solve on a bins x bins grid, both from the
-    DCT-II modes k = 0 .. bins - 1.
+    DCT-II modes k = 0 .. bins - 1. Built once per (bins, bin_w, bin_h) and
+    shared: both arrays are read-only.
 
     C is the orthonormal DCT-II matrix, C[k, j] = sqrt(2 / bins) *
     cos(pi * (2j + 1) * k / (2 * bins)) with row 0 scaled by 1 / sqrt(2),
@@ -186,6 +181,7 @@ def poisson_basis(bins: int, bin_w: float, bin_h: float) -> tuple[np.ndarray, np
     lam = 2.0 * np.cos(angle) - 2.0
     denom = lam[:, None] / bin_h**2 + lam[None, :] / bin_w**2
     denom[0, 0] = 1.0
+    basis.flags.writeable = denom.flags.writeable = False
     return basis, denom
 
 

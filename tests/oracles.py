@@ -344,6 +344,24 @@ def density_energy_and_grad_loop(field, netlist, placement, movable_only=True):
     return energy, grad
 
 
+def field_move_loop(field, netlist, placement):
+    """The force-directed engine's field move, per node: -g_i / (s * a_i *
+    rho_bar) for every placed charge-carrying node, with g_i its row of
+    `density_energy_and_grad_loop`, s the field's `norm_scale`, a_i its area
+    and rho_bar the placed charge area over the canvas area. Other rows are
+    0."""
+    _, grad = density_energy_and_grad_loop(field, netlist, placement, movable_only=False)
+    charge_nodes = [n for n in netlist.nodes
+                    if n.kind != "terminal" and placement.placed[n.id]]
+    mean_density = sum(n.width * n.height for n in charge_nodes) / (
+        netlist.canvas_width * netlist.canvas_height)
+    move = np.zeros_like(grad)
+    for node in charge_nodes:
+        move[node.id] = -grad[node.id] / (
+            field.norm_scale * node.width * node.height * mean_density)
+    return move
+
+
 def edge_slope_reference(lo, hi, cell: float, count: int) -> np.ndarray:
     """(n, count) d(overlap of [lo + t, hi + t] with each cell)/dt along one
     axis: +1 in the cell whose interior holds the upper edge, -1 in the
@@ -473,46 +491,6 @@ def fd_anchor_weights_loop(graph, movable_ids, t):
                 stack.append(b)
     return np.array([degree[k] * t if reached[k] else (degree[k] or 1.0)
                      for k in range(m)])
-
-
-def blur_reference(a, passes=2):
-    """3x3 cross blur (mean of a bin and its four neighbours) with the edge
-    replicated by `np.pad`."""
-    out = a
-    for _ in range(passes):
-        padded = np.pad(out, 1, mode="edge")
-        out = (
-            padded[:-2, 1:-1] + padded[2:, 1:-1] + padded[1:-1, :-2]
-            + padded[1:-1, 2:] + padded[1:-1, 1:-1]
-        ) / 5.0
-    return out
-
-
-def spread_once_reference(pnet, placement, movable_ids, bins):
-    """The force-directed spreading pass as one full raster, an `np.pad`
-    blur and two full `np.gradient` maps, on a copy of `placement`."""
-    rows = cols = bins
-    cell_w = pnet.canvas_width / cols
-    cell_h = pnet.canvas_height / rows
-    area = rasterize_area_loop(pnet, placement, rows, cols, cell_w, cell_h)
-    over = np.maximum(0.0, area / (cell_w * cell_h) - 1.0)
-    out = placement.copy()
-    if over.max() <= 0:
-        return out
-    field = blur_reference(over, passes=2)
-    gy, gx = np.gradient(field, cell_h, cell_w)
-    x = placement.positions[movable_ids, 0]
-    y = placement.positions[movable_ids, 1]
-    c = np.clip(np.trunc(x / cell_w), 0, cols - 1).astype(np.int64)
-    r = np.clip(np.trunc(y / cell_h), 0, rows - 1).astype(np.int64)
-    f, fx, fy = field[r, c], gx[r, c], gy[r, c]
-    push = f > 0
-    scale = np.minimum(f / max(pnet.target_density, 1e-9), 2.0)
-    out.positions[movable_ids, 0] = np.where(
-        push, x - fx / (np.abs(fx) + 1e-12) * scale * cell_w, x)
-    out.positions[movable_ids, 1] = np.where(
-        push, y - fy / (np.abs(fy) + 1e-12) * scale * cell_h, y)
-    return out
 
 
 def greedy_merge_bruteforce(netlist, k):

@@ -1,15 +1,14 @@
 """The CSR net kernel and the clique graph built on it, the shared box
-rasterizer and the force-directed linear system, solve and spreading pass
+rasterizer and the force-directed linear system, solve and field move
 against the loops and routines they replaced (tests/oracles.py).
 
 HPWL, the clique graph, node degrees, the per-axis overlap lengths, the
-density gradient's edge slopes, the FD system, the blur and the gradient
-reads compute in the references' order, so their outputs must be
-bit-equal. The rasterized maps (one matrix product
-per map), the smooth-WL and density-gradient kernels reassociate float
-sums, and the spectral solve replaces a sparse LU solve, so they and the
-spreading pass built on the maps are held to 1e-12 of the reference's
-scale.
+density gradient's edge slopes and the FD system compute in the
+references' order, so their outputs must be bit-equal. The rasterized
+maps (one matrix product per map), the smooth-WL and density-gradient
+kernels reassociate float sums, and the spectral solve replaces a sparse
+LU solve, so they and the field move built on the density gradient are
+held to 1e-12 of the reference's scale.
 """
 
 import re
@@ -34,39 +33,31 @@ from macroplace.netlist import (
     Placement,
     hpwl,
 )
-from macroplace.placer import movable_cluster_mask
+from macroplace.placer import PlacerConfig, force_directed, movable_cluster_mask
 from macroplace.placer.density import (
     _edge_slopes,
     density_energy_and_grad,
     density_grid,
     solve_density_field,
 )
-from macroplace.placer.force_directed import (
-    _blur,
-    _fd_system,
-    _field_at,
-    _spectrum,
-    _spread_once,
-    spsolve,
-)
+from macroplace.placer.force_directed import _fd_system, _spectrum, run_force_directed, spsolve
 from macroplace.placer.wirelength import smooth_wl_and_grad
 from macroplace.raster import axis_overlap, node_boxes
 
 from conftest import REL, assert_close_to_scale, floating_netlist, random_design
 from oracles import (
     _axis_overlap,
-    blur_reference,
     clique_graph_loop,
     congestion_map_loop,
     density_energy_and_grad_loop,
     edge_slope_reference,
     fd_anchor_weights_loop,
     fd_system_loop,
+    field_move_loop,
     hpwl_bruteforce,
     node_degrees_loop,
     rasterize_area_loop,
     smooth_wl_loop,
-    spread_once_reference,
 )
 
 CANVAS = (64.0, 48.0)
@@ -476,41 +467,30 @@ class TestForceDirectedSolve:
 
 
 class TestSpreading:
-    @pytest.mark.parametrize("shape", [(2, 2), (2, 5), (7, 3), (64, 64)])
-    def test_blur_bit_equal_to_pad(self, rng, shape):
-        for _ in range(3):
-            a = rng.uniform(0.0, 3.0, size=shape) * (rng.random(shape) < 0.6)
-            for passes in (1, 2):
-                np.testing.assert_array_equal(_blur(a, passes), blur_reference(a, passes))
-
-    @pytest.mark.parametrize("shape", [(2, 2), (2, 5), (7, 3), (64, 64)])
-    def test_gradient_at_every_bin_bit_equal(self, rng, shape):
-        field = rng.uniform(0.0, 3.0, size=shape)
-        cell_h, cell_w = rng.uniform(0.3, 5.0, size=2)
-        r, c = (a.ravel() for a in np.indices(shape))
-        f, grad = _field_at(field, np.stack([c, r], axis=1), np.array([cell_w, cell_h]))
-        ref_y, ref_x = np.gradient(field, cell_h, cell_w)
-        np.testing.assert_array_equal(f, field.ravel())
-        np.testing.assert_array_equal(grad[:, 1], ref_y.ravel())
-        np.testing.assert_array_equal(grad[:, 0], ref_x.ravel())
-
     @pytest.mark.parametrize("bins", [4, 8, 32, 64])
-    def test_spread_once_bit_equal(self, rng, bins):
-        """On the fixed raster, with the gradient read at the clusters'
-        bins, the pass moves every cluster as the full-raster pass does, to
-        the rounding of the raster's matrix product."""
-        moved = 0
-        for _ in range(4):
+    def test_spread_once_bit_equal(self, rng, monkeypatch, bins):
+        """Every outer iteration's spreading pass, one field move, moves
+        each cluster from its clamped solve by `field_move_loop`'s
+        displacement, clamped, to the rounding of the raster's matrix
+        product and the gradient's sums."""
+        for _ in range(3):
             clustered, ppl, movable = random_cluster_placement(rng)
             pnet = clustered.placement_netlist
-            ref = spread_once_reference(pnet, ppl, np.flatnonzero(movable), bins)
-            grid = density_grid(pnet, ppl, movable, bins)
-            np.testing.assert_array_equal(grid.ids, np.flatnonzero(movable))
-            out = ppl.copy()
-            out.positions[grid.ids] = _spread_once(ppl.positions[grid.ids], grid,
-                                                   pnet.target_density)
-            assert_close_to_scale(out.positions, ref.positions)
-            moved += int((out.positions != ppl.positions).any())
-        assert moved  # the push branch ran
+            solved = []
 
+            def recorded(centres, grid):
+                solved.append((centres.copy(), grid))
+                return solve_density_field(centres, grid)
 
+            monkeypatch.setattr(force_directed, "solve_density_field", recorded)
+            _, trace = run_force_directed(clustered, ppl, movable,
+                                          PlacerConfig(engine="fd", bins=bins))
+            assert len(solved) == len(trace) == force_directed.FIELD_ITERS
+            for (centres, grid), row in zip(solved, trace):
+                at = row.placement.copy()
+                at.positions[grid.ids] = centres
+                field = solve_density_field(centres, grid)
+                move = field_move_loop(field, pnet, at)[grid.ids]
+                assert np.abs(move).max() > 0
+                assert_close_to_scale(row.placement.positions[grid.ids],
+                                      grid.clamp(centres + move))

@@ -26,7 +26,7 @@ from macroplace.placer import (
     place_clusters,
     spread_movable,
 )
-from macroplace.placer import analytical
+from macroplace.placer import analytical, force_directed
 from macroplace.placer.analytical import run_analytical
 from macroplace.placer.density import (
     DensityField,
@@ -38,7 +38,7 @@ from macroplace.placer.force_directed import _system_for, run_force_directed
 from macroplace.placer.wirelength import SmoothWL, smooth_wl_and_grad
 
 from conftest import count_calls, floating_netlist, run_in_fresh_interpreter
-from oracles import in_canvas
+from oracles import field_move_loop, in_canvas
 
 
 def spring_fixture():
@@ -80,6 +80,20 @@ def clustered_synthetic(seed=5, macros=2, cells=80, nets=100, k=8):
     return clustered, base_placement(clustered, placement)
 
 
+def field_move_reference(clustered, placement, bins):
+    """`placement` with its clusters moved once by `field_move_loop` from
+    where they are and clamped into the canvas: the second half of an FD
+    outer iteration."""
+    pnet = clustered.placement_netlist
+    grid = density_grid(pnet, placement, movable_cluster_mask(clustered), bins)
+    centres = placement.positions[grid.ids]
+    field = solve_density_field(centres, grid)
+    moved = placement.copy()
+    moved.positions[grid.ids] = grid.clamp(
+        centres + field_move_loop(field, pnet, placement)[grid.ids])
+    return moved
+
+
 class TestConfig:
     @pytest.mark.parametrize("iters", [0, -1])
     def test_outer_iterations_below_one_rejected(self, iters):
@@ -99,14 +113,33 @@ class TestConfig:
 
 class TestForceDirected:
     def test_spring_balance(self):
+        """The last of 10 iterations (t = 0.9) solves the spring between the
+        macros at x = 0 and x = 10, each of weight 1, with the cluster held
+        by its degree 2 times t at the position the iteration before left
+        it, clamps, and moves by the field once."""
         clustered, fixed = spring_fixture()
         config = PlacerConfig(engine="fd", max_outer_iters=10)
         placement, trace = place_clusters(clustered, fixed, config)
-        cid = clustered.cluster_to_placement[0]
-        assert placement.positions[cid, 0] == pytest.approx(5.0, abs=1e-6)
         assert len(trace) == 10
+        cid = clustered.cluster_to_placement[0]
+        t = 0.9
+        solved = trace[-2].placement.copy()
+        spring = (np.array([0.0, 0.0]) + np.array([10.0, 0.0])
+                  + 2 * t * solved.positions[cid]) / (2 + 2 * t)
+        solved.positions[cid] = np.clip(spring, 0.5, 9.5)
+        expected = field_move_reference(clustered, solved, config.bins)
+        np.testing.assert_allclose(placement.positions[cid], expected.positions[cid],
+                                   rtol=0, atol=1e-6)
+        assert 4.0 < placement.positions[cid, 0] < 6.0  # near the balance at x = 5
 
     def test_isolated_cluster_anchored_center_with_warning(self):
+        """The cluster on no net starts anchored at the canvas center, and
+        then at its own moved position with a weight that does not ramp: its
+        solve leaves it where it was, and the field moves it. In the last
+        of 5 iterations (t = 0.8) the other cluster solves the spring to
+        the macro at (2, 2), of weight 1, against its previous position;
+        the field then holds the lone cluster in the corner farthest from
+        the macro."""
         nodes = [
             Node(0, "m0", 1.0, 1.0, KIND_MACRO, False),
             Node(1, "c0", 1.0, 1.0, KIND_STD, True),
@@ -120,13 +153,51 @@ class TestForceDirected:
         fixed.placed[0] = True
         config = PlacerConfig(engine="fd", max_outer_iters=5)
         with pytest.warns(UserWarning, match="no connectivity"):
-            placement, _ = place_clusters(clustered, base_placement(clustered, fixed),
-                                          config)
-        # the disconnected cluster sits at the canvas center
-        iso = [clustered.cluster_to_placement[ci] for ci, c in
-               enumerate(clustered.clusters) if c.members == (2,)]
-        np.testing.assert_allclose(placement.positions[iso[0]], (10.0, 10.0),
-                                   atol=1e-6)
+            placement, trace = place_clusters(clustered, base_placement(clustered, fixed),
+                                              config)
+        cid = {clustered.clusters[ci].members: clustered.cluster_to_placement[ci]
+               for ci in range(2)}
+        linked, iso = cid[(1,)], cid[(2,)]
+        t = 0.8
+        solved = trace[-2].placement.copy()
+        spring = (np.array([2.0, 2.0]) + t * solved.positions[linked]) / (1 + t)
+        solved.positions[linked] = np.clip(spring, 0.5, 19.5)
+        expected = field_move_reference(clustered, solved, config.bins)
+        np.testing.assert_allclose(placement.positions[[linked, iso]],
+                                   expected.positions[[linked, iso]], rtol=0, atol=1e-6)
+        np.testing.assert_array_equal(expected.positions[iso], (19.5, 19.5))
+
+    def test_one_field_move_lowers_overlap(self, monkeypatch):
+        """Eight 2.5 x 2.5 clusters, each on a net to either of two macros
+        with its own pair of weights: the first solve stacks them along the
+        segment between the macros, and the field move that follows it
+        lowers the pure-overlap overflow (0.689 to 0.493 when written)."""
+        nodes = [Node(0, "m0", 2.0, 2.0, KIND_MACRO, False),
+                 Node(1, "m1", 2.0, 2.0, KIND_MACRO, False)]
+        nodes += [Node(2 + i, f"c{i}", 2.5, 2.5, KIND_STD, True) for i in range(8)]
+        nets = [Net(2 * i + side, f"n{i}{side}", (Pin(side), Pin(2 + i)), 1.0 + i * side)
+                for i in range(8) for side in (0, 1)]
+        nl = Netlist(nodes, nets, 16.0, 16.0, target_density=1.0)
+        clustered = cluster_std_cells(nl, k=8)
+        pnet = clustered.placement_netlist
+        fixed = Placement.empty(pnet.num_nodes)
+        fixed.positions[0] = (5.0, 5.0)
+        fixed.positions[1] = (11.0, 11.0)
+        fixed.placed[:2] = True
+        solved = []
+
+        def recorded(centres, grid):
+            solved.append(centres.copy())
+            return solve_density_field(centres, grid)
+
+        monkeypatch.setattr(force_directed, "solve_density_field", recorded)
+        config = PlacerConfig(engine="fd", max_outer_iters=1, bins=16)
+        placement, trace = place_clusters(clustered, base_placement(clustered, fixed), config)
+        before = placement.copy()
+        before.positions[movable_cluster_mask(clustered)] = solved[0]
+        grid = Grid.empty(config.bins, config.bins, pnet.canvas_width, pnet.canvas_height)
+        crowded = density_overflow(pnet, before, grid, target_density=1.0)
+        assert trace[0].overflow < crowded
 
     def test_group_without_fixed_neighbour_anchored_with_warning(self):
         """c1 and c2 share a net and reach no fixed node: the first solve
@@ -255,16 +326,22 @@ class TestForceDirectedDesignCache:
             spread_movable(clustered, base_placement(clustered, bundle.placement),
                            PlacerConfig())
 
-    def test_poisson_denominators_only_where_read(self, monkeypatch):
-        """The spreading pass builds neither the DCT-II basis nor the
-        Poisson eigenvalues; the electrostatic engine builds each once per
-        placement (`poisson_basis` returns both)."""
+    def test_poisson_denominators_only_where_read(self):
+        """The DCT-II basis and the Poisson eigenvalues (`poisson_basis`
+        returns both) are built once per grid geometry, read-only, and
+        shared by every placement of either engine on that geometry."""
         clustered, fixed = clustered_synthetic(seed=4)
-        calls = count_calls(monkeypatch, poisson_basis)
-        place_clusters(clustered, fixed, PlacerConfig(engine="fd", max_outer_iters=4))
-        assert not calls
-        place_clusters(clustered, fixed, PlacerConfig(engine="analytical", max_outer_iters=2))
-        assert len(calls) == 1
+        poisson_basis.cache_clear()
+        for engine in ("fd", "analytical", "fd"):
+            place_clusters(clustered, fixed, PlacerConfig(engine=engine, max_outer_iters=2))
+        info = poisson_basis.cache_info()
+        assert (info.misses, info.currsize) == (1, 1) and info.hits > 0
+        pnet = clustered.placement_netlist
+        basis, denom = poisson_basis(64, pnet.canvas_width / 64, pnet.canvas_height / 64)
+        assert poisson_basis.cache_info().misses == 1
+        assert not basis.flags.writeable and not denom.flags.writeable
+        place_clusters(clustered, fixed, PlacerConfig(engine="fd", max_outer_iters=2, bins=16))
+        assert poisson_basis.cache_info().misses == 2
 
 
 class TestAnalytical:
@@ -360,9 +437,10 @@ class TestTrace:
         clustered, fixed = clustered_synthetic(seed=3)
         wl_calls = count_calls(monkeypatch, hpwl)
         overflow_calls = count_calls(monkeypatch, density_overflow)
-        config = PlacerConfig(engine="fd", max_outer_iters=30)
-        _, trace = place_clusters(clustered, fixed, config)
-        assert len(trace) == 30
+        for budget in (3, 30):
+            config = PlacerConfig(engine="fd", max_outer_iters=budget)
+            _, trace = place_clusters(clustered, fixed, config)
+            assert len(trace) == min(budget, 10)  # force_directed.FIELD_ITERS
         assert (len(wl_calls), len(overflow_calls)) == (0, 0)
         first = trace[-1].overflow
         assert trace[-1].overflow == first  # kept, not recomputed

@@ -31,7 +31,6 @@ def default_cluster_count(macro_count: int) -> int:
 class Cluster:
     members: tuple[int, ...]  # original std-cell node ids
     area: float
-    side: float  # equivalent square side
 
 
 @dataclass(eq=False)
@@ -174,7 +173,7 @@ def cluster_std_cells(netlist: Netlist, k: int) -> ClusteredNetlist:
         members = tuple(sorted(group_members[gid]))
         area = group_area[gid]
         side = math.sqrt(area)
-        clusters.append(Cluster(members=members, area=area, side=side))
+        clusters.append(Cluster(members=members, area=area))
         for m in members:
             cluster_of[m] = ci
         pnodes.append(Node(id=len(pnodes), name=f"clu{ci}", width=side, height=side,

@@ -60,8 +60,8 @@ class Grid:
 
 def _footprint_offsets(grid: Grid, macro: Node):
     """Footprint as constant offsets around the action cell: placing at
-    (r, c) covers rows r+dr0..r+dr1 and cols c+dc0..c+dc1. The footprint,
-    the feasibility mask and place_on_grid all derive from these offsets.
+    (r, c) covers rows r+dr0..r+dr1 and cols c+dc0..c+dc1. The feasibility
+    mask and place_on_grid both derive from these offsets.
     A box thinner than the boundary tolerance keeps the action cell."""
     tol_x = _REL_TOL * grid.cell_w
     tol_y = _REL_TOL * grid.cell_h
@@ -82,17 +82,6 @@ def _footprint_window(grid: Grid, macro: Node, row: int, col: int):
     dr0, dr1, dc0, dc1 = _footprint_offsets(grid, macro)
     return (slice(max(row + dr0, 0), min(row + dr1 + 1, grid.rows)),
             slice(max(col + dc0, 0), min(col + dc1 + 1, grid.cols)))
-
-
-def footprint(grid: Grid, macro: Node, row: int, col: int) -> frozenset:
-    """Cells intersected by the macro's bounding box centered on cell (row, col).
-
-    Only in-range cells are returned; feasibility_mask is responsible for
-    rejecting positions whose box leaves the canvas.
-    """
-    rows, cols = _footprint_window(grid, macro, row, col)
-    return frozenset((r, c) for r in range(rows.start, rows.stop)
-                     for c in range(cols.start, cols.stop))
 
 
 def _in_canvas(centre, size: float, extent: float):

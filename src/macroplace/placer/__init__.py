@@ -27,10 +27,9 @@ Every entry point (`place_clusters`, `spread_movable`, either engine)
 starts in `engine_start` and its checks: fixed nodes placed, movable nodes
 carrying area. Only the fixed nodes of the start placement are read: every
 movable node starts at the jittered canvas centre. Both engines then
-iterate on arrays, not on a `Placement`: FD on the movable nodes' (m, 2)
-centres, the analytical engine on (N, 2) node centres. `DensityGrid.clamp`
-is their one clamp, and each writes its placement once per outer iteration,
-for the trace row.
+iterate on the movable nodes' (m, 2) centres, in `DensityGrid.ids` order,
+not on a `Placement`. `DensityGrid.clamp` is their one clamp, and each
+writes its placement once per outer iteration, for the trace row.
 
 An engine iteration computes only what the next iteration needs. Its trace
 row keeps a copy of the placement and computes HPWL and overflow when first

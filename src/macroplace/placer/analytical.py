@@ -9,19 +9,15 @@ overflow of an outer iteration's trace row drops below
 fixed nodes' charge and the Poisson eigenvalues, so each gradient rasterizes
 and differentiates the movable nodes only.
 
-Like the force-directed engine, the loop runs on arrays: the Nesterov
-iterates u and v and the gradient g are (N, 2) node-centre arrays whose
-fixed rows never change (g's are 0), and the placement is written once
-per outer iteration, for its trace row. The step-length estimate takes its
-norms over all N rows; their zero fixed rows keep the sums in the order
-that the engine's recorded results were computed in.
-
-The engine reads only gradients: the smoothed wirelength's value and the
-density energy are never read, and `SmoothWL.value` and
-`DensityField.energy` are computed only on first read. The gradient rows
-that set lambda_0 are taken at the start point with the first gamma, so
-they also give the first Nesterov run's start gradient: one evaluation per
-placement fewer, with equal results.
+Like the force-directed engine, the loop runs on the movable nodes' (m, 2)
+centres, in `DensityGrid.ids` order: the Nesterov iterates u and v and the
+gradient g. Each evaluated iterate is written into the movable rows of one
+(N, 2) buffer that the smooth-WL gather reads, a copy of the start
+placement's positions, so its fixed rows never change. The placement is
+written once per outer iteration, for its trace row. The engine reads only
+gradients. The gradient rows that set lambda_0 are taken at the start point
+with the first gamma, so they also give the first Nesterov run's start
+gradient and the first step length: one evaluation per placement fewer.
 
 Each Nesterov step tries a step length and re-estimates the local Lipschitz
 step from the gradient at the trial point. The trial is accepted when its
@@ -62,9 +58,15 @@ FALLBACK_STEP_FRAC = 1e-2
 def _gradient_rows(pnet, positions, gamma, dgrid):
     """The (wirelength, density) gradient rows of the movable nodes, in
     `dgrid.ids` order, at the node centres `positions` (N, 2)."""
-    gwl = smooth_wl_and_grad(pnet, positions, gamma).grad
+    gwl = smooth_wl_and_grad(pnet, positions, gamma)
     field = solve_density_field(positions.take(dgrid.ids, axis=0), dgrid)
     return gwl.take(dgrid.ids, axis=0), density_energy_and_grad(field)
+
+
+def _fallback_step(g, diag, otherwise):
+    """FALLBACK_STEP_FRAC * diag / max|g|, or `otherwise` when g is 0."""
+    gmax = np.abs(g).max()
+    return FALLBACK_STEP_FRAC * diag / gmax if gmax > 0 else otherwise
 
 
 def run_analytical(clustered: ClusteredNetlist, start: Placement,
@@ -80,50 +82,42 @@ def run_analytical(clustered: ClusteredNetlist, start: Placement,
     gamma = GAMMA_BINS * bin_dim
     gamma_floor = GAMMA_FLOOR_BINS * bin_dim
     diag = float(np.hypot(pnet.canvas_width, pnet.canvas_height))
+    # The smooth-WL gather reads every node: the fixed rows keep the start,
+    # the movable rows hold the iterate being evaluated.
+    positions = placement.positions.copy()
 
-    def combine(gwl, genergy):
-        """(N, 2) gradient of smooth_wl + lam * energy from its rows, 0 on
-        the fixed rows."""
-        g = np.zeros_like(placement.positions)
-        g[ids] = gwl + lam * genergy
-        return g
-
-    def gradient(x):
-        """(N, 2) gradient of smooth_wl + lam * energy at `x`."""
-        return combine(*_gradient_rows(pnet, x, gamma, dgrid))
+    def gradient(centres):
+        """(m, 2) gradient of smooth_wl + lam * energy at the movable
+        centres `centres`."""
+        positions[ids] = centres
+        gwl, genergy = _gradient_rows(pnet, positions, gamma, dgrid)
+        return gwl + lam * genergy
 
     # lambda_0: balance the L1 norms of the two gradient terms.
-    start_wl, start_energy = _gradient_rows(pnet, placement.positions, gamma, dgrid)
+    start_wl, start_energy = _gradient_rows(pnet, positions, gamma, dgrid)
     gwl_norm = np.abs(start_wl).sum()
     gen_norm = np.abs(start_energy).sum()
     lam = gwl_norm / gen_norm if gen_norm > 0 and gwl_norm > 0 else 1.0
-
-    def project(x):
-        """`x` with the movable boxes moved into the canvas, in place."""
-        x[ids] = dgrid.clamp(x[ids])
-        return x
+    g_v = start_wl + lam * start_energy
+    step = _fallback_step(g_v, diag, 1.0)
 
     def nesterov_step(step):
         """One accelerated step of length `step` from the current (u, v, a,
-        g_v); returns (u', v', a', gradient at v'). The fixed rows of the
-        gradient are 0, so only the movable rows move."""
-        u_new = project(v - step * g_v)
+        g_v); returns (u', v', a', gradient at v')."""
+        u_new = dgrid.clamp(v - step * g_v)
         a_new = (1.0 + np.sqrt(4.0 * a * a + 1.0)) / 2.0
-        v_new = project(u_new + (a - 1.0) / a_new * (u_new - u))
+        v_new = dgrid.clamp(u_new + (a - 1.0) / a_new * (u_new - u))
         return u_new, v_new, a_new, gradient(v_new)
 
-    u = placement.positions.copy()
+    u = positions[ids]
     trace = []
-    step = None
     for outer in range(config.max_outer_iters):
         # One Nesterov run at this (lambda, gamma), from the last one's u;
         # the first starts at lambda_0's point and gamma, so at its rows.
         v = u
         a = 1.0
-        g_v = gradient(v) if outer else combine(start_wl, start_energy)
-        if step is None:
-            gmax = np.abs(g_v).max()
-            step = FALLBACK_STEP_FRAC * diag / gmax if gmax > 0 else 1.0
+        if outer:
+            g_v = gradient(v)
         for _ in range(INNER_ITERS):
             for _try in range(BACKTRACK_LIMIT):
                 u_new, v_new, a_new, g_new = nesterov_step(step)
@@ -133,13 +127,12 @@ def run_analytical(clustered: ClusteredNetlist, start: Placement,
                     break
                 step = lipschitz_step
             else:
-                gmax = np.abs(g_v).max()
-                step = FALLBACK_STEP_FRAC * diag / gmax if gmax > 0 else step
+                step = _fallback_step(g_v, diag, step)
                 u_new, v_new, a_new, g_new = nesterov_step(step)
             u, v, a, g_v = u_new, v_new, a_new, g_new
             step *= STEP_SLACK
         # In place: the rows of `trace` hold their own copies.
-        placement.positions[ids] = u[ids]
+        placement.positions[ids] = u
 
         # Pure-overlap overflow (target 1.0): solid clusters keep their
         # interior bins at density 1, so the design target would be an

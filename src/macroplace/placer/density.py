@@ -33,16 +33,14 @@ iteration.
 The kernels take the arrays they read: a solve takes the movable ids'
 (m, 2) centres, so the fixed nodes and placed flags the grid was built from
 cannot change under it, and the energy gradient returns the (m, 2) rows of
-those ids alone; the energy itself, which neither engine reads, is
-`DensityField.energy`, computed on first read. `DensityField` keeps the
-(m, 2) lower and upper box corners and the per-axis overlap matrices of
-its raster. The gradient needs, per node, the potential summed
-over its footprint with one axis's overlap replaced by that axis's edge
-slope: one matrix product and one row sum per axis. Both axes' edge slopes
-come from one comparison pass over (2, m, bins) (`_edge_slopes`), with the
-per-axis products idx * cell and strict comparisons, so each slope is the
-float a per-axis pass gives. The spectral solve divides and negates in
-place on its own temporaries.
+those ids alone. `DensityField` keeps the (m, 2) lower and upper box
+corners and the per-axis overlap matrices of its raster. The gradient
+needs, per node, the potential summed over its footprint with one axis's
+overlap replaced by that axis's edge slope: one matrix product and one
+row sum per axis. Both axes' edge slopes come from one comparison pass
+over (2, m, bins) (`_edge_slopes`), with the per-axis products idx * cell
+and strict comparisons, so each slope is the float a per-axis pass gives.
+The spectral solve divides and negates in place on its own temporaries.
 """
 
 from __future__ import annotations
@@ -114,39 +112,31 @@ def density_grid(netlist: Netlist, placement: Placement, movable: np.ndarray,
 
 @dataclass
 class DensityField:
-    rho: np.ndarray  # (bins, bins) charge density, sum(rho)*bin_area = charge area
+    """The field of one solve: its boxes are the grid's movable ids, in
+    `DensityGrid.ids` order."""
+    rho: np.ndarray  # (bins, bins) charge density, sum(rho) * bin_w * bin_h = charge area
     psi: np.ndarray  # potential
     bin_w: float
     bin_h: float
     norm_scale: float  # rho rescale factor applied after rasterization
-    ids: np.ndarray  # the nodes rasterized for this field, the raster's boxes in order
-    lo: np.ndarray  # (len(ids), 2) lower corners of their boxes
-    hi: np.ndarray  # (len(ids), 2) upper corners
-    wx: np.ndarray  # (len(ids), bins) column overlaps of the boxes (raster.axis_overlap)
-    wy: np.ndarray  # (len(ids), bins) row overlaps
+    lo: np.ndarray  # (m, 2) lower corners of the boxes
+    hi: np.ndarray  # (m, 2) upper corners
+    wx: np.ndarray  # (m, bins) column overlaps of the boxes (raster.axis_overlap)
+    wy: np.ndarray  # (m, bins) row overlaps
 
     @property
     def bins(self) -> int:
         return self.rho.shape[0]
-
-    @property
-    def bin_area(self) -> float:
-        return self.bin_w * self.bin_h
-
-    @cached_property
-    def energy(self) -> float:
-        """Potential energy 0.5 * sum(rho * psi) * bin_area, computed on
-        first read; both engines read only the gradient."""
-        return 0.5 * float((self.rho * self.psi).sum()) * self.bin_area
 
 
 def solve_density_field(centres: np.ndarray, grid: DensityGrid) -> DensityField:
     """Rasterize charge with the grid's movable ids centred at `centres`
     (len(grid.ids), 2) and solve for the potential.
 
-    The density is normalized so that sum(rho) * bin_area equals the total
-    charge-carrying (movable-kind) area; its mean then matches the design's
-    utilization, which the benchmark edit rounds up into target_density.
+    The density is normalized so that sum(rho) * bin_w * bin_h equals
+    `grid.charge_area`, the area of every placed charge-carrying node, fixed
+    macros included; its mean then matches the design's utilization, which
+    the benchmark edit rounds up into target_density.
     """
     lo = centres - grid.half
     hi = centres + grid.half
@@ -157,7 +147,7 @@ def solve_density_field(centres: np.ndarray, grid: DensityGrid) -> DensityField:
     rho = area * (scale / (grid.bin_w * grid.bin_h))
     psi = solve_poisson(rho, *poisson_basis(grid.bins, grid.bin_w, grid.bin_h))
     return DensityField(rho=rho, psi=psi, bin_w=grid.bin_w, bin_h=grid.bin_h,
-                        norm_scale=scale, ids=grid.ids, lo=lo, hi=hi, wx=wx, wy=wy)
+                        norm_scale=scale, lo=lo, hi=hi, wx=wx, wy=wy)
 
 
 # A process places few grid geometries; the bound keeps a long-lived one
@@ -209,11 +199,12 @@ def solve_poisson(rho: np.ndarray, basis: np.ndarray, denom: np.ndarray) -> np.n
 
 
 def density_energy_and_grad(field: DensityField) -> np.ndarray:
-    """Gradient of the field's potential energy (`DensityField.energy`)
-    w.r.t. the centres the field was solved for: one (len(field.ids), 2)
+    """Gradient of the field's potential energy 0.5 * sum(rho * psi) *
+    bin_w * bin_h w.r.t. the centres the field was solved for: one (m, 2)
     row per rasterized node (its grid's movable ids), in that order; the
-    fixed nodes have no row. The name is the kernel's span in the
-    benchmark's per-layer trace (`placer.density.density_energy_and_grad`).
+    fixed nodes have no row. The energy itself is not computed: neither
+    engine reads it. The name is the kernel's span in the benchmark's
+    per-layer trace (`placer.density.density_energy_and_grad`).
 
     The gradient of node i is -q_i times the field integrated over the
     node's footprint, evaluated through the exact overlap-area derivative:

@@ -24,48 +24,24 @@ over the flat pin slots 2 * node + axis; pins are stored in net order, so
 it adds each node's terms in the order a per-net loop would. The per-pin
 weights and the slots are built once per netlist
 (`Netlist.smooth_wl_pins`).
-
-The analytical engine reads only the gradient, so the smoothed value is
-computed when `SmoothWL.value` is first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
 import numpy as np
 
-from ..netlist import NetCSR, Netlist
+from ..netlist import Netlist
 
 
-@dataclass(frozen=True, eq=False)
-class SmoothWL:
-    """The smoothed wirelength at one set of node centres: the (N, 2)
-    gradient, and the value, computed on first read from the per-net
-    extremes and sums the gradient pass left behind."""
-    grad: np.ndarray  # (N, 2) gradient w.r.t. every node centre
-    csr: NetCSR
-    gamma: float
-    extremes: np.ndarray  # (M, 4) [hi, -lo] per net row
-    sums: np.ndarray  # (M, 4) sums of the max-shifted exps
-
-    @cached_property
-    def value(self) -> float:
-        hi, lo = self.extremes[:, :2], -self.extremes[:, 2:]
-        log_p = np.log(self.csr.counts)[:, None]
-        gamma = self.gamma
-        extent = ((hi - lo) + gamma * (np.log(self.sums[:, :2]) - log_p)
-                  + gamma * (np.log(self.sums[:, 2:]) - log_p))
-        return float(self.csr.weights @ extent.sum(axis=1))
-
-
-def smooth_wl_and_grad(netlist: Netlist, positions: np.ndarray, gamma: float) -> SmoothWL:
-    """Smoothed total wirelength at the node centers `positions` (N, 2):
-    its gradient w.r.t. every center, and its value on first read.
+def smooth_wl_and_grad(netlist: Netlist, positions: np.ndarray, gamma: float) -> np.ndarray:
+    """(N, 2) gradient of the smoothed total wirelength w.r.t. every node
+    center, at the centers `positions` (N, 2).
 
     Pin positions are node centers, so pin gradients accumulate directly
     onto their nodes. Nets with fewer than two pins contribute nothing.
+    The smoothed value itself is not computed: the analytical engine reads
+    only the gradient. The name is the kernel's span in the benchmark's
+    per-layer trace (`placer.wirelength.smooth_wl_and_grad`).
     """
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
@@ -82,5 +58,4 @@ def smooth_wl_and_grad(netlist: Netlist, positions: np.ndarray, gamma: float) ->
     g = per_pin.weights * (e[:, :2] - e[:, 2:])
     grad = np.bincount(per_pin.slots, weights=g.ravel(), minlength=positions.size)
     # Float also without pins (`bincount` then gives ints).
-    return SmoothWL(grad=grad.astype(np.float64, copy=False).reshape(positions.shape),
-                    csr=csr, gamma=gamma, extremes=extremes, sums=sums)
+    return grad.astype(np.float64, copy=False).reshape(positions.shape)

@@ -309,10 +309,11 @@ def congestion_map_loop(netlist, placement, grid):
 
 
 def density_energy_and_grad_loop(field, netlist, placement, movable_only=True):
-    """Per-node electrostatic energy gradient over the exact overlap derivative."""
+    """The field's electrostatic energy 0.5 * sum(rho * psi) * bin_w * bin_h
+    and its per-node gradient over the exact overlap derivative."""
     bins = field.bins
     psi = field.psi
-    energy = 0.5 * float((field.rho * psi).sum()) * field.bin_area
+    energy = 0.5 * float((field.rho * psi).sum()) * (field.bin_w * field.bin_h)
     grad = np.zeros_like(placement.positions)
     s = field.norm_scale
 

@@ -252,8 +252,9 @@ class TestDeterminism:
         the analytical engine at episode seeds 1 (stops on overflow) and 2
         (runs the full budget), and `spread_movable` on a small design. The
         rewards, the trace lengths and the SHA-256 of the spread positions
-        were recorded with the Poisson solve in the dense DCT-II basis
-        (`density.poisson_basis`) and hold exactly.
+        were recorded when the engine first iterated on the movable (m, 2)
+        centres, whose step-length norms sum over the m movable rows alone,
+        and hold exactly.
 
         Each gradient evaluation calls each of the three gradient kernels
         once, through the bindings a benchmark trace wraps, so the calls per
@@ -278,9 +279,9 @@ class TestDeterminism:
 
         monkeypatch.setattr("macroplace.env.place_clusters", recorded_place_clusters)
         rewards = [rollout(env, uniform_random_policy, seed).reward for seed in (1, 2)]
-        assert rewards == [-0.5586870312634851, -0.6211876103384133]
+        assert rewards == [-0.5577717804781104, -0.6262602288225328]
         assert lengths == [12, 30]
-        assert kernel_calls == [[287] * 3, [824] * 3]
+        assert kernel_calls == [[287] * 3, [774] * 3]
 
         small = generate_synthetic(SyntheticSpec(3, 60, 80, seed=21))
         clustered = cluster_std_cells(small.netlist, k=8)
@@ -288,7 +289,7 @@ class TestDeterminism:
                                           PlacerConfig(max_outer_iters=8))
         assert len(trace) == 3
         assert hashlib.sha256(placement.positions.tobytes()).hexdigest() == (
-            "6dd325b4b3f3e07981b3bc3ce3c37f0eec387767f04dbb505db7ebef4c907b75")
+            "3d0e4c3a4f4f45d71dbe764023ae6648dc203140c6e07bec2f53f1c2f6d6814a")
 
     def test_engine_swap_changes_only_reward(self, training_bundle):
         placements = {}

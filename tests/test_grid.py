@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from macroplace.errors import PlacementError
-from macroplace.grid import Grid, _footprint_offsets, feasibility_mask, footprint, place_on_grid
+from macroplace.grid import Grid, _footprint_offsets, feasibility_mask, place_on_grid
 from macroplace.netlist import KIND_MACRO, Node
 
 from oracles import footprint_raster, mask_bruteforce
@@ -12,34 +12,51 @@ def macro(w, h, mid=0, name=None):
     return Node(mid, name or f"m{mid}", w, h, KIND_MACRO, True)
 
 
+def covered(grid, m, r, c):
+    """The cells that placing `m` at (r, c) on an empty grid of `grid`'s
+    shape occupies: its footprint."""
+    empty = Grid(grid.rows, grid.cols, grid.cell_w, grid.cell_h,
+                 np.zeros_like(grid.occupancy))
+    placed, _ = place_on_grid(empty, m, r, c)
+    return {(int(r), int(c)) for r, c in zip(*np.nonzero(placed.occupancy))}
+
+
 class TestFootprint:
+    """The footprint rule, through the occupancy `place_on_grid` writes."""
+
     def test_small_macro_single_cell(self):
         grid = Grid.empty(8, 8, 80.0, 80.0)
         m = macro(6.0, 4.0)
         for r, c in [(0, 0), (3, 5), (7, 7)]:
-            assert footprint(grid, m, r, c) == {(r, c)}
+            assert covered(grid, m, r, c) == {(r, c)}
 
     def test_full_canvas_macro_covers_everything(self):
         grid = Grid.empty(5, 5, 50.0, 50.0)
         m = macro(50.0, 50.0)
-        assert footprint(grid, m, 2, 2) == {(r, c) for r in range(5) for c in range(5)}
+        assert covered(grid, m, 2, 2) == {(r, c) for r in range(5) for c in range(5)}
 
     def test_boundary_touch_not_covered(self):
         grid = Grid.empty(4, 4, 40.0, 40.0)
         m = macro(10.0, 10.0)  # exactly one cell; edges touch neighbors
-        assert footprint(grid, m, 1, 1) == {(1, 1)}
+        assert covered(grid, m, 1, 1) == {(1, 1)}
 
     def test_matches_fine_raster_oracle(self, rng):
-        for _ in range(40):
+        """40 draws at a random cell where the box stays in the canvas;
+        a draw with no such cell is drawn again."""
+        checked = 0
+        while checked < 40:
             rows = int(rng.integers(2, 9))
             cols = int(rng.integers(2, 9))
             grid = Grid.empty(rows, cols, float(rng.uniform(20, 120)),
                               float(rng.uniform(20, 120)))
             m = macro(float(rng.uniform(0.3, 0.9) * grid.canvas_width),
                       float(rng.uniform(0.3, 0.9) * grid.canvas_height))
-            r = int(rng.integers(0, rows))
-            c = int(rng.integers(0, cols))
-            assert footprint(grid, m, r, c) == footprint_raster(grid, m, r, c)
+            cells = np.flatnonzero(feasibility_mask(grid, m))
+            if not len(cells):
+                continue
+            r, c = divmod(int(rng.choice(cells)), cols)
+            assert covered(grid, m, r, c) == footprint_raster(grid, m, r, c)
+            checked += 1
 
 
 class TestFeasibilityMask:
@@ -150,7 +167,7 @@ class TestPlaceOnGrid:
                 cell = int(rng.choice(choices))
                 r, c = divmod(cell, grid.cols)
                 grid, _ = place_on_grid(grid, m, r, c)
-                footprints.append(footprint(Grid.empty(10, 10, 100.0, 100.0), m, r, c))
+                footprints.append(covered(grid, m, r, c))
             union = set().union(*footprints) if footprints else set()
             got = {(r, c) for r, c in zip(*np.nonzero(grid.occupancy))}
             assert got == union
@@ -194,7 +211,7 @@ class TestPlaceOnGrid:
                     break
                 cell = int(rng.choice(np.flatnonzero(mask.ravel())))
                 r, c = divmod(cell, cols)
-                cells = footprint(grid, m, r, c)
+                cells = covered(grid, m, r, c)
                 grid, _ = place_on_grid(grid, m, r, c)  # must not raise
                 placed_area_cells += len(cells)
                 assert grid.occupancy.sum() == placed_area_cells

@@ -135,13 +135,8 @@ UNREAD_BY_DESIGN = {
         "scores a trained policy in the item-1 gate and the item-2 report",
     "agent.train.train": "the training loop that ROADMAP item 1 makes learn",
     "placer.spread_movable": "the item-2 stand-in for the academic placers",
-    "grid.footprint": "the public form of the footprint rule, checked "
-                      "against footprint_raster",
     "placer.TraceRow.wl": "the trace's HPWL column (ROADMAP aim 4), read by "
                           "tests and by the item-6 telemetry",
-    "placer.density.DensityField.energy": "the potential energy whose gradient the "
-                                          "analytical engine reads, checked against "
-                                          "finite differences and the loop oracle",
 }
 
 

@@ -28,14 +28,8 @@ from macroplace.placer import (
 )
 from macroplace.placer import analytical, force_directed
 from macroplace.placer.analytical import run_analytical
-from macroplace.placer.density import (
-    DensityField,
-    density_grid,
-    poisson_basis,
-    solve_density_field,
-)
+from macroplace.placer.density import density_grid, poisson_basis, solve_density_field
 from macroplace.placer.force_directed import _system_for, run_force_directed
-from macroplace.placer.wirelength import SmoothWL, smooth_wl_and_grad
 
 from conftest import count_calls, floating_netlist, run_in_fresh_interpreter
 from oracles import field_move_loop, in_canvas
@@ -457,38 +451,6 @@ class TestTrace:
         [row.overflow for row in trace]
         assert len(overflow_calls) == len(trace)
 
-    def test_analytical_never_reads_the_smoothed_wirelength(self, monkeypatch):
-        """The engine reads only the smoothed wirelength's gradient; its
-        value is computed on first read, so it is never computed here."""
-        def unread(wl):
-            raise AssertionError("SmoothWL.value read")
-
-        monkeypatch.setattr(SmoothWL, "value", property(unread))
-        clustered, fixed = clustered_synthetic(seed=3)
-        config = PlacerConfig(engine="analytical", max_outer_iters=5)
-        placement, trace = place_clusters(clustered, fixed, config)
-        assert len(trace) > 0
-        wl = smooth_wl_and_grad(clustered.placement_netlist, placement.positions, 1.0)
-        with pytest.raises(AssertionError, match="SmoothWL.value read"):
-            wl.value
-
-    def test_analytical_never_reads_the_density_energy(self, monkeypatch):
-        """The engine reads only the density energy's gradient; the energy
-        is computed on first read, so it is never computed here."""
-        def unread(field):
-            raise AssertionError("DensityField.energy read")
-
-        monkeypatch.setattr(DensityField, "energy", property(unread))
-        clustered, fixed = clustered_synthetic(seed=3)
-        config = PlacerConfig(engine="analytical", max_outer_iters=5)
-        placement, trace = place_clusters(clustered, fixed, config)
-        assert len(trace) > 0
-        movable = movable_cluster_mask(clustered)
-        grid = density_grid(clustered.placement_netlist, placement, movable, config.bins)
-        field = solve_density_field(placement.positions[grid.ids], grid)
-        with pytest.raises(AssertionError, match="DensityField.energy read"):
-            field.energy
-
 
 class TestEngineContract:
     def test_both_engines_same_interface(self):
@@ -523,6 +485,31 @@ class TestEngineContract:
         p2, t2 = place_clusters(clustered, start, config)
         np.testing.assert_array_equal(p1.positions, p2.positions)
         assert [(r.wl, r.overflow) for r in t1] == [(r.wl, r.overflow) for r in t2]
+
+    @pytest.mark.parametrize("run", ["fd", "analytical", "spread_movable"])
+    def test_placement_is_the_last_row_and_fixed_nodes_keep_their_start(self, run):
+        """Each engine writes the movable rows of its placement once per
+        outer iteration, so the placement it returns is its last trace
+        row's, and every fixed node keeps its start position; both bit for
+        bit. Under `spread_movable` the macros move too, and the movable ids
+        skip the terminals between them and the clusters."""
+        if run == "spread_movable":
+            bundle = generate_synthetic(SyntheticSpec(3, 60, 80, seed=21))
+            clustered = cluster_std_cells(bundle.netlist, k=8)
+            start = base_placement(clustered, bundle.placement)
+            movable = clustered.placement_netlist.node_arrays.movable
+            assert (np.diff(np.flatnonzero(movable)) > 1).any()
+            placement, trace = spread_movable(clustered, start, PlacerConfig(max_outer_iters=8))
+        else:
+            clustered, start = clustered_synthetic(seed=7)
+            movable = movable_cluster_mask(clustered)
+            placement, trace = place_clusters(
+                clustered, start, PlacerConfig(engine=run, max_outer_iters=6))
+        assert trace
+        assert placement.positions.tobytes() == trace[-1].placement.positions.tobytes()
+        fixed = ~movable
+        assert fixed.any()
+        assert placement.positions[fixed].tobytes() == start.positions[fixed].tobytes()
 
     def test_unplaced_macro_rejected(self):
         clustered, fixed = clustered_synthetic(seed=7)

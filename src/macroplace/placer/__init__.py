@@ -25,20 +25,26 @@ floor no placement can undercut. Proxy evaluation keeps the design target.
 
 Every entry point (`place_clusters`, `spread_movable`, either engine)
 starts in `engine_start` and its checks: fixed nodes placed, movable nodes
-carrying area. Only the fixed nodes of the start placement are read: every
-movable node starts at the jittered canvas centre. Both engines then
-iterate on the movable nodes' (m, 2) centres, in `DensityGrid.ids` order,
-not on a `Placement`. `DensityGrid.clamp` is their one clamp, and each
-writes its placement once per outer iteration, for the trace row.
+carrying area. Only the fixed nodes of the start placement are read. The
+force-directed engine starts every movable node at the jittered canvas
+centre, and its first solve overwrites that start. The analytical engine
+first runs the force-directed engine on the same inputs and starts its
+descent from that placement, jittered the same way: the wirelength-driven
+start of ePlace (Lu et al., TODAES 2015) and RePlAce (Cheng et al., TCAD
+2018). Both engines then iterate on the movable nodes' (m, 2) centres, in
+`DensityGrid.ids` order, not on a `Placement`. `DensityGrid.clamp` is
+their one clamp, and each writes its placement once per outer iteration,
+for the trace row.
 
 An engine iteration computes only what the next iteration needs. Its trace
 row keeps a copy of the placement and computes HPWL and overflow when first
 read, so an unread trace costs one copy per iteration; the analytical
 engine reads the overflow for its stop rule. What the movable nodes cannot
-change is computed once per placement: the `DensityGrid` that holds their
-in-canvas bounds and the fixed charge both engines rasterize onto
-(`engine_start` builds it, with the start positions both engines share),
-and the force-directed engine's pull of the fixed nodes. Both engines
+change is computed once per engine run (an analytical placement makes two:
+its force-directed start, then its descent): the `DensityGrid` that holds
+their in-canvas bounds and the fixed charge both engines rasterize onto
+(`engine_start` builds it, with the engine's start positions), and the
+force-directed engine's pull of the fixed nodes. Both engines
 solve the density field and take its gradient with the same two kernels,
 `density.solve_density_field` and `density.density_energy_and_grad`. The
 force-directed engine's dense system and its eigendecomposition depend on
@@ -116,13 +122,21 @@ class TraceRow:
 
 
 def engine_start(clustered: ClusteredNetlist, start: Placement, movable: np.ndarray,
-                 config: PlacerConfig):
-    """The start both engines share: (placement netlist, start placement,
+                 config: PlacerConfig, centres: np.ndarray | None = None):
+    """The start of either engine: (placement netlist, start placement,
     `DensityGrid` of the fixed charge and the movable boxes' canvas bounds,
     grid of the trace rows). Only the fixed nodes of `start` are read:
-    every movable node starts at canvas center plus a jitter of 1 % of the
-    shorter canvas side (one draw per node and axis from
-    `np.random.default_rng(0)`), with its box clamped into the canvas.
+    every movable node starts at its row of `centres` (the movable nodes'
+    (m, 2) centres in id order; the canvas centre when None) plus a jitter
+    of 1 % of the shorter canvas side (one draw per node and axis from
+    `np.random.default_rng(0)`), with its box clamped into the canvas. The
+    analytical engine passes the force-directed placement as `centres`.
+
+    The jitter is the start's only symmetry breaker. Identical clusters
+    with identical connections get identical rows in the force-directed
+    solve and identical field moves, so force-directed leaves them on top
+    of each other, and the density gradient of two coincident boxes is
+    the same for both: without the jitter no engine can separate them.
 
     Raises `PlacementError` unless `start` places every fixed node and
     every movable node carries area; the latter makes the density grid's
@@ -143,8 +157,9 @@ def engine_start(clustered: ClusteredNetlist, start: Placement, movable: np.ndar
     placement = start.copy()
     jitter = 0.01 * min(pnet.canvas_width, pnet.canvas_height)
     rng = np.random.default_rng(0)
-    center = np.array([pnet.canvas_width / 2, pnet.canvas_height / 2])
-    placement.positions[ids] = center + rng.uniform(-jitter, jitter, size=(len(ids), 2))
+    if centres is None:
+        centres = np.array([pnet.canvas_width / 2, pnet.canvas_height / 2])
+    placement.positions[ids] = centres + rng.uniform(-jitter, jitter, size=(len(ids), 2))
     placement.placed[ids] = True
     grid = density_grid(pnet, placement, movable, config.bins)
     placement.positions[ids] = grid.clamp(placement.positions[ids])
@@ -179,9 +194,10 @@ def spread_movable(clustered: ClusteredNetlist, fixed_placement: Placement,
     snapping, no masks).
 
     `fixed_placement` must place the terminals; macro and cluster positions
-    are ignored and re-seeded at canvas center. It always runs the
-    analytical engine, whatever `config.engine` names, and reads only
-    `config.max_outer_iters` and `config.bins`.
+    are ignored: the analytical engine starts from the force-directed
+    placement of every movable node. It always runs the analytical engine,
+    whatever `config.engine` names, and reads only `config.max_outer_iters`
+    and `config.bins`.
     """
     movable = clustered.placement_netlist.node_arrays.movable
     return run_analytical(clustered, fixed_placement, movable, config)

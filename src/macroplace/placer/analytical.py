@@ -1,13 +1,19 @@
 """Nesterov-accelerated electrostatic placement engine.
 
 Minimizes smooth_wl(x) + lambda * energy(x) over movable-node centers with
-positions projected in-canvas. The penalty weight starts where the L1 norms
-of both gradient terms balance and doubles every outer iteration; the
-wirelength smoothing gamma anneals toward a floor. Stops when the density
-overflow of an outer iteration's trace row drops below
-`PlacerConfig.overflow_stop`. One `DensityGrid` per placement holds the
-fixed nodes' charge and the Poisson eigenvalues, so each gradient rasterizes
-and differentiates the movable nodes only.
+positions projected in-canvas. The descent starts from the force-directed
+placement of the same inputs (`run_force_directed` on the same start,
+movable set and config), plus `engine_start`'s jitter, clamped: a
+wirelength-driven start, as in ePlace (Lu et al., TODAES 2015) and RePlAce
+(Cheng et al., TCAD 2018). It costs min(budget,
+`force_directed.FIELD_ITERS`) calls of each density kernel and no smooth-WL
+evaluation. The penalty weight starts where the L1 norms of both gradient
+terms balance and doubles every outer iteration; the wirelength smoothing
+gamma anneals toward a floor. Stops when the density overflow of an outer
+iteration's trace row drops below `PlacerConfig.overflow_stop`. One
+`DensityGrid` per placement holds the fixed nodes' charge and the Poisson
+eigenvalues, so each gradient rasterizes and differentiates the movable
+nodes only.
 
 Like the force-directed engine, the loop runs on the movable nodes' (m, 2)
 centres, in `DensityGrid.ids` order: the Nesterov iterates u and v and the
@@ -37,6 +43,7 @@ import numpy as np
 from ..clustering import ClusteredNetlist
 from ..netlist import Placement
 from .density import density_energy_and_grad, solve_density_field
+from .force_directed import run_force_directed
 from .wirelength import smooth_wl_and_grad
 
 # Wirelength smoothing: gamma starts at GAMMA_BINS mean bin dimensions,
@@ -73,7 +80,9 @@ def run_analytical(clustered: ClusteredNetlist, start: Placement,
                    movable: np.ndarray, config):
     from . import TraceRow, engine_start
 
-    pnet, placement, dgrid, eval_grid = engine_start(clustered, start, movable, config)
+    fd_placement, _ = run_force_directed(clustered, start, movable, config)
+    pnet, placement, dgrid, eval_grid = engine_start(clustered, start, movable, config,
+                                                     fd_placement.positions[movable])
     ids = dgrid.ids
     if not len(ids):
         return placement, []

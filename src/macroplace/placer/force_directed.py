@@ -214,8 +214,8 @@ def run_force_directed(clustered: ClusteredNetlist, start: Placement,
     system = _system_for(clustered, movable)
     if system.floating:
         warnings.warn(
-            "clusters with no connectivity to a fixed node are held only by their "
-            f"anchors, which start at canvas center and follow the field: {system.floating}",
+            "clusters with no connectivity to a fixed node: no net pulls them toward the "
+            f"fixed nodes, so the density field alone sets where they go: {system.floating}",
             stacklevel=2,
         )
 

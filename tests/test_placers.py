@@ -360,6 +360,41 @@ class TestAnalytical:
         assert trace[-1].overflow < 0.10
         assert in_canvas(clustered.placement_netlist, placement)
 
+    @pytest.mark.parametrize("run", ["place_clusters", "spread_movable"])
+    def test_descent_starts_from_force_directed_placement(self, monkeypatch, run):
+        """The first gradient evaluation (lambda_0's) sees the force-directed
+        placement of the same inputs plus `engine_start`'s jitter, clamped,
+        bit for bit: under `place_clusters` the clusters move, under
+        `spread_movable` the macros move too."""
+        if run == "spread_movable":
+            bundle = generate_synthetic(SyntheticSpec(3, 60, 80, seed=21))
+            clustered = cluster_std_cells(bundle.netlist, k=8)
+            start = base_placement(clustered, bundle.placement)
+            movable = clustered.placement_netlist.node_arrays.movable
+            entry = spread_movable
+        else:
+            clustered, start = clustered_synthetic(seed=9)
+            movable = movable_cluster_mask(clustered)
+            entry = place_clusters
+        config = PlacerConfig(engine="analytical", max_outer_iters=2)
+        fd_placement, _ = run_force_directed(clustered, start, movable, config)
+        calls = []
+        gradient_rows = analytical._gradient_rows
+
+        def recorded(pnet, positions, gamma, dgrid):
+            calls.append((positions.take(dgrid.ids, axis=0), dgrid))
+            return gradient_rows(pnet, positions, gamma, dgrid)
+
+        monkeypatch.setattr(analytical, "_gradient_rows", recorded)
+        entry(clustered, start, config)
+        centres, dgrid = calls[0]
+        pnet = clustered.placement_netlist
+        jitter = 0.01 * min(pnet.canvas_width, pnet.canvas_height)
+        offsets = np.random.default_rng(0).uniform(-jitter, jitter, size=centres.shape)
+        expected = dgrid.clamp(fd_placement.positions[dgrid.ids] + offsets)
+        assert centres.tobytes() == expected.tobytes()
+        assert not np.array_equal(centres, dgrid.clamp(fd_placement.positions[dgrid.ids]))
+
     def test_deterministic(self):
         clustered, fixed = clustered_synthetic(seed=9)
         config = PlacerConfig(engine="analytical", max_outer_iters=6)
@@ -510,6 +545,26 @@ class TestEngineContract:
         fixed = ~movable
         assert fixed.any()
         assert placement.positions[fixed].tobytes() == start.positions[fixed].tobytes()
+
+    @pytest.mark.parametrize("engine", ["fd", "analytical"])
+    def test_floating_group_warns_once_per_placement(self, engine):
+        """c1 and c2 reach no fixed node: each placement warns once, in
+        words true of both engines (the analytical engine runs the
+        force-directed one for its start), and names the group."""
+        clustered = cluster_std_cells(floating_netlist(), k=3)
+        fixed = Placement.empty(clustered.placement_netlist.num_nodes)
+        fixed.positions[0] = (2.0, 2.0)
+        fixed.placed[0] = True
+        pnet = clustered.placement_netlist
+        group = [pnet.nodes[clustered.cluster_to_placement[ci]].name
+                 for ci, c in enumerate(clustered.clusters) if c.members in ((2,), (3,))]
+        config = PlacerConfig(engine=engine, max_outer_iters=5)
+        with pytest.warns(UserWarning, match="no connectivity") as caught:
+            place_clusters(clustered, base_placement(clustered, fixed), config)
+        messages = [str(w.message) for w in caught]
+        assert messages == [
+            "clusters with no connectivity to a fixed node: no net pulls them toward the "
+            f"fixed nodes, so the density field alone sets where they go: {group}"]
 
     def test_unplaced_macro_rejected(self):
         clustered, fixed = clustered_synthetic(seed=7)

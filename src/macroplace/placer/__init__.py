@@ -6,17 +6,18 @@ Nesterov descent on smoothed wirelength plus a growing penalty on the
 energy of that field. Both consume the same inputs and produce an
 in-canvas Placement, so the environment swaps engines by config alone.
 `spread_movable` is the one run with macros moving too: the analytical
-engine over every node the design marks movable.
+descent over every node the design marks movable, from the canvas centre.
 
 `PlacerConfig` is the contract both engines share: which engine runs
 ("fd" or "analytical"), its outer-iteration budget and the bin count of the
-density grid (at least 2, checked at construction). The start jitter is
-drawn from a fixed seed: force-directed overwrites every movable
-position in its first solve, so only the analytical engine's start depends
-on it. The overflow below which the analytical engine stops is the class
-constant `PlacerConfig.overflow_stop`; force-directed has no stop rule and
-runs min(budget, `force_directed.FIELD_ITERS`) outer iterations. Each
-engine's step-size and schedule constants live in its own module.
+density grid (at least 2, checked at construction). The overflow below
+which the analytical engine stops is the class constant
+`PlacerConfig.overflow_stop`; force-directed has no stop rule and runs
+min(budget, `force_directed.FIELD_ITERS`) outer iterations. The budget
+bounds each pass on its own: an analytical placement runs that
+force-directed pass for its start, whose rows it does not return, and then
+up to the budget of its own outer iterations. Each engine's step-size and
+schedule constants live in its own module.
 
 The stop/trace overflow both engines report is the pure-overlap measure
 (density target 1.0): clusters are solid blocks much wider than a bin, so
@@ -25,13 +26,13 @@ floor no placement can undercut. Proxy evaluation keeps the design target.
 
 Every entry point (`place_clusters`, `spread_movable`, either engine)
 starts in `engine_start` and its checks: fixed nodes placed, movable nodes
-carrying area. Only the fixed nodes of the start placement are read. The
-force-directed engine starts every movable node at the jittered canvas
-centre, and its first solve overwrites that start. The analytical engine
-first runs the force-directed engine on the same inputs and starts its
-descent from that placement, jittered the same way: the wirelength-driven
+carrying area. Only the fixed nodes of the start placement are read: the
+force-directed engine's first solve sets every movable node. The
+analytical engine runs the force-directed iterations first and starts its
+descent from their placement, jittered and clamped: the wirelength-driven
 start of ePlace (Lu et al., TODAES 2015) and RePlAce (Cheng et al., TCAD
-2018). Both engines then iterate on the movable nodes' (m, 2) centres, in
+2018). `spread_movable` starts the descent at the jittered canvas centre
+instead. Both engines iterate on the movable nodes' (m, 2) centres, in
 `DensityGrid.ids` order, not on a `Placement`. `DensityGrid.clamp` is
 their one clamp, and each writes its placement once per outer iteration,
 for the trace row.
@@ -40,11 +41,11 @@ An engine iteration computes only what the next iteration needs. Its trace
 row keeps a copy of the placement and computes HPWL and overflow when first
 read, so an unread trace costs one copy per iteration; the analytical
 engine reads the overflow for its stop rule. What the movable nodes cannot
-change is computed once per engine run (an analytical placement makes two:
-its force-directed start, then its descent): the `DensityGrid` that holds
-their in-canvas bounds and the fixed charge both engines rasterize onto
-(`engine_start` builds it, with the engine's start positions), and the
-force-directed engine's pull of the fixed nodes. Both engines
+change is computed once per placement: the `DensityGrid` that holds their
+in-canvas bounds and the fixed charge both engines rasterize onto
+(`engine_start` builds it; an analytical placement's force-directed start
+shares it), and the force-directed engine's pull of the fixed nodes. Both
+engines
 solve the density field and take its gradient with the same two kernels,
 `density.solve_density_field` and `density.density_energy_and_grad`. The
 force-directed engine's dense system and its eigendecomposition depend on
@@ -65,7 +66,7 @@ from ..errors import PlacementError
 from ..grid import Grid
 from ..metrics import density_overflow
 from ..netlist import Netlist, Placement, hpwl
-from .analytical import run_analytical
+from .analytical import descend, run_analytical
 from .density import check_bins, density_grid
 from .force_directed import run_force_directed
 
@@ -122,21 +123,12 @@ class TraceRow:
 
 
 def engine_start(clustered: ClusteredNetlist, start: Placement, movable: np.ndarray,
-                 config: PlacerConfig, centres: np.ndarray | None = None):
+                 config: PlacerConfig):
     """The start of either engine: (placement netlist, start placement,
     `DensityGrid` of the fixed charge and the movable boxes' canvas bounds,
-    grid of the trace rows). Only the fixed nodes of `start` are read:
-    every movable node starts at its row of `centres` (the movable nodes'
-    (m, 2) centres in id order; the canvas centre when None) plus a jitter
-    of 1 % of the shorter canvas side (one draw per node and axis from
-    `np.random.default_rng(0)`), with its box clamped into the canvas. The
-    analytical engine passes the force-directed placement as `centres`.
-
-    The jitter is the start's only symmetry breaker. Identical clusters
-    with identical connections get identical rows in the force-directed
-    solve and identical field moves, so force-directed leaves them on top
-    of each other, and the density gradient of two coincident boxes is
-    the same for both: without the jitter no engine can separate them.
+    grid of the trace rows). Only the fixed nodes of `start` are read: the
+    movable nodes are marked placed, and the engine sets their positions
+    before any trace row or gradient reads them.
 
     Raises `PlacementError` unless `start` places every fixed node and
     every movable node carries area; the latter makes the density grid's
@@ -153,17 +145,9 @@ def engine_start(clustered: ClusteredNetlist, start: Placement, movable: np.ndar
         node = pnet.nodes[int(np.argmax(bare))]
         raise PlacementError(f"movable node '{node.name}' carries no area; "
                              "the placers move only nodes that do")
-    ids = np.flatnonzero(movable)
     placement = start.copy()
-    jitter = 0.01 * min(pnet.canvas_width, pnet.canvas_height)
-    rng = np.random.default_rng(0)
-    if centres is None:
-        centres = np.array([pnet.canvas_width / 2, pnet.canvas_height / 2])
-    placement.positions[ids] = centres + rng.uniform(-jitter, jitter, size=(len(ids), 2))
-    placement.placed[ids] = True
-    grid = density_grid(pnet, placement, movable, config.bins)
-    placement.positions[ids] = grid.clamp(placement.positions[ids])
-    return (pnet, placement, grid,
+    placement.placed[movable] = True
+    return (pnet, placement, density_grid(pnet, placement, movable, config.bins),
             Grid.empty(config.bins, config.bins, pnet.canvas_width, pnet.canvas_height))
 
 
@@ -194,13 +178,19 @@ def spread_movable(clustered: ClusteredNetlist, fixed_placement: Placement,
     snapping, no masks).
 
     `fixed_placement` must place the terminals; macro and cluster positions
-    are ignored: the analytical engine starts from the force-directed
-    placement of every movable node. It always runs the analytical engine,
-    whatever `config.engine` names, and reads only `config.max_outer_iters`
-    and `config.bins`.
+    are ignored. It always runs the analytical descent, whatever
+    `config.engine` names, and reads only `config.max_outer_iters` and
+    `config.bins`. The descent starts from the canvas centre, not from
+    `run_analytical`'s force-directed pass: from that start the overflow
+    is already below `PlacerConfig.overflow_stop`, so the descent would
+    stop after one outer iteration.
     """
     movable = clustered.placement_netlist.node_arrays.movable
-    return run_analytical(clustered, fixed_placement, movable, config)
+    pnet, placement, dgrid, eval_grid = engine_start(clustered, fixed_placement, movable, config)
+    if not len(dgrid.ids):
+        return placement, []
+    placement.positions[dgrid.ids] = (pnet.canvas_width / 2, pnet.canvas_height / 2)
+    return descend(pnet, placement, dgrid, eval_grid, config)
 
 
 __all__ = [

@@ -1,19 +1,28 @@
 """Nesterov-accelerated electrostatic placement engine.
 
 Minimizes smooth_wl(x) + lambda * energy(x) over movable-node centers with
-positions projected in-canvas. The descent starts from the force-directed
-placement of the same inputs (`run_force_directed` on the same start,
-movable set and config), plus `engine_start`'s jitter, clamped: a
+positions projected in-canvas. The penalty weight starts where the L1 norms
+of both gradient terms balance and doubles every outer iteration; the
+wirelength smoothing gamma anneals toward a floor. Stops when the density
+overflow of an outer iteration's trace row drops below
+`PlacerConfig.overflow_stop`. One `DensityGrid` per placement holds the
+fixed nodes' charge and the Poisson eigenvalues, so each gradient
+rasterizes and differentiates the movable nodes only.
+
+The descent starts from the placement of the force-directed iterations on
+the same start, movable set, config and `DensityGrid`
+(`force_directed_pass`), plus a jitter of 1 % of the shorter canvas side
+(one draw per node and axis from `np.random.default_rng(0)`), clamped: a
 wirelength-driven start, as in ePlace (Lu et al., TODAES 2015) and RePlAce
-(Cheng et al., TCAD 2018). It costs min(budget,
+(Cheng et al., TCAD 2018). That pass costs min(budget,
 `force_directed.FIELD_ITERS`) calls of each density kernel and no smooth-WL
-evaluation. The penalty weight starts where the L1 norms of both gradient
-terms balance and doubles every outer iteration; the wirelength smoothing
-gamma anneals toward a floor. Stops when the density overflow of an outer
-iteration's trace row drops below `PlacerConfig.overflow_stop`. One
-`DensityGrid` per placement holds the fixed nodes' charge and the Poisson
-eigenvalues, so each gradient rasterizes and differentiates the movable
-nodes only.
+evaluation. Its rows are not in the returned trace: the budget bounds the
+pass and the descent each. The jitter is the start's only symmetry
+breaker. Identical clusters with identical connections get identical rows
+in the force-directed solve and identical field moves, so force-directed
+leaves them on top of each other, and the density gradient of two
+coincident boxes is the same for both: without the jitter the descent
+cannot separate them.
 
 Like the force-directed engine, the loop runs on the movable nodes' (m, 2)
 centres, in `DensityGrid.ids` order: the Nesterov iterates u and v and the
@@ -43,7 +52,7 @@ import numpy as np
 from ..clustering import ClusteredNetlist
 from ..netlist import Placement
 from .density import density_energy_and_grad, solve_density_field
-from .force_directed import run_force_directed
+from .force_directed import force_directed_pass
 from .wirelength import smooth_wl_and_grad
 
 # Wirelength smoothing: gamma starts at GAMMA_BINS mean bin dimensions,
@@ -78,15 +87,22 @@ def _fallback_step(g, diag, otherwise):
 
 def run_analytical(clustered: ClusteredNetlist, start: Placement,
                    movable: np.ndarray, config):
-    from . import TraceRow, engine_start
+    from . import engine_start
 
-    fd_placement, _ = run_force_directed(clustered, start, movable, config)
-    pnet, placement, dgrid, eval_grid = engine_start(clustered, start, movable, config,
-                                                     fd_placement.positions[movable])
-    ids = dgrid.ids
-    if not len(ids):
+    pnet, placement, dgrid, eval_grid = engine_start(clustered, start, movable, config)
+    if not len(dgrid.ids):
         return placement, []
+    force_directed_pass(clustered, movable, config, pnet, placement, dgrid, eval_grid)
+    return descend(pnet, placement, dgrid, eval_grid, config)
 
+
+def descend(pnet, placement: Placement, dgrid, eval_grid, config):
+    """The Nesterov descent from the movable centres of `placement` plus
+    the start jitter, clamped; `engine_start`'s output with the movable
+    rows set. Moves `placement` in place; returns (placement, trace)."""
+    from . import TraceRow
+
+    ids = dgrid.ids
     bin_dim = 0.5 * (pnet.canvas_width + pnet.canvas_height) / config.bins
     gamma = GAMMA_BINS * bin_dim
     gamma_floor = GAMMA_FLOOR_BINS * bin_dim
@@ -94,6 +110,9 @@ def run_analytical(clustered: ClusteredNetlist, start: Placement,
     # The smooth-WL gather reads every node: the fixed rows keep the start,
     # the movable rows hold the iterate being evaluated.
     positions = placement.positions.copy()
+    jitter = 0.01 * min(pnet.canvas_width, pnet.canvas_height)
+    positions[ids] = dgrid.clamp(positions[ids] + np.random.default_rng(0).uniform(
+        -jitter, jitter, size=(len(ids), 2)))
 
     def gradient(centres):
         """(m, 2) gradient of smooth_wl + lam * energy at the movable

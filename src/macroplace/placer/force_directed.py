@@ -206,9 +206,18 @@ def _system_for(clustered: ClusteredNetlist, movable: np.ndarray) -> FDSystem:
 
 def run_force_directed(clustered: ClusteredNetlist, start: Placement,
                        movable: np.ndarray, config):
-    from . import TraceRow, engine_start
+    from . import engine_start
 
-    pnet, placement, grid, eval_grid = engine_start(clustered, start, movable, config)
+    return force_directed_pass(clustered, movable, config,
+                               *engine_start(clustered, start, movable, config))
+
+
+def force_directed_pass(clustered: ClusteredNetlist, movable: np.ndarray, config,
+                        pnet, placement: Placement, grid, eval_grid):
+    """The force-directed iterations from `engine_start`'s output. Sets the
+    movable rows of `placement` in place; returns (placement, trace)."""
+    from . import TraceRow
+
     if not len(grid.ids):
         return placement, []
     system = _system_for(clustered, movable)
@@ -216,7 +225,7 @@ def run_force_directed(clustered: ClusteredNetlist, start: Placement,
         warnings.warn(
             "clusters with no connectivity to a fixed node: no net pulls them toward the "
             f"fixed nodes, so the density field alone sets where they go: {system.floating}",
-            stacklevel=2,
+            stacklevel=3,
         )
 
     spectrum = system.spectrum

@@ -361,23 +361,21 @@ class TestAnalytical:
         assert in_canvas(clustered.placement_netlist, placement)
 
     @pytest.mark.parametrize("run", ["place_clusters", "spread_movable"])
-    def test_descent_starts_from_force_directed_placement(self, monkeypatch, run):
-        """The first gradient evaluation (lambda_0's) sees the force-directed
-        placement of the same inputs plus `engine_start`'s jitter, clamped,
-        bit for bit: under `place_clusters` the clusters move, under
-        `spread_movable` the macros move too."""
+    def test_descent_starts_at_its_documented_start(self, monkeypatch, run):
+        """The first gradient evaluation (lambda_0's) sees the start plus the
+        1 % jitter, clamped, bit for bit: under `place_clusters` the
+        force-directed placement of the same inputs, under `spread_movable`
+        (clusters and macros moving) the canvas centre."""
         if run == "spread_movable":
             bundle = generate_synthetic(SyntheticSpec(3, 60, 80, seed=21))
             clustered = cluster_std_cells(bundle.netlist, k=8)
             start = base_placement(clustered, bundle.placement)
-            movable = clustered.placement_netlist.node_arrays.movable
             entry = spread_movable
         else:
             clustered, start = clustered_synthetic(seed=9)
-            movable = movable_cluster_mask(clustered)
             entry = place_clusters
+        pnet = clustered.placement_netlist
         config = PlacerConfig(engine="analytical", max_outer_iters=2)
-        fd_placement, _ = run_force_directed(clustered, start, movable, config)
         calls = []
         gradient_rows = analytical._gradient_rows
 
@@ -388,12 +386,16 @@ class TestAnalytical:
         monkeypatch.setattr(analytical, "_gradient_rows", recorded)
         entry(clustered, start, config)
         centres, dgrid = calls[0]
-        pnet = clustered.placement_netlist
+        if run == "spread_movable":
+            base = np.tile([pnet.canvas_width / 2, pnet.canvas_height / 2], (len(dgrid.ids), 1))
+        else:
+            fd_placement, _ = run_force_directed(clustered, start,
+                                                 movable_cluster_mask(clustered), config)
+            base = fd_placement.positions[dgrid.ids]
         jitter = 0.01 * min(pnet.canvas_width, pnet.canvas_height)
         offsets = np.random.default_rng(0).uniform(-jitter, jitter, size=centres.shape)
-        expected = dgrid.clamp(fd_placement.positions[dgrid.ids] + offsets)
-        assert centres.tobytes() == expected.tobytes()
-        assert not np.array_equal(centres, dgrid.clamp(fd_placement.positions[dgrid.ids]))
+        assert centres.tobytes() == dgrid.clamp(base + offsets).tobytes()
+        assert not np.array_equal(centres, dgrid.clamp(base))
 
     def test_deterministic(self):
         clustered, fixed = clustered_synthetic(seed=9)

@@ -3,13 +3,15 @@
 
     python3 tools/sweep.py --engine analytical --placements 24 --designs S M
 
-Run from the repository root. Each design is the benchmark's
-(`perfbench/bench.py`): S = SyntheticSpec(8, 500, 600), M = (16, 2000, 2500)
-and L = (32, 8000, 10000), all at design seed 1, written to Bookshelf in a
-temporary directory and read back with `edit_for_movable_macros`. Macros
-are placed by `uniform_random_policy` at episode seeds 0..n-1, and the
-clusters by the chosen engine with the default `PlacerConfig`. BLAS runs
-on one thread.
+Run from the repository root. The designs are those of the benchmark's
+workloads (`perfbench/bench.py:WORKLOADS`), named by the size letter that
+ends each workload's name: S, M and L. Each is written to Bookshelf in a
+temporary directory and read back by the benchmark's own set-up, after its
+warm-up placement. Macros are placed by `uniform_random_policy` at episode
+seeds 0..n-1, and the clusters by the chosen engine with the default
+`PlacerConfig`. BLAS runs on one thread. Calls are counted and the
+placements' traces kept with the benchmark's own rebinding (`tracing.rebind`)
+and `PlacerProbe`.
 
 Prints one JSON line per design: the mean and best reward, the per-episode
 rewards, the mean number of trace rows and the mean final overflow (the
@@ -31,13 +33,29 @@ import statistics
 import sys
 import tempfile
 import time
-from contextlib import contextmanager
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-DESIGN_SEED = 1
-DESIGNS = {"S": (8, 500, 600), "M": (16, 2000, 2500), "L": (32, 8000, 10000)}
+PERFBENCH = ROOT / "perfbench"
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def benchmark_modules():
+    """perfbench's `bench` and `tracing`, imported by their bare names as
+    `perfbench/run.py` imports them."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import bench
+        import tracing
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return bench, tracing
+
+
+def benchmark_designs() -> dict:
+    """{size letter: the `SyntheticSpec` of the workload whose name it ends}."""
+    bench, _ = benchmark_modules()
+    return {name.rsplit("-", 1)[1]: workload.spec for name, workload in bench.WORKLOADS.items()}
 
 
 def counter(fn, calls: list):
@@ -48,64 +66,39 @@ def counter(fn, calls: list):
     return counted
 
 
-@contextmanager
-def rebound(replacements: dict):
-    """Rebind every `macroplace` module binding of each key of
-    `replacements` to its value, and restore them on exit."""
-    by_id = {id(fn): fn for fn in replacements}
-    bound = [(module, attr, by_id[id(value)]) for name, module in list(sys.modules.items())
-             if name.split(".")[0] == "macroplace"
-             for attr, value in list(vars(module).items()) if id(value) in by_id]
-    for module, attr, fn in bound:
-        setattr(module, attr, replacements[fn])
-    try:
-        yield
-    finally:
-        for module, attr, fn in bound:
-            setattr(module, attr, fn)
-
-
-def design_bundle(spec, workdir: Path):
-    """`spec` written to Bookshelf under `workdir` and read back, as the
-    benchmark ingests its designs."""
-    from macroplace import edit_for_movable_macros, generate_synthetic
-    from macroplace.bookshelf import parse_bookshelf, write_bookshelf
-
-    write_bookshelf(generate_synthetic(spec), workdir, "design")
-    return edit_for_movable_macros(parse_bookshelf(workdir))
-
-
 def run_design(name: str, spec, engine: str, placements: int, workdir: Path) -> dict:
     """Roll out `placements` uniform-random episodes of `spec` with
     `engine`; returns the design's JSON record."""
+    bench, tracing = benchmark_modules()
     import macroplace.env as menv
-    from macroplace.placer import PlacerConfig
-    from macroplace.placer.density import solve_density_field
-    from macroplace.placer.wirelength import smooth_wl_and_grad
+    from macroplace import generate_synthetic
+    from macroplace.bookshelf import write_bookshelf
 
-    start = time.perf_counter()
-    env = menv.MacroPlacementEnv(design_bundle(spec, workdir),
-                                 menv.EnvConfig(placer=PlacerConfig(engine=engine)))
-    setup_s = time.perf_counter() - start
+    design_dir = workdir / "design"
+    write_bookshelf(generate_synthetic(spec), design_dir, name)
+    bench.warm_up(engine, workdir)
+    env, _start, setup_s = bench.set_up(bench.Workload(name, spec, engine, setup_repeats=1),
+                                        design_dir, time.perf_counter)
 
-    traces, wl_calls, solves = [], [], []
-    place_clusters = menv.place_clusters
-
-    def recorded(*args):
-        placement, trace = place_clusters(*args)
-        traces.append(trace)
-        return placement, trace
-
-    with rebound({place_clusters: recorded,
-                  smooth_wl_and_grad: counter(smooth_wl_and_grad, wl_calls),
-                  solve_density_field: counter(solve_density_field, solves)}):
+    probe = bench.PlacerProbe(time.perf_counter)
+    wl_calls, solves = [], []
+    changes = []
+    try:
+        changes += tracing.rebind("macroplace.placer", "place_clusters", probe.wrap)
+        changes += tracing.rebind("macroplace.placer.wirelength", "smooth_wl_and_grad",
+                                  lambda fn: counter(fn, wl_calls))
+        changes += tracing.rebind("macroplace.placer.density", "solve_density_field",
+                                  lambda fn: counter(fn, solves))
         start = time.perf_counter()
         episodes = [menv.rollout(env, menv.uniform_random_policy, seed)
                     for seed in range(placements)]
         seconds = time.perf_counter() - start
+    finally:
+        tracing.restore(changes)
 
     placed = [episode for episode in episodes if not episode.dead_end]
     rewards = [episode.reward for episode in placed]
+    calls = probe.calls  # (end time, trace length, final overflow, placement)
     return {
         "design": name,
         "engine": engine,
@@ -114,33 +107,33 @@ def run_design(name: str, spec, engine: str, placements: int, workdir: Path) -> 
         "reward_mean": statistics.fmean(rewards),
         "reward_best": max(rewards),
         "rewards": rewards,
-        "trace_rows_mean": statistics.fmean(len(trace) for trace in traces),
-        "overflow_final_mean": statistics.fmean(trace[-1].overflow for trace in traces),
-        "grad_evals_per_placement": len(wl_calls) / len(traces),
-        "field_iters_per_placement": (len(solves) - len(wl_calls)) / len(traces),
+        "trace_rows_mean": statistics.fmean(rows for _, rows, _, _ in calls),
+        "overflow_final_mean": statistics.fmean(overflow for _, _, overflow, _ in calls),
+        "grad_evals_per_placement": len(wl_calls) / len(calls),
+        "field_iters_per_placement": (len(solves) - len(wl_calls)) / len(calls),
         "seconds": seconds,
         "setup_s": setup_s,
     }
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--engine", required=True, choices=("fd", "analytical"))
-    parser.add_argument("--placements", type=int, required=True)
-    parser.add_argument("--designs", nargs="+", choices=sorted(DESIGNS), default=["S", "M", "L"])
-    args = parser.parse_args(argv)
-    if args.placements < 1:
-        parser.error("--placements must be >= 1")
     # Before numpy loads: one compute thread, as the benchmark runs.
     for var in THREAD_VARS:
         os.environ[var] = "1"
     sys.path.insert(0, str(ROOT / "src"))
-    from macroplace import SyntheticSpec
+    designs = benchmark_designs()
+
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--engine", required=True, choices=("fd", "analytical"))
+    parser.add_argument("--placements", type=int, required=True)
+    parser.add_argument("--designs", nargs="+", choices=sorted(designs), default=["S", "M", "L"])
+    args = parser.parse_args(argv)
+    if args.placements < 1:
+        parser.error("--placements must be >= 1")
 
     for name in args.designs:
-        spec = SyntheticSpec(*DESIGNS[name], seed=DESIGN_SEED)
         with tempfile.TemporaryDirectory() as workdir:
-            record = run_design(name, spec, args.engine, args.placements, Path(workdir))
+            record = run_design(name, designs[name], args.engine, args.placements, Path(workdir))
         print(json.dumps(record), flush=True)
     return 0
 

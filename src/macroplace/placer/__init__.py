@@ -45,11 +45,10 @@ change is computed once per placement: the `DensityGrid` that holds their
 in-canvas bounds and the fixed charge both engines rasterize onto
 (`engine_start` builds it; an analytical placement's force-directed start
 shares it), and the force-directed engine's pull of the fixed nodes. Both
-engines
-solve the density field and take its gradient with the same two kernels,
-`density.solve_density_field` and `density.density_energy_and_grad`. The
-force-directed engine's dense system and its eigendecomposition depend on
-neither the macros' positions nor the clusters', so they are computed
+engines solve the density field and take its gradient with the same two
+kernels, `density.solve_density_field` and `density.density_energy_and_grad`.
+The force-directed engine's dense system and its eigendecomposition depend
+on neither the macros' positions nor the clusters', so they are computed
 once per design, on its first placement.
 """
 

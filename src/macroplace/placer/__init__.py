@@ -10,10 +10,13 @@ descent over every node the design marks movable, from the canvas centre.
 
 `PlacerConfig` is the contract both engines share: which engine runs
 ("fd" or "analytical"), its outer-iteration budget and the bin count of the
-density grid (at least 2, checked at construction). The overflow below
-which the analytical engine stops is the class constant
-`PlacerConfig.overflow_stop`; force-directed has no stop rule and runs
-min(budget, `force_directed.FIELD_ITERS`) outer iterations. The budget
+density grid (at least 2, checked at construction). The analytical
+engine stops at the first outer iteration whose overflow is below the
+class constant `PlacerConfig.overflow_stop` or strictly above the lowest
+overflow of the rows before it; strictly, because from `spread_movable`'s
+centre start the first rows can tie while the nodes are still stacked.
+Force-directed has no stop rule and runs min(budget,
+`force_directed.FIELD_ITERS`) outer iterations. The budget
 bounds each pass on its own: an analytical placement runs that
 force-directed pass for its start, whose rows it does not return, and then
 up to the budget of its own outer iterations. Each engine's step-size and

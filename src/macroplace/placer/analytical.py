@@ -3,9 +3,13 @@
 Minimizes smooth_wl(x) + lambda * energy(x) over movable-node centers with
 positions projected in-canvas. The penalty weight starts where the L1 norms
 of both gradient terms balance and doubles every outer iteration; the
-wirelength smoothing gamma anneals toward a floor. Stops when the density
-overflow of an outer iteration's trace row drops below
-`PlacerConfig.overflow_stop`. One `DensityGrid` per placement holds the
+wirelength smoothing gamma anneals toward a floor. Stops at the first
+outer iteration whose trace row's density overflow drops below
+`PlacerConfig.overflow_stop` or rises strictly above the lowest overflow of
+the rows before it, and returns that row: both stops read the overflow, as
+RePlAce's does (Cheng et al., TCAD 2018). The rise must be strict: from
+`spread_movable`'s centre start the first rows can tie while the nodes are
+still stacked. One `DensityGrid` per placement holds the
 fixed nodes' charge and the Poisson eigenvalues, so each gradient
 rasterizes and differentiates the movable nodes only.
 
@@ -165,10 +169,15 @@ def descend(pnet, placement: Placement, dgrid, eval_grid, config):
         # Pure-overlap overflow (target 1.0): solid clusters keep their
         # interior bins at density 1, so the design target would be an
         # unreachable floor here; overlap removal is the actual stop goal.
+        # Stop below overflow_stop, or at the first row whose overflow rises
+        # strictly above the lowest before it: no earlier row rose, so that
+        # lowest is the previous row's (cached) overflow. A tie does not
+        # stop: from a centre start the first rows tie while the nodes are
+        # still stacked.
         row = TraceRow(iteration=outer, lam=lam, netlist=pnet,
                        placement=placement, grid=eval_grid)
         trace.append(row)
-        if row.overflow < config.overflow_stop:
+        if row.overflow < config.overflow_stop or (outer and row.overflow > trace[-2].overflow):
             break
         lam *= LAMBDA_GROWTH
         gamma = max(gamma * GAMMA_ANNEAL, gamma_floor)

@@ -249,13 +249,15 @@ class TestDeterminism:
     def test_analytical_results_at_benchmark_scale_are_pinned(self, tmp_path, monkeypatch):
         """The benchmark's rollout-nesterov-S design (8 macros, 500 cells,
         600 nets, design seed 1, ingested through Bookshelf) rolled out with
-        the analytical engine at episode seeds 1 (stops on overflow) and 2
-        (runs the full budget), and `spread_movable` on a small design. The
-        rollouts' rewards and trace lengths were recorded when the engine
-        first started from the force-directed placement, and hold exactly.
-        `spread_movable` keeps the canvas-centre start, and its trace length
-        and the SHA-256 of its positions hold exactly from before that
-        change.
+        the analytical engine at episode seeds 1 (stops below
+        `overflow_stop`) and 2 (stops at row 8, whose overflow rises above
+        row 7's), and `spread_movable` on a small design. Seed 2's reward,
+        trace length and kernel calls were recorded when the descent first
+        stopped on an overflow rise; seed 1's, none of whose rows rises,
+        when the engine first started from the force-directed placement.
+        All hold exactly. `spread_movable` keeps the canvas-centre start,
+        and its trace length and the SHA-256 of its positions hold exactly
+        from before that start changed.
 
         Each gradient evaluation calls each of the three gradient kernels
         once, through the bindings a benchmark trace wraps: lambda_0's,
@@ -282,9 +284,9 @@ class TestDeterminism:
 
         monkeypatch.setattr("macroplace.env.place_clusters", recorded_place_clusters)
         rewards = [rollout(env, uniform_random_policy, seed).reward for seed in (1, 2)]
-        assert rewards == [-0.5539366809820492, -0.6237412621937913]
-        assert lengths == [6, 30]
-        assert kernel_calls == [[141, 151, 151], [764, 774, 774]]
+        assert rewards == [-0.5539366809820492, -0.5933538793205432]
+        assert lengths == [6, 9]
+        assert kernel_calls == [[141, 151, 151], [220, 230, 230]]
 
         small = generate_synthetic(SyntheticSpec(3, 60, 80, seed=21))
         clustered = cluster_std_cells(small.netlist, k=8)

@@ -397,6 +397,31 @@ class TestAnalytical:
         assert centres.tobytes() == dgrid.clamp(base + offsets).tobytes()
         assert not np.array_equal(centres, dgrid.clamp(base))
 
+    @pytest.mark.parametrize("run", ["place_clusters", "spread_movable"])
+    @pytest.mark.parametrize("overflows, rows", [
+        ((0.5, 0.4, 0.45, 0.3, 0.2, 0.2), 3),  # row 2 rises above row 1
+        ((0.4, 0.4, 0.3, 0.3, 0.2, 0.2), 6),  # ties never stop: the budget
+    ])
+    def test_descent_stops_at_the_first_overflow_rise(self, monkeypatch, run, overflows, rows):
+        """With the trace rows' overflow scripted (all above
+        `overflow_stop`), the descent stops at the first row whose overflow
+        is strictly above the lowest before it, and returns that row's
+        placement, bit for bit; a tie does not stop it."""
+        scripted = iter(overflows)
+        monkeypatch.setattr("macroplace.placer.density_overflow",
+                            lambda *args, **kwargs: next(scripted))
+        if run == "spread_movable":
+            bundle = generate_synthetic(SyntheticSpec(3, 60, 80, seed=21))
+            clustered = cluster_std_cells(bundle.netlist, k=8)
+            entry, start = spread_movable, base_placement(clustered, bundle.placement)
+        else:
+            clustered, start = clustered_synthetic(seed=7)
+            entry = place_clusters
+        config = PlacerConfig(engine="analytical", max_outer_iters=len(overflows))
+        placement, trace = entry(clustered, start, config)
+        assert [row.overflow for row in trace] == list(overflows[:rows])
+        assert placement.positions.tobytes() == trace[rows - 1].placement.positions.tobytes()
+
     def test_deterministic(self):
         clustered, fixed = clustered_synthetic(seed=9)
         config = PlacerConfig(engine="analytical", max_outer_iters=6)
@@ -547,6 +572,27 @@ class TestEngineContract:
         fixed = ~movable
         assert fixed.any()
         assert placement.positions[fixed].tobytes() == start.positions[fixed].tobytes()
+
+    @pytest.mark.parametrize("run", ["analytical", "spread_movable"])
+    def test_analytical_stops_below_overflow_stop_on_a_rise_or_at_the_budget(self, run):
+        """The descent's stop contract: no row before the last rises above
+        the lowest overflow before it, and the last row is below
+        `overflow_stop`, rises above that lowest, or ends the budget."""
+        if run == "spread_movable":
+            bundle = generate_synthetic(SyntheticSpec(3, 60, 80, seed=21))
+            clustered = cluster_std_cells(bundle.netlist, k=8)
+            config = PlacerConfig(max_outer_iters=8)
+            _, trace = spread_movable(clustered, base_placement(clustered, bundle.placement),
+                                      config)
+        else:
+            clustered, start = clustered_synthetic(seed=7)
+            config = PlacerConfig(engine="analytical", max_outer_iters=6)
+            _, trace = place_clusters(clustered, start, config)
+        overflows = [row.overflow for row in trace]
+        lowest = np.minimum.accumulate([np.inf] + overflows)  # lowest[i]: before row i
+        assert all(overflows[i] <= lowest[i] for i in range(len(trace) - 1))
+        assert (overflows[-1] < PlacerConfig.overflow_stop or overflows[-1] > lowest[-2]
+                or len(trace) == config.max_outer_iters)
 
     @pytest.mark.parametrize("engine", ["fd", "analytical"])
     def test_floating_group_warns_once_per_placement(self, engine):

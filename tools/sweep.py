@@ -19,9 +19,14 @@ last trace row's pure-overlap overflow, as the benchmark reports them),
 the gradient evaluations per placement (smooth-WL calls; each analytical
 gradient evaluation makes one), the field iterations per placement (density
 solves that go with no smooth-WL call: the force-directed engine's, also
-when it gives the analytical engine its start), and the wall time of the
-placements and of the set-up. Dead-end episodes are counted and left out
-of the means.
+when it gives the analytical engine its start), the count of each stop
+reason, and the wall time of the placements and of the set-up. The stop
+reason is read from each placement's trace and `PlacerConfig`: the
+analytical descent's "overflow_stop" (last row below
+`PlacerConfig.overflow_stop`), "overflow_rise" (last row above the one
+before it) or "budget"; the force-directed engine's "field_iters", or
+"budget" when the budget is at most `FIELD_ITERS`. Dead-end episodes are
+counted and left out of the means.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ import statistics
 import sys
 import tempfile
 import time
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -66,6 +72,27 @@ def counter(fn, calls: list):
     return counted
 
 
+def keeping_traces(fn, traces: list):
+    """`fn` (`place_clusters`), appending the trace of every call to `traces`."""
+    def kept(*args, **kwargs):
+        placement, trace = fn(*args, **kwargs)
+        traces.append(trace)
+        return placement, trace
+    return kept
+
+
+def stop_reason(trace, config) -> str:
+    """Why the placer run of `config` whose trace is `trace` ended."""
+    if config.engine == "fd":
+        return "field_iters" if len(trace) < config.max_outer_iters else "budget"
+    last = trace[-1].overflow
+    if last < config.overflow_stop:
+        return "overflow_stop"
+    if len(trace) > 1 and last > trace[-2].overflow:
+        return "overflow_rise"
+    return "budget"
+
+
 def run_design(name: str, spec, engine: str, placements: int, workdir: Path) -> dict:
     """Roll out `placements` uniform-random episodes of `spec` with
     `engine`; returns the design's JSON record."""
@@ -81,10 +108,11 @@ def run_design(name: str, spec, engine: str, placements: int, workdir: Path) -> 
                                         design_dir, time.perf_counter)
 
     probe = bench.PlacerProbe(time.perf_counter)
-    wl_calls, solves = [], []
+    wl_calls, solves, traces = [], [], []
     changes = []
     try:
-        changes += tracing.rebind("macroplace.placer", "place_clusters", probe.wrap)
+        changes += tracing.rebind("macroplace.placer", "place_clusters",
+                                  lambda fn: probe.wrap(keeping_traces(fn, traces)))
         changes += tracing.rebind("macroplace.placer.wirelength", "smooth_wl_and_grad",
                                   lambda fn: counter(fn, wl_calls))
         changes += tracing.rebind("macroplace.placer.density", "solve_density_field",
@@ -111,6 +139,7 @@ def run_design(name: str, spec, engine: str, placements: int, workdir: Path) -> 
         "overflow_final_mean": statistics.fmean(overflow for _, _, overflow, _ in calls),
         "grad_evals_per_placement": len(wl_calls) / len(calls),
         "field_iters_per_placement": (len(solves) - len(wl_calls)) / len(calls),
+        "stops": dict(Counter(stop_reason(trace, env.config.placer) for trace in traces)),
         "seconds": seconds,
         "setup_s": setup_s,
     }

@@ -10,7 +10,7 @@ import numpy as np
 
 from ..env import MacroPlacementEnv, rollout, uniform_random_policy
 from ..errors import BudgetError
-from ..grid import Grid, feasibility_mask, place_on_grid
+from ..grid import Grid, feasibility_mask, lift_from_grid, place_on_grid
 from ..netlist import Placement
 
 ORACLE_MAX_MACROS = 3
@@ -57,6 +57,10 @@ def baseline_sim_anneal(env: MacroPlacementEnv, moves: int, seed: int = 0) -> Ba
     feasible cell for it, and accepts a worse cost with probability
     exp(-increase / t) at the geometric temperature t = SA_T0 * SA_ALPHA**move.
     Once t underflows to 0 (after ~24k moves) only improvements are accepted.
+
+    The incumbent's grid and macro centres are kept: a move lifts macro k
+    off the incumbent grid (`lift_from_grid`), draws from its mask there and
+    places it once, so the other macros are not placed again.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 991]))
     start = rollout(env, uniform_random_policy, np.random.SeedSequence([seed, 0]))
@@ -67,29 +71,26 @@ def baseline_sim_anneal(env: MacroPlacementEnv, moves: int, seed: int = 0) -> Ba
     rewards = [start.reward]
     best_cells, best_cost, best_placement = list(cells), cost, start.final_placement
 
-    rows, cols = env.config.grid_rows, env.config.grid_cols
+    cols = env.config.grid_cols
+    macros = [env.pnet.nodes[pid] for pid in env.macro_order]
+    grid = Grid.empty(env.config.grid_rows, cols, env.pnet.canvas_width, env.pnet.canvas_height)
+    centres = np.empty((len(macros), 2))
+    for j, (macro, cell) in enumerate(zip(macros, cells)):
+        grid, centres[j] = place_on_grid(grid, macro, *divmod(cell, cols))
     for move in range(moves):
         k = int(rng.integers(len(cells)))
-        # Occupancy and positions of every macro but k. place_on_grid snaps
-        # to the cell center whatever else is placed, so the order is free.
-        grid = Grid.empty(rows, cols, env.pnet.canvas_width, env.pnet.canvas_height)
-        placement = env.start_placement()
-        for j, cell in enumerate(cells):
-            if j == k:
-                continue
-            pid = env.macro_order[j]
-            grid, (x, y) = place_on_grid(grid, env.pnet.nodes[pid], *divmod(cell, cols))
-            placement.positions[pid] = (x, y)
-            placement.placed[pid] = True
-        macro = env.pnet.nodes[env.macro_order[k]]
-        choices = np.flatnonzero(feasibility_mask(grid, macro))
+        macro = macros[k]
+        lifted = lift_from_grid(grid, macro)
+        choices = np.flatnonzero(feasibility_mask(lifted, macro))
         if len(choices) == 0:
             continue
         proposal = list(cells)
         proposal[k] = int(rng.choice(choices))
-        _, (x, y) = place_on_grid(grid, macro, *divmod(proposal[k], cols))
-        placement.positions[macro.id] = (x, y)
-        placement.placed[macro.id] = True
+        moved, centre = place_on_grid(lifted, macro, *divmod(proposal[k], cols))
+        placement = env.start_placement()
+        placement.positions[env.macro_order] = centres
+        placement.positions[macro.id] = centre
+        placement.placed[env.macro_order] = True
         placement, metrics = env.finish(placement)
         rewards.append(metrics.reward)
         new_cost = -metrics.reward
@@ -98,7 +99,8 @@ def baseline_sim_anneal(env: MacroPlacementEnv, moves: int, seed: int = 0) -> Ba
             t > 0 and rng.random() < np.exp(-(new_cost - cost) / t)
         )
         if accept:
-            cells, cost = proposal, new_cost
+            cells, cost, grid = proposal, new_cost, moved
+            centres[k] = centre
             if new_cost < best_cost:
                 best_cells, best_cost, best_placement = list(cells), new_cost, placement
     return BaselineResult(best_reward=-best_cost, best_actions=best_cells,

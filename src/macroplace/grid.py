@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -58,22 +59,21 @@ class Grid:
                     self.occupancy.copy(), list(self.placed_macros))
 
 
+def _axis_offsets(size: float, cell: float) -> tuple[int, int]:
+    """(lo, hi), lo <= 0 <= hi: a box of `size` centred in cell i of width
+    `cell` covers cells i + lo .. i + hi of its axis. A box thinner than the
+    boundary tolerance keeps the action cell."""
+    tol = _REL_TOL * cell
+    lo = math.floor(0.5 - size / (2 * cell) + tol / cell)
+    hi = math.ceil(0.5 + size / (2 * cell) - tol / cell) - 1
+    return min(lo, 0), max(hi, 0)
+
+
 def _footprint_offsets(grid: Grid, macro: Node):
     """Footprint as constant offsets around the action cell: placing at
     (r, c) covers rows r+dr0..r+dr1 and cols c+dc0..c+dc1. The feasibility
-    mask and place_on_grid both derive from these offsets.
-    A box thinner than the boundary tolerance keeps the action cell."""
-    tol_x = _REL_TOL * grid.cell_w
-    tol_y = _REL_TOL * grid.cell_h
-    wl = 0.5 - macro.width / (2 * grid.cell_w)
-    wr = 0.5 + macro.width / (2 * grid.cell_w)
-    hl = 0.5 - macro.height / (2 * grid.cell_h)
-    hr = 0.5 + macro.height / (2 * grid.cell_h)
-    dc0 = math.floor(wl + tol_x / grid.cell_w)
-    dc1 = math.ceil(wr - tol_x / grid.cell_w) - 1
-    dr0 = math.floor(hl + tol_y / grid.cell_h)
-    dr1 = math.ceil(hr - tol_y / grid.cell_h) - 1
-    return min(dr0, 0), max(dr1, 0), min(dc0, 0), max(dc1, 0)
+    mask and place_on_grid both derive from these offsets."""
+    return (*_axis_offsets(macro.height, grid.cell_h), *_axis_offsets(macro.width, grid.cell_w))
 
 
 def _footprint_window(grid: Grid, macro: Node, row: int, col: int):
@@ -94,28 +94,46 @@ def _in_canvas(centre, size: float, extent: float):
 def feasibility_mask(grid: Grid, macro: Node) -> np.ndarray:
     """(rows, cols) bool array of the feasible cells: the box stays inside
     the canvas and covers no occupied cell. An all-false mask is a legal
-    result."""
-    col_centers = (np.arange(grid.cols) + 0.5) * grid.cell_w
-    row_centers = (np.arange(grid.rows) + 0.5) * grid.cell_h
-    inside_c = _in_canvas(col_centers, macro.width, grid.canvas_width)
-    inside_r = _in_canvas(row_centers, macro.height, grid.canvas_height)
-    inside = inside_r[:, None] & inside_c[None, :]
-    if not inside.any():
-        return inside
+    result.
 
-    dr0, dr1, dc0, dc1 = _footprint_offsets(grid, macro)
+    What the occupancy cannot change, the in-canvas cells and each cell's
+    footprint window, comes from `mask_windows`; a call counts the occupied
+    cells of every window from one summed-area table."""
+    inside, r_lo, r_hi, c_lo, c_hi = mask_windows(
+        grid.rows, grid.cols, grid.cell_w, grid.cell_h, macro.width, macro.height)
     # Sliding-window occupancy count via a zero-padded summed-area table.
     sat = np.zeros((grid.rows + 1, grid.cols + 1), dtype=np.int64)
     np.cumsum(np.cumsum(grid.occupancy, axis=0), axis=1, out=sat[1:, 1:])
-    # dr0, dc0 <= 0 <= dr1, dc1: each window bound is clipped on one side.
-    r = np.arange(grid.rows)
-    c = np.arange(grid.cols)
-    r_lo, r_hi = np.maximum(r + dr0, 0), np.minimum(r + (dr1 + 1), grid.rows)
-    c_lo, c_hi = np.maximum(c + dc0, 0), np.minimum(c + (dc1 + 1), grid.cols)
     # Occupied cells per row window and column prefix, then per window.
     strips = sat[r_hi] - sat[r_lo]
-    covered = strips[:, c_hi] - strips[:, c_lo]
-    return inside & (covered == 0)
+    return inside & (strips[:, c_hi] == strips[:, c_lo])
+
+
+# A design has one footprint per macro size on one or two grid shapes; the
+# bound keeps a long-lived process that sees many from growing without end.
+@lru_cache(maxsize=256)
+def mask_windows(rows: int, cols: int, cell_w: float, cell_h: float,
+                 width: float, height: float):
+    """(inside, r_lo, r_hi, c_lo, c_hi) of a width x height macro on a rows x
+    cols grid of cell_w x cell_h cells. Built once per key and shared: every
+    array is read-only.
+
+    inside is the (rows, cols) mask of the cells at which the box stays in
+    the canvas. The footprint at (r, c) covers rows r_lo[r] .. r_hi[r] - 1
+    and columns c_lo[c] .. c_hi[c] - 1, clipped to the grid."""
+    def axis(count, cell, size):
+        lo, hi = _axis_offsets(size, cell)
+        index = np.arange(count)
+        # lo <= 0 <= hi: each window bound is clipped on one side.
+        return (_in_canvas((index + 0.5) * cell, size, cell * count),
+                np.maximum(index + lo, 0), np.minimum(index + (hi + 1), count))
+
+    inside_r, r_lo, r_hi = axis(rows, cell_h, height)
+    inside_c, c_lo, c_hi = axis(cols, cell_w, width)
+    windows = (inside_r[:, None] & inside_c[None, :], r_lo, r_hi, c_lo, c_hi)
+    for array in windows:
+        array.flags.writeable = False
+    return windows
 
 
 def place_on_grid(grid: Grid, macro: Node, row: int, col: int):
@@ -147,3 +165,22 @@ def place_on_grid(grid: Grid, macro: Node, row: int, col: int):
     x = min(max(cx, macro.width / 2), grid.canvas_width - macro.width / 2)
     y = min(max(cy, macro.height / 2), grid.canvas_height - macro.height / 2)
     return out, (x, y)
+
+
+def lift_from_grid(grid: Grid, macro: Node) -> Grid:
+    """Remove a placed macro; returns the new grid. The inverse of
+    `place_on_grid`: placing a macro and then lifting it gives back the
+    occupancy and `placed_macros` of before.
+
+    Raises PlacementError for a macro the grid does not hold.
+    """
+    for index, (nid, row, col) in enumerate(grid.placed_macros):
+        if nid == macro.id:
+            break
+    else:
+        raise PlacementError(f"macro '{macro.name}' is not placed")
+    out = grid.copy()
+    # Placed footprints are disjoint: the window holds this macro alone.
+    out.occupancy[_footprint_window(grid, macro, row, col)] = False
+    del out.placed_macros[index]
+    return out

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid
-from .netlist import Netlist, Placement, hpwl, net_boxes
+from .netlist import Netlist, Placement, hpwl_of_boxes, net_boxes
 from .raster import axis_overlap, node_boxes
 
 # Routing capacity per cell, horizontal == vertical. Calibrated once as the
@@ -66,9 +66,14 @@ def congestion_map(
 ) -> CongestionMap:
     """RUDY demand maps. Horizontal demand of a net is w/h_box, vertical is
     w/w_box, each distributed over the box proportionally to overlap area."""
+    return _rudy(netlist, *net_boxes(netlist, placement), grid, capacity_h, capacity_v)
+
+
+def _rudy(netlist: Netlist, lo: np.ndarray, hi: np.ndarray, grid: Grid,
+          capacity_h: float, capacity_v: float) -> CongestionMap:
+    """`congestion_map` of the net boxes (lo, hi) that `net_boxes` gave."""
     rows, cols = grid.rows, grid.cols
     W, H = grid.canvas_width, grid.canvas_height
-    lo, hi = net_boxes(netlist, placement)
     # The clamp below would turn an infinite edge into a canvas-wide box.
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise ValueError("net box edges must be finite")
@@ -153,9 +158,11 @@ def evaluate(netlist: Netlist, placement: Placement, grid: Grid,
              capacity_h: float = DEFAULT_CAPACITY,
              capacity_v: float = DEFAULT_CAPACITY) -> Metrics:
     """One-stop proxy metrics for a fully placed design: HPWL at node
-    centers, and congestion over the TOP_FRACTION most congested cells."""
-    wl = hpwl(netlist, placement)
-    cmap = congestion_map(netlist, placement, grid, capacity_h, capacity_v)
+    centers, and congestion over the TOP_FRACTION most congested cells.
+    HPWL and congestion read one `net_boxes` pass."""
+    lo, hi = net_boxes(netlist, placement)
+    wl = hpwl_of_boxes(netlist, lo, hi)
+    cmap = _rudy(netlist, lo, hi, grid, capacity_h, capacity_v)
     ch, cv = congestion_scores(cmap)
     dens = density_overflow(netlist, placement, grid)
     cost = proxy_cost(wl, ch, cv, dens, len(netlist.nets),

@@ -245,7 +245,12 @@ def hpwl(netlist: Netlist, placement: Placement) -> float:
 
     Nets with fewer than two pins contribute zero.
     """
-    lo, hi = net_boxes(netlist, placement)
+    return hpwl_of_boxes(netlist, *net_boxes(netlist, placement))
+
+
+def hpwl_of_boxes(netlist: Netlist, lo: np.ndarray, hi: np.ndarray) -> float:
+    """`hpwl` of the net boxes (lo, hi) that `net_boxes` gave, for a caller
+    that reads the boxes for more than HPWL."""
     if not len(lo):
         return 0.0
     ext = hi - lo

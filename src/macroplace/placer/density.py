@@ -36,10 +36,13 @@ cannot change under it, and the energy gradient returns the (m, 2) rows of
 those ids alone. `DensityField` keeps the (m, 2) lower and upper box
 corners and the per-axis overlap matrices of its raster. The gradient
 needs, per node, the potential summed over its footprint with one axis's
-overlap replaced by that axis's edge slope: one matrix product and one
-row sum per axis. Both axes' edge slopes come from one comparison pass
-over (2, m, bins) (`_edge_slopes`), with the per-axis products idx * cell
-and strict comparisons, so each slope is the float a per-axis pass gives.
+overlap replaced by that axis's edge slope, which is +1 in the cell whose
+interior holds the upper edge and -1 in the one that holds the lower edge.
+So it reads only those cells: each edge's cell comes from a binary search
+over the products idx * cell, compared strictly (`edge_bounds`). Along x
+the gradient is two gathers from the one matrix product wy @ psi; along y
+it is the difference of two gathered rows of psi, weighted by wx and
+summed. Each value is the float that dense +1/-1 slope matrices give.
 The spectral solve divides and negates in place on its own temporaries.
 """
 
@@ -210,23 +213,47 @@ def density_energy_and_grad(field: DensityField) -> np.ndarray:
     node's footprint, evaluated through the exact overlap-area derivative:
     only the bins its left/right (bottom/top) edges cross contribute, with
     the orthogonal overlap as the weight. High potential pushes nodes out.
+    Along x that is P[i, ux] - P[i, lx] with P = wy @ psi and ux (lx) the
+    column whose interior holds the right (left) edge; along y it is the
+    row sum of (psi[uy] - psi[ly]) * wx. Each is the float that a dense
+    +1/-1 slope matrix gives (a sum with at most two nonzero terms, or
+    `dwy @ psi` with at most two nonzero terms per row, rounds once). An
+    edge no cell interior holds (on a cell boundary or off the grid)
+    contributes 0: it finds a zero row of the padded arrays below (see
+    `edge_bounds`).
     """
-    # d(overlap_x)/dx per column and d(overlap_y)/dy per row.
-    dwx, dwy = _edge_slopes(field.lo, field.hi, np.array([field.bin_w, field.bin_h]),
-                            field.bins)
-    s = field.norm_scale
-    return np.stack([s * ((field.wy @ field.psi) * dwx).sum(axis=1),
-                     s * ((dwy @ field.psi) * field.wx).sum(axis=1)], axis=1)
+    bins = field.bins
+    bx, by = edge_bounds(bins, field.bin_w), edge_bounds(bins, field.bin_h)
+    # Columns (rows) 2, 4, ..., 2 * bins hold cells 0 .. bins - 1; the rest are 0.
+    p_pad = np.zeros((len(field.wy), 2 * bins + 3))
+    p_pad[:, 2:-1:2] = field.wy @ field.psi
+    psi_pad = np.zeros((2 * bins + 3, bins))
+    psi_pad[2:-1:2] = field.psi
+    rows = np.arange(len(p_pad))
+    gx = (p_pad[rows, np.searchsorted(bx, field.hi[:, 0], side="right")]
+          - p_pad[rows, np.searchsorted(bx, field.lo[:, 0], side="right")])
+    gy = ((psi_pad[np.searchsorted(by, field.hi[:, 1], side="right")]
+           - psi_pad[np.searchsorted(by, field.lo[:, 1], side="right")]) * field.wx).sum(axis=1)
+    return field.norm_scale * np.stack([gx, gy], axis=1)
 
 
-def _edge_slopes(lo, hi, cells, count: int) -> np.ndarray:
-    """(2, n, count) d(overlap of [lo + t, hi + t] with each cell)/dt per
-    axis, for (n, 2) box corners and cells = (cell_w, cell_h): +1 in the
-    cell whose interior holds the upper edge, -1 in the cell whose interior
-    holds the lower edge. Both axes in one pass; cell c spans the products
-    c * cell and (c + 1) * cell, each edge is compared strictly."""
-    edges = (np.arange(count + 1) * cells[:, None])[:, None]  # (2, 1, count + 1)
-    left, right = edges[..., :-1], edges[..., 1:]
-    upper, lower = hi.T[..., None], lo.T[..., None]
-    return np.subtract((upper > left) & (upper < right), (lower > left) & (lower < right),
-                       dtype=np.float64)
+# One per axis of each grid geometry: twice poisson_basis's bound.
+@lru_cache(maxsize=16)
+def edge_bounds(count: int, cell: float) -> np.ndarray:
+    """(2 * count + 2,) the cell bounds k * cell, k = 0 .. count, each
+    followed by the next float above it; built once per (count, cell) and
+    read-only. The bounds are the products of `raster.axis_overlap`.
+
+    searchsorted(bounds, e, side="right") counts the entries at or below an
+    edge e: 2 * (c + 1) when e lies strictly inside cell c, odd when e is on
+    a bound, and 0 or 2 * count + 2 when e is off the grid. So an array of
+    2 * count + 3 rows, whose row 2 * (c + 1) holds cell c and whose other
+    rows are 0, gives each edge its cell's row in one gather, and 0 for an
+    edge no cell interior holds, as a strict comparison with the bounds
+    does."""
+    bounds = np.arange(count + 1) * cell
+    out = np.empty(2 * count + 2)
+    out[0::2] = bounds
+    out[1::2] = np.nextafter(bounds, np.inf)
+    out.flags.writeable = False
+    return out

@@ -366,14 +366,26 @@ def field_move_loop(field, netlist, placement):
 def edge_slope_reference(lo, hi, cell: float, count: int) -> np.ndarray:
     """(n, count) d(overlap of [lo + t, hi + t] with each cell)/dt along one
     axis: +1 in the cell whose interior holds the upper edge, -1 in the
-    cell whose interior holds the lower edge. The density gradient's
-    per-axis pass, which its two-axis pass must equal bit for bit."""
+    cell whose interior holds the lower edge."""
     idx = np.arange(count)
     left = idx * cell
     right = (idx + 1) * cell
     upper = (hi[:, None] > left) & (hi[:, None] < right)
     lower = (lo[:, None] > left) & (lo[:, None] < right)
     return upper.astype(np.float64) - lower
+
+
+def density_grad_dense_slopes(field):
+    """The density gradient through dense (m, bins) edge-slope matrices per
+    axis: s * row sums of (wy @ psi) * dwx and (dwy @ psi) * wx. The
+    gathered kernel `density.density_energy_and_grad` must equal it bit
+    for bit."""
+    bins = field.bins
+    dwx = edge_slope_reference(field.lo[:, 0], field.hi[:, 0], field.bin_w, bins)
+    dwy = edge_slope_reference(field.lo[:, 1], field.hi[:, 1], field.bin_h, bins)
+    s = field.norm_scale
+    return np.stack([s * ((field.wy @ field.psi) * dwx).sum(axis=1),
+                     s * ((dwy @ field.psi) * field.wx).sum(axis=1)], axis=1)
 
 
 def clique_graph_loop(netlist):
@@ -542,6 +554,62 @@ def greedy_merge_bruteforce(netlist, k):
     while len(members) > k:
         merge(*sorted(members)[:2])
     return [(tuple(sorted(members[g])), area[g]) for g in sorted(members)]
+
+
+def sim_anneal_rebuild_loop(env, moves, seed=0, mask=None):
+    """`baseline_sim_anneal` as a per-move rebuild: each move places every
+    macro but the drawn one on an empty grid again, in macro order, and
+    draws from that grid's mask (`mask`, default `grid.feasibility_mask`).
+    Returns the BaselineResult and each move's outcome, "accept", "reject"
+    or "skip"."""
+    from macroplace.agent.baselines import SA_ALPHA, SA_T0, BaselineResult
+    from macroplace.env import rollout, uniform_random_policy
+    from macroplace.grid import Grid, feasibility_mask, place_on_grid
+
+    mask = mask or feasibility_mask
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 991]))
+    start = rollout(env, uniform_random_policy, np.random.SeedSequence([seed, 0]))
+    cells = [s.action for s in start.steps]
+    cost = -start.reward
+    rewards = [start.reward]
+    best_cells, best_cost, best_placement = list(cells), cost, start.final_placement
+    rows, cols = env.config.grid_rows, env.config.grid_cols
+    outcomes = []
+    for move in range(moves):
+        k = int(rng.integers(len(cells)))
+        grid = Grid.empty(rows, cols, env.pnet.canvas_width, env.pnet.canvas_height)
+        placement = env.start_placement()
+        for j, cell in enumerate(cells):
+            if j == k:
+                continue
+            pid = env.macro_order[j]
+            grid, (x, y) = place_on_grid(grid, env.pnet.nodes[pid], *divmod(cell, cols))
+            placement.positions[pid] = (x, y)
+            placement.placed[pid] = True
+        macro = env.pnet.nodes[env.macro_order[k]]
+        choices = np.flatnonzero(mask(grid, macro))
+        if len(choices) == 0:
+            outcomes.append("skip")
+            continue
+        proposal = list(cells)
+        proposal[k] = int(rng.choice(choices))
+        _, (x, y) = place_on_grid(grid, macro, *divmod(proposal[k], cols))
+        placement.positions[macro.id] = (x, y)
+        placement.placed[macro.id] = True
+        placement, metrics = env.finish(placement)
+        rewards.append(metrics.reward)
+        new_cost = -metrics.reward
+        t = SA_T0 * SA_ALPHA**move
+        accept = new_cost < cost or (
+            t > 0 and rng.random() < np.exp(-(new_cost - cost) / t))
+        outcomes.append("accept" if accept else "reject")
+        if accept:
+            cells, cost = proposal, new_cost
+            if new_cost < best_cost:
+                best_cells, best_cost, best_placement = list(cells), new_cost, placement
+    result = BaselineResult(best_reward=-best_cost, best_actions=best_cells,
+                            best_placement=best_placement, rewards=rewards)
+    return result, outcomes
 
 
 def in_canvas(netlist, placement, tol=1e-9):

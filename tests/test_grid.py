@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from macroplace.errors import PlacementError
-from macroplace.grid import Grid, _footprint_offsets, feasibility_mask, place_on_grid
+from macroplace.grid import (
+    Grid,
+    _footprint_offsets,
+    feasibility_mask,
+    lift_from_grid,
+    mask_windows,
+    place_on_grid,
+)
 from macroplace.netlist import KIND_MACRO, Node
 
 from oracles import footprint_raster, mask_bruteforce
@@ -140,6 +147,105 @@ class TestFeasibilityMask:
                 mask = feasibility_mask(grid, m)
                 for (r, c), want in mask_bruteforce(grid, m).items():
                     assert mask[r, c] == want, (r, c, rows, cols, fw, fh)
+
+
+class TestMaskWindows:
+    """The in-canvas mask and footprint windows `feasibility_mask` reads
+    from its cache of read-only arrays."""
+
+    def test_random_shapes_and_sizes_match_bruteforce(self, rng):
+        for _ in range(40):
+            rows = int(rng.integers(1, 13))
+            cols = int(rng.integers(1, 13))
+            grid = Grid.empty(rows, cols, float(rng.uniform(20, 150)),
+                              float(rng.uniform(20, 150)))
+            grid.occupancy[:] = rng.random((rows, cols)) < 0.2
+            # Sizes off and on whole cell counts.
+            fw = rng.choice([float(rng.uniform(0.02, 1.0)), int(rng.integers(1, cols + 1)) / cols])
+            fh = rng.choice([float(rng.uniform(0.02, 1.0)), int(rng.integers(1, rows + 1)) / rows])
+            m = macro(float(fw) * grid.canvas_width, float(fh) * grid.canvas_height)
+            mask = feasibility_mask(grid, m)
+            for (r, c), want in mask_bruteforce(grid, m).items():
+                assert mask[r, c] == want, (r, c, rows, cols)
+
+    def test_one_macro_on_two_grid_geometries(self, rng):
+        """Alternating between two grids, the same macro gets each grid's
+        own mask."""
+        m = macro(17.0, 23.0)
+        grids = [Grid.empty(8, 8, 80.0, 80.0), Grid.empty(5, 7, 70.0, 50.0)]
+        for grid in grids:
+            grid.occupancy[:] = rng.random(grid.occupancy.shape) < 0.15
+        for grid in grids + grids:
+            mask = feasibility_mask(grid, m)
+            assert mask.shape == (grid.rows, grid.cols)
+            for (r, c), want in mask_bruteforce(grid, m).items():
+                assert mask[r, c] == want, (r, c, grid.rows, grid.cols)
+
+    def test_mutating_a_mask_leaves_the_next_unchanged(self):
+        grid = Grid.empty(6, 6, 60.0, 60.0)
+        grid.occupancy[2, 3] = True
+        m = macro(25.0, 15.0)
+        first = feasibility_mask(grid, m)
+        expected = first.copy()
+        first[:] = ~first
+        np.testing.assert_array_equal(feasibility_mask(grid, m), expected)
+        # Also for a macro no cell of the canvas holds.
+        wide = macro(70.0, 5.0)
+        empty = feasibility_mask(grid, wide)
+        assert not empty.any()
+        empty[:] = True
+        assert not feasibility_mask(grid, wide).any()
+        for array in mask_windows(6, 6, 10.0, 10.0, 25.0, 15.0):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = array[0]
+
+
+class TestLiftFromGrid:
+    def test_place_then_lift_restores_the_grid(self, rng):
+        """Placing any macro of a random rollout and lifting it again gives
+        the occupancy and `placed_macros` of before, and lifting a macro
+        placed earlier frees exactly its footprint."""
+        for _ in range(30):
+            rows = int(rng.integers(3, 11))
+            cols = int(rng.integers(3, 11))
+            grid = Grid.empty(rows, cols, float(rng.uniform(40, 150)),
+                              float(rng.uniform(40, 150)))
+            placed = []
+            for k in range(6):
+                m = macro(float(rng.uniform(0.05, 0.4) * grid.canvas_width),
+                          float(rng.uniform(0.05, 0.4) * grid.canvas_height), mid=k)
+                mask = feasibility_mask(grid, m)
+                if not mask.any():
+                    break
+                r, c = divmod(int(rng.choice(np.flatnonzero(mask))), cols)
+                after, _ = place_on_grid(grid, m, r, c)
+                lifted = lift_from_grid(after, m)
+                np.testing.assert_array_equal(lifted.occupancy, grid.occupancy)
+                assert lifted.placed_macros == grid.placed_macros
+                assert after.placed_macros[-1] == (k, r, c)  # the input is kept
+                grid = after
+                placed.append((m, r, c))
+            if len(placed) < 2:
+                continue
+            m, r, c = placed[int(rng.integers(len(placed)))]
+            lifted = lift_from_grid(grid, m)
+            freed = grid.occupancy & ~lifted.occupancy
+            assert {(int(i), int(j)) for i, j in zip(*np.nonzero(freed))} == covered(grid, m, r, c)
+            assert not (lifted.occupancy & ~grid.occupancy).any()
+            assert lifted.placed_macros == [p for p in grid.placed_macros if p[0] != m.id]
+            assert feasibility_mask(lifted, m)[r, c]
+
+    def test_lifting_an_unplaced_macro_raises(self):
+        grid = Grid.empty(4, 4, 40.0, 40.0)
+        placed, _ = place_on_grid(grid, macro(15.0, 15.0, mid=0), 1, 1)
+        other = macro(15.0, 15.0, mid=1, name="m1")
+        with pytest.raises(PlacementError, match="'m1' is not placed"):
+            lift_from_grid(placed, other)
+        with pytest.raises(PlacementError, match="'m1' is not placed"):
+            lift_from_grid(grid, other)
+        assert placed.placed_macros == [(0, 1, 1)]
+        assert placed.occupancy.sum() == 9
 
 
 class TestPlaceOnGrid:

@@ -3,8 +3,8 @@ rasterizer and the force-directed linear system, solve and field move
 against the loops and routines they replaced (tests/oracles.py).
 
 HPWL, the clique graph, node degrees, the per-axis overlap lengths, the
-density gradient's edge slopes and the FD system compute in the
-references' order, so their outputs must be bit-equal. The rasterized
+density gradient (against the dense edge-slope gradient) and the FD system
+compute in the references' order, so their outputs must be bit-equal. The rasterized
 maps (one matrix product per map), the smooth-WL and density-gradient
 kernels reassociate float sums, and the spectral solve replaces a sparse
 LU solve, so they and the field move built on the density gradient are
@@ -34,12 +34,7 @@ from macroplace.netlist import (
     hpwl,
 )
 from macroplace.placer import PlacerConfig, force_directed, movable_cluster_mask
-from macroplace.placer.density import (
-    _edge_slopes,
-    density_energy_and_grad,
-    density_grid,
-    solve_density_field,
-)
+from macroplace.placer.density import density_energy_and_grad, density_grid, solve_density_field
 from macroplace.placer.force_directed import _fd_system, _spectrum, run_force_directed, spsolve
 from macroplace.placer.wirelength import smooth_wl_and_grad
 from macroplace.raster import axis_overlap, node_boxes
@@ -50,7 +45,7 @@ from oracles import (
     clique_graph_loop,
     congestion_map_loop,
     density_energy_and_grad_loop,
-    edge_slope_reference,
+    density_grad_dense_slopes,
     fd_anchor_weights_loop,
     fd_system_loop,
     field_move_loop,
@@ -225,20 +220,30 @@ class TestRasterizer:
             assert_close_to_scale(grad, ref[np.isin(one_pass_grid.ids, grid.ids)])
 
     @pytest.mark.parametrize("bins", [4, 8, 32, 64])
-    def test_edge_slopes_bit_equal(self, rng, bins):
-        """Both axes' edge slopes in one pass equal the per-axis reference
-        bit for bit, with box edges on bin boundaries and boxes partly or
-        wholly off the grid among them."""
+    def test_density_gradient_bit_equal(self, rng, bins):
+        """The gradient, gathered at each box edge's cell, equals the one
+        through dense edge-slope matrices bit for bit: with box edges on
+        bin boundaries and boxes partly or wholly off the grid among them,
+        on grids with everything movable and with only the clusters
+        movable."""
+        bin_w, bin_h = CANVAS[0] / bins, CANVAS[1] / bins
         for _ in range(5):
             nl, pl = edge_case_design(rng)
             pl.placed[9] = False
-            grid = density_grid(nl, pl, np.ones(nl.num_nodes, dtype=bool), bins)
-            field = solve_density_field(pl.positions[grid.ids], grid)
-            slopes = _edge_slopes(field.lo, field.hi, grid.cells, bins)
-            assert slopes.shape == (2, len(grid.ids), bins)
-            for axis, cell in enumerate((field.bin_w, field.bin_h)):
-                ref = edge_slope_reference(field.lo[:, axis], field.hi[:, axis], cell, bins)
-                np.testing.assert_array_equal(slopes[axis], ref)
+            # The 8 x 24 node with its lower edges on interior boundaries
+            # of both axes, and its upper edges on boundaries too.
+            inner = pl.copy()
+            inner.positions[1] = (3 * bin_w + 4.0, 2 * bin_h + 12.0)
+            clustered, ppl, movable = random_cluster_placement(rng)
+            everything = np.ones(nl.num_nodes, dtype=bool)
+            for netlist, placement, moving in (
+                    (nl, pl, everything), (nl, inner, everything),
+                    (clustered.placement_netlist, ppl, movable)):
+                grid = density_grid(netlist, placement, moving, bins)
+                field = solve_density_field(placement.positions[grid.ids], grid)
+                grad = density_energy_and_grad(field)
+                assert grad.shape == (len(grid.ids), 2)
+                np.testing.assert_array_equal(grad, density_grad_dense_slopes(field))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_box_edges_raise(self, rng, bad):

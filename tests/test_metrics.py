@@ -14,7 +14,7 @@ from macroplace.metrics import (
     evaluate,
     proxy_cost,
 )
-from macroplace.netlist import KIND_STD, Net, Netlist, Node, Pin, Placement
+from macroplace.netlist import KIND_STD, Net, Netlist, Node, Pin, Placement, hpwl
 
 from conftest import assert_close_to_scale, random_design
 from oracles import congestion_fine, density_overflow_fine, top_fraction_mean_sorted
@@ -170,6 +170,18 @@ class TestProxyCost:
         assert m.reward == -m.proxy_cost
         assert np.isfinite([m.hpwl, m.cong_h, m.cong_v, m.density_overflow,
                             m.proxy_cost]).all()
+
+    def test_parts_equal_the_public_functions(self, rng):
+        """`evaluate` builds the net boxes once for HPWL and congestion;
+        each part is the float the public function gives."""
+        for _ in range(5):
+            nl, pl = random_design(rng, n_nodes=30, n_nets=40)
+            grid = Grid.empty(8, 7, nl.canvas_width, nl.canvas_height)
+            m = evaluate(nl, pl, grid, capacity_h=0.3, capacity_v=0.5)
+            assert m.hpwl == hpwl(nl, pl)
+            assert (m.cong_h, m.cong_v) == congestion_scores(
+                congestion_map(nl, pl, grid, 0.3, 0.5))
+            assert m.density_overflow == density_overflow(nl, pl, grid)
 
     def test_argmax_reward_is_argmin_cost(self, rng):
         nl, pl = random_design(rng, n_nodes=8, n_nets=6)

@@ -4,8 +4,9 @@ Clustering shrinks the std-cell population to at most k groups by greedy
 heavy-edge coarsening: repeatedly merge the pair of groups with the largest
 connectivity-per-combined-area score. A pair's connectivity starts as its
 std-std edge weight in the design's `Netlist.clique_graph`. Each group holds
-its own best pair, and one heap over those per-group bests yields the
-global best pair, so a merge rescores only the pairs it changed.
+its best pair as of its last scan, in one heap: a merge rescans only the
+group that absorbs, and a popped best whose pair changed since is rescanned
+then, so the first popped key that is still current is the global best.
 Macros and terminals pass through unchanged; nets are rewired with one
 zero-offset pin per touched cluster, and nets falling entirely inside one
 cluster are dropped. The placement netlist's own `clique_graph` is what the
@@ -55,20 +56,16 @@ def cluster_std_cells(netlist: Netlist, k: int) -> ClusteredNetlist:
     that score is not positive; the lowest-id groups are then merged until k
     remain.
 
-    Each group g keeps best[g], the smallest key among its own pairs, and
-    the heap holds these keys (lazily: an entry counts only while it equals
-    best[lo] and best[hi]). The smallest pair key overall is the smallest of
-    the per-group minima, so the heap top is the same global argmax a heap
-    of every pair would give. Merging b into a (a < b) changes only the
-    pairs of a. It revisits best[a], every group whose best pair was with a
-    or b (a per-group set names them), and every other neighbour of b,
-    whose weight to a grew: that one takes the new (n, a) key if it is
-    smaller than best[n]. The other neighbours of a are skipped, and that
-    is exact: their weight to a is unchanged and areas are not negative, so
-    a's area did not shrink, their (n, a) score did not rise, and their key
-    cannot drop below best[n]. (A pair of negative weight scores below zero,
-    where greedy merging stops anyway.) Scores are pure functions of the
-    netlist, so the result is deterministic.
+    Each group g keeps best[g], the smallest key among its pairs at its
+    last scan, and the heap holds (key, owner) entries, one per scan. A
+    pair's key changes only when one of its two groups absorbs a group, and
+    that group is rescanned at once, so every live pair's key is at least
+    best[g] of one of its groups g. A popped entry whose key is still its
+    pair's current key is therefore the smallest over all pairs: that pair
+    merges, b into a (a < b), and a alone is rescanned. An entry gone stale
+    that is still best[owner] rescans its owner; any other is skipped.
+    Scores are pure functions of the netlist, so the result is
+    deterministic.
     """
     if k <= 0:
         raise ValueError(f"cluster count k must be >= 1, got {k}")
@@ -97,14 +94,19 @@ def cluster_std_cells(netlist: Netlist, k: int) -> ClusteredNetlist:
             return None
         return (-top, g, partner) if g < partner else (-top, partner, g)
 
-    best = {g: key for g in std_ids if (key := best_key(g)) is not None}
-    heap = list(best.values())
-    heapq.heapify(heap)
-    # pairs_with[g]: the groups whose best pair is with g. A best key
-    # (-score, lo, hi) of group g pairs it with lo + hi - g.
-    pairs_with: dict[int, set[int]] = {g: set() for g in std_ids}
-    for g, key in best.items():
-        pairs_with[key[1] + key[2] - g].add(g)
+    best: dict[int, tuple] = {}
+    heap: list = []
+
+    def rescan(g: int) -> None:
+        key = best_key(g)
+        if key is None:
+            best.pop(g, None)
+        else:
+            best[g] = key
+            heapq.heappush(heap, (key, g))
+
+    for g in std_ids:
+        rescan(g)
 
     def merge(a: int, b: int) -> None:
         keep, gone = (a, b) if a < b else (b, a)
@@ -120,37 +122,17 @@ def cluster_std_cells(netlist: Netlist, k: int) -> ClusteredNetlist:
             adj[nbr][keep] = adj[keep][nbr]
 
     while len(group_members) > k and heap:
-        key = heapq.heappop(heap)
+        key, owner = heapq.heappop(heap)
         neg, a, b = key
-        if best.get(a) != key or best.get(b) != key:  # stale entry
-            continue
-        if -neg <= 0.0:
-            break  # only zero-connectivity pairs remain
-        rescan = pairs_with.pop(a) | pairs_with.pop(b)
-        rescan -= {a, b}  # the merged pair itself
-        changed = [n for n in adj[b] if n != a and n not in rescan]
-        merge(a, b)  # a < b: a keeps the group
-        del best[b]
-        pairs_with[a] = set()
-        for n in (a, *rescan):
-            key = best_key(n)  # None only for an `a` left without neighbours
-            if key is None:
-                del best[n]
-                continue
-            best[n] = key
-            pairs_with[key[1] + key[2] - n].add(n)
-            heapq.heappush(heap, key)
-        area_a = group_area[a]
-        adj_a = adj[a]
-        for n in changed:
-            old = best[n]
-            s = adj_a[n] / (group_area[n] + area_a)
-            key = (-s, n, a) if n < a else (-s, a, n)
-            if key < old:
-                pairs_with[old[1] + old[2] - n].discard(n)
-                pairs_with[a].add(n)
-                best[n] = key
-                heapq.heappush(heap, key)
+        w = adj.get(a, {}).get(b)
+        if w is not None and -(w / (group_area[a] + group_area[b])) == neg:
+            if -neg <= 0.0:
+                break  # only zero-connectivity pairs remain
+            merge(a, b)  # a < b: a keeps the group
+            del best[b]
+            rescan(a)
+        elif best.get(owner) == key:  # the pair changed since owner's scan
+            rescan(owner)
 
     # Force down to k by merging the lowest-id groups (zero connectivity left).
     while len(group_members) > k:

@@ -4,6 +4,10 @@ Actions address grid cells; a macro placed at cell (row, col) has its center
 at that cell's center. A cell belongs to a macro's footprint when the macro's
 bounding box overlaps it with positive area (boundary touch does not count).
 Only macros occupy the grid; standard-cell clusters never do.
+
+`mask_windows` is the one footprint rule: the feasibility mask,
+`place_on_grid` and `lift_from_grid` all take the in-canvas test and the
+footprint windows from it.
 """
 
 from __future__ import annotations
@@ -69,24 +73,9 @@ def _axis_offsets(size: float, cell: float) -> tuple[int, int]:
     return min(lo, 0), max(hi, 0)
 
 
-def _footprint_offsets(grid: Grid, macro: Node):
-    """Footprint as constant offsets around the action cell: placing at
-    (r, c) covers rows r+dr0..r+dr1 and cols c+dc0..c+dc1. The feasibility
-    mask and place_on_grid both derive from these offsets."""
-    return (*_axis_offsets(macro.height, grid.cell_h), *_axis_offsets(macro.width, grid.cell_w))
-
-
-def _footprint_window(grid: Grid, macro: Node, row: int, col: int):
-    """(row slice, column slice) of the footprint at (row, col), clipped to
-    the grid."""
-    dr0, dr1, dc0, dc1 = _footprint_offsets(grid, macro)
-    return (slice(max(row + dr0, 0), min(row + dr1 + 1, grid.rows)),
-            slice(max(col + dc0, 0), min(col + dc1 + 1, grid.cols)))
-
-
 def _in_canvas(centre, size: float, extent: float):
-    """Whether a box of `size` centred at `centre` (a float or an array)
-    lies in [0, extent] on one axis, up to the boundary tolerance."""
+    """Whether a box of `size` centred at each of `centre` (an array) lies
+    in [0, extent] on one axis, up to the boundary tolerance."""
     tol = _REL_TOL * max(extent, 1.0)
     return (centre - size / 2 >= -tol) & (centre + size / 2 <= extent + tol)
 
@@ -120,7 +109,9 @@ def mask_windows(rows: int, cols: int, cell_w: float, cell_h: float,
 
     inside is the (rows, cols) mask of the cells at which the box stays in
     the canvas. The footprint at (r, c) covers rows r_lo[r] .. r_hi[r] - 1
-    and columns c_lo[c] .. c_hi[c] - 1, clipped to the grid."""
+    and columns c_lo[c] .. c_hi[c] - 1, clipped to the grid. This is the
+    module's one footprint rule: `feasibility_mask`, `place_on_grid` and
+    `lift_from_grid` all read it."""
     def axis(count, cell, size):
         lo, hi = _axis_offsets(size, cell)
         index = np.arange(count)
@@ -139,21 +130,22 @@ def mask_windows(rows: int, cols: int, cell_w: float, cell_h: float,
 def place_on_grid(grid: Grid, macro: Node, row: int, col: int):
     """Place a macro; returns (new grid, continuous center position).
 
-    Raises PlacementError for infeasible cells; unreachable when callers
-    enforce the mask.
+    Raises PlacementError for infeasible cells: it reads the in-canvas test
+    and footprint window from `mask_windows`, as the mask does, so every
+    cell the mask refuses raises.
     """
     if not (0 <= row < grid.rows and 0 <= col < grid.cols):
         raise PlacementError(f"cell ({row}, {col}) out of range")
     if any(nid == macro.id for nid, _, _ in grid.placed_macros):
         raise PlacementError(f"macro '{macro.name}' is already placed")
 
-    cx, cy = grid.cell_center(row, col)
-    if not (_in_canvas(cx, macro.width, grid.canvas_width)
-            and _in_canvas(cy, macro.height, grid.canvas_height)):
+    inside, r_lo, r_hi, c_lo, c_hi = mask_windows(
+        grid.rows, grid.cols, grid.cell_w, grid.cell_h, macro.width, macro.height)
+    if not inside[row, col]:
         raise PlacementError(
             f"macro '{macro.name}' at ({row}, {col}) leaves the canvas"
         )
-    window = _footprint_window(grid, macro, row, col)
+    window = slice(r_lo[row], r_hi[row]), slice(c_lo[col], c_hi[col])
     if grid.occupancy[window].any():
         raise PlacementError(
             f"macro '{macro.name}' at ({row}, {col}) overlaps occupied cells"
@@ -162,6 +154,7 @@ def place_on_grid(grid: Grid, macro: Node, row: int, col: int):
     out.occupancy[window] = True
     out.placed_macros.append((macro.id, row, col))
     # Clamp is a no-op for feasible cells; kept as a safety net.
+    cx, cy = grid.cell_center(row, col)
     x = min(max(cx, macro.width / 2), grid.canvas_width - macro.width / 2)
     y = min(max(cy, macro.height / 2), grid.canvas_height - macro.height / 2)
     return out, (x, y)
@@ -179,8 +172,10 @@ def lift_from_grid(grid: Grid, macro: Node) -> Grid:
             break
     else:
         raise PlacementError(f"macro '{macro.name}' is not placed")
+    _, r_lo, r_hi, c_lo, c_hi = mask_windows(
+        grid.rows, grid.cols, grid.cell_w, grid.cell_h, macro.width, macro.height)
     out = grid.copy()
     # Placed footprints are disjoint: the window holds this macro alone.
-    out.occupancy[_footprint_window(grid, macro, row, col)] = False
+    out.occupancy[r_lo[row]:r_hi[row], c_lo[col]:c_hi[col]] = False
     del out.placed_macros[index]
     return out

@@ -96,16 +96,16 @@ class PlacerConfig:
 
 @dataclass(frozen=True, eq=False)
 class TraceRow:
-    """One outer iteration of either engine, taken after its update.
+    """One outer iteration of either engine, taken after its update. Both
+    engines append one row per outer iteration from the first, so a row's
+    index in the trace is its 0-based outer iteration.
 
-    iteration: 0-based outer iteration. lam: the analytical engine's density
-    penalty weight; None for FD. The row keeps its own copy of the
-    placement, so mutating the placement an engine returns changes no row.
-    `wl` (exact HPWL) and `overflow` (pure-overlap density overflow on
-    `grid`, target 1.0, the stop measure) are computed when first read and
-    then kept.
+    lam: the analytical engine's density penalty weight; None for FD. The
+    row keeps its own copy of the placement, so mutating the placement an
+    engine returns changes no row. `wl` (exact HPWL) and `overflow`
+    (pure-overlap density overflow on `grid`, target 1.0, the stop measure)
+    are computed when first read and then kept.
     """
-    iteration: int
     lam: float | None
     netlist: Netlist = field(repr=False)
     placement: Placement = field(repr=False)

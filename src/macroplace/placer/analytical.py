@@ -96,7 +96,7 @@ def run_analytical(clustered: ClusteredNetlist, start: Placement,
     pnet, placement, dgrid, eval_grid = engine_start(clustered, start, movable, config)
     if not len(dgrid.ids):
         return placement, []
-    force_directed_pass(clustered, movable, config, pnet, placement, dgrid, eval_grid)
+    force_directed_pass(clustered, config, pnet, placement, dgrid, eval_grid)
     return descend(pnet, placement, dgrid, eval_grid, config)
 
 
@@ -174,8 +174,7 @@ def descend(pnet, placement: Placement, dgrid, eval_grid, config):
         # lowest is the previous row's (cached) overflow. A tie does not
         # stop: from a centre start the first rows tie while the nodes are
         # still stacked.
-        row = TraceRow(iteration=outer, lam=lam, netlist=pnet,
-                       placement=placement, grid=eval_grid)
+        row = TraceRow(lam=lam, netlist=pnet, placement=placement, grid=eval_grid)
         trace.append(row)
         if row.overflow < config.overflow_stop or (outer and row.overflow > trace[-2].overflow):
             break

@@ -29,10 +29,10 @@ so that its shift never mixes with the anchored clusters' modes.
 
 Neither A nor its spectrum depends on positions, so they are built once
 per design, with the edges between a movable and a fixed node: on the
-first placement of a `ClusteredNetlist` with a given movable set, and kept
-while that netlist lives (`_system_for`). Per placement only the fixed
-nodes' pull along those edges (`FixedPull.rhs`) and the fixed raster are
-computed again.
+first placement of a `ClusteredNetlist` with a given movable set (the
+`DensityGrid`'s ids), and kept while that netlist lives (`_system_for`).
+Per placement only the fixed nodes' pull along those edges
+(`FixedPull.rhs`) and the fixed raster are computed again.
 
 Spreading. One `DensityGrid` per placement holds the raster of the fixed
 charge, the clusters' in-canvas bounds and their half sizes; each
@@ -178,7 +178,7 @@ def spsolve(spectrum: Spectrum, rhs: np.ndarray, t: float) -> np.ndarray:
 class FDSystem(NamedTuple):
     """The force-directed system of one design with one movable set: all
     of it but the positions of the fixed nodes."""
-    movable: np.ndarray  # (N,) bool, the movable set it was built for
+    ids: np.ndarray  # (m,) the movable node ids it was built for
     spectrum: Spectrum
     pull: FixedPull
     floating: list  # names of the movable nodes no fixed node reaches
@@ -188,18 +188,17 @@ class FDSystem(NamedTuple):
 _SYSTEMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _system_for(clustered: ClusteredNetlist, movable: np.ndarray) -> FDSystem:
-    """The `FDSystem` of `clustered` with `movable` moving, built on the
-    first call for that movable set."""
+def _system_for(clustered: ClusteredNetlist, ids: np.ndarray) -> FDSystem:
+    """The `FDSystem` of `clustered` with the nodes `ids` moving, built on
+    the first call for those ids. It keeps `ids` itself, a density grid's,
+    which no one writes."""
     system = _SYSTEMS.get(clustered)
-    if system is None or not np.array_equal(system.movable, movable):
+    if system is None or not np.array_equal(system.ids, ids):
         pnet = clustered.placement_netlist
-        movable_ids = np.flatnonzero(movable)
-        A, diag, pull, pinned = _fd_system(pnet.clique_graph, movable_ids)
+        A, diag, pull, pinned = _fd_system(pnet.clique_graph, ids)
         spectrum = _spectrum(A, diag, pinned)
-        floating = [pnet.nodes[int(movable_ids[k])].name
-                    for k in np.flatnonzero(spectrum.floor)]
-        system = FDSystem(movable.copy(), spectrum, pull, floating)
+        floating = [pnet.nodes[int(ids[k])].name for k in np.flatnonzero(spectrum.floor)]
+        system = FDSystem(ids, spectrum, pull, floating)
         _SYSTEMS[clustered] = system
     return system
 
@@ -208,19 +207,21 @@ def run_force_directed(clustered: ClusteredNetlist, start: Placement,
                        movable: np.ndarray, config):
     from . import engine_start
 
-    return force_directed_pass(clustered, movable, config,
+    return force_directed_pass(clustered, config,
                                *engine_start(clustered, start, movable, config))
 
 
-def force_directed_pass(clustered: ClusteredNetlist, movable: np.ndarray, config,
+def force_directed_pass(clustered: ClusteredNetlist, config,
                         pnet, placement: Placement, grid, eval_grid):
-    """The force-directed iterations from `engine_start`'s output. Sets the
-    movable rows of `placement` in place; returns (placement, trace)."""
+    """The force-directed iterations from `engine_start`'s output, moving
+    the density grid's ids. Sets their rows of `placement` in place;
+    returns (placement, trace)."""
     from . import TraceRow
 
-    if not len(grid.ids):
+    ids = grid.ids
+    if not len(ids):
         return placement, []
-    system = _system_for(clustered, movable)
+    system = _system_for(clustered, ids)
     if system.floating:
         warnings.warn(
             "clusters with no connectivity to a fixed node: no net pulls them toward the "
@@ -230,7 +231,6 @@ def force_directed_pass(clustered: ClusteredNetlist, movable: np.ndarray, config
 
     spectrum = system.spectrum
     fixed_rhs = system.pull.rhs(placement.positions)
-    ids = grid.ids
     center = np.array([pnet.canvas_width / 2, pnet.canvas_height / 2])
     # a_i * rho_bar: each cluster's area at the mean charge density.
     mean_density = grid.charge_area / (pnet.canvas_width * pnet.canvas_height)
@@ -247,6 +247,6 @@ def force_directed_pass(clustered: ClusteredNetlist, movable: np.ndarray, config
         anchors = grid.clamp(centres - step)
         # In place: the rows of `trace` hold their own copies.
         placement.positions[ids] = anchors
-        trace.append(TraceRow(iteration=it, lam=None, netlist=pnet,
-                              placement=placement, grid=eval_grid))
+        trace.append(TraceRow(lam=None, netlist=pnet, placement=placement,
+                              grid=eval_grid))
     return placement, trace

@@ -245,13 +245,17 @@ class TestGreedyMergeOrder:
          "e8c0b676fb60d5deab5751c7096d6cad8b218cdd4bc1cf96101eeddf2157749a"),
         (SyntheticSpec(16, 2000, 2500, seed=1),
          "28737b784db10dd73b10404af089cde6b5d8e9e63a922a80fa14079afecea227"),
-    ], ids=["S", "M"])
+        (SyntheticSpec(32, 8000, 10000, seed=1),
+         "744eef37a51bf1b6b129bf486119745b81f77dbd7c97737239f2d2af88a99b9a"),
+    ], ids=["S", "M", "L"])
     def test_benchmark_design_merge_order_is_pinned(self, spec, digest):
-        # The rollout-nesterov-S and rollout-fd-M benchmark designs at their
-        # default k (4 x macros). M's digest was recorded with
+        # The rollout-nesterov-S, rollout-fd-M and sa-fd-L benchmark designs
+        # at their default k (4 x macros). M's digest was recorded with
         # merge_order_digest at commit 94f9981, whose cluster_std_cells kept
         # one lazy heap entry per group pair; S's at commit 9b3c7ae, before a
-        # merge revisited only the groups it changed.
+        # merge revisited only the groups it changed; L's at commit a9edd16,
+        # whose merges rescanned every group paired with the merged two.
+        # On L one cluster ends with 7,859 of the 8,000 cells.
         bundle = generate_synthetic(spec)
         k = default_cluster_count(spec.macro_count)
         clustered = cluster_std_cells(bundle.netlist, k=k)

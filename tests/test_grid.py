@@ -4,7 +4,6 @@ import pytest
 from macroplace.errors import PlacementError
 from macroplace.grid import (
     Grid,
-    _footprint_offsets,
     feasibility_mask,
     lift_from_grid,
     mask_windows,
@@ -131,7 +130,9 @@ class TestFeasibilityMask:
         """Footprints as wide and tall as the canvas: their offsets run past
         every edge of the grid from every cell but the centre, and with the
         canvas boundary's tolerance (1 + 1e-9) from the centre too, where
-        the box still counts as inside."""
+        the box still counts as inside. The windows are clipped, so the
+        centre's runs past an edge exactly when the next cell's still
+        reaches it."""
         for _ in range(10):
             grid = Grid.empty(rows, cols, float(rng.uniform(30, 100)),
                               float(rng.uniform(30, 100)))
@@ -139,11 +140,12 @@ class TestFeasibilityMask:
             for fw, fh in ((1.0, 1.0), (1.0 + 1e-9, 1.0 + 1e-9), (1.0 + 1e-9, 0.6),
                            (0.999, 1.0)):
                 m = macro(fw * grid.canvas_width, fh * grid.canvas_height)
-                dr0, dr1, dc0, dc1 = _footprint_offsets(grid, m)
+                _, r_lo, r_hi, c_lo, c_hi = mask_windows(
+                    rows, cols, grid.cell_w, grid.cell_h, m.width, m.height)
                 if fw > 1.0 and cols > 1:
-                    assert cols // 2 + dc0 < 0 and cols // 2 + dc1 >= cols
+                    assert c_lo[cols // 2 + 1] == 0 and c_hi[cols // 2 - 1] == cols
                 if fh > 1.0 and rows > 1:
-                    assert rows // 2 + dr0 < 0 and rows // 2 + dr1 >= rows
+                    assert r_lo[rows // 2 + 1] == 0 and r_hi[rows // 2 - 1] == rows
                 mask = feasibility_mask(grid, m)
                 for (r, c), want in mask_bruteforce(grid, m).items():
                     assert mask[r, c] == want, (r, c, rows, cols, fw, fh)
@@ -302,7 +304,8 @@ class TestPlaceOnGrid:
         assert placed.occupancy.sum() == 1
 
     def test_mask_soundness_random_rollouts(self, rng):
-        """Every feasible cell must accept the macro; occupancy stays disjoint."""
+        """Every feasible cell must accept the macro and every refused cell
+        must raise; occupancy stays disjoint."""
         for _ in range(60):
             rows = int(rng.integers(4, 12))
             cols = int(rng.integers(4, 12))
@@ -313,6 +316,9 @@ class TestPlaceOnGrid:
                 m = macro(float(rng.uniform(0.05, 0.5) * grid.canvas_width),
                           float(rng.uniform(0.05, 0.5) * grid.canvas_height), mid=k)
                 mask = feasibility_mask(grid, m)
+                for r, c in zip(*np.nonzero(~mask)):
+                    with pytest.raises(PlacementError):
+                        place_on_grid(grid, m, int(r), int(c))
                 if not mask.any():
                     break
                 cell = int(rng.choice(np.flatnonzero(mask.ravel())))

@@ -16,6 +16,9 @@ entry points kept on purpose, each with its reason.
 Nets reach the program through one CSR pin layout (`Netlist.net_csr`): only
 a short list of functions, each with its reason, reads `Net.pins` itself.
 
+A macro's footprint has one rule: only `grid.mask_windows` calls the parts it
+is built from, `_axis_offsets` and `_in_canvas`.
+
 The analytical engine runs on position arrays: `placer/analytical.py` calls
 neither `Placement` nor one of its class methods.
 
@@ -103,7 +106,7 @@ def test_no_private_access(path):
 def test_guard_sees_private_access():
     source = (
         "from __future__ import annotations\n"
-        "from .grid import _footprint_offsets, feasibility_mask\n"
+        "from .grid import _axis_offsets, feasibility_mask\n"
         "import pkg._impl\n"
         "class A:\n"
         "    def f(self, env):\n"
@@ -111,7 +114,7 @@ def test_guard_sees_private_access():
         "        return cls._x, self.__dict__, A._y\n"
     )
     assert private_accesses(source) == [
-        ("_footprint_offsets", 2), ("pkg._impl", 3), ("_base", 6), ("_y", 7)]
+        ("_axis_offsets", 2), ("pkg._impl", 3), ("_base", 6), ("_y", 7)]
 
 
 # Census of what the program reads. A public name of `macroplace` is read
@@ -252,9 +255,9 @@ PINS_READERS = {
 }
 
 
-def pins_reads(source):
+def scoped_matches(source, match):
     """(qualified name of the enclosing function or class, line) of each
-    `<expr>.pins` load, in source order; "<module>" outside any."""
+    node for which `match` holds, in source order; "<module>" outside any."""
     found = []
 
     def visit(node, scope):
@@ -262,13 +265,19 @@ def pins_reads(source):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + [child.name])
                 continue
-            if (isinstance(child, ast.Attribute) and child.attr == "pins"
-                    and isinstance(child.ctx, ast.Load)):
+            if match(child):
                 found.append((".".join(scope) or "<module>", child.lineno))
             visit(child, scope)
 
     visit(ast.parse(source), [])
     return sorted(found, key=lambda item: item[1])
+
+
+def pins_reads(source):
+    """(enclosing scope, line) of each `<expr>.pins` load, in source order."""
+    return scoped_matches(source, lambda node: (
+        isinstance(node, ast.Attribute) and node.attr == "pins"
+        and isinstance(node.ctx, ast.Load)))
 
 
 def test_nets_are_read_through_one_layout():
@@ -289,6 +298,40 @@ def test_pins_guard_sees_reads():
         "count = len(net.pins)\n"
     )
     assert pins_reads(source) == [("Netlist.net_csr", 3), ("rewire", 5), ("<module>", 8)]
+
+
+FOOTPRINT_PARTS = {"_axis_offsets", "_in_canvas"}
+
+
+def footprint_calls(source):
+    """(enclosing scope, line) of each call to one of `FOOTPRINT_PARTS`,
+    by bare name or as an attribute, in source order."""
+    def is_part(func):
+        return ((isinstance(func, ast.Name) and func.id in FOOTPRINT_PARTS)
+                or (isinstance(func, ast.Attribute) and func.attr in FOOTPRINT_PARTS))
+
+    return scoped_matches(source, lambda node: isinstance(node, ast.Call) and is_part(node.func))
+
+
+def test_footprint_has_one_rule():
+    callers = {f"{module_name(path)}.{scope.split('.')[0]}"
+               for path in MODULES for scope, _line in footprint_calls(path.read_text())}
+    assert callers == {"grid.mask_windows"}
+
+
+def test_footprint_guard_sees_calls():
+    source = (
+        "def mask_windows(rows, cols):\n"
+        "    def axis(size):\n"
+        "        return _axis_offsets(size, 1.0), _in_canvas\n"
+        "    return axis(rows)\n"
+        "def place_on_grid(grid, macro):\n"
+        "    inside = grid._in_canvas(0.5, macro.width, 1.0)\n"
+        "    return inside and _axis_offsets(macro.height, 1.0)\n"
+        "_in_canvas(0.0, 1.0, 1.0)\n"
+    )
+    assert footprint_calls(source) == [
+        ("mask_windows.axis", 3), ("place_on_grid", 6), ("place_on_grid", 7), ("<module>", 8)]
 
 
 def placement_constructions(source):

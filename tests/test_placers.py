@@ -278,22 +278,21 @@ class TestForceDirectedDesignCache:
         clustered, fixed = clustered_synthetic(seed=4)
         config = PlacerConfig(engine="fd", max_outer_iters=6)
         placed, _ = place_clusters(clustered, fixed, config)
-        full = movable_cluster_mask(clustered)
+        full = np.flatnonzero(movable_cluster_mask(clustered))
         system = _system_for(clustered, full)
-        assert _system_for(clustered, full) is system
+        assert _system_for(clustered, full.copy()) is system
         # One cluster held where the first run put it.
-        fewer = full.copy()
+        fewer = movable_cluster_mask(clustered)
         fewer[clustered.cluster_to_placement[0]] = False
-        narrowed = _system_for(clustered, fewer)
+        narrowed = _system_for(clustered, np.flatnonzero(fewer))
         assert narrowed is not system
-        np.testing.assert_array_equal(narrowed.movable, fewer)
+        np.testing.assert_array_equal(narrowed.ids, np.flatnonzero(fewer))
         assert len(narrowed.spectrum.vals) == fewer.sum()
         got, _ = run_force_directed(clustered, placed, fewer, config)
         want, _ = run_force_directed(clustered_synthetic(seed=4)[0], placed, fewer, config)
         np.testing.assert_array_equal(got.positions, want.positions)
-        # Changing the caller's mask in place does not change the cached one.
-        fewer[:] = full
-        assert _system_for(clustered, fewer) is not narrowed
+        # Neither is the full set served the narrowed system.
+        assert _system_for(clustered, full) is not narrowed
         again, _ = place_clusters(clustered, fixed, config)
         np.testing.assert_array_equal(again.positions, placed.positions)
 
@@ -433,12 +432,13 @@ class TestAnalytical:
         clustered, fixed = clustered_synthetic(seed=2)
         config = PlacerConfig(engine="analytical", max_outer_iters=4)
         _, trace = place_clusters(clustered, fixed, config)
-        assert trace
-        for row in trace:
-            assert row.iteration >= 0
+        # Row i is outer iteration i: its penalty weight has grown i times.
+        assert 0 < len(trace) <= config.max_outer_iters
+        for index, row in enumerate(trace):
             assert np.isfinite(row.wl)
             assert np.isfinite(row.overflow)
             assert row.lam is not None and row.lam > 0
+            assert row.lam == trace[0].lam * analytical.LAMBDA_GROWTH ** index
 
     def test_step_falls_back_after_backtrack_limit(self, monkeypatch):
         """A fake gradient that is `soft` at the start point and `soft + 10`

@@ -60,7 +60,11 @@ def baseline_sim_anneal(env: MacroPlacementEnv, moves: int, seed: int = 0) -> Ba
 
     The incumbent's grid and macro centres are kept: a move lifts macro k
     off the incumbent grid (`lift_from_grid`), draws from its mask there and
-    places it once, so the other macros are not placed again.
+    places it once, so the other macros are not placed again. That mask
+    always holds the macro's own cell: `place_on_grid` admitted it there by
+    the in-canvas test and footprint window the mask reads
+    (`grid.mask_windows`), and placed footprints are disjoint. So every move
+    has a cell to draw, and every move evaluates one placement.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 991]))
     start = rollout(env, uniform_random_policy, np.random.SeedSequence([seed, 0]))
@@ -82,8 +86,6 @@ def baseline_sim_anneal(env: MacroPlacementEnv, moves: int, seed: int = 0) -> Ba
         macro = macros[k]
         lifted = lift_from_grid(grid, macro)
         choices = np.flatnonzero(feasibility_mask(lifted, macro))
-        if len(choices) == 0:
-            continue
         proposal = list(cells)
         proposal[k] = int(rng.choice(choices))
         moved, centre = place_on_grid(lifted, macro, *divmod(proposal[k], cols))

@@ -78,6 +78,33 @@ def edit_for_movable_macros(bundle: DesignBundle) -> DesignBundle:
                         meta=dict(bundle.meta))
 
 
+def _choice_without_replacement(rng: np.random.Generator, p: np.ndarray, cdf: np.ndarray,
+                                size: int) -> list[int]:
+    """`rng.choice(len(p), size, replace=False, p=p)` as a list, drawn as
+    numpy 2.4.6's `Generator.choice` draws it, from the same stream.
+
+    That algorithm draws size - n uniforms while n < size distinct picks are
+    found, looks each up in the normalized cumulative sum of p with the
+    found indices' weights zeroed, and keeps the picks that are new, in the
+    order of their first draw. Its first round zeroes nothing, so its
+    lookup table is `cdf` (np.cumsum(p) / its last entry), which the caller
+    computes once for every draw with that p: each call then costs
+    O(size log len(p)) instead of O(len(p)), and only a draw whose first
+    round repeats a pick builds another table.
+    """
+    found: list[int] = []
+    while len(found) < size:
+        x = rng.random(size - len(found))
+        if found:
+            p = p.copy()
+            p[found] = 0
+            cdf = np.cumsum(p)
+            cdf /= cdf[-1]
+        new = dict.fromkeys(cdf.searchsorted(x, side="right").tolist())
+        found += list(new)
+    return found
+
+
 def generate_synthetic(spec: SyntheticSpec) -> DesignBundle:
     """Deterministic synthetic design: macros, uniform-height std cells,
     four corner terminals, and nets sampled with size-weighted membership.
@@ -145,15 +172,17 @@ def generate_synthetic(spec: SyntheticSpec) -> DesignBundle:
     areas = np.array([n.area for n in nodes])
     pick_w = np.sqrt(areas)
     pick_w /= pick_w.sum()
+    pick_cdf = np.cumsum(pick_w)
+    pick_cdf /= pick_cdf[-1]
     n_all = len(nodes)
     nets: list[Net] = []
     for i in range(spec.net_count):
         extra = rng.poisson(max(spec.rent_like_fanout - 2.0, 0.0))
         degree = int(min(n_all, max(2, 2 + extra), 12))
         base = i % n_all
-        others = [m for m in rng.choice(n_all, size=min(degree + 1, n_all),
-                                        replace=False, p=pick_w) if m != base]
-        members = [base] + [int(m) for m in others[: degree - 1]]
+        others = [m for m in _choice_without_replacement(rng, pick_w, pick_cdf,
+                                                          min(degree + 1, n_all)) if m != base]
+        members = [base] + others[: degree - 1]
         pins = tuple(Pin(node=int(m)) for m in sorted(members))
         nets.append(Net(id=i, name=f"n{i}", pins=pins, weight=1.0))
 

@@ -65,8 +65,10 @@ class NetCSR(NamedTuple):
 class SmoothWLPins(NamedTuple):
     """Per-pin arrays of the smoothed wirelength's gradient over `net_csr`."""
 
-    weights: np.ndarray  # (P, 1) weight of each pin's net
-    slots: np.ndarray  # (2P,) flat index 2 * node + axis of each pin coordinate
+    starts: np.ndarray  # (4M,) `net_csr.starts` in each of 4 rows of P pins, flat
+    pin_net: np.ndarray  # (4P,) `net_csr.pin_net` in each of 4 rows of M nets, flat
+    weights: np.ndarray  # (P,) weight of each pin's net
+    slots: np.ndarray  # (2P,) flat index 2 * node + axis of the x then the y of each pin
 
 
 class CliqueGraph(NamedTuple):
@@ -151,8 +153,11 @@ class Netlist:
         """The `SmoothWLPins` of `net_csr`, built on first read, so a design
         that only the force-directed engine places never holds them."""
         csr = self.net_csr
-        return SmoothWLPins(weights=csr.weights[csr.pin_net, None],
-                            slots=(2 * csr.node_ids[:, None] + np.arange(2)).ravel())
+        rows = np.arange(4)[:, None]
+        return SmoothWLPins(starts=(csr.starts + len(csr.node_ids) * rows).ravel(),
+                            pin_net=(csr.pin_net + len(csr.starts) * rows).ravel(),
+                            weights=csr.weights[csr.pin_net],
+                            slots=(2 * csr.node_ids + rows[:2]).ravel())
 
     @cached_property
     def clique_graph(self) -> CliqueGraph:

@@ -32,8 +32,13 @@ Like the force-directed engine, the loop runs on the movable nodes' (m, 2)
 centres, in `DensityGrid.ids` order: the Nesterov iterates u and v and the
 gradient g. Each evaluated iterate is written into the movable rows of one
 (N, 2) buffer that the smooth-WL gather reads, a copy of the start
-placement's positions, so its fixed rows never change. The placement is
-written once per outer iteration, for its trace row. The engine reads only
+placement's positions, so its fixed rows never change; the density solve
+reads the iterate itself, the same floats as those rows. The placement is
+written once per outer iteration, for its trace row. Each evaluation's
+gwl + lam * genergy is formed in the density rows' buffer, and a step's
+norms are math.sqrt(d.dot(d)) of the raveled difference, which is how
+`np.linalg.norm` computes a float array's 2-norm, so they are its floats.
+The engine reads only
 gradients. The gradient rows that set lambda_0 are taken at the start point
 with the first gamma, so they also give the first Nesterov run's start
 gradient and the first step length: one evaluation per placement fewer.
@@ -50,6 +55,8 @@ wirelength, density solve and density gradient.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -75,12 +82,22 @@ STEP_SLACK = 1.02
 FALLBACK_STEP_FRAC = 1e-2
 
 
-def _gradient_rows(pnet, positions, gamma, dgrid):
+def _gradient_rows(pnet, positions, centres, gamma, dgrid):
     """The (wirelength, density) gradient rows of the movable nodes, in
-    `dgrid.ids` order, at the node centres `positions` (N, 2)."""
+    `dgrid.ids` order, at their centres `centres` (m, 2). Writes them into
+    the movable rows of the node centres `positions` (N, 2) that the
+    smooth-WL gather reads."""
+    positions[dgrid.ids] = centres
     gwl = smooth_wl_and_grad(pnet, positions, gamma)
-    field = solve_density_field(positions.take(dgrid.ids, axis=0), dgrid)
+    field = solve_density_field(centres, dgrid)
     return gwl.take(dgrid.ids, axis=0), density_energy_and_grad(field)
+
+
+def _norm(d):
+    """The 2-norm of the (m, 2) array `d` as `np.linalg.norm` computes it:
+    the square root of its raveled dot product."""
+    d = d.ravel()
+    return math.sqrt(d.dot(d))
 
 
 def _fallback_step(g, diag, otherwise):
@@ -115,33 +132,36 @@ def descend(pnet, placement: Placement, dgrid, eval_grid, config):
     # the movable rows hold the iterate being evaluated.
     positions = placement.positions.copy()
     jitter = 0.01 * min(pnet.canvas_width, pnet.canvas_height)
-    positions[ids] = dgrid.clamp(positions[ids] + np.random.default_rng(0).uniform(
+    u = dgrid.clamp(positions[ids] + np.random.default_rng(0).uniform(
         -jitter, jitter, size=(len(ids), 2)))
+
+    def combined(gwl, genergy):
+        """gwl + lam * genergy, in genergy's buffer."""
+        genergy *= lam
+        genergy += gwl
+        return genergy
 
     def gradient(centres):
         """(m, 2) gradient of smooth_wl + lam * energy at the movable
         centres `centres`."""
-        positions[ids] = centres
-        gwl, genergy = _gradient_rows(pnet, positions, gamma, dgrid)
-        return gwl + lam * genergy
+        return combined(*_gradient_rows(pnet, positions, centres, gamma, dgrid))
 
     # lambda_0: balance the L1 norms of the two gradient terms.
-    start_wl, start_energy = _gradient_rows(pnet, positions, gamma, dgrid)
+    start_wl, start_energy = _gradient_rows(pnet, positions, u, gamma, dgrid)
     gwl_norm = np.abs(start_wl).sum()
     gen_norm = np.abs(start_energy).sum()
     lam = gwl_norm / gen_norm if gen_norm > 0 and gwl_norm > 0 else 1.0
-    g_v = start_wl + lam * start_energy
+    g_v = combined(start_wl, start_energy)
     step = _fallback_step(g_v, diag, 1.0)
 
     def nesterov_step(step):
         """One accelerated step of length `step` from the current (u, v, a,
         g_v); returns (u', v', a', gradient at v')."""
         u_new = dgrid.clamp(v - step * g_v)
-        a_new = (1.0 + np.sqrt(4.0 * a * a + 1.0)) / 2.0
+        a_new = (1.0 + math.sqrt(4.0 * a * a + 1.0)) / 2.0
         v_new = dgrid.clamp(u_new + (a - 1.0) / a_new * (u_new - u))
         return u_new, v_new, a_new, gradient(v_new)
 
-    u = positions[ids]
     trace = []
     for outer in range(config.max_outer_iters):
         # One Nesterov run at this (lambda, gamma), from the last one's u;
@@ -153,8 +173,8 @@ def descend(pnet, placement: Placement, dgrid, eval_grid, config):
         for _ in range(INNER_ITERS):
             for _try in range(BACKTRACK_LIMIT):
                 u_new, v_new, a_new, g_new = nesterov_step(step)
-                denom = float(np.linalg.norm(g_new - g_v))
-                lipschitz_step = float(np.linalg.norm(v_new - v)) / denom if denom > 0 else step
+                denom = _norm(g_new - g_v)
+                lipschitz_step = _norm(v_new - v) / denom if denom > 0 else step
                 if step <= lipschitz_step * STEP_SLACK or lipschitz_step == 0.0:
                     break
                 step = lipschitz_step

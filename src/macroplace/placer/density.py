@@ -33,17 +33,34 @@ iteration.
 The kernels take the arrays they read: a solve takes the movable ids'
 (m, 2) centres, so the fixed nodes and placed flags the grid was built from
 cannot change under it, and the energy gradient returns the (m, 2) rows of
-those ids alone. `DensityField` keeps the (m, 2) lower and upper box
-corners and the per-axis overlap matrices of its raster. The gradient
-needs, per node, the potential summed over its footprint with one axis's
-overlap replaced by that axis's edge slope, which is +1 in the cell whose
-interior holds the upper edge and -1 in the one that holds the lower edge.
-So it reads only those cells: each edge's cell comes from a binary search
-over the products idx * cell, compared strictly (`edge_bounds`). Along x
-the gradient is two gathers from the one matrix product wy @ psi; along y
-it is the difference of two gathered rows of psi, weighted by wx and
-summed. Each value is the float that dense +1/-1 slope matrices give.
-The spectral solve divides and negates in place on its own temporaries.
+those ids alone. `DensityField` keeps the box edges as one (2, 2, m)
+array, per axis the upper then the lower edges (`corners`), and the
+per-axis overlap matrices of its raster. The gradient needs, per node, the
+potential summed over its footprint with one axis's overlap replaced by
+that axis's edge slope, which is +1 in the cell whose interior holds the
+upper edge and -1 in the one that holds the lower edge. So it reads only
+those cells: each edge's cell comes from a binary search over the products
+idx * cell, compared strictly (`edge_bounds`). Along x the gradient is two
+gathers from the one matrix product wy @ psi; along y it is the
+difference of two gathered rows of psi, weighted by wx and summed. Each
+value is the float that dense +1/-1 slope matrices give.
+
+The layout serves the number of numpy calls, which sets these kernels'
+cost more than their arithmetic does: on the benchmark's S placement (32
+movable nodes, 64 bins; Xeon, one BLAS thread) a 64 x 64 product takes
+~8 us, and the solve's four products plus the raster's take most of its
+budget. So each axis's [upper; lower] edges are one contiguous (2, m) row
+pair and go through one binary search (1.1 us against 2.9 us for two),
+the x cells become flat indices into the padded wy @ psi for one `take`,
+the y rows come from one `take`, and the (m, 2) gradient is written in
+place and scaled once (1.9 us against 3.6 us for a stack and a scaled
+copy). The solve writes the raster product, adds the fixed raster and
+scales it in its own buffer; its mean is rho.sum() / rho.size, the
+float `np.mean` computes, and `poisson_basis` stores the negated
+eigenvalue denominators, so the spectrum's division and negation are one
+pass: a / -d is the float -(a / d). `tools/kernels.py` prints each
+kernel's time per call and the SHA-256 of its output, so two layouts can
+be compared for speed and for bit identity.
 """
 
 from __future__ import annotations
@@ -82,10 +99,10 @@ class DensityGrid:
         return np.minimum(np.maximum(centres, self.half), self.hi)
 
     @cached_property
-    def cells(self) -> np.ndarray:
+    def cells(self) -> tuple[float, float]:
         """(bin_w, bin_h), the cell widths of `raster.axis_overlap`'s
         two-axis pass."""
-        return np.array([self.bin_w, self.bin_h])
+        return (self.bin_w, self.bin_h)
 
 
 def density_grid(netlist: Netlist, placement: Placement, movable: np.ndarray,
@@ -122,8 +139,7 @@ class DensityField:
     bin_w: float
     bin_h: float
     norm_scale: float  # rho rescale factor applied after rasterization
-    lo: np.ndarray  # (m, 2) lower corners of the boxes
-    hi: np.ndarray  # (m, 2) upper corners
+    corners: np.ndarray  # (2, 2, m): per axis, the boxes' upper then lower edges
     wx: np.ndarray  # (m, bins) column overlaps of the boxes (raster.axis_overlap)
     wy: np.ndarray  # (m, bins) row overlaps
 
@@ -141,62 +157,66 @@ def solve_density_field(centres: np.ndarray, grid: DensityGrid) -> DensityField:
     macros included; its mean then matches the design's utilization, which
     the benchmark edit rounds up into target_density.
     """
-    lo = centres - grid.half
-    hi = centres + grid.half
-    wx, wy = axis_overlap(lo.T, hi.T, grid.cells, grid.bins)
-    area = grid.fixed_area + wy.T @ wx
-    raster_total = area.sum()
+    corners = np.empty((2, 2, len(centres)))
+    np.add(centres.T, grid.half.T, out=corners[:, 0])
+    np.subtract(centres.T, grid.half.T, out=corners[:, 1])
+    wx, wy = axis_overlap(corners[:, 1], corners[:, 0], grid.cells, grid.bins)
+    rho = wy.T @ wx
+    rho += grid.fixed_area
+    raster_total = rho.sum()
     scale = grid.charge_area / raster_total if raster_total > 0 else 1.0
-    rho = area * (scale / (grid.bin_w * grid.bin_h))
+    rho *= scale / (grid.bin_w * grid.bin_h)
     psi = solve_poisson(rho, *poisson_basis(grid.bins, grid.bin_w, grid.bin_h))
     return DensityField(rho=rho, psi=psi, bin_w=grid.bin_w, bin_h=grid.bin_h,
-                        norm_scale=scale, lo=lo, hi=hi, wx=wx, wy=wy)
+                        norm_scale=scale, corners=corners, wx=wx, wy=wy)
 
 
 # A process places few grid geometries; the bound keeps a long-lived one
 # that sees many from growing without end.
 @lru_cache(maxsize=8)
 def poisson_basis(bins: int, bin_w: float, bin_h: float) -> tuple[np.ndarray, np.ndarray]:
-    """(C, denom) of the Poisson solve on a bins x bins grid, both from the
-    DCT-II modes k = 0 .. bins - 1. Built once per (bins, bin_w, bin_h) and
-    shared: both arrays are read-only.
+    """(C, neg_denom) of the Poisson solve on a bins x bins grid, both from
+    the DCT-II modes k = 0 .. bins - 1. Built once per (bins, bin_w, bin_h)
+    and shared: both arrays are read-only.
 
     C is the orthonormal DCT-II matrix, C[k, j] = sqrt(2 / bins) *
     cos(pi * (2j + 1) * k / (2 * bins)) with row 0 scaled by 1 / sqrt(2),
     the transform of either axis: C @ v is v's cosine spectrum and C.T @ s
-    maps a spectrum back. denom[ky, kx] is the eigenvalue of the mirrored
-    5-point Laplacian for mode (ky, kx); the DC entry is 1 (its mode is
-    dropped).
+    maps a spectrum back. neg_denom[ky, kx] is the negated eigenvalue of the
+    mirrored 5-point Laplacian for mode (ky, kx); the DC entry is 1 (its
+    mode is dropped).
     """
     angle = np.pi * np.arange(bins) / bins
     basis = np.sqrt(2.0 / bins) * np.cos(np.outer(angle, np.arange(bins) + 0.5))
     basis[0] /= np.sqrt(2.0)
     lam = 2.0 * np.cos(angle) - 2.0
-    denom = lam[:, None] / bin_h**2 + lam[None, :] / bin_w**2
-    denom[0, 0] = 1.0
-    basis.flags.writeable = denom.flags.writeable = False
-    return basis, denom
+    neg_denom = lam[:, None] / bin_h**2 + lam[None, :] / bin_w**2
+    np.negative(neg_denom, out=neg_denom)
+    neg_denom[0, 0] = 1.0
+    basis.flags.writeable = neg_denom.flags.writeable = False
+    return basis, neg_denom
 
 
-def solve_poisson(rho: np.ndarray, basis: np.ndarray, denom: np.ndarray) -> np.ndarray:
+def solve_poisson(rho: np.ndarray, basis: np.ndarray, neg_denom: np.ndarray) -> np.ndarray:
     """Potential psi of lap(psi) = -(rho - mean(rho)), with `basis` and
-    `denom` from `poisson_basis` for rho's grid.
+    `neg_denom` from `poisson_basis` for rho's grid.
 
     Spectral solve in the DCT-II basis C: the cosine modes are exact
     eigenvectors of the mirrored 5-point Laplacian, so psi =
-    C.T @ (-(C @ (rho - mean) @ C.T) / denom) @ C with the DC mode zero.
-    Negation is exact, so -(a / d) is the float (-a) / d. The four dense
-    matrix products beat a fast transform up to 64 bins, the most any
-    caller uses. On 2 vCPUs with one BLAS thread (median of six probes,
-    each the minimum of 5 repeats) one solve took ~21 / 30 / 88 us at
-    16 / 32 / 64 bins against ~57 / 79 / 162 us for `scipy.fft`'s
-    dctn/idctn pair; the two were even at 128 bins (~0.5 ms) and the
-    matrix was ~2.6x slower at 256 (4.8 against 1.8 ms): O(n^3) against
-    O(n^2 log n).
+    C.T @ ((C @ (rho - mean) @ C.T) / -denom) @ C with the DC mode zero.
+    Negation is exact, so a / -d is the float -(a / d). The mean is
+    rho.sum() / rho.size, the float `np.mean` gives. The four dense matrix
+    products beat a fast transform up to 64 bins, the most any caller
+    uses. On a 2-vCPU Xeon with one BLAS thread (median of six probes, each
+    the minimum of 5 repeats) one solve took ~7 / 12 / 41 us at 16 / 32 /
+    64 bins against ~39 / 49 / 91 us for `scipy.fft`'s dctn/idctn pair
+    (`tests/oracles.py:solve_poisson_scipy`, which also builds the
+    eigenvalues per call); the two were about even at 128 bins (~0.3 ms)
+    and the matrix was ~1.7x slower at 256 (2.7 against 1.6 ms): O(n^3)
+    against O(n^2 log n).
     """
-    spectrum = basis @ (rho - rho.mean()) @ basis.T
-    spectrum /= denom
-    np.negative(spectrum, out=spectrum)
+    spectrum = basis @ (rho - rho.sum() / rho.size) @ basis.T
+    spectrum /= neg_denom
     spectrum[0, 0] = 0.0
     return basis.T @ spectrum @ basis
 
@@ -223,18 +243,27 @@ def density_energy_and_grad(field: DensityField) -> np.ndarray:
     `edge_bounds`).
     """
     bins = field.bins
-    bx, by = edge_bounds(bins, field.bin_w), edge_bounds(bins, field.bin_h)
+    m = len(field.wy)
+    width = 2 * bins + 3
     # Columns (rows) 2, 4, ..., 2 * bins hold cells 0 .. bins - 1; the rest are 0.
-    p_pad = np.zeros((len(field.wy), 2 * bins + 3))
+    p_pad = np.zeros((m, width))
     p_pad[:, 2:-1:2] = field.wy @ field.psi
-    psi_pad = np.zeros((2 * bins + 3, bins))
+    psi_pad = np.zeros((width, bins))
     psi_pad[2:-1:2] = field.psi
-    rows = np.arange(len(p_pad))
-    gx = (p_pad[rows, np.searchsorted(bx, field.hi[:, 0], side="right")]
-          - p_pad[rows, np.searchsorted(bx, field.lo[:, 0], side="right")])
-    gy = ((psi_pad[np.searchsorted(by, field.hi[:, 1], side="right")]
-           - psi_pad[np.searchsorted(by, field.lo[:, 1], side="right")]) * field.wx).sum(axis=1)
-    return field.norm_scale * np.stack([gx, gy], axis=1)
+    # One search per axis over its (2, m) [upper; lower] edges; along x the
+    # cells become flat indices into p_pad, row i's at i * width.
+    cols = edge_bounds(bins, field.bin_w).searchsorted(field.corners[0], side="right")
+    cols += np.arange(0, m * width, width)
+    px = p_pad.take(cols)
+    py = psi_pad.take(edge_bounds(bins, field.bin_h).searchsorted(field.corners[1], side="right"),
+                      axis=0)
+    grad = np.empty((m, 2))
+    np.subtract(px[0], px[1], out=grad[:, 0])
+    dy = np.subtract(py[0], py[1], out=py[0])
+    dy *= field.wx
+    dy.sum(axis=1, out=grad[:, 1])
+    grad *= field.norm_scale
+    return grad
 
 
 # One per axis of each grid geometry: twice poisson_basis's bound.

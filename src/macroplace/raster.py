@@ -19,9 +19,19 @@ The matrices are dense, O(boxes x bins) per axis. At the sizes measured
 32 x 32 or 64 x 64 bins) the product is faster than listing each
 (box, bin) overlap once; a map with many more bins per axis than a box
 covers would pay for the zeros.
+
+The cell edges k * cell are built once per (count, cell widths)
+(`_cell_edges`), already shaped to broadcast against the (..., n, 1) box
+edges: every solve of the density model and every map of one grid reads
+the same two read-only arrays. Building them per call (an arange, a
+product and two slices) took 2.4 us of a two-axis 64-bin call against
+0.1 us for the cached lookup (Xeon, one BLAS thread); a density solve
+makes one such call.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,8 +43,9 @@ def axis_overlap(lo, hi, cell, count: int) -> np.ndarray:
     `count` cells of width `cell` from the origin:
     min(hi, (c+1)*cell) - max(lo, c*cell), clipped at 0.
 
-    `lo` and `hi` may carry leading axes, with `cell` one width per leading
-    index. Both axes of a grid of as many rows as columns in one pass are
+    `cell` is a float, or a tuple of one width per leading index when `lo`
+    and `hi` carry leading axes (hashable: the cell edges are cached per
+    (count, cell)). Both axes of a grid of as many rows as columns in one pass are
     `axis_overlap(lo.T, hi.T, cells, count)` for (n, 2) box corners and
     cells = (cell_w, cell_h): the (2, n, count) result holds each axis's
     matrix, contiguous and equal to that axis's own call float for float.
@@ -46,10 +57,22 @@ def axis_overlap(lo, hi, cell, count: int) -> np.ndarray:
     edge keeps the one-ulp sliver that the rounded edges still overlap."""
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise ValueError("box edges must be finite")
-    edges = np.arange(count + 1) * np.asarray(cell)[..., None]
-    overlap = np.minimum(hi[..., None], edges[..., None, 1:], order="C")
-    overlap -= np.maximum(lo[..., None], edges[..., None, :-1])
+    lower, upper = _cell_edges(count, cell)
+    overlap = np.minimum(hi[..., None], upper, order="C")
+    overlap -= np.maximum(lo[..., None], lower)
     return np.maximum(overlap, 0.0, out=overlap)
+
+
+# Each caller reads one or two geometries per design: a handful per process.
+@lru_cache(maxsize=16)
+def _cell_edges(count: int, cell) -> tuple[np.ndarray, np.ndarray]:
+    """The lower and upper edges k * cell and (k + 1) * cell of the `count`
+    cells, k = 0 .. count - 1, shaped (1, count), or (len(cell), 1, count)
+    for a tuple of widths, to broadcast against (..., n, 1) box edges.
+    Built once per (count, cell) and read-only."""
+    edges = np.arange(count + 1) * np.asarray(cell)[..., None]
+    edges.flags.writeable = False
+    return edges[..., None, :-1], edges[..., None, 1:]
 
 
 def node_boxes(netlist: Netlist, placement: Placement, ids: np.ndarray):

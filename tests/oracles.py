@@ -381,11 +381,66 @@ def density_grad_dense_slopes(field):
     gathered kernel `density.density_energy_and_grad` must equal it bit
     for bit."""
     bins = field.bins
-    dwx = edge_slope_reference(field.lo[:, 0], field.hi[:, 0], field.bin_w, bins)
-    dwy = edge_slope_reference(field.lo[:, 1], field.hi[:, 1], field.bin_h, bins)
+    (upper_x, lower_x), (upper_y, lower_y) = field.corners
+    dwx = edge_slope_reference(lower_x, upper_x, field.bin_w, bins)
+    dwy = edge_slope_reference(lower_y, upper_y, field.bin_h, bins)
     s = field.norm_scale
     return np.stack([s * ((field.wy @ field.psi) * dwx).sum(axis=1),
                      s * ((dwy @ field.psi) * field.wx).sum(axis=1)], axis=1)
+
+
+# --- Former vectorized formulations ----------------------------------------
+# The smooth-WL pass and the density solve as the kernels computed them
+# before they moved to axis-major rows and in-place passes, kept verbatim.
+# The kernels changed no float: they must equal these bit for bit.
+
+
+def smooth_wl_grad_pin_major(netlist, positions, gamma):
+    """The smooth-WL gradient by the pin-major pass: (P, 4) pin rows
+    [x, y, -x, -y], `reduceat` along axis 0, per-pin (P, 1) weights and
+    pin-major slots 2 * node + axis."""
+    csr = netlist.net_csr
+    weights = csr.weights[csr.pin_net, None]
+    slots = (2 * csr.node_ids[:, None] + np.arange(2)).ravel()
+    pins = np.concatenate((positions, -positions), axis=1).take(csr.node_ids, axis=0)
+    extremes = np.maximum.reduceat(pins, csr.starts)
+    pins -= extremes.take(csr.pin_net, axis=0)
+    pins /= gamma
+    e = np.exp(pins, out=pins)
+    sums = np.add.reduceat(e, csr.starts)
+    e /= sums.take(csr.pin_net, axis=0)
+    g = weights * (e[:, :2] - e[:, 2:])
+    grad = np.bincount(slots, weights=g.ravel(), minlength=positions.size)
+    return grad.astype(np.float64, copy=False).reshape(positions.shape)
+
+
+def solve_density_field_former(centres, grid):
+    """(rho, psi, norm_scale) of `density.solve_density_field` as it was
+    formulated: cell edges built per rasterization, the fixed raster plus
+    the product, rho scaled into a new array, `np.mean`, and the spectrum
+    divided by the Laplacian's eigenvalues, then negated."""
+    lo = centres - grid.half
+    hi = centres + grid.half
+    edges = np.arange(grid.bins + 1) * np.array([grid.bin_w, grid.bin_h])[:, None]
+    overlap = np.minimum(hi.T[..., None], edges[..., None, 1:], order="C")
+    overlap -= np.maximum(lo.T[..., None], edges[..., None, :-1])
+    wx, wy = np.maximum(overlap, 0.0, out=overlap)
+    area = grid.fixed_area + wy.T @ wx
+    raster_total = area.sum()
+    scale = grid.charge_area / raster_total if raster_total > 0 else 1.0
+    rho = area * (scale / (grid.bin_w * grid.bin_h))
+    bins = grid.bins
+    angle = np.pi * np.arange(bins) / bins
+    basis = np.sqrt(2.0 / bins) * np.cos(np.outer(angle, np.arange(bins) + 0.5))
+    basis[0] /= np.sqrt(2.0)
+    lam = 2.0 * np.cos(angle) - 2.0
+    denom = lam[:, None] / grid.bin_h**2 + lam[None, :] / grid.bin_w**2
+    denom[0, 0] = 1.0
+    spectrum = basis @ (rho - rho.mean()) @ basis.T
+    spectrum /= denom
+    np.negative(spectrum, out=spectrum)
+    spectrum[0, 0] = 0.0
+    return rho, basis.T @ spectrum @ basis, scale
 
 
 def clique_graph_loop(netlist):
@@ -556,17 +611,16 @@ def greedy_merge_bruteforce(netlist, k):
     return [(tuple(sorted(members[g])), area[g]) for g in sorted(members)]
 
 
-def sim_anneal_rebuild_loop(env, moves, seed=0, mask=None):
+def sim_anneal_rebuild_loop(env, moves, seed=0):
     """`baseline_sim_anneal` as a per-move rebuild: each move places every
     macro but the drawn one on an empty grid again, in macro order, and
-    draws from that grid's mask (`mask`, default `grid.feasibility_mask`).
-    Returns the BaselineResult and each move's outcome, "accept", "reject"
-    or "skip"."""
+    draws from that grid's feasibility mask. Returns the BaselineResult and
+    each move's outcome, "accept", "reject" or "skip" (a mask with no
+    feasible cell)."""
     from macroplace.agent.baselines import SA_ALPHA, SA_T0, BaselineResult
     from macroplace.env import rollout, uniform_random_policy
     from macroplace.grid import Grid, feasibility_mask, place_on_grid
 
-    mask = mask or feasibility_mask
     rng = np.random.default_rng(np.random.SeedSequence([seed, 991]))
     start = rollout(env, uniform_random_policy, np.random.SeedSequence([seed, 0]))
     cells = [s.action for s in start.steps]
@@ -587,7 +641,7 @@ def sim_anneal_rebuild_loop(env, moves, seed=0, mask=None):
             placement.positions[pid] = (x, y)
             placement.placed[pid] = True
         macro = env.pnet.nodes[env.macro_order[k]]
-        choices = np.flatnonzero(mask(grid, macro))
+        choices = np.flatnonzero(feasibility_mask(grid, macro))
         if len(choices) == 0:
             outcomes.append("skip")
             continue
@@ -610,6 +664,35 @@ def sim_anneal_rebuild_loop(env, moves, seed=0, mask=None):
     result = BaselineResult(best_reward=-best_cost, best_actions=best_cells,
                             best_placement=best_placement, rewards=rewards)
     return result, outcomes
+
+
+def choice_without_replacement_loop(rng, p, size):
+    """`rng.choice(len(p), size, replace=False, p=p)` as loops: rounds of
+    size - n uniforms until n = size distinct picks are found, each looked
+    up with `bisect_right` in the running sum of p, the found picks' weights
+    zeroed, divided by its total; a round keeps its picks that are new, in
+    draw order. Returns (picks, rounds)."""
+    import bisect
+
+    weights = [float(w) for w in p]
+    found, rounds = [], 0
+    while len(found) < size:
+        rounds += 1
+        x = rng.random(size - len(found))
+        for k in found:
+            weights[k] = 0.0
+        running, total = [], 0.0
+        for w in weights:
+            total += w
+            running.append(total)
+        cdf = [c / running[-1] for c in running]
+        new = []
+        for u in x:
+            pick = bisect.bisect_right(cdf, u)
+            if pick not in new:
+                new.append(pick)
+        found += new
+    return found, rounds
 
 
 def in_canvas(netlist, placement, tol=1e-9):

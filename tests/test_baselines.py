@@ -15,7 +15,7 @@ from macroplace.agent.baselines import (
 from macroplace.design import SyntheticSpec, generate_synthetic
 from macroplace.env import EnvConfig, MacroPlacementEnv
 from macroplace.errors import BudgetError
-from macroplace.grid import feasibility_mask
+from macroplace.grid import feasibility_mask, lift_from_grid
 from macroplace.placer import PlacerConfig
 
 from oracles import sim_anneal_rebuild_loop
@@ -106,19 +106,39 @@ def eight_macro_env():
     return grid_env(bundle, 12, 12)
 
 
-def test_sim_anneal_equals_the_per_move_rebuild_with_skips(eight_macro_env, monkeypatch):
-    """Eight macros over moves that accept, reject and skip. A lifted
-    macro's own cell is always in its mask, so a move is skipped only when
-    the mask refuses the macro: here the mask refuses the smallest one."""
-    env = eight_macro_env
-    refused = env.macro_order[-1]
-
-    def refusing(grid, macro):
-        return feasibility_mask(grid, macro) & (macro.id != refused)
-
-    monkeypatch.setattr(baselines, "feasibility_mask", refusing)
-    result = baseline_sim_anneal(env, moves=40, seed=0)
-    reference, outcomes = sim_anneal_rebuild_loop(env, moves=40, seed=0, mask=refusing)
-    assert {"accept", "reject", "skip"} <= set(outcomes)
-    assert len(result.rewards) == 1 + outcomes.count("accept") + outcomes.count("reject")
+def test_sim_anneal_equals_the_per_move_rebuild_on_eight_macros(eight_macro_env):
+    """Eight macros over moves that accept and reject: the rewards, best
+    cells and best placement of the per-move rebuild, which skips no move
+    either (a lifted macro's own cell is in its mask)."""
+    result = baseline_sim_anneal(eight_macro_env, moves=40, seed=0)
+    reference, outcomes = sim_anneal_rebuild_loop(eight_macro_env, moves=40, seed=0)
+    assert {"accept", "reject"} <= set(outcomes) and "skip" not in outcomes
+    assert len(result.rewards) == 1 + 40
     assert_same_anneal(result, reference)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_every_anneal_mask_holds_the_lifted_macros_cell(eight_macro_env, oracle_env,
+                                                        monkeypatch, seed):
+    """Over random anneals on both designs, the mask each move draws from
+    holds the cell its macro was lifted from, so no move lacks a cell."""
+    lifted_from, masks = [], []
+
+    def lifting(grid, macro):
+        lifted_from.append(next((row, col) for nid, row, col in grid.placed_macros
+                                if nid == macro.id))
+        return lift_from_grid(grid, macro)
+
+    def recording(grid, macro):
+        masks.append(feasibility_mask(grid, macro))
+        return masks[-1]
+
+    monkeypatch.setattr(baselines, "lift_from_grid", lifting)
+    monkeypatch.setattr(baselines, "feasibility_mask", recording)
+    for env in (eight_macro_env, oracle_env):
+        lifted_from.clear()
+        masks.clear()
+        result = baseline_sim_anneal(env, moves=25, seed=seed)
+        assert len(masks) == len(lifted_from) == 25
+        assert len(result.rewards) == 1 + 25
+        assert all(mask[cell] for mask, cell in zip(masks, lifted_from))

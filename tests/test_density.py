@@ -74,7 +74,7 @@ class TestPoissonSolve:
         rho = np.tile(np.cos(np.pi * x / W), (bins, 1))
         psi = solve_poisson(rho, *poisson_basis(bins, bin_w, bin_w))
         field = DensityField(rho=rho, psi=psi, bin_w=bin_w, bin_h=bin_w,
-                             norm_scale=1.0, lo=None, hi=None, wx=None, wy=None)
+                             norm_scale=1.0, corners=None, wx=None, wy=None)
 
         # discrete eigenvalue: psi = rho / |lam_1|
         lam_1 = (2.0 * np.cos(np.pi / bins) - 2.0) / bin_w**2

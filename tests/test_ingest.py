@@ -9,12 +9,15 @@ from macroplace.bookshelf import parse_bookshelf, write_bookshelf
 from macroplace.design import (
     DesignBundle,
     SyntheticSpec,
+    _choice_without_replacement,
     edit_for_movable_macros,
     generate_synthetic,
     round_up_density,
 )
 from macroplace.errors import DesignError, ParseError
 from macroplace.netlist import KIND_MACRO, KIND_STD, KIND_TERMINAL, hpwl
+
+from oracles import choice_without_replacement_loop
 
 
 def kind_counts(netlist):
@@ -426,6 +429,31 @@ class TestSynthetic:
         for macro in nl.macros():
             ratio = macro.area / mean_cell
             assert 8.0 <= ratio <= 135.0  # 10-100x the nominal area, cells jitter +-25%
+
+    def test_member_draw_equals_generator_choice(self):
+        """The net-member draw takes the same picks as
+        `Generator.choice(replace=False, p=...)` and its loop form, and
+        leaves the generator in the same state, over random weights and
+        sizes; heavy weights make rounds of repeated picks."""
+        rng = np.random.default_rng(5)
+        rounds = Counter()
+        for _ in range(300):
+            n = int(rng.integers(1, 40))
+            p = rng.random(n) ** float(rng.uniform(1.0, 12.0)) + 1e-3
+            p /= p.sum()
+            cdf = np.cumsum(p)
+            cdf /= cdf[-1]
+            size = int(rng.integers(0, n + 1))
+            seed = int(rng.integers(2**32))
+            draws = []
+            for draw in (lambda g: g.choice(n, size=size, replace=False, p=p).tolist(),
+                         lambda g: _choice_without_replacement(g, p, cdf, size),
+                         lambda g: choice_without_replacement_loop(g, p, size)[0]):
+                g = np.random.default_rng(seed)
+                draws.append((draw(g), g.random()))
+            assert draws[0] == draws[1] == draws[2]
+            rounds[choice_without_replacement_loop(np.random.default_rng(seed), p, size)[1]] += 1
+        assert rounds[1] and sum(count for r, count in rounds.items() if r > 1) > 20
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(DesignError):

@@ -8,10 +8,13 @@ compute in the references' order, so their outputs must be bit-equal. The raster
 maps (one matrix product per map), the smooth-WL and density-gradient
 kernels reassociate float sums, and the spectral solve replaces a sparse
 LU solve, so they and the field move built on the density gradient are
-held to 1e-12 of the reference's scale.
+held to 1e-12 of the reference's scale. The smooth-WL pass and the density
+solve are also held byte for byte to the vectorized formulations they
+replaced (`TestFormerFormulations`).
 """
 
 import re
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -52,10 +55,22 @@ from oracles import (
     hpwl_bruteforce,
     node_degrees_loop,
     rasterize_area_loop,
+    smooth_wl_grad_pin_major,
     smooth_wl_loop,
+    solve_density_field_former,
 )
 
 CANVAS = (64.0, 48.0)
+BENCHMARK_SPECS = [SyntheticSpec(8, 500, 600, seed=1), SyntheticSpec(16, 2000, 2500, seed=1),
+                   SyntheticSpec(32, 8000, 10000, seed=1)]
+
+
+@lru_cache(maxsize=None)
+def benchmark_design(spec):
+    """A benchmark design's netlist and its clustering at the default
+    cluster count, built once per test session."""
+    nl = generate_synthetic(spec).netlist
+    return nl, cluster_std_cells(nl, k=default_cluster_count(spec.macro_count))
 
 
 def edge_case_design(rng, n_nodes=30, n_nets=25):
@@ -144,7 +159,7 @@ class TestRasterizer:
     def test_axis_overlap_both_axes_bit_equal(self, rng, count):
         """Both axes in one pass give each axis's own matrix, contiguous and
         float for float, and a non-finite edge on either axis raises."""
-        cells = np.array([CANVAS[0] / count, CANVAS[1] / count])
+        cells = (CANVAS[0] / count, CANVAS[1] / count)
         for _ in range(5):
             nl, pl = edge_case_design(rng)
             x0, x1, y0, y1 = node_boxes(nl, pl, np.arange(nl.num_nodes))
@@ -310,6 +325,87 @@ class TestNetKernel:
                                       smooth_wl_and_grad(bare, pl.positions, 0.7))
 
 
+def with_long_nets(rng, nl, sizes=(8, 9, 15, 16, 17, 31, 59, 130, 300)):
+    """`nl` with one more net per size, its pins drawn with repeats: nets
+    long enough for `np.add.reduceat` to sum pairwise (8 pins and up,
+    recursively past 128)."""
+    nets = list(nl.nets)
+    for size in sizes:
+        pins = tuple(Pin(int(m)) for m in rng.integers(0, nl.num_nodes, size))
+        nets.append(Net(len(nets), f"long{size}", pins, float(rng.uniform(0.5, 2.0))))
+    return Netlist(nl.nodes, nets, nl.canvas_width, nl.canvas_height, nl.target_density)
+
+
+def random_centres(rng, netlist):
+    """(N, 2) uniform centres over `netlist`'s canvas."""
+    return rng.uniform((0.0, 0.0), (netlist.canvas_width, netlist.canvas_height),
+                       size=(netlist.num_nodes, 2))
+
+
+class TestFormerFormulations:
+    """The axis-major smooth-WL pass and the in-place density solve equal
+    the formulations they replaced (tests/oracles.py) byte for byte: on
+    edge cases (long nets, box edges on bin bounds, boxes off the grid)
+    and on 3 random placements of each benchmark design."""
+
+    @staticmethod
+    def check_wl(netlist, positions):
+        for gamma in (0.05, 1.0, 40.0):
+            got = smooth_wl_and_grad(netlist, positions, gamma)
+            want = smooth_wl_grad_pin_major(netlist, positions, gamma)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @staticmethod
+    def check_solve(netlist, placement, movable, bins):
+        grid = density_grid(netlist, placement, movable, bins)
+        centres = placement.positions[grid.ids]
+        field = solve_density_field(centres, grid)
+        rho, psi, scale = solve_density_field_former(centres, grid)
+        assert field.rho.tobytes() == rho.tobytes()
+        assert field.psi.tobytes() == psi.tobytes()
+        assert field.norm_scale == scale
+        np.testing.assert_array_equal(density_energy_and_grad(field),
+                                      density_grad_dense_slopes(field))
+
+    def test_smooth_wl_edge_cases(self, rng):
+        for _ in range(5):
+            nl, pl = edge_case_design(rng)
+            long = with_long_nets(rng, nl)
+            assert long.net_csr.counts.max() == 300
+            for netlist in (nl, long):
+                self.check_wl(netlist, pl.positions)
+                self.check_wl(netlist, random_centres(rng, netlist))
+
+    @pytest.mark.parametrize("bins", [4, 8, 32, 64])
+    def test_density_solve_edge_cases(self, rng, bins):
+        bin_w, bin_h = CANVAS[0] / bins, CANVAS[1] / bins
+        for _ in range(3):
+            nl, pl = edge_case_design(rng)
+            pl.placed[9] = False
+            inner = pl.copy()
+            inner.positions[1] = (3 * bin_w + 4.0, 2 * bin_h + 12.0)
+            everything = np.ones(nl.num_nodes, dtype=bool)
+            clustered, ppl, movable = random_cluster_placement(rng)
+            for netlist, placement, moving in (
+                    (nl, pl, everything), (nl, inner, everything),
+                    (nl, pl, nl.node_arrays.movable),
+                    (clustered.placement_netlist, ppl, movable)):
+                self.check_solve(netlist, placement, moving, bins)
+
+    @pytest.mark.parametrize("spec", BENCHMARK_SPECS, ids=["S", "M", "L"])
+    def test_benchmark_designs(self, rng, spec):
+        nl, clustered = benchmark_design(spec)
+        pnet = clustered.placement_netlist
+        movable = movable_cluster_mask(clustered)
+        for _ in range(3):
+            self.check_wl(nl, random_centres(rng, nl))
+            placement = Placement.empty(pnet.num_nodes)
+            placement.positions[:] = random_centres(rng, pnet)
+            placement.placed[:] = True
+            self.check_wl(pnet, placement.positions)
+            self.check_solve(pnet, placement, movable, PlacerConfig().bins)
+
+
 class TestCliqueGraph:
     """`Netlist.clique_graph` and `node_degrees` against the dict loops."""
 
@@ -330,15 +426,11 @@ class TestCliqueGraph:
                 for k in (3, 12):
                     self.check(cluster_std_cells(nl, k=k).placement_netlist)
 
-    @pytest.mark.parametrize("spec", [SyntheticSpec(8, 500, 600, seed=1),
-                                      SyntheticSpec(16, 2000, 2500, seed=1),
-                                      SyntheticSpec(32, 8000, 10000, seed=1)],
-                             ids=["S", "M", "L"])
+    @pytest.mark.parametrize("spec", BENCHMARK_SPECS, ids=["S", "M", "L"])
     def test_benchmark_designs_bit_equal(self, spec):
-        nl = generate_synthetic(spec).netlist
+        nl, clustered = benchmark_design(spec)
         self.check(nl)
-        k = default_cluster_count(spec.macro_count)
-        self.check(cluster_std_cells(nl, k=k).placement_netlist)
+        self.check(clustered.placement_netlist)
 
     def test_node_listed_twice_and_short_nets(self):
         nodes = [Node(i, f"c{i}", 1.0, 1.0, KIND_STD, True) for i in range(4)]

@@ -378,9 +378,11 @@ class TestAnalytical:
         calls = []
         gradient_rows = analytical._gradient_rows
 
-        def recorded(pnet, positions, gamma, dgrid):
-            calls.append((positions.take(dgrid.ids, axis=0), dgrid))
-            return gradient_rows(pnet, positions, gamma, dgrid)
+        def recorded(pnet, positions, centres, gamma, dgrid):
+            calls.append((centres.copy(), dgrid))
+            rows = gradient_rows(pnet, positions, centres, gamma, dgrid)
+            assert positions.take(dgrid.ids, axis=0).tobytes() == centres.tobytes()
+            return rows
 
         monkeypatch.setattr(analytical, "_gradient_rows", recorded)
         entry(clustered, start, config)
@@ -440,6 +442,14 @@ class TestAnalytical:
             assert row.lam is not None and row.lam > 0
             assert row.lam == trace[0].lam * analytical.LAMBDA_GROWTH ** index
 
+    def test_step_norm_is_numpys_float(self, rng):
+        """The step length's norm is the float `np.linalg.norm` gives, over
+        the row counts and magnitudes the descent sees."""
+        for m in (1, 2, 7, 32, 100, 513):
+            for scale in (1e-9, 1.0, 1e6):
+                d = rng.normal(size=(m, 2)) * scale
+                assert analytical._norm(d) == float(np.linalg.norm(d))
+
     def test_step_falls_back_after_backtrack_limit(self, monkeypatch):
         """A fake gradient that is `soft` at the start point and `soft + 10`
         everywhere else puts every trial of the first Nesterov step ~15x
@@ -453,8 +463,8 @@ class TestAnalytical:
             -1.0, 1.0, (int(movable_cluster_mask(clustered).sum()), 2))
         calls = []
 
-        def stiff_rows(pnet, positions, gamma, dgrid):
-            calls.append((positions.take(dgrid.ids, axis=0), dgrid))
+        def stiff_rows(pnet, positions, centres, gamma, dgrid):
+            calls.append((centres.copy(), dgrid))
             rows = soft if len(calls) == 1 else soft + 10.0
             return rows, np.zeros_like(rows)
 

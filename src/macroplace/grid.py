@@ -153,7 +153,9 @@ def place_on_grid(grid: Grid, macro: Node, row: int, col: int):
     out = grid.copy()
     out.occupancy[window] = True
     out.placed_macros.append((macro.id, row, col))
-    # Clamp is a no-op for feasible cells; kept as a safety net.
+    # The in-canvas test admits a box that overhangs the canvas by up to the
+    # boundary tolerance; the clamp moves its centre in by the overhang, so
+    # the box ends inside the canvas. Any other box keeps its cell centre.
     cx, cy = grid.cell_center(row, col)
     x = min(max(cx, macro.width / 2), grid.canvas_width - macro.width / 2)
     y = min(max(cy, macro.height / 2), grid.canvas_height - macro.height / 2)

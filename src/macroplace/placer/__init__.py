@@ -6,21 +6,19 @@ Nesterov descent on smoothed wirelength plus a growing penalty on the
 energy of that field. Both consume the same inputs and produce an
 in-canvas Placement, so the environment swaps engines by config alone.
 `spread_movable` is the one run with macros moving too: the analytical
-descent over every node the design marks movable, from the canvas centre.
+engine over every node the design marks movable.
 
 `PlacerConfig` is the contract both engines share: which engine runs
 ("fd" or "analytical"), its outer-iteration budget and the bin count of the
 density grid (at least 2, checked at construction). The analytical
 engine stops at the first outer iteration whose overflow is below the
 class constant `PlacerConfig.overflow_stop` or strictly above the lowest
-overflow of the rows before it; strictly, because from `spread_movable`'s
-centre start the first rows can tie while the nodes are still stacked.
-Force-directed has no stop rule and runs min(budget,
-`force_directed.FIELD_ITERS`) outer iterations. The budget
-bounds each pass on its own: an analytical placement runs that
-force-directed pass for its start, whose rows it does not return, and then
-up to the budget of its own outer iterations. Each engine's step-size and
-schedule constants live in its own module.
+overflow of the rows before it, so a tie does not stop. Force-directed
+has no stop rule and runs min(budget, `force_directed.FIELD_ITERS`) outer
+iterations. The budget bounds each pass on its own: an analytical
+placement runs that force-directed pass for its start, whose rows it does
+not return, and then up to the budget of its own outer iterations. Each
+engine's step-size and schedule constants live in its own module.
 
 The stop/trace overflow both engines report is the pure-overlap measure
 (density target 1.0): clusters are solid blocks much wider than a bin, so
@@ -34,8 +32,7 @@ force-directed engine's first solve sets every movable node. The
 analytical engine runs the force-directed iterations first and starts its
 descent from their placement, jittered and clamped: the wirelength-driven
 start of ePlace (Lu et al., TODAES 2015) and RePlAce (Cheng et al., TCAD
-2018). `spread_movable` starts the descent at the jittered canvas centre
-instead. Both engines iterate on the movable nodes' (m, 2) centres, in
+2018). Both engines iterate on the movable nodes' (m, 2) centres, in
 `DensityGrid.ids` order, not on a `Placement`. `DensityGrid.clamp` is
 their one clamp, and each writes its placement once per outer iteration,
 for the trace row.
@@ -68,7 +65,7 @@ from ..errors import PlacementError
 from ..grid import Grid
 from ..metrics import density_overflow
 from ..netlist import Netlist, Placement, hpwl
-from .analytical import descend, run_analytical
+from .analytical import run_analytical
 from .density import check_bins, density_grid
 from .force_directed import run_force_directed
 
@@ -180,19 +177,12 @@ def spread_movable(clustered: ClusteredNetlist, fixed_placement: Placement,
     snapping, no masks).
 
     `fixed_placement` must place the terminals; macro and cluster positions
-    are ignored. It always runs the analytical descent, whatever
+    are ignored. It always runs the analytical engine, whatever
     `config.engine` names, and reads only `config.max_outer_iters` and
-    `config.bins`. The descent starts from the canvas centre, not from
-    `run_analytical`'s force-directed pass: from that start the overflow
-    is already below `PlacerConfig.overflow_stop`, so the descent would
-    stop after one outer iteration.
+    `config.bins`.
     """
-    movable = clustered.placement_netlist.node_arrays.movable
-    pnet, placement, dgrid, eval_grid = engine_start(clustered, fixed_placement, movable, config)
-    if not len(dgrid.ids):
-        return placement, []
-    placement.positions[dgrid.ids] = (pnet.canvas_width / 2, pnet.canvas_height / 2)
-    return descend(pnet, placement, dgrid, eval_grid, config)
+    return run_analytical(clustered, fixed_placement,
+                          clustered.placement_netlist.node_arrays.movable, config)
 
 
 __all__ = [

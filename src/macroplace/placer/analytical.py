@@ -7,11 +7,10 @@ wirelength smoothing gamma anneals toward a floor. Stops at the first
 outer iteration whose trace row's density overflow drops below
 `PlacerConfig.overflow_stop` or rises strictly above the lowest overflow of
 the rows before it, and returns that row: both stops read the overflow, as
-RePlAce's does (Cheng et al., TCAD 2018). The rise must be strict: from
-`spread_movable`'s centre start the first rows can tie while the nodes are
-still stacked. One `DensityGrid` per placement holds the
-fixed nodes' charge and the Poisson eigenvalues, so each gradient
-rasterizes and differentiates the movable nodes only.
+RePlAce's does (Cheng et al., TCAD 2018). A tie does not stop. One
+`DensityGrid` per placement holds the fixed nodes' charge and the Poisson
+eigenvalues, so each gradient rasterizes and differentiates the movable
+nodes only.
 
 The descent starts from the placement of the force-directed iterations on
 the same start, movable set, config and `DensityGrid`
@@ -108,22 +107,16 @@ def _fallback_step(g, diag, otherwise):
 
 def run_analytical(clustered: ClusteredNetlist, start: Placement,
                    movable: np.ndarray, config):
-    from . import engine_start
+    """The Nesterov descent over the nodes `movable` from their
+    force-directed placement plus the start jitter, clamped. Returns
+    (placement, trace)."""
+    from . import TraceRow, engine_start
 
     pnet, placement, dgrid, eval_grid = engine_start(clustered, start, movable, config)
-    if not len(dgrid.ids):
+    ids = dgrid.ids
+    if not len(ids):
         return placement, []
     force_directed_pass(clustered, config, pnet, placement, dgrid, eval_grid)
-    return descend(pnet, placement, dgrid, eval_grid, config)
-
-
-def descend(pnet, placement: Placement, dgrid, eval_grid, config):
-    """The Nesterov descent from the movable centres of `placement` plus
-    the start jitter, clamped; `engine_start`'s output with the movable
-    rows set. Moves `placement` in place; returns (placement, trace)."""
-    from . import TraceRow
-
-    ids = dgrid.ids
     bin_dim = 0.5 * (pnet.canvas_width + pnet.canvas_height) / config.bins
     gamma = GAMMA_BINS * bin_dim
     gamma_floor = GAMMA_FLOOR_BINS * bin_dim
@@ -192,8 +185,7 @@ def descend(pnet, placement: Placement, dgrid, eval_grid, config):
         # Stop below overflow_stop, or at the first row whose overflow rises
         # strictly above the lowest before it: no earlier row rose, so that
         # lowest is the previous row's (cached) overflow. A tie does not
-        # stop: from a centre start the first rows tie while the nodes are
-        # still stacked.
+        # stop.
         row = TraceRow(lam=lam, netlist=pnet, placement=placement, grid=eval_grid)
         trace.append(row)
         if row.overflow < config.overflow_stop or (outer and row.overflow > trace[-2].overflow):

@@ -21,11 +21,11 @@ solve (`spsolve`) is exact:
 
     x = D^-1/2 Q ((Q^T D^-1/2 rhs) / (lam + t))
 
-A group of clusters with no path to a fixed node (a lone cluster on no net
-is the smallest) has a zero eigenvalue, so its system is singular at t = 0.
-Such a group is anchored with a weight that does not ramp: D * max(t, 1),
-where an isolated cluster's D counts as 1. It is diagonalised on its own,
-so that its shift never mixes with the anchored clusters' modes.
+A group of movable nodes with no path to a fixed node (a lone cluster on
+no net is the smallest) has a zero eigenvalue, so its system is singular at
+t = 0. Such a group is anchored with a weight that does not ramp:
+D * max(t, 1), where an isolated node's D counts as 1. It is diagonalised
+on its own, so that its shift never mixes with the anchored nodes' modes.
 
 Neither A nor its spectrum depends on positions, so they are built once
 per design, with the edges between a movable and a fixed node: on the
@@ -135,7 +135,7 @@ class Spectrum(NamedTuple):
     orthogonal and block-diagonal over the anchored and the other
     clusters; column k holds a mode of node k's block."""
     base: np.ndarray  # (m,) anchor-weight scale: the degree, 1 where it is 0
-    floor: np.ndarray  # (m,) 1 on clusters with no path to a fixed node, else 0
+    floor: np.ndarray  # (m,) 1 on nodes with no path to a fixed node, else 0
     left: np.ndarray  # (m, m) B^-1/2 Q
     right: np.ndarray  # (m, m) Q^T B^-1/2
     vals: np.ndarray  # (m,) eigenvalues of B^-1/2 A B^-1/2, one per column of Q
@@ -224,7 +224,7 @@ def force_directed_pass(clustered: ClusteredNetlist, config,
     system = _system_for(clustered, ids)
     if system.floating:
         warnings.warn(
-            "clusters with no connectivity to a fixed node: no net pulls them toward the "
+            "movable nodes with no connectivity to a fixed node: no net pulls them toward the "
             f"fixed nodes, so the density field alone sets where they go: {system.floating}",
             stacklevel=3,
         )

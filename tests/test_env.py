@@ -255,9 +255,10 @@ class TestDeterminism:
         trace length and kernel calls were recorded when the descent first
         stopped on an overflow rise; seed 1's, none of whose rows rises,
         when the engine first started from the force-directed placement.
-        All hold exactly. `spread_movable` keeps the canvas-centre start,
-        and its trace length and the SHA-256 of its positions hold exactly
-        from before that start changed.
+        All hold exactly. `spread_movable`'s trace length and the SHA-256
+        of its positions were recorded when it first started from the
+        force-directed placement, as `place_clusters` does, and hold
+        exactly.
 
         Each gradient evaluation calls each of the three gradient kernels
         once, through the bindings a benchmark trace wraps: lambda_0's,
@@ -292,9 +293,9 @@ class TestDeterminism:
         clustered = cluster_std_cells(small.netlist, k=8)
         placement, trace = spread_movable(clustered, base_placement(clustered, small.placement),
                                           PlacerConfig(max_outer_iters=8))
-        assert len(trace) == 3
+        assert len(trace) == 1
         assert hashlib.sha256(placement.positions.tobytes()).hexdigest() == (
-            "3d0e4c3a4f4f45d71dbe764023ae6648dc203140c6e07bec2f53f1c2f6d6814a")
+            "f7daa9bd73423ff5e2bf3d7a5929ec0d05ec4ea1fd1599e0cb1720629db64b8a")
 
     def test_engine_swap_changes_only_reward(self, training_bundle):
         placements = {}

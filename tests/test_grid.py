@@ -42,9 +42,19 @@ class TestFootprint:
         assert covered(grid, m, 2, 2) == {(r, c) for r in range(5) for c in range(5)}
 
     def test_boundary_touch_not_covered(self):
+        """A box one cell wide covers its cell alone, also when it is wider
+        by less than the boundary tolerance. At the canvas edge that box
+        overhangs the canvas, so its centre moves in by the overhang: the
+        box ends inside the canvas, within the tolerance of the cell
+        centre."""
         grid = Grid.empty(4, 4, 40.0, 40.0)
-        m = macro(10.0, 10.0)  # exactly one cell; edges touch neighbors
-        assert covered(grid, m, 1, 1) == {(1, 1)}
+        # exactly one cell, edges touching neighbours; then wider by 5e-11
+        for w, r, c in ((10.0, 1, 1), (10.0 * (1 + 5e-11), 1, 0)):
+            m = macro(w, 10.0)
+            assert covered(grid, m, r, c) == {(r, c)}
+            _, (x, _) = place_on_grid(grid, m, r, c)
+            assert 0.0 <= x - w / 2 and x + w / 2 <= grid.canvas_width
+            assert abs(x - grid.cell_center(r, c)[0]) <= 1e-9 * grid.cell_w
 
     def test_matches_fine_raster_oracle(self, rng):
         """40 draws at a random cell where the box stays in the canvas;

@@ -23,9 +23,13 @@ The analytical engine runs on position arrays: `placer/analytical.py` calls
 neither `Placement` nor one of its class methods.
 
 No module imports scipy, at any depth: the package needs numpy alone.
+
+Every file a docstring names as `path.py` or `path.py:name`, from the root
+of the repository, exists, and defines `name` at its top level.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -399,3 +403,57 @@ def test_scipy_guard_sees_imports_at_any_depth():
     )
     assert scipy_imports(source) == [2, 3, 7, 10]
 
+
+
+FILE_REFERENCE = re.compile(r"([\w./-]+\.py)(?::(\w+))?")
+
+
+def docstring_file_references(source):
+    """(path, name or None) for each `path.py` or `path.py:name` that a
+    docstring of the module, or of one of its classes or functions, names,
+    in the order of the walk."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            for path, name in FILE_REFERENCE.findall(ast.get_docstring(node) or ""):
+                found.append((path, name or None))
+    return found
+
+
+def top_level_names(source):
+    """The names a module defines at its top level: functions, classes and
+    assignment targets."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_docstrings_name_files_that_exist():
+    missing = []
+    for module in MODULES:
+        for path, name in docstring_file_references(module.read_text()):
+            target = ROOT / path
+            if not target.is_file() or (name and name not in top_level_names(target.read_text())):
+                missing.append((module_name(module), f"{path}:{name}" if name else path))
+    assert missing == []
+
+
+def test_file_reference_guard_sees_references():
+    source = (
+        '"""Checked against `tests/oracles.py:solve_poisson_scipy`."""\n'
+        "class Solver:\n"
+        '    """Timed by tools/kernels.py; see also macroplace.placer."""\n'
+        "    def solve(self):\n"
+        '        """Not `gone/file.py:missing` either."""\n'
+        "        return 'strings.py are not docstrings'\n"
+    )
+    assert docstring_file_references(source) == [
+        ("tests/oracles.py", "solve_poisson_scipy"), ("tools/kernels.py", None),
+        ("gone/file.py", "missing")]
+    assert top_level_names(
+        "def f(): pass\nclass C:\n    x = 1\nY = 2\nZ: int = 3\nY.z = 4\n") == {"f", "C", "Y", "Z"}

@@ -361,18 +361,18 @@ class TestAnalytical:
 
     @pytest.mark.parametrize("run", ["place_clusters", "spread_movable"])
     def test_descent_starts_at_its_documented_start(self, monkeypatch, run):
-        """The first gradient evaluation (lambda_0's) sees the start plus the
-        1 % jitter, clamped, bit for bit: under `place_clusters` the
-        force-directed placement of the same inputs, under `spread_movable`
-        (clusters and macros moving) the canvas centre."""
+        """The first gradient evaluation (lambda_0's) sees the force-directed
+        placement of the same inputs and movable set plus the 1 % jitter,
+        clamped, bit for bit: under `place_clusters` the clusters move,
+        under `spread_movable` the macros too."""
         if run == "spread_movable":
             bundle = generate_synthetic(SyntheticSpec(3, 60, 80, seed=21))
             clustered = cluster_std_cells(bundle.netlist, k=8)
             start = base_placement(clustered, bundle.placement)
-            entry = spread_movable
+            entry, movable = spread_movable, clustered.placement_netlist.node_arrays.movable
         else:
             clustered, start = clustered_synthetic(seed=9)
-            entry = place_clusters
+            entry, movable = place_clusters, movable_cluster_mask(clustered)
         pnet = clustered.placement_netlist
         config = PlacerConfig(engine="analytical", max_outer_iters=2)
         calls = []
@@ -387,12 +387,8 @@ class TestAnalytical:
         monkeypatch.setattr(analytical, "_gradient_rows", recorded)
         entry(clustered, start, config)
         centres, dgrid = calls[0]
-        if run == "spread_movable":
-            base = np.tile([pnet.canvas_width / 2, pnet.canvas_height / 2], (len(dgrid.ids), 1))
-        else:
-            fd_placement, _ = run_force_directed(clustered, start,
-                                                 movable_cluster_mask(clustered), config)
-            base = fd_placement.positions[dgrid.ids]
+        fd_placement, _ = run_force_directed(clustered, start, movable, config)
+        base = fd_placement.positions[dgrid.ids]
         jitter = 0.01 * min(pnet.canvas_width, pnet.canvas_height)
         offsets = np.random.default_rng(0).uniform(-jitter, jitter, size=centres.shape)
         assert centres.tobytes() == dgrid.clamp(base + offsets).tobytes()
@@ -604,24 +600,33 @@ class TestEngineContract:
         assert (overflows[-1] < PlacerConfig.overflow_stop or overflows[-1] > lowest[-2]
                 or len(trace) == config.max_outer_iters)
 
-    @pytest.mark.parametrize("engine", ["fd", "analytical"])
-    def test_floating_group_warns_once_per_placement(self, engine):
+    @pytest.mark.parametrize("run", ["fd", "analytical", "spread_movable"])
+    def test_floating_group_warns_once_per_placement(self, run):
         """c1 and c2 reach no fixed node: each placement warns once, in
         words true of both engines (the analytical engine runs the
-        force-directed one for its start), and names the group."""
-        clustered = cluster_std_cells(floating_netlist(), k=3)
+        force-directed one for its start) and of `spread_movable`, and names
+        the group. Under `spread_movable` the movable macro m1, on no net,
+        floats too."""
+        netlist, entry, engine = floating_netlist(), place_clusters, run
+        if run == "spread_movable":
+            netlist = Netlist(netlist.nodes + [Node(4, "m1", 2.0, 2.0, KIND_MACRO, True)],
+                              netlist.nets, 20.0, 20.0, target_density=1.0)
+            entry, engine = spread_movable, "analytical"
+        clustered = cluster_std_cells(netlist, k=3)
         fixed = Placement.empty(clustered.placement_netlist.num_nodes)
         fixed.positions[0] = (2.0, 2.0)
         fixed.placed[0] = True
         pnet = clustered.placement_netlist
-        group = [pnet.nodes[clustered.cluster_to_placement[ci]].name
-                 for ci, c in enumerate(clustered.clusters) if c.members in ((2,), (3,))]
+        floating = {clustered.cluster_to_placement[ci]
+                    for ci, c in enumerate(clustered.clusters) if c.members in ((2,), (3,))}
+        floating |= {node.id for node in pnet.nodes if node.name == "m1"}
+        group = [pnet.nodes[pid].name for pid in sorted(floating)]
         config = PlacerConfig(engine=engine, max_outer_iters=5)
         with pytest.warns(UserWarning, match="no connectivity") as caught:
-            place_clusters(clustered, base_placement(clustered, fixed), config)
+            entry(clustered, base_placement(clustered, fixed), config)
         messages = [str(w.message) for w in caught]
         assert messages == [
-            "clusters with no connectivity to a fixed node: no net pulls them toward the "
+            "movable nodes with no connectivity to a fixed node: no net pulls them toward the "
             f"fixed nodes, so the density field alone sets where they go: {group}"]
 
     def test_unplaced_macro_rejected(self):
